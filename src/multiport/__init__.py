@@ -37,12 +37,10 @@ from .robustness import (
     CalibrationResult,
     FidelityStats,
     NoiseModel,
-    PerturbedFactor,
     SweepResult,
     calibrate_sigma,
     component_fidelity_estimate,
     fidelity,
-    perturb_factor,
     reconstruct_perturbed,
     sweep_noise,
     sweep_size,
@@ -72,7 +70,6 @@ __all__ = [
     "Factor",
     "FidelityStats",
     "NoiseModel",
-    "PerturbedFactor",
     "Series",
     "SweepDiagnostics",
     "SweepResult",
@@ -94,7 +91,6 @@ __all__ = [
     "load_plan",
     "matmul",
     "matrix_to_json",
-    "perturb_factor",
     "plan_to_json",
     "reconstruct",
     "reconstruct_perturbed",

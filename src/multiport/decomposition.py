@@ -201,27 +201,29 @@ def embed_factor(factor: Factor, n: int) -> np.ndarray:
     return out
 
 
-def _compose(n: int, phases: np.ndarray, reversed_blocks) -> np.ndarray:
+def _compose(phases: np.ndarray, reversed_blocks, stack: tuple[int, ...] = ()) -> np.ndarray:
     """Build ``diag(exp(1j*phases))`` times the daggered blocks in the given order.
 
-    ``reversed_blocks`` iterates ``(columns, block)`` pairs with the *last*
-    applied factor first, i.e. already in product order.  Shared by the exact
-    and perturbed reconstruction paths so that zero perturbation reproduces
-    the exact result bit for bit.
+    ``reversed_blocks`` iterates ``(indices, block)`` pairs with the *last*
+    applied factor first, i.e. already in product order; ``indices`` are the
+    0-based modes the block acts on.  A block may carry leading ``stack``
+    axes, one matrix per slice, and the result then has shape
+    ``stack + (n, n)``.  Shared by the exact and perturbed reconstruction
+    paths, so zero perturbation reproduces the exact result bit for bit and
+    each slice of a stack equals the same slice composed alone.
     """
-    out = np.diag(np.exp(1j * np.asarray(phases, dtype=np.float64)))
-    for columns, block in reversed_blocks:
-        idx = np.asarray(columns) - 1
-        out[:, idx] = out[:, idx] @ np.conj(block).T
+    diag = np.diag(np.exp(1j * np.asarray(phases, dtype=np.float64)))
+    out = np.broadcast_to(diag, stack + diag.shape).copy()
+    for idx, block in reversed_blocks:
+        out[..., idx] = out[..., idx] @ np.conj(block).swapaxes(-1, -2)
     return out
 
 
 def reconstruct(plan: DecompositionPlan) -> np.ndarray:
     """Multiply a plan back out into the n x n matrix it encodes."""
     return _compose(
-        plan.n,
         plan.phases,
-        ((f.columns, f.block) for f in reversed(plan.factors)),
+        ((np.asarray(f.columns) - 1, f.block) for f in reversed(plan.factors)),
     )
 
 

@@ -11,7 +11,12 @@ which is 1 exactly when ``p`` equals ``q`` up to a global phase.
 
 All sampling is driven by ``numpy`` seed sequences derived from a single
 master seed plus fixed stream tags, so every sweep is reproducible and
-distinct loops never share a stream.
+distinct loops never share a stream.  One joint perturbation of a mesh is
+one generator, seeded from ``NoiseModel.seed``: it draws the offsets of
+every block as one flat array of ``(re, im)`` pairs, with the blocks in
+factor order and each block row-major.  A sweep stacks the perturbations of
+one matrix and composes them together; each slice of the stack depends only
+on its own seed, so it equals the same perturbation composed alone.
 """
 
 from __future__ import annotations
@@ -27,12 +32,10 @@ from .linalg import as_matrix, haar_random_unitary, sample_haar
 __all__ = [
     "CalibrationError",
     "NoiseModel",
-    "PerturbedFactor",
     "FidelityStats",
     "SweepResult",
     "CalibrationResult",
     "fidelity",
-    "perturb_factor",
     "reconstruct_perturbed",
     "component_fidelity_estimate",
     "calibrate_sigma",
@@ -68,8 +71,9 @@ def _rng(*parts: int) -> np.random.Generator:
 class NoiseModel:
     """Additive complex Gaussian entry noise of strength ``sigma``.
 
-    ``seed`` fixes the noise stream; a given ``(seed, draw_index)`` pair
-    always produces the same offsets.
+    One model is one joint perturbation of a whole mesh: ``seed`` seeds the
+    single generator that draws the offsets of every block, so the same
+    ``(seed, plan)`` always produces the same perturbed matrix.
     """
 
     sigma: float
@@ -80,20 +84,6 @@ class NoiseModel:
         object.__setattr__(self, "seed", int(self.seed))
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
-
-
-@dataclass(frozen=True, eq=False)
-class PerturbedFactor:
-    """A factor whose block is no longer exactly unitary.
-
-    Same fields as ``Factor`` but without the unitarity validation, since the
-    whole point is to carry a noisy block.
-    """
-
-    size: int
-    base_row: int
-    columns: tuple[int, ...]
-    block: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -142,56 +132,102 @@ class CalibrationResult:
     probes: int
 
 
+def _fidelities(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Phase-insensitive fidelity over the last two axes, broadcasting the rest.
+
+    ``(..., d, d) x (..., d, d) -> (...)``; raises ``ValueError`` if any
+    perturbed matrix is identically zero.
+    """
+    d = q.shape[-1]
+    power = np.einsum("...ij,...ij->...", np.conj(p), p).real / d
+    if not power.all():
+        raise ValueError("perturbed matrix is identically zero")
+    overlap = np.einsum("...ij,...ij->...", np.conj(q), p) / d
+    return np.abs(overlap) ** 2 / power
+
+
 def fidelity(q, q_pert) -> float:
     """Phase-insensitive fidelity between a matrix and its perturbed version."""
     q = as_matrix(q, square=True)
     p = as_matrix(q_pert, square=True)
     if q.shape != p.shape:
         raise ValueError(f"shape mismatch: {q.shape} vs {p.shape}")
-    d = q.shape[0]
-    denom = np.vdot(p, p).real / d
-    if denom == 0.0:
-        raise ValueError("perturbed matrix is identically zero")
-    overlap = np.vdot(q, p) / d
-    return float(abs(overlap) ** 2 / denom)
+    return float(_fidelities(q, p))
 
 
-def perturb_factor(factor, noise: NoiseModel, draw_index: int) -> PerturbedFactor:
-    """Apply one seeded draw of entry noise to a factor's block.
+@dataclass(frozen=True, eq=False)
+class _PackedPlan:
+    """A plan laid out for batched perturbation.
 
-    ``draw_index`` selects the draw: the offsets are a pure function of
-    ``(noise.seed, draw_index)`` and the block shape.
+    ``blocks`` holds every factor block row-major in one flat array, in
+    factor order.  ``factors`` gives, per factor, its 0-based mode indices,
+    the slice of ``blocks`` holding its entries, and its block size.
+    ``groups`` gathers the factors by block size as ``(entry_index, ideal)``
+    pairs: ``entry_index`` (shape ``(K_s, s*s)``) picks the size-``s``
+    blocks out of the flat array and ``ideal`` is their ``(K_s, s, s)``
+    stack.
     """
-    draw_index = int(draw_index)
-    if draw_index < 0:
-        raise ValueError(f"draw_index must be >= 0, got {draw_index}")
-    if noise.sigma == 0.0:
-        return PerturbedFactor(factor.size, factor.base_row, factor.columns, factor.block)
-    rng = _rng(noise.seed, _NOISE_STREAM, draw_index)
-    shape = factor.block.shape
-    offset = rng.normal(0.0, noise.sigma, size=shape)
-    offset = offset + 1j * rng.normal(0.0, noise.sigma, size=shape)
-    return PerturbedFactor(
-        factor.size, factor.base_row, factor.columns, factor.block + offset
-    )
+
+    phases: np.ndarray
+    blocks: np.ndarray
+    factors: tuple[tuple[np.ndarray, slice, int], ...]
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
-def _perturbed_composition(plan: DecompositionPlan, noise: NoiseModel):
-    """Perturb every factor, compose, and return per-factor block fidelities.
+def _pack(plan: DecompositionPlan) -> _PackedPlan:
+    factors = []
+    start = 0
+    for f in plan.factors:
+        factors.append((np.asarray(f.columns) - 1, slice(start, start + f.size**2), f.size))
+        start += f.size**2
+    blocks = np.zeros(start, dtype=np.complex128)
+    for f, (_, entries, _) in zip(plan.factors, factors):
+        blocks[entries] = f.block.ravel()
+    groups = []
+    for s in sorted({size for _, _, size in factors}):
+        starts = np.array([entries.start for _, entries, size in factors if size == s])
+        entry_index = starts[:, None] + np.arange(s * s)
+        groups.append((entry_index, blocks[entry_index].reshape(-1, s, s)))
+    return _PackedPlan(plan.phases, blocks, tuple(factors), tuple(groups))
 
-    Factor ``k`` uses draw index ``k`` of the noise stream, so one
-    ``NoiseModel`` describes one joint perturbation of the whole mesh.
+
+def _perturb_blocks(blocks: np.ndarray, sigma: float, seeds) -> np.ndarray:
+    """One joint perturbation of a flat block array per seed: ``(P, size)``.
+
+    Slice ``p`` is a pure function of ``(seeds[p], sigma, blocks)``: its
+    generator draws one ``(size, 2)`` standard-normal array of ``(re, im)``
+    offsets, scaled by ``sigma``.  With ``sigma == 0`` every slice is
+    ``blocks`` itself and nothing is drawn.
     """
-    perturbed = [perturb_factor(f, noise, k) for k, f in enumerate(plan.factors)]
-    block_fids = np.array(
-        [fidelity(f.block, p.block) for f, p in zip(plan.factors, perturbed)]
+    if sigma == 0.0:
+        return np.broadcast_to(blocks, (len(seeds), blocks.size))
+    pairs = np.empty((len(seeds), blocks.size, 2))
+    for p, seed in enumerate(seeds):
+        _rng(seed, _NOISE_STREAM).standard_normal(out=pairs[p])
+    return blocks + sigma * pairs.view(np.complex128)[..., 0]
+
+
+def _perturbed_stack(packed: _PackedPlan, sigma: float, seeds):
+    """Compose one perturbation of the plan per seed, as one stack.
+
+    Returns the ``(P, n, n)`` perturbed matrices and the ``(P, K)`` block
+    fidelities, with the factors of each slice ordered by block size.
+    """
+    flat = _perturb_blocks(packed.blocks, sigma, seeds)
+    stack = (len(seeds),)
+    block_fids = [np.zeros(stack + (0,))]  # a plan without factors has no groups
+    for entry_index, ideal in packed.groups:
+        perturbed = flat[:, entry_index].reshape(stack + ideal.shape)
+        block_fids.append(_fidelities(ideal, perturbed))
+    matrices = _compose(
+        packed.phases,
+        (
+            (idx, flat[:, entries].reshape(stack + (s, s)))
+            for idx, entries, s in reversed(packed.factors)
+        ),
+        stack,
     )
-    matrix = _compose(
-        plan.n,
-        plan.phases,
-        ((p.columns, p.block) for p in reversed(perturbed)),
-    )
-    return matrix, block_fids
+    return matrices, np.concatenate(block_fids, axis=-1)
 
 
 def reconstruct_perturbed(plan: DecompositionPlan, noise: NoiseModel) -> np.ndarray:
@@ -200,36 +236,46 @@ def reconstruct_perturbed(plan: DecompositionPlan, noise: NoiseModel) -> np.ndar
     With ``noise.sigma == 0`` this reproduces ``reconstruct(plan)`` bit for
     bit (same composition code path, identical blocks).
     """
-    matrix, _ = _perturbed_composition(plan, noise)
-    return matrix
+    matrices, _ = _perturbed_stack(_pack(plan), noise.sigma, [noise.seed])
+    return matrices[0]
 
 
 class _RunningMean:
-    """Streaming mean / standard-error accumulator."""
+    """Streaming mean / standard-error accumulator.
 
-    __slots__ = ("count", "total", "total_sq")
+    Each ``add`` folds a whole batch in: the batch's own mean and sum of
+    squared deviations, merged into the running pair by the Chan-Golub-LeVeque
+    update.  Deviations are taken from means, never from zero, so values
+    packed close to 1 keep their spread.
+    """
+
+    __slots__ = ("count", "mean", "m2")
 
     def __init__(self) -> None:
         self.count = 0
-        self.total = 0.0
-        self.total_sq = 0.0
+        self.mean = 0.0
+        self.m2 = 0.0
 
     def add(self, values) -> None:
-        arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
+        arr = np.asarray(values, dtype=np.float64).ravel()
+        if arr.size == 0:
+            return
+        batch_mean = float(arr.mean())
+        batch_m2 = float(np.square(arr - batch_mean).sum())
+        weight = arr.size / (self.count + arr.size)
+        delta = batch_mean - self.mean
+        self.mean += delta * weight
+        self.m2 += batch_m2 + delta * delta * self.count * weight
         self.count += arr.size
-        self.total += float(arr.sum())
-        self.total_sq += float((arr * arr).sum())
 
     def stats(self) -> FidelityStats:
         if self.count == 0:
             raise ValueError("no samples accumulated")
-        mean = self.total / self.count
         if self.count > 1:
-            var = max(self.total_sq - self.count * mean * mean, 0.0) / (self.count - 1)
-            std_error = math.sqrt(var / self.count)
+            std_error = math.sqrt(self.m2 / (self.count - 1) / self.count)
         else:
             std_error = 0.0
-        return FidelityStats(mean=mean, std_error=std_error, samples=self.count)
+        return FidelityStats(mean=self.mean, std_error=std_error, samples=self.count)
 
 
 def component_fidelity_estimate(
@@ -270,9 +316,7 @@ def component_fidelity_estimate(
         else:
             pairs = noise_rng.normal(0.0, sigma, size=(b, m, m, 2))
             p = q + pairs[..., 0] + 1j * pairs[..., 1]
-        overlap = np.abs(np.einsum("bij,bij->b", np.conj(q), p) / m) ** 2
-        power = np.einsum("bij,bij->b", np.conj(p), p).real / m
-        acc.add(overlap / power)
+        acc.add(_fidelities(q, p))
     return acc.stats()
 
 
@@ -363,6 +407,28 @@ def _check_counts(n_matrices: int, n_perturbations: int) -> tuple[int, int]:
     return n_matrices, n_perturbations
 
 
+def _sweep_cell(
+    n: int, m: int, sigma: float, prepared, n_perturbations: int, seed: int, cell
+) -> SweepResult:
+    """Pool block and matrix fidelities over every perturbation of every matrix.
+
+    ``prepared`` lists ``(u, packed plan)`` pairs.  Perturbation ``p`` of
+    matrix ``t`` is the joint draw seeded by
+    ``_child_seed(seed, _NOISE_STREAM, *cell, t, p)``; the perturbations of
+    one matrix are composed as one stack.
+    """
+    fq_acc = _RunningMean()
+    fu_acc = _RunningMean()
+    for t, (u, packed) in enumerate(prepared):
+        seeds = [
+            _child_seed(seed, _NOISE_STREAM, *cell, t, p) for p in range(n_perturbations)
+        ]
+        rebuilt, block_fids = _perturbed_stack(packed, sigma, seeds)
+        fq_acc.add(block_fids)
+        fu_acc.add(_fidelities(u, rebuilt))
+    return SweepResult(n=n, m=m, sigma=sigma, fq=fq_acc.stats(), fu=fu_acc.stats())
+
+
 def sweep_noise(
     n: int,
     m_list,
@@ -399,28 +465,16 @@ def sweep_noise(
 
     results: list[SweepResult] = []
     for mi, m in enumerate(m_list):
-        # Decompose each trial matrix once; the plan is reused across the
-        # whole sigma grid (perturbation draws stay independent per sigma).
+        # Decompose and pack each trial matrix once; the packed plan is
+        # reused across the whole sigma grid (perturbation draws stay
+        # independent per sigma).
         prepared = []
         for t in range(n_matrices):
             u = haar_random_unitary(n, _child_seed(seed, _MATRIX_STREAM, mi, t))
-            prepared.append((u, decompose(u, m, tol)))
+            prepared.append((u, _pack(decompose(u, m, tol))))
         for si, sigma in enumerate(sigma_grid):
-            fq_acc = _RunningMean()
-            fu_acc = _RunningMean()
-            for t, (u, plan) in enumerate(prepared):
-                for p in range(n_perturbations):
-                    noise = NoiseModel(
-                        sigma=sigma,
-                        seed=_child_seed(seed, _NOISE_STREAM, mi, si, t, p),
-                    )
-                    rebuilt, block_fids = _perturbed_composition(plan, noise)
-                    fq_acc.add(block_fids)
-                    fu_acc.add(fidelity(u, rebuilt))
             results.append(
-                SweepResult(
-                    n=n, m=m, sigma=sigma, fq=fq_acc.stats(), fu=fu_acc.stats()
-                )
+                _sweep_cell(n, m, sigma, prepared, n_perturbations, seed, (mi, si))
             )
     return results
 
@@ -466,26 +520,11 @@ def sweep_size(
         for ni, n in enumerate(n_grid):
             if n < m:
                 continue
-            fq_acc = _RunningMean()
-            fu_acc = _RunningMean()
+            prepared = []
             for t in range(n_matrices):
                 u = haar_random_unitary(n, _child_seed(seed, _MATRIX_STREAM, mi, ni, t))
-                plan = decompose(u, m)
-                for p in range(n_perturbations):
-                    noise = NoiseModel(
-                        sigma=calib.sigma,
-                        seed=_child_seed(seed, _NOISE_STREAM, mi, ni, t, p),
-                    )
-                    rebuilt, block_fids = _perturbed_composition(plan, noise)
-                    fq_acc.add(block_fids)
-                    fu_acc.add(fidelity(u, rebuilt))
+                prepared.append((u, _pack(decompose(u, m))))
             results.append(
-                SweepResult(
-                    n=n,
-                    m=m,
-                    sigma=calib.sigma,
-                    fq=fq_acc.stats(),
-                    fu=fu_acc.stats(),
-                )
+                _sweep_cell(n, m, calib.sigma, prepared, n_perturbations, seed, (mi, ni))
             )
     return results

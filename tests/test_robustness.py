@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,14 @@ from multiport.robustness import (
     CalibrationError,
     FidelityStats,
     NoiseModel,
-    PerturbedFactor,
+    _fidelities,
+    _pack,
+    _perturb_blocks,
+    _perturbed_stack,
+    _RunningMean,
     calibrate_sigma,
     component_fidelity_estimate,
     fidelity,
-    perturb_factor,
     reconstruct_perturbed,
     sweep_noise,
     sweep_size,
@@ -59,6 +64,84 @@ class TestFidelity:
             fidelity(np.eye(2), np.eye(3))
 
 
+class TestBatchedFidelity:
+    @staticmethod
+    def _stack(count=6, d=4, seed=9):
+        rng = np.random.default_rng(seed)
+        q = np.stack([haar_random_unitary(d, seed + k) for k in range(count)])
+        noise = rng.standard_normal(q.shape) + 1j * rng.standard_normal(q.shape)
+        return q, q + 0.2 * noise
+
+    def test_equals_scalar_fidelity_on_a_stack(self):
+        q, p = self._stack()
+        batched = _fidelities(q, p)
+        assert batched.shape == (len(q),)
+        for k in range(len(q)):
+            assert batched[k] == pytest.approx(fidelity(q[k], p[k]), abs=1e-14)
+
+    def test_broadcasts_one_ideal_over_a_stack(self):
+        q, p = self._stack()
+        batched = _fidelities(q[0], p)
+        for k in range(len(p)):
+            assert batched[k] == pytest.approx(fidelity(q[0], p[k]), abs=1e-14)
+
+    def test_global_phase_and_scale_invariance(self):
+        q, p = self._stack()
+        base = _fidelities(q, p)
+        phases = np.exp(1j * np.linspace(-3.0, 3.0, len(q)))[:, None, None]
+        scales = np.linspace(0.1, 7.0, len(q))[:, None, None]
+        np.testing.assert_allclose(_fidelities(q, phases * scales * p), base, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_fidelities(phases * q, p), base, rtol=0, atol=1e-12)
+
+    def test_zero_slice_rejected(self):
+        q, p = self._stack()
+        p[2] = 0.0
+        with pytest.raises(ValueError, match="zero"):
+            _fidelities(q, p)
+
+
+class TestRunningMean:
+    @staticmethod
+    def _reference(values):
+        return values.mean(), values.std(ddof=1) / np.sqrt(values.size)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096, 100_000])
+    def test_matches_numpy_near_one(self, chunk):
+        # values packed at 1 - 1e-8 with spread 1e-10: a plain sum of
+        # squares cancels to a standard error of 0 here
+        rng = np.random.default_rng(0)
+        values = 1.0 - 1e-8 + 1e-10 * rng.standard_normal(100_000)
+        acc = _RunningMean()
+        for start in range(0, values.size, chunk):
+            acc.add(values[start : start + chunk])
+        mean, se = self._reference(values)
+        stats = acc.stats()
+        assert stats.samples == values.size
+        # one-at-a-time updates round the mean by a few ulps per step, far
+        # below its standard error
+        assert abs(stats.mean - mean) <= 0.05 * se
+        assert stats.std_error == pytest.approx(se, rel=1e-6)
+        assert stats.std_error == pytest.approx(3.2e-13, rel=0.05)
+
+    def test_uneven_chunks_match_numpy(self):
+        rng = np.random.default_rng(1)
+        values = rng.uniform(0.2, 0.9, 5000)
+        acc = _RunningMean()
+        for part in np.split(values, [1, 2, 50, 51, 3000]):
+            acc.add(part)
+        acc.add([])
+        mean, se = self._reference(values)
+        assert acc.stats().mean == pytest.approx(mean, rel=1e-14)
+        assert acc.stats().std_error == pytest.approx(se, rel=1e-12)
+
+    def test_single_sample_and_empty(self):
+        acc = _RunningMean()
+        with pytest.raises(ValueError):
+            acc.stats()
+        acc.add(0.5)
+        assert acc.stats() == FidelityStats(mean=0.5, std_error=0.0, samples=1)
+
+
 @pytest.fixture(scope="module")
 def sample_plan():
     u = haar_random_unitary(8, 77)
@@ -66,54 +149,78 @@ def sample_plan():
 
 
 class TestPerturbFactor:
+    """The batched draw: one generator per joint perturbation of a mesh."""
+
     def test_sigma_zero_is_identity(self, sample_plan):
         _, plan = sample_plan
-        f = plan.factors[0]
-        p = perturb_factor(f, NoiseModel(0.0, 5), 0)
-        np.testing.assert_array_equal(p.block, f.block)
-        assert p.columns == f.columns and p.base_row == f.base_row
+        packed = _pack(plan)
+        flat = _perturb_blocks(packed.blocks, 0.0, [5, 6])
+        np.testing.assert_array_equal(flat, np.stack([packed.blocks] * 2))
 
     def test_deterministic_per_draw(self, sample_plan):
         _, plan = sample_plan
-        f = plan.factors[1]
-        noise = NoiseModel(0.2, 31)
-        a = perturb_factor(f, noise, 4)
-        b = perturb_factor(f, noise, 4)
-        c = perturb_factor(f, noise, 5)
-        np.testing.assert_array_equal(a.block, b.block)
-        assert not np.array_equal(a.block, c.block)
+        blocks = _pack(plan).blocks
+        a = _perturb_blocks(blocks, 0.2, [31, 32])
+        b = _perturb_blocks(blocks, 0.2, [31, 32])
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a[0], a[1])
 
     def test_seed_changes_draw(self, sample_plan):
         _, plan = sample_plan
-        f = plan.factors[1]
-        a = perturb_factor(f, NoiseModel(0.2, 31), 0)
-        b = perturb_factor(f, NoiseModel(0.2, 32), 0)
-        assert not np.array_equal(a.block, b.block)
+        blocks = _pack(plan).blocks
+        a = _perturb_blocks(blocks, 0.2, [31])
+        b = _perturb_blocks(blocks, 0.2, [32])
+        assert not np.array_equal(a, b)
 
     def test_offset_variance(self):
         # E ||block' - block||_F^2 = 2 m^2 sigma^2 = 0.18 for m=3, sigma=0.1
-        q = haar_random_unitary(3, 12)
-        f = PerturbedFactor(size=3, base_row=3, columns=(1, 2, 3), block=q)
+        q = haar_random_unitary(3, 12).ravel()
         draws = 10_000
-        sq = np.empty(draws)
-        for k in range(draws):
-            p = perturb_factor(f, NoiseModel(0.1, 555), k)
-            sq[k] = np.sum(np.abs(p.block - q) ** 2)
+        flat = _perturb_blocks(q, 0.1, range(draws))
+        sq = np.sum(np.abs(flat - q) ** 2, axis=1)
         se = sq.std(ddof=1) / np.sqrt(draws)
         assert abs(sq.mean() - 0.18) <= 3 * se
 
-    def test_result_allows_non_unitary_block(self):
-        p = PerturbedFactor(size=2, base_row=2, columns=(1, 2), block=np.ones((2, 2)))
-        assert p.block.shape == (2, 2)
+    def test_result_allows_non_unitary_block(self, sample_plan):
+        _, plan = sample_plan
+        rebuilt, block_fids = _perturbed_stack(_pack(plan), 0.3, [1, 2])
+        assert rebuilt.shape == (2, 8, 8)
+        assert block_fids.shape == (2, len(plan.factors))
+        assert np.isfinite(block_fids).all() and (block_fids < 1).all()
 
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             NoiseModel(-0.1, 0)
 
-    def test_rejects_negative_draw_index(self, sample_plan):
+    def test_stack_slices_equal_single_reconstructions(self, sample_plan):
         _, plan = sample_plan
-        with pytest.raises(ValueError):
-            perturb_factor(plan.factors[0], NoiseModel(0.1, 0), -1)
+        seeds = [40, 41, 42]
+        rebuilt, _ = _perturbed_stack(_pack(plan), 0.1, seeds)
+        for p, seed in enumerate(seeds):
+            np.testing.assert_array_equal(
+                rebuilt[p], reconstruct_perturbed(plan, NoiseModel(0.1, seed))
+            )
+
+    def test_block_fidelities_match_scalar_fidelity(self, sample_plan):
+        _, plan = sample_plan
+        packed = _pack(plan)
+        flat = _perturb_blocks(packed.blocks, 0.2, [3, 4])
+        _, block_fids = _perturbed_stack(packed, 0.2, [3, 4])
+        for p in range(2):
+            expected = []
+            for (_, entries, s), f in zip(packed.factors, plan.factors):
+                expected.append((s, fidelity(f.block, flat[p, entries].reshape(s, s))))
+            # block fidelities come grouped by block size, factor order within
+            expected = [fid for _, fid in sorted(expected, key=lambda e: e[0])]
+            np.testing.assert_allclose(block_fids[p], expected, rtol=0, atol=1e-14)
+
+    def test_zero_power_block_rejected(self, sample_plan):
+        _, plan = sample_plan
+        packed = _pack(plan)
+        zeroed = packed.blocks.copy()
+        zeroed[packed.factors[0][1]] = 0.0
+        with pytest.raises(ValueError, match="zero"):
+            _perturbed_stack(dataclasses.replace(packed, blocks=zeroed), 0.0, [0])
 
 
 class TestReconstructPerturbed:
