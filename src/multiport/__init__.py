@@ -25,9 +25,7 @@ from .decomposition import (
 )
 from .linalg import (
     UnitarityReport,
-    dagger,
     haar_random_unitary,
-    matmul,
     rq_decompose,
     sample_haar,
     unitarity,
@@ -78,7 +76,6 @@ __all__ = [
     "calibrate_sigma",
     "component_fidelity_estimate",
     "cost_compare",
-    "dagger",
     "decompose",
     "embed_factor",
     "factor_count_bound",
@@ -89,7 +86,6 @@ __all__ = [
     "line_chart",
     "load_matrix",
     "load_plan",
-    "matmul",
     "matrix_to_json",
     "plan_to_json",
     "reconstruct",

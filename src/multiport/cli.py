@@ -58,7 +58,7 @@ def _float_list(text: str) -> list[float]:
 
 def _cmd_decompose(args) -> int:
     u = load_matrix(args.infile)
-    plan = decompose(u, args.m, args.tol)
+    plan = decompose(u, args.m)
     report = verify(plan, u)
     save_plan(args.out, plan)
     diag = plan.diagnostics
@@ -251,7 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, metavar="MATRIX_JSON")
     p.add_argument("--m", type=int, required=True, help="maximum block size")
     p.add_argument("--out", required=True, metavar="PLAN_JSON")
-    p.add_argument("--tol", type=float, default=None, help="zero threshold override")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("reconstruct", help="multiply a plan file back into a matrix")

@@ -3,21 +3,29 @@
 The decomposition generalizes the classic triangular mesh of 2 x 2
 beam-splitter transformations to blocks of size up to ``m``.  A working copy
 ``W`` of the input is swept from the bottom row up: for the active row the
-sweep repeatedly picks the leftmost columns that still hold entries at or
-left of the diagonal (at most ``m`` of them, always including the diagonal
-column itself), takes the submatrix of those columns over the ``m'`` rows
-ending at the active row, and right-multiplies ``W`` by an embedded unitary
-obtained from an RQ factorization of that submatrix.  Each multiplication
-stamps a triangular patch of zeros below the diagonal; zeros created earlier
-sit in columns untouched by later steps, or are protected by unitarity, so
-they survive.  When every row is done ``W`` is diagonal with unit-modulus
-entries, and the input equals that phase diagonal times the reversed product
-of the conjugated factors.
+sweep repeatedly picks the leftmost columns that hold entries at or left of
+the diagonal (at most ``m`` of them, always including the diagonal column
+itself), takes the submatrix of those columns over the ``m'`` rows ending at
+the active row, and right-multiplies ``W`` by an embedded unitary obtained
+from an RQ factorization of that submatrix.  Each multiplication stamps a
+triangular patch of exact zeros below the diagonal; rows below the active
+row are finished and are not touched again.  When every row is done ``W``
+is diagonal with unit-modulus entries, and the input equals that phase
+diagonal times the reversed product of the conjugated factors.
+
+Which entries are zero is decided by structure, never by magnitude: the
+schedule of steps is simulated once on the input's exact zero pattern
+(``u != 0``), and every step's RQ is applied whatever the size of its
+entries.  Dense inputs, including near-permutations with tiny entries, all
+share the one schedule of their ``(n, m)``; inputs with exact zeros (phase
+diagonals, permutations, block-diagonal matrices) get the shorter schedule
+their pattern allows.  Schedules are kept in a small bounded cache.
 """
 
 from __future__ import annotations
 
-import math
+import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,10 +49,18 @@ __all__ = [
 
 _BLOCK_UNITARY_TOL = 1e-10
 _INPUT_UNITARY_TOL = 1e-8
+_SCHEDULE_CACHE_SIZE = 16
 
 
 class DecompositionError(RuntimeError):
-    """A sweep invariant failed or the factor budget was exhausted."""
+    """The swept matrix did not end as a diagonal of unit-modulus phases."""
+
+
+@functools.lru_cache(maxsize=32)
+def _identity(k: int) -> np.ndarray:
+    eye = np.eye(k, dtype=np.complex128)
+    eye.setflags(write=False)
+    return eye
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,52 +79,48 @@ class Factor:
     block: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "size", int(self.size))
-        object.__setattr__(self, "base_row", int(self.base_row))
-        object.__setattr__(self, "columns", tuple(int(c) for c in self.columns))
+        size = int(self.size)
+        base_row = int(self.base_row)
+        columns = tuple(map(int, self.columns))
         block = np.array(self.block, dtype=np.complex128)
         block.setflags(write=False)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "base_row", base_row)
+        object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "block", block)
 
-        if self.size < 2:
-            raise ValueError(f"block size must be at least 2, got {self.size}")
-        if block.shape != (self.size, self.size):
+        if size < 2:
+            raise ValueError(f"block size must be at least 2, got {size}")
+        if block.shape != (size, size):
+            raise ValueError(f"block shape {block.shape} does not match size {size}")
+        if len(columns) != size:
+            raise ValueError(f"expected {size} columns, got {len(columns)}")
+        if columns[0] < 1:
+            raise ValueError(f"column indices are 1-based, got {columns}")
+        if not all(map(operator.lt, columns, columns[1:])):
+            raise ValueError(f"columns must be strictly ascending, got {columns}")
+        if base_row < columns[-1]:
             raise ValueError(
-                f"block shape {block.shape} does not match size {self.size}"
+                f"base row {base_row} lies above the last column {columns[-1]}"
             )
-        if len(self.columns) != self.size:
-            raise ValueError(
-                f"expected {self.size} columns, got {len(self.columns)}"
-            )
-        if self.columns[0] < 1:
-            raise ValueError(f"column indices are 1-based, got {self.columns}")
-        if any(b <= a for a, b in zip(self.columns, self.columns[1:])):
-            raise ValueError(f"columns must be strictly ascending, got {self.columns}")
-        if self.base_row < self.columns[-1]:
-            raise ValueError(
-                f"base row {self.base_row} lies above the last column "
-                f"{self.columns[-1]}"
-            )
-        report = unitarity(block, tol=_BLOCK_UNITARY_TOL)
-        if not report.is_unitary:
-            raise ValueError(
-                f"factor block is not unitary (defect {report.defect:.3e})"
-            )
+        defect = np.abs(block.conj().T @ block - _identity(size)).max()
+        if not defect <= _BLOCK_UNITARY_TOL:  # also rejects NaN
+            raise ValueError(f"factor block is not unitary (defect {defect:.3e})")
 
 
 @dataclass(frozen=True)
 class SweepDiagnostics:
     """Bookkeeping from one decomposition run (not serialized with the plan).
 
-    ``new_zeros_per_factor`` counts the below-diagonal entries each factor
-    cleared for the first time; ``refill_events`` counts previously cleared
-    entries that later rose back above the threshold (expected to be zero,
-    logged rather than fatal); ``threshold`` is the zero threshold used.
+    Both counts come from the schedule, which is simulated on the input's
+    zero pattern.  ``new_zeros_per_factor`` counts the below-diagonal
+    entries each factor stamps to zero for the first time;
+    ``refill_events`` counts stamped zeros that a later factor may fill
+    again (zero on dense inputs).
     """
 
     new_zeros_per_factor: tuple[int, ...]
     refill_events: int
-    threshold: float
 
     @property
     def total_zeros(self) -> int:
@@ -227,14 +239,123 @@ def reconstruct(plan: DecompositionPlan) -> np.ndarray:
     )
 
 
-def decompose(u, m: int, tol: float | None = None) -> DecompositionPlan:
+def _zero_pattern(w: np.ndarray) -> bytes:
+    """The exact nonzero pattern of ``w``: row-major bitmask rows, bit c = column c."""
+    return np.packbits(w != 0, axis=1, bitorder="little").tobytes()
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+@functools.lru_cache(maxsize=_SCHEDULE_CACHE_SIZE)
+def _schedule(n: int, m: int, pattern: bytes):
+    """Simulate the sweep on a zero pattern; return its steps and zero counts.
+
+    Each step is ``(top, stop, idx, columns)``: the block covers rows
+    ``top:stop`` (``stop - 1`` is the active row) and the 0-based columns
+    ``idx`` (a slice when they are contiguous), and ``columns`` are the same
+    columns 1-based.  A step's RQ sets the block's lower triangle to exact
+    zeros; any other row with a nonzero in the block's columns may then hold
+    nonzeros in all of them, and a row with none keeps exact zeros there.
+    The one exception is a 2-column step whose bottom row is ``(x, 0)``:
+    its rotation is an exact swap with phases, so the columns trade entries.
+    Rows below the active row are finished and never touched.  Also returns
+    the below-diagonal entries each step stamps to zero for the first time,
+    and the stamped entries a later step may fill again (refills).
+    """
+    width = (n + 7) // 8
+    rows = [int.from_bytes(pattern[r * width : (r + 1) * width], "little") for r in range(n)]
+    col_rows = [0] * n  # col_rows[c] has bit r set iff entry (r, c) may be nonzero
+    for r, mask in enumerate(rows):
+        for c in _bits(mask):
+            col_rows[c] |= 1 << r
+    cleared = [0] * n  # per row, the below-diagonal entries stamped to zero
+    steps, new_zeros, refills = [], [], 0
+    indices = {}  # 1-based columns -> (0-based index, the same columns)
+    for row in range(n - 1, 0, -1):
+        diag = 1 << row
+        while True:
+            # The diagonal always joins the candidates, so the row's last
+            # block leaves it as the sole survivor at or left of it.
+            live = (rows[row] & (diag - 1)) | diag
+            if live == diag:
+                break
+            cols = _bits(live)[:m]
+            size = len(cols)
+            top = row - size + 1
+            block = touching = 0
+            in_all = -1
+            for c in cols:
+                block |= 1 << c
+                touching |= col_rows[c]
+                in_all &= col_rows[c]
+            if size == 2 and not rows[row] >> cols[1] & 1:
+                # The bottom row is (x, 0), so rq_decompose returns an exact
+                # swap with phases: the two columns trade entries, no fill.
+                for r in _bits(touching & ~in_all):
+                    rows[r] ^= block
+                    refills += (cleared[r] & rows[r]).bit_count()
+                    cleared[r] &= ~rows[r]
+                j = cols[0]
+                col_rows[j], col_rows[row] = col_rows[row], col_rows[j]
+                fresh = 1 - (cleared[row] >> j & 1)
+                cleared[row] |= 1 << j
+            else:
+                above = touching & ((1 << top) - 1)
+                # Rows above the block that touch some but not all of its
+                # columns fill in the rest; rows touching all are unchanged.
+                for r in _bits(above & ~in_all):
+                    rows[r] |= block
+                    refills += (cleared[r] & block).bit_count()
+                    cleared[r] &= ~block
+                finished = ~((diag << 1) - 1)
+                for c in cols:
+                    col_rows[c] = above | (col_rows[c] & finished)
+                # Row top + k of the block is stamped to zero in its first k
+                # columns and keeps the rest, if it touched the block at all.
+                fresh = 0
+                kept = block
+                for k in range(size):
+                    r = top + k
+                    if k:
+                        kept &= ~(1 << cols[k - 1])
+                    if rows[r] & block:
+                        rows[r] = (rows[r] & ~block) | kept
+                        refills += (cleared[r] & kept).bit_count()
+                        cleared[r] &= ~kept
+                        for c in cols[k:]:
+                            col_rows[c] |= 1 << r
+                    stamp = block & ~kept
+                    fresh += (stamp & ~cleared[r]).bit_count()
+                    cleared[r] |= stamp
+            columns = tuple(c + 1 for c in cols)
+            if columns not in indices:  # many steps share a column set
+                if cols[-1] - cols[0] == size - 1:
+                    idx = slice(cols[0], cols[-1] + 1)
+                else:
+                    idx = np.array(cols)
+                    idx.setflags(write=False)
+                indices[columns] = (idx, columns)
+            steps.append((top, row + 1, *indices[columns]))
+            new_zeros.append(fresh)
+    return tuple(steps), tuple(new_zeros), refills
+
+
+def decompose(u, m: int) -> DecompositionPlan:
     """Sweep an n x n unitary into at most ``factor_count_bound(n, m)`` factors.
 
-    ``tol`` is the zero threshold: entries at or below it count as cleared.
-    It defaults to ``1e-9 * n * max|u|``.  Raises ``ValueError`` for a
-    non-unitary input or an out-of-range ``m``, and ``DecompositionError``
-    when a sweep invariant fails (a stamped zero patch above threshold,
-    previously cleared rows disturbed, or the factor budget exhausted).
+    The schedule comes from the exact zero pattern of ``u`` (see the module
+    docstring) and is cached per ``(m, pattern)``, so every dense input of a
+    given size shares one.  Raises ``ValueError`` for a non-unitary input or
+    an out-of-range ``m``, and ``DecompositionError`` if the swept matrix is
+    not a diagonal of unit-modulus phases.
     """
     w = as_matrix(u, square=True).copy()
     n = w.shape[0]
@@ -247,99 +368,27 @@ def decompose(u, m: int, tol: float | None = None) -> DecompositionPlan:
             f"input is not unitary: defect {report.defect:.3e} exceeds "
             f"{_INPUT_UNITARY_TOL:.0e}"
         )
-    if tol is None:
-        tol = 1e-9 * n * float(np.abs(w).max())
-    tol = float(tol)
-    if not 0 < tol < 1:
-        raise ValueError(f"zero threshold must be in (0, 1), got {tol}")
 
-    budget = 2 * factor_count_bound(n, m)
-    factors: list[Factor] = []
-    cleared = np.zeros((n, n), dtype=bool)  # below-diagonal entries stamped so far
-    new_zero_counts: list[int] = []
-    refills = 0
+    steps, new_zeros, refills = _schedule(n, m, _zero_pattern(w))
+    factors = []
+    for top, stop, idx, columns in steps:
+        r, q = rq_decompose(w[top:stop, idx])
+        w[:top, idx] = w[:top, idx] @ q
+        w[top:stop, idx] = r
+        factors.append(
+            Factor(size=len(columns), base_row=stop, columns=columns, block=q)
+        )
 
-    for row in range(n - 1, 0, -1):  # 0-based active row, bottom to top
-        while True:
-            live = np.flatnonzero(np.abs(w[row, : row + 1]) > tol)
-            if live.size == 0:
-                raise DecompositionError(
-                    f"row {row + 1} lost its diagonal entry; the zero "
-                    f"threshold {tol:.3e} is likely too large"
-                )
-            if live[-1] == row and live.size == 1:
-                break  # only the diagonal survives: row finished
-            # Candidate columns: every live entry at or left of the diagonal,
-            # with the diagonal column always included so the last block of
-            # the row leaves the diagonal as the sole survivor.  (On generic
-            # unitaries the diagonal is live anyway; forcing it keeps
-            # permutation-like inputs from stalling.)
-            cand = live if live[-1] == row else np.append(live, row)
-            size = min(m, cand.size)
-            cols = cand[:size]
-            top = row - size + 1
-            _, q = rq_decompose(w[top : row + 1][:, cols])
-            w[:, cols] = w[:, cols] @ q
-            factors.append(
-                Factor(
-                    size=size,
-                    base_row=row + 1,
-                    columns=tuple(int(c) + 1 for c in cols),
-                    block=q,
-                )
-            )
-            if len(factors) > budget:
-                raise DecompositionError(
-                    f"factor budget exhausted ({len(factors)} > {budget} "
-                    f"for n={n}, m={m}); zero threshold {tol:.3e} is likely "
-                    f"too small for this input"
-                )
-
-            # The factor must have stamped a triangular patch of zeros: the
-            # k-th selected column is cleared in the k trailing rows of the
-            # block (rows top+k .. row).
-            patch_rows = np.concatenate(
-                [np.arange(top + k, row + 1) for k in range(1, size)]
-            )
-            patch_cols = np.repeat(cols[:-1], np.arange(size - 1, 0, -1))
-            patch = np.abs(w[patch_rows, patch_cols])
-            if patch.size and patch.max() > tol:
-                raise DecompositionError(
-                    f"factor {len(factors)} failed to clear its block: "
-                    f"residual {patch.max():.3e} exceeds threshold {tol:.3e}"
-                )
-            # Rows below the active one were finished earlier; the touched
-            # columns there must still be clear.
-            if row + 1 < n:
-                residue = np.abs(w[row + 1 :][:, cols]).max()
-                if residue > tol:
-                    raise DecompositionError(
-                        f"factor {len(factors)} disturbed finished rows: "
-                        f"residual {residue:.3e} exceeds threshold {tol:.3e}"
-                    )
-
-            fresh = ~cleared[patch_rows, patch_cols]
-            new_zero_counts.append(int(fresh.sum()))
-            cleared[patch_rows, patch_cols] = True
-            # Any previously stamped zero in a touched column that rose back
-            # above threshold is a refill: logged, unmarked, and re-cleared
-            # by a later factor.  (Unitarity of the updates makes this
-            # impossible in exact arithmetic; the counter watches rounding.)
-            for c in cols:
-                risen = cleared[:, c] & (np.abs(w[:, c]) > tol)
-                if risen.any():
-                    refills += int(risen.sum())
-                    cleared[risen, c] = False
-
-    # What survives must be a diagonal of pure phases.
-    diag_tol = 2.0 * tol * math.sqrt(n) + 1e-12
-    off = np.abs(np.triu(w, 1)).max() if n > 1 else 0.0
+    # What survives must be a diagonal of pure phases.  An input that is
+    # unitary within _INPUT_UNITARY_TOL ends within about n times that.
+    diag = np.diagonal(w)
+    diag_tol = 2.0 * n * _INPUT_UNITARY_TOL
+    off = np.abs(w - np.diag(diag)).max()
     if off > diag_tol:
         raise DecompositionError(
-            f"residual above-diagonal entry {off:.3e} exceeds {diag_tol:.3e}; "
+            f"residual off-diagonal entry {off:.3e} exceeds {diag_tol:.3e}; "
             f"the swept matrix is not diagonal"
         )
-    diag = np.diagonal(w)
     if np.abs(np.abs(diag) - 1.0).max() > diag_tol:
         raise DecompositionError(
             "diagonal of the swept matrix is not unit modulus"
@@ -353,9 +402,7 @@ def decompose(u, m: int, tol: float | None = None) -> DecompositionPlan:
         factors=tuple(factors),
         phases=phases,
         diagnostics=SweepDiagnostics(
-            new_zeros_per_factor=tuple(new_zero_counts),
-            refill_events=refills,
-            threshold=tol,
+            new_zeros_per_factor=new_zeros, refill_events=refills
         ),
     )
 

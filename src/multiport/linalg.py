@@ -7,16 +7,14 @@ random sampling is a pure function of the seed that is passed in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "UnitarityReport",
     "as_matrix",
-    "matmul",
-    "dagger",
     "unitarity",
     "haar_random_unitary",
     "sample_haar",
@@ -43,22 +41,6 @@ def as_matrix(a, *, square: bool = False) -> np.ndarray:
     if not np.isfinite(mat).all():
         raise ValueError("matrix contains non-finite entries")
     return mat
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product ``a @ b`` with an explicit shape check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"inner dimensions do not match: {a.shape} x {b.shape}"
-        )
-    return a @ b
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose.  Always returns a fresh array."""
-    return np.conj(as_matrix(a)).T
 
 
 @dataclass(frozen=True)
@@ -120,7 +102,25 @@ def rq_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     (``r`` carries exact structural zeros below the diagonal).  This is the
     standard RQ decomposition ``a = r q'`` with ``q = q'^dag`` so the caller
     can use ``q`` directly as a right-multiplier that triangularizes ``a``.
+
+    A 2 x 2 matrix gets the closed-form rotation that maps its bottom row
+    ``(x, y)`` to ``(0, rho)`` with ``rho = |(x, y)|``; a zero bottom row
+    gives ``q = I``, and a bottom row ``(x, 0)`` an exact swap with phases
+    (the decomposition schedule relies on that).  Larger matrices use a
+    Householder QR of the reversed conjugate transpose: ``(J a)^dag = Q R``
+    gives ``a (Q J) = J R^dag J``.
     """
     mat = as_matrix(a, square=True)
-    r, q_left = scipy.linalg.rq(mat)
-    return r, np.conj(q_left).T
+    if mat.shape[0] == 2:
+        (a00, a01), (x, y) = mat.tolist()
+        rho = math.hypot(abs(x), abs(y))
+        if rho == 0.0:
+            return mat.copy(), np.eye(2, dtype=np.complex128)
+        x /= rho
+        y /= rho
+        xc, yc = x.conjugate(), y.conjugate()
+        q = np.array([[y, xc], [-x, yc]])
+        r = np.array([[a00 * y - a01 * x, a00 * xc + a01 * yc], [0j, rho]])
+        return r, q
+    q, r = np.linalg.qr(mat[::-1].conj().T)
+    return r.conj().T[::-1, ::-1], q[:, ::-1]

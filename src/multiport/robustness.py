@@ -436,7 +436,6 @@ def sweep_noise(
     n_matrices: int,
     n_perturbations: int,
     seed: int,
-    tol: float | None = None,
 ) -> list[SweepResult]:
     """Fidelity statistics over a grid of block sizes and noise strengths.
 
@@ -471,7 +470,7 @@ def sweep_noise(
         prepared = []
         for t in range(n_matrices):
             u = haar_random_unitary(n, _child_seed(seed, _MATRIX_STREAM, mi, t))
-            prepared.append((u, _pack(decompose(u, m, tol))))
+            prepared.append((u, _pack(decompose(u, m))))
         for si, sigma in enumerate(sigma_grid):
             results.append(
                 _sweep_cell(n, m, sigma, prepared, n_perturbations, seed, (mi, si))

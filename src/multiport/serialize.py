@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 CSV_HEADER = "n,m,sigma,fq_mean,fq_stderr,fu_mean,fu_stderr,samples"
+# json.loads gives exactly these types for JSON numbers; bool is excluded
+_JSON_NUMBERS = (int, float)
 
 
 def _f17(x: float) -> str:
@@ -67,52 +69,67 @@ def matrix_to_json(a) -> str:
     )
 
 
+# Validation messages are formatted only on failure: a plan holds thousands
+# of blocks and nearly all of them are valid.
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)
 
 
+def _is_int(obj) -> bool:
+    # json.loads gives plain int for JSON integers and bool for true/false
+    return type(obj) is int
+
+
 def _as_int(obj, name: str) -> int:
-    _require(isinstance(obj, int) and not isinstance(obj, bool), f"{name} must be an integer")
+    if not _is_int(obj):
+        raise ValueError(f"{name} must be an integer")
     return obj
 
 
 def _as_float(obj, name: str) -> float:
-    _require(
-        isinstance(obj, (int, float)) and not isinstance(obj, bool),
-        f"{name} must be a number",
-    )
+    if type(obj) not in _JSON_NUMBERS:
+        raise ValueError(f"{name} must be a number")
     value = float(obj)
-    _require(math.isfinite(value), f"{name} must be finite")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
     return value
+
+
+def _matrix_from_obj(obj, name: str) -> np.ndarray:
+    """Validate a parsed matrix object and return it as a complex128 array.
+
+    Every entry must be a ``[re, im]`` list of two finite JSON numbers (not
+    booleans or strings).  Error messages start with ``name``.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} must be an object")
+    for key in ("rows", "cols", "entries"):
+        if key not in obj:
+            raise ValueError(f"{name} is missing key '{key}'")
+    rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+    if not (_is_int(rows) and _is_int(cols) and rows >= 1 and cols >= 1):
+        raise ValueError(f"{name} shape must be positive integers, got {rows!r}x{cols!r}")
+    if not isinstance(entries, list) or len(entries) != rows * cols:
+        raise ValueError(f"{name} entries must be a list of {rows * cols} [re, im] pairs")
+    for k, pair in enumerate(entries):
+        if not (
+            type(pair) is list
+            and len(pair) == 2
+            and type(pair[0]) in _JSON_NUMBERS
+            and type(pair[1]) in _JSON_NUMBERS
+        ):
+            raise ValueError(f"{name} entry {k} must be a [re, im] pair of numbers")
+    parts = np.array(entries, dtype=np.float64)
+    if not np.isfinite(parts).all():
+        k = int(np.argmin(np.isfinite(parts).all(axis=1)))
+        raise ValueError(f"{name} entry {k} must be finite")
+    return parts.view(np.complex128).reshape(rows, cols)
 
 
 def json_to_matrix(text: str) -> np.ndarray:
     """Parse canonical matrix JSON back into a complex128 array."""
-    obj = json.loads(text)
-    _require(isinstance(obj, dict), "matrix JSON must be an object")
-    for key in ("rows", "cols", "entries"):
-        _require(key in obj, f"matrix JSON is missing key '{key}'")
-    rows = _as_int(obj["rows"], "rows")
-    cols = _as_int(obj["cols"], "cols")
-    _require(rows >= 1 and cols >= 1, f"matrix shape must be positive, got {rows}x{cols}")
-    entries = obj["entries"]
-    _require(isinstance(entries, list), "entries must be a list")
-    _require(
-        len(entries) == rows * cols,
-        f"expected {rows * cols} entries, got {len(entries)}",
-    )
-    flat = np.empty(rows * cols, dtype=np.complex128)
-    for k, pair in enumerate(entries):
-        _require(
-            isinstance(pair, list) and len(pair) == 2,
-            f"entry {k} must be a [re, im] pair",
-        )
-        flat[k] = complex(
-            _as_float(pair[0], f"entry {k} real part"),
-            _as_float(pair[1], f"entry {k} imaginary part"),
-        )
-    return flat.reshape(rows, cols)
+    return _matrix_from_obj(json.loads(text), "matrix JSON")
 
 
 def save_matrix(path, a) -> None:
@@ -161,6 +178,25 @@ def plan_to_json(plan: DecompositionPlan) -> str:
     return "".join(parts)
 
 
+def _factor_from_obj(obj) -> Factor:
+    """Validate one parsed plan factor; messages are relative to the factor."""
+    _require(isinstance(obj, dict), "must be an object")
+    for key in ("size", "base_row", "columns", "block"):
+        if key not in obj:
+            raise ValueError(f"is missing key '{key}'")
+    size = _as_int(obj["size"], "size")
+    base_row = _as_int(obj["base_row"], "base_row")
+    columns = obj["columns"]
+    _require(
+        isinstance(columns, list) and all(map(_is_int, columns)),
+        "columns must be a list of integers",
+    )
+    block = _matrix_from_obj(obj["block"], "block")
+    if block.shape != (size, size):
+        raise ValueError(f"block shape {block.shape} does not match size {size}")
+    return Factor(size=size, base_row=base_row, columns=tuple(columns), block=block)
+
+
 def json_to_plan(text: str) -> DecompositionPlan:
     """Parse canonical plan JSON, re-validating every structural invariant."""
     obj = json.loads(text)
@@ -173,23 +209,8 @@ def json_to_plan(text: str) -> DecompositionPlan:
     _require(isinstance(raw_factors, list), "factors must be a list")
     factors = []
     for k, rf in enumerate(raw_factors):
-        _require(isinstance(rf, dict), f"factors[{k}] must be an object")
-        for key in ("size", "base_row", "columns", "block"):
-            _require(key in rf, f"factors[{k}] is missing key '{key}'")
-        size = _as_int(rf["size"], f"factors[{k}].size")
-        base_row = _as_int(rf["base_row"], f"factors[{k}].base_row")
-        columns = rf["columns"]
-        _require(isinstance(columns, list), f"factors[{k}].columns must be a list")
-        columns = tuple(_as_int(c, f"factors[{k}] column") for c in columns)
-        block = json_to_matrix(json.dumps(rf["block"]))
-        _require(
-            block.shape == (size, size),
-            f"factors[{k}] block shape {block.shape} does not match size {size}",
-        )
         try:
-            factors.append(
-                Factor(size=size, base_row=base_row, columns=columns, block=block)
-            )
+            factors.append(_factor_from_obj(rf))
         except ValueError as exc:
             raise ValueError(f"factors[{k}]: {exc}") from None
     raw_phases = obj["phases"]

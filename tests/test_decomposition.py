@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from multiport.decomposition import (
-    DecompositionError,
     DecompositionPlan,
     Factor,
+    _schedule,
+    _zero_pattern,
     cost_compare,
     decompose,
     embed_factor,
@@ -167,6 +169,9 @@ class TestDecompose:
         u = random_permutation_unitary(5, seed)
         plan = decompose(u, m)
         assert verify(plan, u).passed
+        # at most one two-mode swap per row
+        assert len(plan.factors) <= 4
+        assert all(f.size == 2 for f in plan.factors)
 
     def test_swap_matrix(self):
         plan = decompose(SWAP, 2)
@@ -216,24 +221,111 @@ class TestDecompose:
         with pytest.raises(ValueError, match="block size"):
             decompose(np.eye(6, dtype=complex), m)
 
-    def test_rejects_bad_tol(self):
-        u = haar_random_unitary(4, 1)
-        with pytest.raises(ValueError):
-            decompose(u, 2, tol=0.0)
-        with pytest.raises(ValueError):
-            decompose(u, 2, tol=2.0)
 
-    def test_budget_abort_on_hopeless_threshold(self):
-        # a threshold below machine epsilon means no entry ever counts as
-        # cleared, which must end in a hard error instead of an endless sweep
-        u = haar_random_unitary(6, 2)
-        with pytest.raises(DecompositionError):
-            decompose(u, 3, tol=1e-300)
+def near_permutation(n, eps, seed):
+    """A permutation times expm(i eps H): dense, but most entries are tiny."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (a + a.conj().T) / 2.0
+    return np.eye(n)[rng.permutation(n)] @ scipy.linalg.expm(1j * eps * h)
 
-    def test_custom_tol_round_trip(self):
-        u = haar_random_unitary(7, 5)
-        plan = decompose(u, 3, tol=1e-12)
+
+def block_diagonal(n, seed):
+    """Haar blocks of 1 to 8 modes on the diagonal, and their sizes."""
+    rng = np.random.default_rng(seed)
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(min(int(rng.integers(1, 9)), n - sum(sizes)))
+    blocks = [haar_random_unitary(k, seed + k) for k in sizes]
+    return scipy.linalg.block_diag(*blocks).astype(complex), sizes
+
+
+class TestNearDegenerate:
+    """Inputs with tiny or exactly zero entries round-trip to machine precision."""
+
+    @pytest.mark.parametrize("n", [12, 32])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "kind", ["perm-expm-1e-6", "perm-expm-1e-8", "perm-expm-1e-10", "block-diagonal", "phase-only"]
+    )
+    def test_round_trip_at_machine_precision(self, kind, n, m):
+        seed = 1000 * n + m
+        if kind.startswith("perm-expm-"):
+            u = near_permutation(n, float(kind[len("perm-expm-"):]), seed)
+        elif kind == "block-diagonal":
+            u, _ = block_diagonal(n, seed)
+        else:
+            angles = np.random.default_rng(seed).uniform(-np.pi, np.pi, n)
+            u = np.diag(np.exp(1j * angles))
+        plan = decompose(u, m)
+        err = np.abs(reconstruct(plan) - u).max()
+        assert err <= 4 * n * np.finfo(float).eps, err
         assert verify(plan, u).passed
+        assert len(plan.factors) <= factor_count_bound(n, m)
+        if kind == "phase-only":
+            assert plan.factors == ()
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_block_diagonal_factors_stay_inside_blocks(self, m):
+        u, sizes = block_diagonal(32, 7)
+        block_of = np.repeat(np.arange(len(sizes)), sizes)
+        plan = decompose(u, m)
+        for f in plan.factors:
+            assert len({block_of[c - 1] for c in f.columns}) == 1
+        assert len(plan.factors) <= sum(k * (k - 1) // 2 for k in sizes)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_permuted_block_diagonal_keeps_short_pairwise_plan(self, seed):
+        # each block needs its own pairwise mesh and the column permutation
+        # at most one swap per row; a swap must not fill the rows above it
+        n = 32
+        u, sizes = block_diagonal(n, seed)
+        u = u[:, np.random.default_rng(seed).permutation(n)]
+        plan = decompose(u, 2)
+        assert np.abs(reconstruct(plan) - u).max() <= 4 * n * np.finfo(float).eps
+        assert len(plan.factors) <= sum(k * (k - 1) // 2 for k in sizes) + n - 1
+
+    def test_dense_inputs_share_one_schedule(self):
+        n, m = 12, 3
+
+        def sequence(u):
+            return [(f.base_row, f.columns) for f in decompose(u, m).factors]
+
+        expected = sequence(haar_random_unitary(n, 1))
+        assert sequence(haar_random_unitary(n, 2)) == expected
+        assert sequence(near_permutation(n, 1e-10, 3)) == expected
+
+
+class TestSchedule:
+    # (base_row, columns) of Haar inputs, recorded from the magnitude-threshold
+    # sweep this schedule replaced
+    @pytest.mark.parametrize(
+        "n,m,expected",
+        [
+            (4, 2, [(4, (1, 2)), (4, (2, 3)), (4, (3, 4)), (3, (1, 2)), (3, (2, 3)), (2, (1, 2))]),
+            (5, 3, [(5, (1, 2, 3)), (5, (3, 4, 5)), (4, (2, 4)), (3, (1, 2, 3))]),
+            (6, 3, [(6, (1, 2, 3)), (6, (3, 4, 5)), (6, (5, 6)), (5, (2, 4, 5)),
+                    (4, (1, 3, 4)), (3, (2, 3)), (2, (1, 2))]),
+            (6, 4, [(6, (1, 2, 3, 4)), (6, (4, 5, 6)), (5, (3, 5)), (4, (2, 3, 4)),
+                    (3, (1, 3)), (2, (1, 2))]),
+            (7, 3, [(7, (1, 2, 3)), (7, (3, 4, 5)), (7, (5, 6, 7)), (6, (2, 4, 6)),
+                    (5, (1, 3, 4)), (5, (4, 5)), (4, (2, 3, 4)), (3, (1, 3)), (2, (1, 2))]),
+        ],
+    )
+    def test_haar_sequence_pinned(self, n, m, expected):
+        plan = decompose(haar_random_unitary(n, 1), m)
+        assert [(f.base_row, f.columns) for f in plan.factors] == expected
+
+    def test_dense_schedule_gates_for_every_size(self):
+        for n in range(2, 65):
+            pattern = _zero_pattern(np.ones((n, n)))
+            for m in range(2, n + 1):
+                steps, new_zeros, refills = _schedule(n, m, pattern)
+                assert len(steps) <= factor_count_bound(n, m), (n, m)
+                if m == 2:
+                    assert len(steps) == n * (n - 1) // 2, n
+                assert sum(new_zeros) == n * (n - 1) // 2, (n, m)
+                assert refills == 0, (n, m)
 
 
 class TestReconstruct:

@@ -3,9 +3,7 @@ import pytest
 
 from multiport.linalg import (
     as_matrix,
-    dagger,
     haar_random_unitary,
-    matmul,
     rq_decompose,
     sample_haar,
     unitarity,
@@ -37,53 +35,6 @@ class TestAsMatrix:
     def test_rejects_nonsquare_when_required(self):
         with pytest.raises(ValueError):
             as_matrix(np.zeros((2, 3)), square=True)
-
-
-class TestMatmul:
-    def test_identity_left_and_right(self):
-        rng = np.random.default_rng(1)
-        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        np.testing.assert_allclose(matmul(np.eye(3), m), m, atol=0)
-        np.testing.assert_allclose(matmul(m, np.eye(3)), m, atol=0)
-
-    def test_permutation_involution(self):
-        np.testing.assert_array_equal(matmul(SWAP, SWAP), np.eye(2))
-
-    def test_known_product(self):
-        a = np.array([[1.0 + 1j, 2.0], [0.0, 1j]])
-        b = np.array([[1.0, 1j], [1.0 - 1j, 0.0]])
-        # worked by hand: row-by-column products
-        expected = np.array([[(1 + 1j) + 2 * (1 - 1j), (1 + 1j) * 1j],
-                             [1j * (1 - 1j), 0.0]])
-        np.testing.assert_allclose(matmul(a, b), expected, atol=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.eye(2), np.eye(3))
-
-
-class TestDagger:
-    def test_identity(self):
-        np.testing.assert_array_equal(dagger(np.eye(3)), np.eye(3))
-
-    def test_one_by_one_conjugation(self):
-        np.testing.assert_array_equal(dagger(np.array([[1j]])), np.array([[-1j]]))
-
-    def test_involution_exact(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        assert dagger(dagger(a)).shape == a.shape
-        np.testing.assert_array_equal(dagger(dagger(a)), a)
-
-    def test_inverts_sampled_unitary(self):
-        q = haar_random_unitary(6, 11)
-        np.testing.assert_allclose(dagger(q) @ q, np.eye(6), atol=1e-12)
-
-    def test_does_not_alias_input(self):
-        a = np.eye(2, dtype=np.complex128)
-        d = dagger(a)
-        d[0, 0] = 5.0
-        assert a[0, 0] == 1.0
 
 
 class TestUnitarity:
@@ -182,7 +133,7 @@ class TestRQDecompose:
         assert np.abs(np.tril(prod, -1)).max() < 1e-12
         assert unitarity(q, tol=1e-12).is_unitary
 
-    @pytest.mark.parametrize("n", [1, 2, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
     def test_contract_on_general_matrices(self, n):
         rng = np.random.default_rng(n)
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -190,7 +141,28 @@ class TestRQDecompose:
         scale = np.abs(a).max()
         assert unitarity(q, tol=1e-12 * max(n, 1)).is_unitary
         np.testing.assert_allclose(a @ q, r, atol=1e-12 * scale)
-        assert np.abs(np.tril(r, -1)).max() <= 1e-12 * scale
+        assert np.all(np.tril(r, -1) == 0.0)
+
+    def test_two_by_two_maps_bottom_row_onto_diagonal(self):
+        # the closed-form rotation sends (x, y) to (0, |(x, y)|)
+        a = np.array([[0.5, 2.0 - 1j], [3.0 + 4.0j, 0.0]])
+        r, q = rq_decompose(a)
+        assert r[1, 0] == 0.0
+        assert r[1, 1] == pytest.approx(5.0, abs=1e-15)
+        np.testing.assert_allclose(a @ q, r, atol=1e-15)
+
+    def test_two_by_two_single_entry_bottom_row_gives_exact_swap(self):
+        r, q = rq_decompose(np.array([[0.3, 0.0], [0.6 - 0.8j, 0.0]]))
+        assert q[0, 0] == 0.0 and q[1, 1] == 0.0
+        assert abs(q[0, 1]) == pytest.approx(1.0, abs=1e-15)
+        assert r[0, 1] != 0.0 and r[0, 0] == 0.0
+
+    @pytest.mark.parametrize("top", [[0.0, 0.0], [1.0, -2.0j]])
+    def test_two_by_two_zero_bottom_row_gives_identity(self, top):
+        a = np.array([top, [0.0, 0.0]], dtype=complex)
+        r, q = rq_decompose(a)
+        np.testing.assert_array_equal(q, np.eye(2))
+        np.testing.assert_array_equal(r, a)
 
     def test_real_input_promoted_to_complex(self):
         _, q = rq_decompose(np.eye(3))

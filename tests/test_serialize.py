@@ -96,6 +96,16 @@ def plan():
     return decompose(haar_random_unitary(7, 21), 3)
 
 
+def _one_factor_plan(entries, block=None):
+    """Plan text with one 2 x 2 factor on modes 1, 2 and the given block entries."""
+    if block is None:
+        block = '{"rows": 2, "cols": 2, "entries": %s}' % entries
+    return (
+        '{"n": 2, "m": 2, "factors": [{"size": 2, "base_row": 2, "columns": [1, 2], '
+        '"block": %s}], "phases": [0, 0]}' % block
+    )
+
+
 class TestPlanJson:
     def test_round_trip_exact(self, plan):
         again = json_to_plan(plan_to_json(plan))
@@ -146,11 +156,22 @@ class TestPlanJson:
             '{"n": 2, "m": 2, "phases": [0, 0]}',
             '{"n": 2, "m": 2, "factors": {}, "phases": [0, 0]}',
             '{"n": 2, "m": 2, "factors": [{"size": 2}], "phases": [0, 0]}',
+            # one swap factor whose block entries are malformed
+            _one_factor_plan('[[0, 0], [1, 0], [1, 0], ["1", 0]]'),
+            _one_factor_plan("[[0, 0], [1, 0], [1, 0], [0, true]]"),
+            _one_factor_plan("[[0, 0], [1, 0], [1, 0], [NaN, 0]]"),
+            _one_factor_plan("[[0, 0], [1, 0], [1], [0, 0]]"),
+            _one_factor_plan("[[0, 0], [1, 0], [1, 0]]"),
+            _one_factor_plan("[[0, 0], [1, 0], [1, 0], [0, 0]]", block='"swap"'),
         ],
     )
     def test_rejects_malformed(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="factors|plan JSON"):
             json_to_plan(bad)
+
+    def test_one_factor_template_is_valid(self):
+        plan = json_to_plan(_one_factor_plan("[[0, 0], [1, 0], [1, 0], [0, 0]]"))
+        np.testing.assert_array_equal(plan.factors[0].block, [[0, 1], [1, 0]])
 
 
 class TestSweepCsv:
