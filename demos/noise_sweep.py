@@ -16,7 +16,7 @@ from pathlib import Path
 
 from multiport.robustness import sweep_noise
 from multiport.serialize import save_sweep_results
-from multiport.svgchart import Series, line_chart, save_chart
+from multiport.svgchart import save_chart, sweep_chart
 
 SIGMAS = (0.0, 0.02, 0.05, 0.1, 0.15, 0.2)
 M_LIST = (2, 3, 5, 10)
@@ -51,22 +51,9 @@ def main():
     csv_path = args.out / "noise_sweep.csv"
     save_sweep_results(csv_path, results, config)
 
-    series = []
-    for m in M_LIST:
-        cells = sorted((r for r in results if r.m == m), key=lambda r: r.fq.mean)
-        series.append(
-            Series(
-                label=f"m = {m}",
-                x=tuple(r.fq.mean for r in cells),
-                y=tuple(r.fu.mean for r in cells),
-                y_err=tuple(r.fu.std_error for r in cells),
-            )
-        )
-    svg = line_chart(
-        series,
-        x_label="mean block fidelity F_Q",
-        y_label="mean matrix fidelity F_U",
-        title=f"noise robustness at n = {args.n}",
+    svg = sweep_chart(
+        results, lambda r: r.fq.mean, "mean block fidelity F_Q",
+        f"noise robustness at n = {args.n}", y_label="mean matrix fidelity F_U",
     )
     svg_path = args.out / "noise_sweep.svg"
     save_chart(svg_path, svg)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from multiport.robustness import sweep_size
 from multiport.serialize import save_sweep_results
-from multiport.svgchart import Series, line_chart, save_chart
+from multiport.svgchart import save_chart, sweep_chart
 
 M_LIST = (2, 3, 5, 10)
 N_GRID = (2, 3, 5, 10, 15, 20, 25, 30)
@@ -33,7 +33,6 @@ def main():
 
     print(f"calibrating each m in {M_LIST} to block fidelity "
           f"{args.target_fq} +/- {args.fq_tol}, then sweeping n in {N_GRID}")
-    print("(the calibration Monte Carlo dominates the runtime; ~1 min)")
     results = sweep_size(
         M_LIST, N_GRID, args.target_fq, args.fq_tol,
         args.matrices, args.perturbations, seed=args.seed,
@@ -59,22 +58,10 @@ def main():
     csv_path = args.out / "size_scaling.csv"
     save_sweep_results(csv_path, results, config)
 
-    series = []
-    for m in M_LIST:
-        cells = [r for r in results if r.m == m]
-        series.append(
-            Series(
-                label=f"m = {m}",
-                x=tuple(r.n for r in cells),
-                y=tuple(r.fu.mean for r in cells),
-                y_err=tuple(r.fu.std_error for r in cells),
-            )
-        )
-    svg = line_chart(
-        series,
-        x_label="matrix size n",
+    svg = sweep_chart(
+        results, lambda r: r.n, "matrix size n",
+        f"scaling at fixed block fidelity {args.target_fq}",
         y_label="mean matrix fidelity F_U",
-        title=f"scaling at fixed block fidelity {args.target_fq}",
     )
     svg_path = args.out / "size_scaling.svg"
     save_chart(svg_path, svg)

@@ -3,10 +3,14 @@
 An ``n x n`` unitary is factored into a mesh of embedded unitaries of size
 up to ``m`` (the ``m = 2`` case is the classic triangular beam-splitter
 scheme) followed by per-mode output phases.  On top of the decomposition
-sits a Monte-Carlo toolkit that perturbs every factor with complex Gaussian
-entry noise and measures how block-level fidelity translates into fidelity
-of the reassembled matrix, including noise calibration to a target block
-fidelity and reproducible parameter sweeps with CSV/SVG output.
+sits a noise toolkit that perturbs every factor with complex Gaussian entry
+noise and measures how block-level fidelity translates into fidelity of the
+reassembled matrix: noise calibration to a target block fidelity from the
+closed-form mean block fidelity, and reproducible Monte-Carlo parameter
+sweeps with CSV/SVG output.
+
+Importing the package needs only numpy; scipy is imported the first time a
+calibration runs.
 """
 
 from .decomposition import (
@@ -31,7 +35,6 @@ from .linalg import (
     unitarity,
 )
 from .robustness import (
-    CalibrationError,
     CalibrationResult,
     FidelityStats,
     NoiseModel,
@@ -60,7 +63,6 @@ from .svgchart import Series, line_chart, save_chart
 __version__ = "0.1.0"
 
 __all__ = [
-    "CalibrationError",
     "CalibrationResult",
     "CostComparison",
     "DecompositionError",

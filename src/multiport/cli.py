@@ -29,7 +29,7 @@ from .decomposition import (
     verify,
 )
 from .linalg import haar_random_unitary
-from .robustness import CalibrationError, sweep_noise, sweep_size
+from .robustness import sweep_noise, sweep_size
 from .serialize import (
     load_matrix,
     load_plan,
@@ -37,7 +37,7 @@ from .serialize import (
     save_plan,
     save_sweep_results,
 )
-from .svgchart import Series, line_chart, save_chart
+from .svgchart import save_chart, sweep_chart
 
 __all__ = ["main"]
 
@@ -120,46 +120,6 @@ def _cmd_random(args) -> int:
     return 0
 
 
-def _noise_chart(results) -> str:
-    series = []
-    for m in sorted({r.m for r in results}):
-        pts = sorted((r for r in results if r.m == m), key=lambda r: r.fq.mean)
-        series.append(
-            Series(
-                label=f"m = {m}",
-                x=tuple(r.fq.mean for r in pts),
-                y=tuple(r.fu.mean for r in pts),
-                y_err=tuple(r.fu.std_error for r in pts),
-            )
-        )
-    return line_chart(
-        series,
-        x_label="mean block fidelity",
-        y_label="mean matrix fidelity",
-        title="Matrix fidelity vs block fidelity",
-    )
-
-
-def _size_chart(results) -> str:
-    series = []
-    for m in sorted({r.m for r in results}):
-        pts = sorted((r for r in results if r.m == m), key=lambda r: r.n)
-        series.append(
-            Series(
-                label=f"m = {m}",
-                x=tuple(r.n for r in pts),
-                y=tuple(r.fu.mean for r in pts),
-                y_err=tuple(r.fu.std_error for r in pts),
-            )
-        )
-    return line_chart(
-        series,
-        x_label="matrix dimension n",
-        y_label="mean matrix fidelity",
-        title="Matrix fidelity vs size at calibrated block fidelity",
-    )
-
-
 def _cmd_sweep_noise(args) -> int:
     results = sweep_noise(
         n=args.n,
@@ -183,7 +143,11 @@ def _cmd_sweep_noise(args) -> int:
     print(f"rows = {len(results)}")
     print(f"csv written to {args.out}")
     if args.svg:
-        save_chart(args.svg, _noise_chart(results))
+        chart = sweep_chart(
+            results, lambda r: r.fq.mean, "mean block fidelity",
+            "Matrix fidelity vs block fidelity",
+        )
+        save_chart(args.svg, chart)
         print(f"svg written to {args.svg}")
     return 0
 
@@ -220,7 +184,11 @@ def _cmd_sweep_size(args) -> int:
     print(f"rows = {len(results)}")
     print(f"csv written to {args.out}")
     if args.svg:
-        save_chart(args.svg, _size_chart(results))
+        chart = sweep_chart(
+            results, lambda r: r.n, "matrix dimension n",
+            "Matrix fidelity vs size at calibrated block fidelity",
+        )
+        save_chart(args.svg, chart)
         print(f"svg written to {args.svg}")
     return 0
 
@@ -307,7 +275,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TypeError, OSError, DecompositionError, CalibrationError) as exc:
+    except (ValueError, TypeError, OSError, DecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,4 @@
-"""Monte-Carlo robustness of block-decomposed unitaries under Gaussian noise.
+"""Robustness of block-decomposed unitaries under Gaussian noise.
 
 The noise model perturbs every entry of every factor block independently:
 real and imaginary parts each receive an N(0, sigma^2) offset.  Output
@@ -8,6 +8,11 @@ counterpart is the phase-insensitive overlap
     F = |tr(q^dag p) / d|^2 / (tr(p^dag p) / d)
 
 which is 1 exactly when ``p`` equals ``q`` up to a global phase.
+
+The mean fidelity of one noisy m x m block has a closed form (see
+``_mean_block_fidelity``), so ``calibrate_sigma`` is a deterministic
+root-find; ``component_fidelity_estimate`` stays as its independent
+Monte-Carlo cross-check.  The sweeps are Monte Carlo.
 
 All sampling is driven by ``numpy`` seed sequences derived from a single
 master seed plus fixed stream tags, so every sweep is reproducible and
@@ -30,7 +35,6 @@ from .decomposition import DecompositionPlan, _compose, decompose
 from .linalg import as_matrix, haar_random_unitary, sample_haar
 
 __all__ = [
-    "CalibrationError",
     "NoiseModel",
     "FidelityStats",
     "SweepResult",
@@ -46,15 +50,10 @@ __all__ = [
 _U64_MASK = (1 << 64) - 1
 
 # Stream tags keep the independent sampling loops (matrix draws, noise draws,
-# calibration probes, component estimates) on disjoint substreams of one seed.
+# component estimates) on disjoint substreams of one seed.
 _MATRIX_STREAM = 1
 _NOISE_STREAM = 2
-_CALIBRATE_STREAM = 3
 _ESTIMATE_STREAM = 4
-
-
-class CalibrationError(RuntimeError):
-    """Noise calibration could not reach the requested fidelity window."""
 
 
 def _child_seed(*parts: int) -> int:
@@ -121,13 +120,12 @@ class SweepResult:
 class CalibrationResult:
     """Noise strength found for a target block fidelity.
 
-    ``achieved`` is the empirical fidelity at ``sigma`` from the calibration
-    probes themselves; ``probes`` counts how many Monte-Carlo probes the
-    search spent.
+    ``achieved`` is the exact mean block fidelity at ``sigma``; ``probes``
+    counts the closed-form evaluations the root-find spent.
     """
 
     sigma: float
-    achieved: FidelityStats
+    achieved: float
     target: float
     probes: int
 
@@ -320,80 +318,87 @@ def component_fidelity_estimate(
     return acc.stats()
 
 
-def calibrate_sigma(
-    m: int,
-    target_fq: float,
-    tolerance: float,
-    seed: int,
-    trials: int = 200_000,
-) -> CalibrationResult:
-    """Find the noise strength whose mean block fidelity hits ``target_fq``.
+def _mean_block_fidelity(m: int, sigma: float) -> float:
+    """Exact mean fidelity of any m x m unitary block under entry noise ``sigma``.
 
-    Brackets the target by doubling sigma, then bisects.  Every probe reuses
-    the same seed (common random numbers), which makes the empirical mean a
-    smooth, monotone function of sigma, so the bisection converges cleanly.
-    Stops once the probe mean is within ``0.3 * tolerance`` of the target;
-    raises ``CalibrationError`` if no probe lands within ``tolerance``.
+    Complex Gaussian noise ``E`` is unitarily invariant, so the block drops
+    out and the fidelity is ``X / (X + Y)`` with ``X = |1 + tr(E)/m|^2`` and
+    ``Y`` an independent ``(sigma^2/m) chi^2`` on ``2(m^2 - 1)`` degrees of
+    freedom.  Its mean, after one integration by parts, is
+
+        F(sigma) = 1 - (1 - 1/m^2) 1F1(1; m^2 + 1; -m / (2 sigma^2))
+
+    which falls strictly from ``F(0) = 1`` toward ``1/m^2`` as ``sigma``
+    grows, with ``F ~ 1 - 2(m^2 - 1) sigma^2 / m`` near zero.
     """
+    if sigma == 0.0:
+        return 1.0
+    k = m * m
+    c = m / (2.0 * sigma**2)
+    if c > 2 * k + 40:
+        # Far out scipy's 1F1 loses accuracy (m = 5 gives NaN near c = 1e11).
+        # There 1F1(1; k+1; -c) = (k/c) sum_j (-1)^j (k-1)...(k-j) / c^j up to
+        # a relative e^-c, and each term is at most half the one before.
+        s = 1.0
+        for i in range(min(k - 1, 60), 0, -1):
+            s = 1.0 - (k - i) / c * s
+        tail = k / c * s
+    else:
+        from scipy.special import hyp1f1  # late, so ``import multiport`` stays scipy-free
+
+        tail = float(hyp1f1(1.0, k + 1.0, -c))
+    return 1.0 - (1.0 - 1.0 / k) * tail
+
+
+def calibrate_sigma(m: int, target_fq: float, tolerance: float) -> CalibrationResult:
+    """Find the noise strength whose mean block fidelity is ``target_fq``.
+
+    ``F(sigma) = _mean_block_fidelity(m, sigma)`` takes every value in
+    ``(1/m^2, 1]`` exactly once, so a target in that range has one root,
+    which ``brentq`` finds inside a closed-form bracket.  The result
+    satisfies ``|F(sigma) - target_fq| <= tolerance``.  Targets at or below
+    the ``1/m^2`` floor can never be reached and raise ``ValueError``.
+    """
+    from scipy.optimize import brentq
+
     m = int(m)
     if m < 2:
         raise ValueError(f"block size must be at least 2, got {m}")
     target_fq = float(target_fq)
-    if not 0.0 < target_fq <= 1.0:
-        raise ValueError(f"target fidelity must be in (0, 1], got {target_fq}")
+    floor = 1.0 / m**2
+    if not floor < target_fq <= 1.0:
+        raise ValueError(
+            f"target fidelity must be in (1/m^2, 1] = ({floor:.6g}, 1] for m={m}, "
+            f"got {target_fq}"
+        )
     tolerance = float(tolerance)
     if not 0.0 < tolerance < 1.0:
         raise ValueError(f"tolerance must be in (0, 1), got {tolerance}")
-
-    probe_seed = _child_seed(seed, _CALIBRATE_STREAM)
-
-    def probe(sigma: float) -> FidelityStats:
-        return component_fidelity_estimate(m, sigma, trials, probe_seed)
-
     if target_fq == 1.0:
-        return CalibrationResult(
-            sigma=0.0, achieved=probe(0.0), target=target_fq, probes=1
-        )
+        return CalibrationResult(sigma=0.0, achieved=1.0, target=target_fq, probes=0)
 
-    probes = 0
-    lo = 0.0
-    hi = 0.05
-    while True:
-        stats_hi = probe(hi)
-        probes += 1
-        if stats_hi.mean < target_fq:
-            break
-        lo = hi
-        hi *= 2.0
-        if hi > 1e6:
-            raise CalibrationError(
-                f"could not bracket target fidelity {target_fq} below sigma=1e6"
-            )
-    best_sigma, best_stats = hi, stats_hi
-
-    for _ in range(80):
-        if abs(best_stats.mean - target_fq) <= 0.3 * tolerance:
-            break
-        mid = 0.5 * (lo + hi)
-        stats = probe(mid)
-        probes += 1
-        if abs(stats.mean - target_fq) < abs(best_stats.mean - target_fq):
-            best_sigma, best_stats = mid, stats
-        if stats.mean > target_fq:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * max(1.0, hi):
-            break
-
-    if abs(best_stats.mean - target_fq) > tolerance:
-        raise CalibrationError(
-            f"calibration stalled at mean {best_stats.mean:.6f} for target "
-            f"{target_fq} +/- {tolerance} (sigma={best_sigma:.6g}); "
-            f"try more trials per probe"
+    # The root solves 1F1(1; m^2+1; -c) = h for c = m / (2 sigma^2), with
+    # h = (1 - target) / (1 - 1/m^2).  That 1F1 lies between exp(-c/(m^2+1))
+    # (Jensen) and m^2/c, so it is above h at c = (m^2+1) ln(1/h) / 2 and
+    # below h at c = 2 m^2 / h: a closed-form bracket with room to spare on
+    # both sides.
+    h = (1.0 - target_fq) / (1.0 - floor)
+    log_inv_h = math.log1p((target_fq - floor) / (1.0 - target_fq))
+    lo = 0.5 * math.sqrt(h / m)
+    hi = math.sqrt(m / ((m * m + 1.0) * log_inv_h))
+    # a negligible xtol leaves brentq's relative tolerance (4 eps) in charge
+    sigma, info = brentq(
+        lambda s: _mean_block_fidelity(m, s) - target_fq, lo, hi,
+        xtol=1e-300, full_output=True,
+    )
+    achieved = _mean_block_fidelity(m, sigma)
+    if not abs(achieved - target_fq) <= tolerance:
+        raise ValueError(
+            f"tolerance {tolerance} is finer than the closed form resolves: "
+            f"sigma={sigma:.17g} gives {achieved!r} for target {target_fq}"
         )
     return CalibrationResult(
-        sigma=best_sigma, achieved=best_stats, target=target_fq, probes=probes
+        sigma=sigma, achieved=achieved, target=target_fq, probes=info.function_calls + 1
     )
 
 
@@ -486,7 +491,6 @@ def sweep_size(
     n_matrices: int,
     n_perturbations: int,
     seed: int,
-    calibration_trials: int = 200_000,
 ) -> list[SweepResult]:
     """Fidelity versus matrix size at a fixed calibrated block fidelity.
 
@@ -494,7 +498,8 @@ def sweep_size(
     ``m x m`` block averages ``target_fq`` within ``fq_tolerance``; the same
     sigma is then applied across every ``n`` in ``n_grid``.  Grid points
     with ``n < m`` are skipped so one shared ``n_grid`` can serve several
-    block sizes.  Results are ordered with ``m`` outermost, then ``n``.
+    block sizes, but every ``m`` needs at least one ``n >= m``.  Results are
+    ordered with ``m`` outermost, then ``n``.
     """
     m_list = [int(m) for m in m_list]
     if not m_list:
@@ -505,17 +510,16 @@ def sweep_size(
     for n in n_grid:
         if n < 2:
             raise ValueError(f"dimension must be at least 2, got {n}")
+    for m in m_list:
+        if not 2 <= m <= max(n_grid):
+            raise ValueError(
+                f"block size m={m} must satisfy 2 <= m <= max(n_grid)={max(n_grid)}"
+            )
     n_matrices, n_perturbations = _check_counts(n_matrices, n_perturbations)
+    sigmas = [calibrate_sigma(m, target_fq, fq_tolerance).sigma for m in m_list]
 
     results: list[SweepResult] = []
-    for mi, m in enumerate(m_list):
-        calib = calibrate_sigma(
-            m,
-            target_fq,
-            fq_tolerance,
-            _child_seed(seed, _CALIBRATE_STREAM, mi),
-            trials=calibration_trials,
-        )
+    for mi, (m, sigma) in enumerate(zip(m_list, sigmas)):
         for ni, n in enumerate(n_grid):
             if n < m:
                 continue
@@ -524,6 +528,6 @@ def sweep_size(
                 u = haar_random_unitary(n, _child_seed(seed, _MATRIX_STREAM, mi, ni, t))
                 prepared.append((u, _pack(decompose(u, m))))
             results.append(
-                _sweep_cell(n, m, calib.sigma, prepared, n_perturbations, seed, (mi, ni))
+                _sweep_cell(n, m, sigma, prepared, n_perturbations, seed, (mi, ni))
             )
     return results

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Series", "line_chart", "save_chart"]
+__all__ = ["Series", "line_chart", "save_chart", "sweep_chart"]
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -214,6 +214,28 @@ def line_chart(
 
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def sweep_chart(
+    results, x, x_label: str, title: str, y_label: str = "mean matrix fidelity"
+) -> str:
+    """Chart sweep cells' matrix fidelity, one line per block size ``m``.
+
+    ``x`` maps a cell to its abscissa; each line's points are sorted by it
+    and plot ``fu.mean`` with ``fu.std_error`` as the error bar.
+    """
+    series = []
+    for m in sorted({r.m for r in results}):
+        cells = sorted((r for r in results if r.m == m), key=x)
+        series.append(
+            Series(
+                label=f"m = {m}",
+                x=tuple(map(x, cells)),
+                y=tuple(r.fu.mean for r in cells),
+                y_err=tuple(r.fu.std_error for r in cells),
+            )
+        )
+    return line_chart(series, x_label=x_label, y_label=y_label, title=title)
 
 
 def save_chart(path, svg_text: str) -> None:

@@ -239,6 +239,19 @@ class TestSweepSizeCommand:
         assert len([l for l in text.splitlines() if not l.startswith("#")]) == 3
         assert svg.read_text().startswith("<svg")
 
+    def test_m_above_every_n_fails_up_front(self, tmp_path, capsys):
+        csv = tmp_path / "size.csv"
+        code, _, err = run(
+            ["sweep-size", "--m-list", "3", "--n-list", "2",
+             "--target-fq", "0.95", "--fq-tol", "0.005",
+             "--matrices", "1", "--perturbations", "1", "--seed", "0",
+             "--out", str(csv)],
+            capsys,
+        )
+        assert code == 1
+        assert "m=3" in err
+        assert not csv.exists()
+
 
 class TestParsing:
     def test_unknown_command_exits_two(self):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, target
+from hypothesis import strategies as st
 
 from multiport.decomposition import (
     DecompositionPlan,
@@ -460,3 +462,38 @@ class TestCostCompare:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             cost_compare(4, 2, 1.0, 1.0, 0)
+
+
+@st.composite
+def rotated_permutations(draw):
+    """A permutation times a few 2x2 rotations on either side, and a block size."""
+    n = draw(st.integers(2, 24))
+    m = draw(st.integers(2, min(4, n)))
+    u = np.eye(n, dtype=complex)[:, draw(st.permutations(range(n)))]
+    for _ in range(draw(st.integers(0, 10))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        theta = draw(st.floats(0.0, np.pi / 2))
+        phase = np.exp(1j * draw(st.floats(-np.pi, np.pi)))
+        g = np.eye(n, dtype=complex)
+        g[np.ix_([i, j], [i, j])] = [
+            [np.cos(theta), -np.conj(phase) * np.sin(theta)],
+            [phase * np.sin(theta), np.cos(theta)],
+        ]
+        u = g @ u if draw(st.booleans()) else u @ g
+    return u, m
+
+
+class TestSparseScheduleProperties:
+    """Sparse zero patterns keep within the factor bound and round-trip exactly."""
+
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(rotated_permutations())
+    def test_near_permutations(self, case):
+        u, m = case
+        n = u.shape[0]
+        steps, _, _ = _schedule(n, m, _zero_pattern(u))
+        bound = factor_count_bound(n, m)
+        target(len(steps) - bound, label=f"m={m}")  # steer the search toward the bound
+        assert len(steps) <= bound
+        plan = decompose(u, m)
+        assert np.abs(reconstruct(plan) - u).max() <= 4 * n * np.finfo(float).eps

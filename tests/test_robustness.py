@@ -1,15 +1,18 @@
 import dataclasses
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.special import hyp1f1
 
 from multiport.decomposition import decompose, reconstruct
 from multiport.linalg import haar_random_unitary, sample_haar
 from multiport.robustness import (
-    CalibrationError,
     FidelityStats,
     NoiseModel,
     _fidelities,
+    _mean_block_fidelity,
     _pack,
     _perturb_blocks,
     _perturbed_stack,
@@ -298,43 +301,115 @@ class TestComponentFidelityEstimate:
             component_fidelity_estimate(2, 0.1, 0, 0)
 
 
+class TestMeanBlockFidelity:
+    @pytest.mark.parametrize("m", [2, 3, 10])
+    @pytest.mark.parametrize("sigma", [0.05, 0.15, 0.3])
+    def test_matches_monte_carlo(self, m, sigma):
+        stats = component_fidelity_estimate(m, sigma, 20_000, 100 * m + int(100 * sigma))
+        assert abs(_mean_block_fidelity(m, sigma) - stats.mean) <= 3 * stats.std_error
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 10, 40])
+    def test_limits(self, m):
+        assert _mean_block_fidelity(m, 0.0) == 1.0
+        assert _mean_block_fidelity(m, 1e6) == pytest.approx(1.0 / m**2, abs=1e-10)
+        sigma = 1e-4
+        small = 2 * (m * m - 1) * sigma**2 / m
+        assert (1.0 - _mean_block_fidelity(m, sigma)) / small == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 7, 10])
+    def test_strictly_decreasing(self, m):
+        f = [_mean_block_fidelity(m, s) for s in np.geomspace(1e-7, 1e3, 200)]
+        assert all(b < a for a, b in zip(f, f[1:]))
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 7, 10])
+    def test_tail_sum_matches_hyp1f1(self, m):
+        # small sigma takes the finite tail sum instead of scipy's 1F1; up to
+        # c = 1e6 they agree to scipy's accuracy (the sum is the closer one to
+        # a 40-digit reference there)
+        k = m * m
+        for c in np.geomspace(2 * k + 41, 1e6, 25):
+            sigma = np.sqrt(m / (2 * c))
+            expected = 1.0 - (1.0 - 1.0 / k) * hyp1f1(1.0, k + 1.0, -c)
+            assert _mean_block_fidelity(m, sigma) == pytest.approx(expected, abs=1e-14)
+
+    def test_finite_where_hyp1f1_fails(self):
+        # scipy's 1F1(1; 26; -c) is NaN near c = 1e11
+        m, c = 5, 1e11
+        k = m * m
+        one_minus = (1.0 - 1.0 / k) * (k / c) * (1.0 - (k - 1) / c)
+        assert 1.0 - _mean_block_fidelity(m, np.sqrt(m / (2 * c))) == pytest.approx(
+            one_minus, rel=1e-6
+        )
+
+
 class TestCalibrateSigma:
     def test_target_one_gives_zero_sigma(self):
-        result = calibrate_sigma(3, 1.0, 0.001, seed=4, trials=500)
+        result = calibrate_sigma(3, 1.0, 0.001)
         assert result.sigma == 0.0
-        assert result.achieved.mean == pytest.approx(1.0, abs=1e-12)
+        assert result.achieved == 1.0
 
     def test_hits_target(self):
-        result = calibrate_sigma(2, 0.97, 0.002, seed=11, trials=20_000)
-        assert abs(result.achieved.mean - 0.97) <= 0.002
-        # fresh-seed re-estimate agrees with the calibrated point
+        result = calibrate_sigma(2, 0.97, 0.002)
+        assert result.achieved == _mean_block_fidelity(2, result.sigma)
+        assert abs(result.achieved - 0.97) <= 1e-12
+        assert 1 <= result.probes <= 30
+        # fresh-seed Monte-Carlo re-estimate agrees with the calibrated point
         check = component_fidelity_estimate(2, result.sigma, 40_000, 9999)
         assert abs(check.mean - 0.97) <= 0.004
 
+    @pytest.mark.parametrize("m", [2, 3, 5, 7, 10, 40])
+    @pytest.mark.parametrize("offset", [1e-9, 1e-3, 0.5, -1e-3, -1e-9])
+    def test_whole_range(self, m, offset):
+        # offsets > 0 sit above the 1/m^2 floor, offsets < 0 below 1
+        floor = 1.0 / m**2
+        target = floor + offset if offset > 0 else 1.0 + offset
+        result = calibrate_sigma(m, target, 1e-12)
+        assert abs(result.achieved - target) <= 1e-12
+        assert result.achieved == _mean_block_fidelity(m, result.sigma)
+
     def test_sigma_monotone_in_target(self):
-        hard = calibrate_sigma(3, 0.90, 0.003, seed=21, trials=20_000)
-        easy = calibrate_sigma(3, 0.95, 0.003, seed=21, trials=20_000)
+        hard = calibrate_sigma(3, 0.90, 0.003)
+        easy = calibrate_sigma(3, 0.95, 0.003)
         assert hard.sigma > easy.sigma
 
     def test_deterministic(self):
-        a = calibrate_sigma(2, 0.95, 0.003, seed=6, trials=10_000)
-        b = calibrate_sigma(2, 0.95, 0.003, seed=6, trials=10_000)
-        assert a == b
+        assert calibrate_sigma(2, 0.95, 0.003) == calibrate_sigma(2, 0.95, 0.003)
 
-    def test_unreachable_target_raises(self):
-        # for m=2 the mean fidelity plateaus near 1/m^2 = 0.25 at huge sigma,
-        # so a target far below it can never be bracketed
-        with pytest.raises(CalibrationError, match="bracket"):
-            calibrate_sigma(2, 0.05, 0.001, seed=0, trials=500)
+    @pytest.mark.parametrize("target", [0.05, 0.25])
+    def test_target_at_or_below_floor_raises(self, target):
+        # for m=2 the mean fidelity falls toward 1/m^2 = 0.25 but never reaches it
+        with pytest.raises(ValueError, match=r"1/m\^2"):
+            calibrate_sigma(2, target, 0.001)
 
-    @pytest.mark.parametrize("target", [0.0, -0.5, 1.5])
+    def test_tolerance_is_a_postcondition(self):
+        # a tolerance finer than float resolution either holds exactly or raises
+        for target in np.linspace(0.3, 0.99, 24):
+            try:
+                result = calibrate_sigma(2, target, 1e-300)
+            except ValueError as exc:
+                assert "finer than the closed form resolves" in str(exc)
+            else:
+                assert result.achieved == target
+
+    @pytest.mark.parametrize("target", [0.0, -0.5, 1.5, float("nan")])
     def test_rejects_bad_target(self, target):
         with pytest.raises(ValueError):
-            calibrate_sigma(2, target, 0.001, seed=0)
+            calibrate_sigma(2, target, 0.001)
 
-    def test_rejects_bad_tolerance(self):
+    @pytest.mark.parametrize("tolerance", [0.0, 1.0, float("nan")])
+    def test_rejects_bad_tolerance(self, tolerance):
         with pytest.raises(ValueError):
-            calibrate_sigma(2, 0.95, 0.0, seed=0)
+            calibrate_sigma(2, 0.95, tolerance)
+
+    def test_rejects_small_block(self):
+        with pytest.raises(ValueError, match="block size"):
+            calibrate_sigma(1, 0.95, 0.001)
+
+
+def test_import_leaves_scipy_out():
+    # scipy is imported only when a calibration first runs
+    code = "import sys, multiport; assert 'scipy' not in sys.modules, sorted(sys.modules)"
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 class TestSweepNoise:
@@ -391,23 +466,23 @@ class TestSweepNoise:
 
 class TestSweepSize:
     def test_skips_n_below_m(self):
-        res = sweep_size([3], [2, 3, 5], 0.97, 0.005, 2, 2, seed=60, calibration_trials=5000)
+        res = sweep_size([3], [2, 3, 5], 0.97, 0.005, 2, 2, seed=60)
         assert [r.n for r in res] == [3, 5]
 
     def test_n_equals_m_matches_block_statistic(self):
-        res = sweep_size([3], [3], 0.95, 0.005, 4, 4, seed=61, calibration_trials=10_000)
+        res = sweep_size([3], [3], 0.95, 0.005, 4, 4, seed=61)
         (row,) = res
         # single-factor plans: the matrix fidelity IS the block fidelity
         assert row.fu.mean == pytest.approx(row.fq.mean, abs=1e-12)
         assert row.fu.samples == row.fq.samples
 
     def test_shared_sigma_across_sizes(self):
-        res = sweep_size([2], [4, 6], 0.96, 0.005, 2, 2, seed=62, calibration_trials=5000)
+        res = sweep_size([2], [4, 6], 0.96, 0.005, 2, 2, seed=62)
         assert res[0].sigma == res[1].sigma > 0
 
     def test_deterministic(self):
-        a = sweep_size([2], [4], 0.95, 0.005, 2, 2, seed=63, calibration_trials=5000)
-        b = sweep_size([2], [4], 0.95, 0.005, 2, 2, seed=63, calibration_trials=5000)
+        a = sweep_size([2], [4], 0.95, 0.005, 2, 2, seed=63)
+        b = sweep_size([2], [4], 0.95, 0.005, 2, 2, seed=63)
         assert a == b
 
     def test_validation(self):
@@ -417,6 +492,15 @@ class TestSweepSize:
             sweep_size([2], [], 0.95, 0.005, 1, 1, seed=0)
         with pytest.raises(ValueError):
             sweep_size([2], [4], 0.95, 0.005, 0, 1, seed=0)
+        with pytest.raises(ValueError, match="target fidelity"):
+            sweep_size([2], [4], 0.2, 0.005, 1, 1, seed=0)
+
+    @pytest.mark.parametrize(
+        "m_list,n_grid,bad", [([3], [2], 3), ([2, 5], [2, 4], 5), ([1], [2, 4], 1)]
+    )
+    def test_rejects_m_without_some_n_at_least_m(self, m_list, n_grid, bad):
+        with pytest.raises(ValueError, match=f"m={bad}"):
+            sweep_size(m_list, n_grid, 0.95, 0.005, 1, 1, seed=0)
 
 
 class TestFidelityStats:

@@ -2,7 +2,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from multiport.svgchart import Series, line_chart, save_chart
+from multiport.robustness import FidelityStats, SweepResult
+from multiport.svgchart import Series, line_chart, save_chart, sweep_chart
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -104,3 +105,23 @@ class TestLineChart:
         path = tmp_path / "chart.svg"
         save_chart(path, line_chart(two_series(), "x", "y"))
         assert path.read_text().startswith("<svg")
+
+
+class TestSweepChart:
+    def test_one_sorted_line_per_block_size(self):
+        def cell(n, m, fu, se):
+            fq = FidelityStats(mean=0.9, std_error=0.0, samples=1)
+            return SweepResult(n=n, m=m, sigma=0.1, fq=fq, fu=FidelityStats(fu, se, 4))
+
+        # cells out of order in both m and n
+        results = [cell(8, 3, 0.7, 0.02), cell(4, 3, 0.9, 0.01), cell(4, 2, 0.8, 0.03)]
+        expected = line_chart(
+            [
+                Series(label="m = 2", x=(4.0,), y=(0.8,), y_err=(0.03,)),
+                Series(label="m = 3", x=(4.0, 8.0), y=(0.9, 0.7), y_err=(0.01, 0.02)),
+            ],
+            x_label="n",
+            y_label="mean matrix fidelity",
+            title="t",
+        )
+        assert sweep_chart(results, lambda r: r.n, "n", "t") == expected
