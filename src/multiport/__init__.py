@@ -13,94 +13,23 @@ Importing the package needs only numpy; scipy is imported the first time a
 calibration runs.
 """
 
-from .decomposition import (
-    CostComparison,
-    DecompositionError,
-    DecompositionPlan,
-    Factor,
-    SweepDiagnostics,
-    VerificationReport,
-    cost_compare,
-    decompose,
-    embed_factor,
-    factor_count_bound,
-    reconstruct,
-    verify,
-)
-from .linalg import (
-    UnitarityReport,
-    haar_random_unitary,
-    rq_decompose,
-    sample_haar,
-    unitarity,
-)
-from .robustness import (
-    CalibrationResult,
-    FidelityStats,
-    NoiseModel,
-    SweepResult,
-    calibrate_sigma,
-    component_fidelity_estimate,
-    fidelity,
-    reconstruct_perturbed,
-    sweep_noise,
-    sweep_size,
-)
-from .serialize import (
-    load_matrix,
-    load_plan,
-    matrix_to_json,
-    json_to_matrix,
-    json_to_plan,
-    plan_to_json,
-    save_matrix,
-    save_plan,
-    save_sweep_results,
-    sweep_results_to_csv,
-)
-from .svgchart import Series, line_chart, save_chart
+from .decomposition import decompose, factor_count_bound, reconstruct, verify
+from .linalg import haar_random_unitary
+from .robustness import calibrate_sigma, component_fidelity_estimate, sweep_noise, sweep_size
+from .serialize import json_to_plan, plan_to_json
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CalibrationResult",
-    "CostComparison",
-    "DecompositionError",
-    "DecompositionPlan",
-    "Factor",
-    "FidelityStats",
-    "NoiseModel",
-    "Series",
-    "SweepDiagnostics",
-    "SweepResult",
-    "UnitarityReport",
-    "VerificationReport",
     "calibrate_sigma",
     "component_fidelity_estimate",
-    "cost_compare",
     "decompose",
-    "embed_factor",
     "factor_count_bound",
-    "fidelity",
     "haar_random_unitary",
-    "json_to_matrix",
     "json_to_plan",
-    "line_chart",
-    "load_matrix",
-    "load_plan",
-    "matrix_to_json",
     "plan_to_json",
     "reconstruct",
-    "reconstruct_perturbed",
-    "rq_decompose",
-    "sample_haar",
-    "save_chart",
-    "save_matrix",
-    "save_plan",
-    "save_sweep_results",
     "sweep_noise",
-    "sweep_results_to_csv",
     "sweep_size",
-    "unitarity",
     "verify",
 ]

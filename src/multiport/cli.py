@@ -61,7 +61,6 @@ def _cmd_decompose(args) -> int:
     plan = decompose(u, args.m)
     report = verify(plan, u)
     save_plan(args.out, plan)
-    diag = plan.diagnostics
     print(f"input = {args.infile}")
     print(f"n = {plan.n}")
     print(f"m = {plan.m}")
@@ -69,9 +68,8 @@ def _cmd_decompose(args) -> int:
     print(f"bound = {report.factor_bound}")
     print(f"max_error = {report.max_error:.3e}")
     print(f"fidelity = {report.fidelity:.12f}")
-    if diag is not None:
-        print(f"zeros_cleared = {diag.total_zeros}")
-        print(f"refill_events = {diag.refill_events}")
+    print(f"zeros_cleared = {plan.diagnostics.total_zeros}")
+    print(f"refill_events = {plan.diagnostics.refill_events}")
     print(f"plan written to {args.out}")
     if not report.passed:
         print(

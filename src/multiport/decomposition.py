@@ -35,10 +35,7 @@ from .linalg import as_matrix, rq_decompose, unitarity
 __all__ = [
     "DecompositionError",
     "Factor",
-    "SweepDiagnostics",
     "DecompositionPlan",
-    "VerificationReport",
-    "CostComparison",
     "factor_count_bound",
     "embed_factor",
     "decompose",
@@ -54,6 +51,14 @@ _SCHEDULE_CACHE_SIZE = 16
 
 class DecompositionError(RuntimeError):
     """The swept matrix did not end as a diagonal of unit-modulus phases."""
+
+
+def _check_block_size(n, m) -> tuple[int, int]:
+    """``(n, m)`` as ints; raises ``ValueError`` unless ``2 <= m <= n``."""
+    n, m = int(n), int(m)
+    if not 2 <= m <= n:
+        raise ValueError(f"block size m={m} must satisfy 2 <= m <= n={n}")
+    return n, m
 
 
 @functools.lru_cache(maxsize=32)
@@ -143,17 +148,14 @@ class DecompositionPlan:
     diagnostics: SweepDiagnostics | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "m", int(self.m))
+        n, m = _check_block_size(self.n, self.m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "factors", tuple(self.factors))
         phases = np.array(self.phases, dtype=np.float64)
         phases.setflags(write=False)
         object.__setattr__(self, "phases", phases)
 
-        if self.n < 1:
-            raise ValueError(f"dimension must be at least 1, got {self.n}")
-        if not 2 <= self.m <= self.n:
-            raise ValueError(f"block size m={self.m} must satisfy 2 <= m <= n={self.n}")
         if phases.shape != (self.n,):
             raise ValueError(
                 f"expected {self.n} phases, got shape {phases.shape}"
@@ -189,12 +191,7 @@ def factor_count_bound(n: int, m: int) -> int:
     end with one undersized remainder block, giving
     ``floor(n(n-1) / (m(m-1))) + n - 1``.
     """
-    n = int(n)
-    m = int(m)
-    if n < 1:
-        raise ValueError(f"dimension must be at least 1, got {n}")
-    if not 2 <= m <= n:
-        raise ValueError(f"block size m={m} must satisfy 2 <= m <= n={n}")
+    n, m = _check_block_size(n, m)
     if m == 2:
         return n * (n - 1) // 2
     return (n * (n - 1)) // (m * (m - 1)) + n - 1
@@ -358,10 +355,7 @@ def decompose(u, m: int) -> DecompositionPlan:
     not a diagonal of unit-modulus phases.
     """
     w = as_matrix(u, square=True).copy()
-    n = w.shape[0]
-    m = int(m)
-    if not 2 <= m <= n:
-        raise ValueError(f"block size m={m} must satisfy 2 <= m <= n={n}")
+    n, m = _check_block_size(w.shape[0], m)
     report = unitarity(w, tol=_INPUT_UNITARY_TOL)
     if not report.is_unitary:
         raise ValueError(
@@ -470,10 +464,7 @@ class CostComparison:
 
 def cost_compare(n: int, m: int, c_m: float, c_2: float, count_m: int) -> CostComparison:
     """Compare an m-block mesh of ``count_m`` factors against a 2 x 2 mesh."""
-    n = int(n)
-    m = int(m)
-    if not 2 <= m <= n:
-        raise ValueError(f"block size m={m} must satisfy 2 <= m <= n={n}")
+    n, m = _check_block_size(n, m)
     c_m = float(c_m)
     c_2 = float(c_2)
     if not (c_m > 0 and c_2 > 0):

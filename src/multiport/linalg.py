@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "UnitarityReport",
     "as_matrix",
     "unitarity",
     "haar_random_unitary",
@@ -88,11 +87,8 @@ def sample_haar(rng: np.random.Generator, n: int, count: int | None = None) -> n
 
 def haar_random_unitary(n: int, seed: int) -> np.ndarray:
     """Seeded Haar-random unitary.  Same ``(n, seed)`` gives identical output."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"dimension must be at least 1, got {n}")
     rng = np.random.default_rng(np.random.SeedSequence(int(seed) & _U64_MASK))
-    return sample_haar(rng, n)
+    return sample_haar(rng, int(n))
 
 
 def rq_decompose(a) -> tuple[np.ndarray, np.ndarray]:

@@ -31,23 +31,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import DecompositionPlan, _compose, decompose
-from .linalg import as_matrix, haar_random_unitary, sample_haar
+from .decomposition import DecompositionPlan, _check_block_size, _compose, decompose
+from .linalg import _U64_MASK, as_matrix, haar_random_unitary, sample_haar
 
 __all__ = [
-    "NoiseModel",
-    "FidelityStats",
     "SweepResult",
-    "CalibrationResult",
     "fidelity",
-    "reconstruct_perturbed",
     "component_fidelity_estimate",
     "calibrate_sigma",
     "sweep_noise",
     "sweep_size",
 ]
 
-_U64_MASK = (1 << 64) - 1
+# Trials per vectorized batch of ``component_fidelity_estimate``; the result
+# does not depend on it.
+_ESTIMATE_CHUNK = 32768
 
 # Stream tags keep the independent sampling loops (matrix draws, noise draws,
 # component estimates) on disjoint substreams of one seed.
@@ -66,6 +64,14 @@ def _rng(*parts: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(_child_seed(*parts)))
 
 
+def _check_sigma(sigma) -> float:
+    """``sigma`` as a float; raises ``ValueError`` unless it is finite and >= 0."""
+    sigma = float(sigma)
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    return sigma
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Additive complex Gaussian entry noise of strength ``sigma``.
@@ -79,10 +85,8 @@ class NoiseModel:
     seed: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "sigma", _check_sigma(self.sigma))
         object.__setattr__(self, "seed", int(self.seed))
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -281,7 +285,6 @@ def component_fidelity_estimate(
     sigma: float,
     trials: int,
     seed: int,
-    chunk: int = 32768,
 ) -> FidelityStats:
     """Monte-Carlo mean fidelity of a single noisy m x m Haar block.
 
@@ -291,13 +294,9 @@ def component_fidelity_estimate(
     """
     m = int(m)
     trials = int(trials)
-    if m < 1:
-        raise ValueError(f"dimension must be at least 1, got {m}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    sigma = float(sigma)
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    sigma = _check_sigma(sigma)
     # Haar draws and noise draws ride separate substreams, so the result is
     # independent of the internal chunk size and two estimates at different
     # sigma share the exact same Haar samples (common random numbers).
@@ -306,7 +305,7 @@ def component_fidelity_estimate(
     acc = _RunningMean()
     remaining = trials
     while remaining:
-        b = min(int(chunk), remaining)
+        b = min(_ESTIMATE_CHUNK, remaining)
         remaining -= b
         q = sample_haar(haar_rng, m, count=b)
         if sigma == 0.0:
@@ -371,6 +370,15 @@ def calibrate_sigma(m: int, target_fq: float, tolerance: float) -> CalibrationRe
             f"target fidelity must be in (1/m^2, 1] = ({floor:.6g}, 1] for m={m}, "
             f"got {target_fq}"
         )
+    # F(sigma) is evaluated as 1 - (1 - 1/m^2) 1F1 and carries an absolute
+    # rounding error of a few eps.  Near the floor F sits under the target by
+    # about (target - floor) / 2 at the bracket's upper end below, so within
+    # 16 eps of the floor the computed sign there is rounding noise.
+    if target_fq - floor <= 16 * math.ulp(1.0):
+        raise ValueError(
+            f"target fidelity {target_fq!r} is within float resolution of the "
+            f"1/m^2 floor {floor!r} for m={m}"
+        )
     tolerance = float(tolerance)
     if not 0.0 < tolerance < 1.0:
         raise ValueError(f"tolerance must be in (0, 1), got {tolerance}")
@@ -412,6 +420,20 @@ def _check_counts(n_matrices: int, n_perturbations: int) -> tuple[int, int]:
     return n_matrices, n_perturbations
 
 
+def _prepare(n: int, m: int, n_matrices: int, seed: int, key) -> list:
+    """Draw a sweep's trial matrices and decompose and pack each one once.
+
+    Matrix ``t`` is the Haar unitary seeded by
+    ``_child_seed(seed, _MATRIX_STREAM, *key, t)``.  Returns the
+    ``(u, packed plan)`` pairs that ``_sweep_cell`` takes.
+    """
+    prepared = []
+    for t in range(n_matrices):
+        u = haar_random_unitary(n, _child_seed(seed, _MATRIX_STREAM, *key, t))
+        prepared.append((u, _pack(decompose(u, m))))
+    return prepared
+
+
 def _sweep_cell(
     n: int, m: int, sigma: float, prepared, n_perturbations: int, seed: int, cell
 ) -> SweepResult:
@@ -451,20 +473,14 @@ def sweep_noise(
     ``m`` outermost, then ``sigma`` in the given order.
     """
     n = int(n)
-    if n < 2:
-        raise ValueError(f"dimension must be at least 2, got {n}")
     m_list = [int(m) for m in m_list]
     if not m_list:
         raise ValueError("m_list must not be empty")
     for m in m_list:
-        if not 2 <= m <= n:
-            raise ValueError(f"block size m={m} must satisfy 2 <= m <= n={n}")
-    sigma_grid = [float(s) for s in sigma_grid]
+        _check_block_size(n, m)
+    sigma_grid = [_check_sigma(s) for s in sigma_grid]
     if not sigma_grid:
         raise ValueError("sigma_grid must not be empty")
-    for s in sigma_grid:
-        if not (math.isfinite(s) and s >= 0.0):
-            raise ValueError(f"sigma must be finite and >= 0, got {s}")
     n_matrices, n_perturbations = _check_counts(n_matrices, n_perturbations)
 
     results: list[SweepResult] = []
@@ -472,10 +488,7 @@ def sweep_noise(
         # Decompose and pack each trial matrix once; the packed plan is
         # reused across the whole sigma grid (perturbation draws stay
         # independent per sigma).
-        prepared = []
-        for t in range(n_matrices):
-            u = haar_random_unitary(n, _child_seed(seed, _MATRIX_STREAM, mi, t))
-            prepared.append((u, _pack(decompose(u, m))))
+        prepared = _prepare(n, m, n_matrices, seed, (mi,))
         for si, sigma in enumerate(sigma_grid):
             results.append(
                 _sweep_cell(n, m, sigma, prepared, n_perturbations, seed, (mi, si))
@@ -511,10 +524,7 @@ def sweep_size(
         if n < 2:
             raise ValueError(f"dimension must be at least 2, got {n}")
     for m in m_list:
-        if not 2 <= m <= max(n_grid):
-            raise ValueError(
-                f"block size m={m} must satisfy 2 <= m <= max(n_grid)={max(n_grid)}"
-            )
+        _check_block_size(max(n_grid), m)
     n_matrices, n_perturbations = _check_counts(n_matrices, n_perturbations)
     sigmas = [calibrate_sigma(m, target_fq, fq_tolerance).sigma for m in m_list]
 
@@ -523,10 +533,7 @@ def sweep_size(
         for ni, n in enumerate(n_grid):
             if n < m:
                 continue
-            prepared = []
-            for t in range(n_matrices):
-                u = haar_random_unitary(n, _child_seed(seed, _MATRIX_STREAM, mi, ni, t))
-                prepared.append((u, _pack(decompose(u, m))))
+            prepared = _prepare(n, m, n_matrices, seed, (mi, ni))
             results.append(
                 _sweep_cell(n, m, sigma, prepared, n_perturbations, seed, (mi, ni))
             )

@@ -24,15 +24,12 @@ from .linalg import as_matrix
 from .robustness import SweepResult
 
 __all__ = [
-    "matrix_to_json",
-    "json_to_matrix",
     "save_matrix",
     "load_matrix",
     "plan_to_json",
     "json_to_plan",
     "save_plan",
     "load_plan",
-    "sweep_results_to_csv",
     "save_sweep_results",
 ]
 
@@ -49,24 +46,26 @@ def _f12(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _matrix_fields(mat: np.ndarray, pad: str) -> str:
+    """The ``rows``, ``cols`` and ``entries`` lines of a matrix object.
+
+    Each line starts with ``pad``; each row of entries sits two spaces deeper.
+    """
+    rows, cols = mat.shape
+    entries = ",\n".join(
+        pad + "  " + ", ".join(f"[{_f17(v.real)}, {_f17(v.imag)}]" for v in row)
+        for row in mat.tolist()
+    )
+    return (
+        f'{pad}"rows": {rows},\n'
+        f'{pad}"cols": {cols},\n'
+        f'{pad}"entries": [\n{entries}\n{pad}]\n'
+    )
+
+
 def matrix_to_json(a) -> str:
     """Serialize a matrix to its canonical JSON text."""
-    mat = as_matrix(a)
-    rows, cols = mat.shape
-    body_rows = []
-    for r in range(rows):
-        pairs = ", ".join(
-            f"[{_f17(v.real)}, {_f17(v.imag)}]" for v in mat[r]
-        )
-        body_rows.append("    " + pairs)
-    entries = ",\n".join(body_rows)
-    return (
-        "{\n"
-        f'  "rows": {rows},\n'
-        f'  "cols": {cols},\n'
-        f'  "entries": [\n{entries}\n  ]\n'
-        "}\n"
-    )
+    return "{\n" + _matrix_fields(as_matrix(a), "  ") + "}\n"
 
 
 # Validation messages are formatted only on failure: a plan holds thousands
@@ -149,23 +148,14 @@ def plan_to_json(plan: DecompositionPlan) -> str:
     factor_chunks = []
     for f in plan.factors:
         cols = ", ".join(str(c) for c in f.columns)
-        block_rows = []
-        for r in range(f.size):
-            pairs = ", ".join(
-                f"[{_f17(v.real)}, {_f17(v.imag)}]" for v in f.block[r]
-            )
-            block_rows.append("          " + pairs)
-        block_entries = ",\n".join(block_rows)
         factor_chunks.append(
             "    {\n"
             f'      "size": {f.size},\n'
             f'      "base_row": {f.base_row},\n'
             f'      "columns": [{cols}],\n'
             '      "block": {\n'
-            f'        "rows": {f.size},\n'
-            f'        "cols": {f.size},\n'
-            f'        "entries": [\n{block_entries}\n        ]\n'
-            "      }\n"
+            + _matrix_fields(f.block, "        ")
+            + "      }\n"
             "    }"
         )
     parts.append(",\n".join(factor_chunks))
@@ -192,8 +182,6 @@ def _factor_from_obj(obj) -> Factor:
         "columns must be a list of integers",
     )
     block = _matrix_from_obj(obj["block"], "block")
-    if block.shape != (size, size):
-        raise ValueError(f"block shape {block.shape} does not match size {size}")
     return Factor(size=size, base_row=base_row, columns=tuple(columns), block=block)
 
 

@@ -1,7 +1,7 @@
 """Minimal self-contained SVG line charts.
 
-Renders one or more (x, y) series with optional error bars into a single
-SVG string: axes, 1-2-5 tick grids, round markers, and a legend.  No
+Renders one or more (x, y) series with error bars into a single SVG
+string: axes, 1-2-5 tick grids, round markers, and a legend.  No
 plotting dependency; output text is deterministic for identical input.
 The CSV files remain the quantitative record -- these charts are for
 eyeballing sweeps.
@@ -10,49 +10,64 @@ eyeballing sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Series", "line_chart", "save_chart", "sweep_chart"]
+__all__ = ["save_chart", "sweep_chart"]
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_WIDTH = 720
+_HEIGHT = 480
+_TICKS = 5  # ticks per axis to aim for
 
 
 @dataclass(frozen=True)
 class Series:
-    """One plotted line: ``label``, x/y points, optional symmetric y errors."""
+    """One plotted line: ``label``, x/y points and symmetric y errors.
+
+    A zero error draws no bar.
+    """
 
     label: str
     x: tuple[float, ...]
     y: tuple[float, ...]
-    y_err: tuple[float, ...] | None = field(default=None)
+    y_err: tuple[float, ...]
 
     def __post_init__(self) -> None:
         x = tuple(float(v) for v in self.x)
         y = tuple(float(v) for v in self.y)
+        err = tuple(float(e) for e in self.y_err)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "y_err", err)
         if len(x) != len(y):
             raise ValueError(f"x and y lengths differ: {len(x)} vs {len(y)}")
         if not x:
             raise ValueError("series must contain at least one point")
         if not all(math.isfinite(v) for v in x + y):
             raise ValueError("series contains non-finite values")
-        if self.y_err is not None:
-            err = tuple(float(e) for e in self.y_err)
-            object.__setattr__(self, "y_err", err)
-            if len(err) != len(y):
-                raise ValueError("y_err length does not match y")
-            if not all(math.isfinite(e) and e >= 0 for e in err):
-                raise ValueError("y_err must be finite and non-negative")
+        if len(err) != len(y):
+            raise ValueError("y_err length does not match y")
+        if not all(math.isfinite(e) and e >= 0 for e in err):
+            raise ValueError("y_err must be finite and non-negative")
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _widened(lo: float, hi: float) -> tuple[float, float]:
+    """``(lo, hi)``, or ``(lo - 1, hi + 1)`` if floats cannot resolve the span.
+
+    A span of a few ulps of its ends (or none) leaves no room for distinct
+    ticks or pixel positions inside it.
+    """
+    if hi - lo <= 16 * math.ulp(max(abs(lo), abs(hi))):
+        return lo - 1.0, hi + 1.0
+    return lo, hi
+
+
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     """Round tick positions covering [lo, hi] with a 1-2-5 step."""
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / max(target, 1)
+    lo, hi = _widened(lo, hi)
+    raw = (hi - lo) / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
@@ -60,10 +75,12 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
             break
     first = math.ceil(lo / step) * step
     ticks = []
-    t = first
-    while t <= hi + 0.5 * step:
+    # step >= raw, so at most _TICKS + 1 ticks fit; two more cover rounding
+    for k in range(_TICKS + 3):
+        t = first + k * step
+        if t > hi + 0.5 * step:
+            break
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
-        t += step
     return ticks
 
 
@@ -79,9 +96,7 @@ def line_chart(
     series,
     x_label: str,
     y_label: str,
-    title: str | None = None,
-    width: int = 720,
-    height: int = 480,
+    title: str,
 ) -> str:
     """Render the series into an SVG document string."""
     series = list(series)
@@ -95,23 +110,19 @@ def line_chart(
     lo_y, hi_y = [], []
     for s in series:
         y = np.asarray(s.y)
-        err = np.asarray(s.y_err) if s.y_err is not None else 0.0
+        err = np.asarray(s.y_err)
         lo_y.append((y - err).min())
         hi_y.append((y + err).max())
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    y_lo, y_hi = float(min(lo_y)), float(max(hi_y))
-    if x_hi - x_lo < 1e-300:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    if y_hi - y_lo < 1e-300:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    x_lo, x_hi = _widened(float(xs.min()), float(xs.max()))
+    y_lo, y_hi = _widened(float(min(lo_y)), float(max(hi_y)))
     pad_x = 0.05 * (x_hi - x_lo)
     pad_y = 0.05 * (y_hi - y_lo)
     x_lo, x_hi = x_lo - pad_x, x_hi + pad_x
     y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
 
-    left, right, top, bottom = 72, 24, 40 if title else 24, 56
-    plot_w = width - left - right
-    plot_h = height - top - bottom
+    left, right, top, bottom = 72, 24, 40, 56
+    plot_w = _WIDTH - left - right
+    plot_h = _HEIGHT - top - bottom
 
     def px(x: float) -> float:
         return left + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -121,15 +132,14 @@ def line_chart(
 
     out = []
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
-    out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
-    if title:
-        out.append(
-            f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>'
-        )
+    out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
+    out.append(
+        f'<text x="{_WIDTH / 2:.0f}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="16">{title}</text>'
+    )
 
     for t in _nice_ticks(x_lo + pad_x, x_hi - pad_x):
         x = px(t)
@@ -158,7 +168,7 @@ def line_chart(
         f'fill="none" stroke="#333333" stroke-width="1"/>'
     )
     out.append(
-        f'<text x="{left + plot_w / 2:.0f}" y="{height - 12}" text-anchor="middle" '
+        f'<text x="{left + plot_w / 2:.0f}" y="{_HEIGHT - 12}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13">{x_label}</text>'
     )
     out.append(
@@ -172,22 +182,21 @@ def line_chart(
         pts = " ".join(
             f"{_fmt_px(px(x))},{_fmt_px(py(y))}" for x, y in zip(s.x, s.y)
         )
-        if s.y_err is not None:
-            for x, y, e in zip(s.x, s.y, s.y_err):
-                if e == 0:
-                    continue
-                cx, y0, y1 = px(x), py(y - e), py(y + e)
+        for x, y, e in zip(s.x, s.y, s.y_err):
+            if e == 0:
+                continue
+            cx, y0, y1 = px(x), py(y - e), py(y + e)
+            out.append(
+                f'<line x1="{_fmt_px(cx)}" y1="{_fmt_px(y0)}" '
+                f'x2="{_fmt_px(cx)}" y2="{_fmt_px(y1)}" '
+                f'stroke="{color}" stroke-width="1"/>'
+            )
+            for yy in (y0, y1):
                 out.append(
-                    f'<line x1="{_fmt_px(cx)}" y1="{_fmt_px(y0)}" '
-                    f'x2="{_fmt_px(cx)}" y2="{_fmt_px(y1)}" '
+                    f'<line x1="{_fmt_px(cx - 3)}" y1="{_fmt_px(yy)}" '
+                    f'x2="{_fmt_px(cx + 3)}" y2="{_fmt_px(yy)}" '
                     f'stroke="{color}" stroke-width="1"/>'
                 )
-                for yy in (y0, y1):
-                    out.append(
-                        f'<line x1="{_fmt_px(cx - 3)}" y1="{_fmt_px(yy)}" '
-                        f'x2="{_fmt_px(cx + 3)}" y2="{_fmt_px(yy)}" '
-                        f'stroke="{color}" stroke-width="1"/>'
-                    )
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{pts}"/>'

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -209,6 +210,22 @@ class TestSweepNoiseCommand:
         run(args + ["--out", str(a)], capsys)
         run(args + ["--out", str(b)], capsys)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_chart_of_fidelities_equal_within_an_ulp(self, tmp_path):
+        # both cells' fq and fu means are 1 within 1e-16, below the step a
+        # tick loop can add to 1.0; a stalled loop grows its tick list until
+        # memory runs out, so the command runs in a child process with a timeout
+        csv, svg = tmp_path / "a.csv", tmp_path / "a.svg"
+        proc = subprocess.run(
+            [sys.executable, "-m", "multiport.cli", "sweep-noise", "--n", "4",
+             "--m-list", "2", "--sigmas", "0,1e-8", "--matrices", "2",
+             "--perturbations", "3", "--seed", "1", "--out", str(csv), "--svg", str(svg)],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert ET.parse(svg).getroot().tag == "{http://www.w3.org/2000/svg}svg"
 
     def test_bad_m_list_fails(self, tmp_path, capsys):
         code, _, err = run(

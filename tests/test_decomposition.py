@@ -497,3 +497,34 @@ class TestSparseScheduleProperties:
         assert len(steps) <= bound
         plan = decompose(u, m)
         assert np.abs(reconstruct(plan) - u).max() <= 4 * n * np.finfo(float).eps
+
+
+@st.composite
+def block_diagonal_inputs(draw):
+    """Haar blocks on a random partition of n, columns optionally permuted, and a block size."""
+    n = draw(st.integers(2, 24))
+    m = draw(st.integers(2, min(4, n)))
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(draw(st.integers(1, n - sum(sizes))))
+    seed = draw(st.integers(0, 2**32 - 1))
+    u = scipy.linalg.block_diag(*(haar_random_unitary(k, seed + k) for k in sizes))
+    if draw(st.booleans()):
+        u = u[:, draw(st.permutations(range(n)))]
+    return u.astype(complex), m
+
+
+class TestBlockDiagonalProperties:
+    """Block-diagonal zero patterns keep within the factor bound and round-trip exactly."""
+
+    @settings(derandomize=True, database=None, max_examples=600, deadline=None)
+    @given(block_diagonal_inputs())
+    def test_block_diagonal(self, case):
+        u, m = case
+        n = u.shape[0]
+        steps, _, _ = _schedule(n, m, _zero_pattern(u))
+        bound = factor_count_bound(n, m)
+        target(len(steps) - bound, label=f"m={m}")  # steer the search toward the bound
+        assert len(steps) <= bound
+        plan = decompose(u, m)
+        assert np.abs(reconstruct(plan) - u).max() <= 4 * n * np.finfo(float).eps

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import hyp1f1
 
+from multiport import robustness
 from multiport.decomposition import decompose, reconstruct
 from multiport.linalg import haar_random_unitary, sample_haar
 from multiport.robustness import (
@@ -264,9 +265,11 @@ class TestComponentFidelityEstimate:
         b = component_fidelity_estimate(2, 0.1, 2000, 17)
         assert a == b
 
-    def test_chunking_invariant(self):
-        a = component_fidelity_estimate(2, 0.1, 5000, 3, chunk=512)
-        b = component_fidelity_estimate(2, 0.1, 5000, 3, chunk=5000)
+    def test_chunking_invariant(self, monkeypatch):
+        monkeypatch.setattr(robustness, "_ESTIMATE_CHUNK", 512)
+        a = component_fidelity_estimate(2, 0.1, 5000, 3)
+        monkeypatch.setattr(robustness, "_ESTIMATE_CHUNK", 5000)
+        b = component_fidelity_estimate(2, 0.1, 5000, 3)
         assert a.mean == pytest.approx(b.mean, abs=1e-12)
 
     def test_matches_independent_loop(self):
@@ -380,6 +383,13 @@ class TestCalibrateSigma:
         # for m=2 the mean fidelity falls toward 1/m^2 = 0.25 but never reaches it
         with pytest.raises(ValueError, match=r"1/m\^2"):
             calibrate_sigma(2, target, 0.001)
+
+    @pytest.mark.parametrize("m,target", [(40, (1 + 1e-12) / 1600), (10, (1 + 1e-14) / 100)])
+    def test_target_within_float_resolution_of_floor_raises(self, m, target):
+        # F(sigma) - target is rounding noise there, so a root-find on it can
+        # see equal signs at the bracket's ends or settle on any large sigma
+        with pytest.raises(ValueError, match=r"float resolution of the 1/m\^2 floor"):
+            calibrate_sigma(m, target, 1e-3)
 
     def test_tolerance_is_a_postcondition(self):
         # a tolerance finer than float resolution either holds exactly or raises

@@ -1,0 +1,54 @@
+"""The public surface: root exports, module exports, and the README's code."""
+
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
+
+import multiport
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+MODULES = ["multiport"] + [
+    f"multiport.{info.name}" for info in pkgutil.iter_modules(multiport.__path__)
+]
+
+
+def test_root_exports_what_callers_reach_through_it():
+    assert sorted(multiport.__all__) == [
+        "calibrate_sigma",
+        "component_fidelity_estimate",
+        "decompose",
+        "factor_count_bound",
+        "haar_random_unitary",
+        "json_to_plan",
+        "plan_to_json",
+        "reconstruct",
+        "sweep_noise",
+        "sweep_size",
+        "verify",
+    ]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_export_resolves(name):
+    module = importlib.import_module(name)
+    assert len(set(module.__all__)) == len(module.__all__)
+    for attr in module.__all__:
+        assert hasattr(module, attr), f"{name}.{attr}"
+
+
+def readme_python_blocks():
+    return re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+
+
+def test_readme_has_two_python_blocks():
+    assert len(readme_python_blocks()) == 2
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_readme_python_block_runs(index, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    exec(compile(readme_python_blocks()[index], f"README.md block {index}", "exec"), {})
