@@ -86,7 +86,7 @@ def _cmd_reconstruct(args) -> int:
     save_matrix(args.out, reconstruct(plan))
     print(f"n = {plan.n}")
     print(f"m = {plan.m}")
-    print(f"factors = {len(plan.factors)}")
+    print(f"factors = {len(plan.sizes)}")
     print(f"matrix written to {args.out}")
     return 0
 

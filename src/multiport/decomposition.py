@@ -9,9 +9,10 @@ itself), takes the submatrix of those columns over the ``m'`` rows ending at
 the active row, and right-multiplies ``W`` by an embedded unitary obtained
 from an RQ factorization of that submatrix.  Each multiplication stamps a
 triangular patch of exact zeros below the diagonal; rows below the active
-row are finished and are not touched again.  When every row is done ``W``
-is diagonal with unit-modulus entries, and the input equals that phase
-diagonal times the reversed product of the conjugated factors.
+row are finished and hold exact zeros in every column a later step uses.
+When every row is done ``W`` is diagonal with unit-modulus entries, and the
+input equals that phase diagonal times the reversed product of the
+conjugated factors.
 
 Which entries are zero is decided by structure, never by magnitude: the
 schedule of steps is simulated once on the input's exact zero pattern
@@ -20,12 +21,20 @@ entries.  Dense inputs, including near-permutations with tiny entries, all
 share the one schedule of their ``(n, m)``; inputs with exact zeros (phase
 diagonals, permutations, block-diagonal matrices) get the shorter schedule
 their pattern allows.  Schedules are kept in a small bounded cache.
+
+Steps on disjoint columns commute, so a schedule splits into wavefront
+layers: a step's layer is its longest-path depth in the column-conflict
+graph (for ``m = 2`` these are the anti-diagonals of the triangular mesh).
+``decompose`` and the composition behind ``reconstruct`` run one layer at a
+time, with one batched RQ or matrix product per block size in the layer.
+A ``DecompositionPlan`` stores its factors as flat arrays in factor order
+(sizes, base rows, padded columns and one array of row-major blocks); the
+``Factor`` objects of ``plan.factors`` are built from them on demand.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +77,53 @@ def _identity(k: int) -> np.ndarray:
     return eye
 
 
+def _first(bad: np.ndarray) -> int | None:
+    """Index of the first true entry of ``bad``, or ``None``."""
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def _shape_fault(size: int, shape: tuple, n_columns: int) -> str | None:
+    """What is wrong with a factor's block shape or column count, or ``None``."""
+    if shape != (size, size):
+        return f"block shape {shape} does not match size {size}"
+    if n_columns != size:
+        return f"expected {size} columns, got {n_columns}"
+    return None
+
+
+def _factor_fault(sizes, base_rows, columns) -> tuple[int, str] | None:
+    """The first factor with a malformed size, columns or base row, and why.
+
+    ``columns`` holds each factor's 0-based columns padded with -1 to a
+    width that fits every factor; returns ``(k, message)`` for the first
+    factor ``k`` failing a check, or ``None``.
+    """
+    def named(k):
+        return tuple(int(c) + 1 for c in columns[k, : sizes[k]])
+
+    k = _first(sizes < 2)
+    if k is not None:
+        return k, f"block size must be at least 2, got {sizes[k]}"
+    k = _first(columns[:, 0] < 0)
+    if k is not None:
+        return k, f"column indices are 1-based, got {named(k)}"
+    inside = np.arange(1, columns.shape[1]) < sizes[:, np.newaxis]
+    k = _first(((columns[:, 1:] <= columns[:, :-1]) & inside).any(axis=1))
+    if k is not None:
+        return k, f"columns must be strictly ascending, got {named(k)}"
+    last = columns[np.arange(len(sizes)), sizes - 1] + 1
+    k = _first(base_rows < last)
+    if k is not None:
+        return k, f"base row {base_rows[k]} lies above the last column {last[k]}"
+    return None
+
+
+def _unitarity_defects(blocks: np.ndarray) -> np.ndarray:
+    """``max|B^dag B - I|`` of every ``s x s`` block of a ``(..., s, s)`` stack."""
+    gram = np.einsum("...ji,...jk->...ik", np.conj(blocks), blocks)
+    return np.abs(gram - _identity(blocks.shape[-1])).max(axis=(-2, -1))
+
+
 @dataclass(frozen=True, eq=False)
 class Factor:
     """One block unitary acting on a chosen subset of modes.
@@ -76,6 +132,8 @@ class Factor:
     ``base_row`` is the 1-based row whose left-of-diagonal entries the block
     was chosen to clear.  ``block`` is the ``size x size`` unitary itself.
     The full-dimension action of the factor is ``embed_factor(factor, n)``.
+    A plan stores its factors as flat arrays and builds these on demand
+    (``DecompositionPlan.factors``).
     """
 
     size: int
@@ -94,21 +152,13 @@ class Factor:
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "block", block)
 
-        if size < 2:
-            raise ValueError(f"block size must be at least 2, got {size}")
-        if block.shape != (size, size):
-            raise ValueError(f"block shape {block.shape} does not match size {size}")
-        if len(columns) != size:
-            raise ValueError(f"expected {size} columns, got {len(columns)}")
-        if columns[0] < 1:
-            raise ValueError(f"column indices are 1-based, got {columns}")
-        if not all(map(operator.lt, columns, columns[1:])):
-            raise ValueError(f"columns must be strictly ascending, got {columns}")
-        if base_row < columns[-1]:
-            raise ValueError(
-                f"base row {base_row} lies above the last column {columns[-1]}"
-            )
-        defect = np.abs(block.conj().T @ block - _identity(size)).max()
+        fault = _shape_fault(size, block.shape, len(columns))
+        if fault is not None:
+            raise ValueError(fault)
+        fault = _factor_fault(np.array([size]), np.array([base_row]), np.array([columns]) - 1)
+        if fault is not None:
+            raise ValueError(fault[1])
+        defect = _unitarity_defects(block)
         if not defect <= _BLOCK_UNITARY_TOL:  # also rejects NaN
             raise ValueError(f"factor block is not unitary (defect {defect:.3e})")
 
@@ -132,55 +182,187 @@ class SweepDiagnostics:
         return sum(self.new_zeros_per_factor)
 
 
+class _FactorError(ValueError):
+    """Factor ``k`` of a plan is malformed; the message starts ``factors[k]: ``."""
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    """A read-only copy of ``values`` as an array of ``dtype``."""
+    out = np.array(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """Where each factor of a sequence sits, and its wavefront layers.
+
+    ``sizes``, ``base_rows`` (1-based) and ``columns`` (0-based, padded with
+    -1 to width m) list the factors in order, and block ``k`` fills
+    ``offsets[k]:offsets[k + 1]`` of a flat block array.  ``layers`` holds
+    one ``(size, tops, cols, starts)`` group per layer and block size, in
+    layer order: the first row of each factor's block in the swept matrix,
+    its 0-based columns and the start of its entries in the flat array, as
+    ``(k,)``, ``(k, s)`` and ``(k,)`` index arrays for a group of ``k``
+    factors.
+    """
+
+    sizes: np.ndarray
+    base_rows: np.ndarray
+    columns: np.ndarray
+    offsets: np.ndarray
+    layers: tuple
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def by_size(self):
+        """Per block size ``s``: ``(s, factors, entries)``.
+
+        ``factors`` are the indices of the size-``s`` factors in order and
+        ``entries`` (shape ``(K_s, s*s)``) pick their blocks out of a flat
+        block array.
+        """
+        for s in np.flatnonzero(np.bincount(self.sizes)).tolist():
+            factors = np.flatnonzero(self.sizes == s)
+            yield s, factors, self.offsets[factors, np.newaxis] + np.arange(s * s)
+
+
+@functools.lru_cache(maxsize=_SCHEDULE_CACHE_SIZE)
+def _layout_of(n: int, m: int, base_rows: bytes, columns: bytes) -> _Layout:
+    """Lay out a valid factor sequence given by the bytes of its intp arrays.
+
+    Steps on disjoint columns commute, so a factor's layer is its
+    longest-path depth in the column-conflict graph: one past the deepest
+    earlier factor sharing a column with it.  Within a layer the factors
+    are grouped by block size.  The layers depend only on ``n`` and the
+    columns, so a plan read back from its JSON gets the layers of the plan
+    it was written from; layouts are kept in a small bounded cache.
+    """
+    base = np.frombuffer(base_rows, dtype=np.intp)
+    cols = np.frombuffer(columns, dtype=np.intp).reshape(-1, m)
+    sizes = _frozen(np.count_nonzero(cols >= 0, axis=1), np.intp)
+    offsets = _frozen(np.concatenate(([0], np.cumsum(sizes * sizes))), np.intp)
+    depth = [0] * n  # per column, one past the deepest layer that used it
+    layer = []
+    for s, row in zip(sizes.tolist(), cols.tolist()):
+        row = row[:s]
+        d = max(map(depth.__getitem__, row))
+        layer.append(d)
+        for c in row:
+            depth[c] = d + 1
+    order = np.lexsort((sizes, layer))
+    key = (np.asarray(layer, dtype=np.intp) * (m + 1) + sizes)[order]
+    bounds = np.flatnonzero(np.diff(key, prepend=-1, append=-1)).tolist()
+    layers = []
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        group = order[start:stop]
+        s = int(sizes[group[0]])
+        layers.append((
+            s,
+            _frozen(base[group] - s, np.intp),
+            _frozen(cols[group, :s], np.intp),
+            _frozen(offsets[group], np.intp),
+        ))
+    return _Layout(sizes, base, cols, offsets, tuple(layers))
+
+
 @dataclass(frozen=True, eq=False)
 class DecompositionPlan:
     """An ordered factorization ``u = D * Q_N^dag * ... * Q_1^dag``.
 
-    ``factors`` lists the embedded block unitaries in the order they were
-    applied to the working matrix; ``phases`` holds the n output phase
-    angles, each in ``(-pi, pi]``, defining ``D = diag(exp(1j * phases))``.
+    The factors, in the order they were applied to the working matrix, are
+    stored as flat arrays: ``sizes`` and 1-based ``base_rows`` (one entry
+    per factor), ``columns`` (each factor's 0-based modes, padded with -1 to
+    width ``m``) and ``blocks`` (every block row-major, one after the
+    other).  ``factors`` builds them as ``Factor`` objects on demand.
+    ``phases`` holds the n output phase angles, each in ``(-pi, pi]``,
+    defining ``D = diag(exp(1j * phases))``.  Construction validates every
+    factor, the unitarity of the blocks as one stacked check per block size,
+    and splits the factors into wavefront layers.
     """
 
     n: int
     m: int
-    factors: tuple[Factor, ...]
+    sizes: np.ndarray
+    base_rows: np.ndarray
+    columns: np.ndarray
+    blocks: np.ndarray
     phases: np.ndarray
     diagnostics: SweepDiagnostics | None = field(default=None, repr=False)
+    _layout: _Layout = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n, m = _check_block_size(self.n, self.m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "factors", tuple(self.factors))
-        phases = np.array(self.phases, dtype=np.float64)
-        phases.setflags(write=False)
-        object.__setattr__(self, "phases", phases)
-
-        if phases.shape != (self.n,):
-            raise ValueError(
-                f"expected {self.n} phases, got shape {phases.shape}"
-            )
+        phases = _frozen(self.phases, np.float64)
+        if phases.shape != (n,):
+            raise ValueError(f"expected {n} phases, got shape {phases.shape}")
         if not np.isfinite(phases).all():
             raise ValueError("phases contain non-finite values")
         if ((phases <= -np.pi) | (phases > np.pi)).any():
             raise ValueError("phases must lie in (-pi, pi]")
-        for k, f in enumerate(self.factors):
-            if not isinstance(f, Factor):
-                raise TypeError(f"factors[{k}] is not a Factor")
-            if f.size > self.m:
-                raise ValueError(
-                    f"factors[{k}] has size {f.size} > m = {self.m}"
-                )
-            if f.base_row > self.n:
-                raise ValueError(
-                    f"factors[{k}] base row {f.base_row} exceeds n = {self.n}"
-                )
-        bound = factor_count_bound(self.n, self.m)
-        if len(self.factors) > bound:
+
+        sizes = _frozen(self.sizes, np.intp)
+        base_rows = _frozen(self.base_rows, np.intp)
+        if sizes.ndim != 1 or base_rows.shape != sizes.shape:
             raise ValueError(
-                f"{len(self.factors)} factors exceed the bound {bound} "
-                f"for n={self.n}, m={self.m}"
+                f"sizes and base_rows must be 1-D of one length, got shapes "
+                f"{sizes.shape} and {base_rows.shape}"
             )
+        bound = factor_count_bound(n, m)
+        if len(sizes) > bound:
+            raise ValueError(
+                f"{len(sizes)} factors exceed the bound {bound} for n={n}, m={m}"
+            )
+        k = _first(sizes > m)
+        if k is not None:
+            raise ValueError(f"factors[{k}] has size {sizes[k]} > m = {m}")
+        columns = _frozen(self.columns, np.intp)
+        if columns.shape != (len(sizes), m):
+            raise ValueError(
+                f"columns must be a ({len(sizes)}, {m}) array, got shape {columns.shape}"
+            )
+        fault = _factor_fault(sizes, base_rows, columns)
+        if fault is not None:
+            raise _FactorError("factors[%d]: %s" % fault)
+        if (columns[np.arange(m) >= sizes[:, np.newaxis]] != -1).any():
+            raise ValueError("columns must be padded with -1 past each factor's size")
+        k = _first(base_rows > n)
+        if k is not None:
+            raise ValueError(f"factors[{k}] base row {base_rows[k]} exceeds n = {n}")
+        blocks = _frozen(self.blocks, np.complex128)
+        entries = int(sizes @ sizes)
+        if blocks.shape != (entries,):
+            raise ValueError(f"expected {entries} block entries, got shape {blocks.shape}")
+
+        layout = _layout_of(n, m, base_rows.tobytes(), columns.tobytes())
+        defects = np.empty(len(sizes))
+        for s, factors, index in layout.by_size():
+            defects[factors] = _unitarity_defects(blocks[index].reshape(-1, s, s))
+        k = _first(~(defects <= _BLOCK_UNITARY_TOL))  # also rejects NaN
+        if k is not None:
+            raise _FactorError(
+                f"factors[{k}]: factor block is not unitary (defect {defects[k]:.3e})"
+            )
+        for name, value in (
+            ("n", n), ("m", m), ("sizes", sizes), ("base_rows", base_rows),
+            ("columns", columns), ("blocks", blocks), ("phases", phases),
+            ("_layout", layout),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def factors(self) -> tuple[Factor, ...]:
+        """The factors in the order they were applied, built as ``Factor`` objects."""
+        return tuple(
+            Factor(s, row, cols[:s], self.blocks[start : start + s * s].reshape(s, s))
+            for s, row, cols, start in zip(
+                self.sizes.tolist(),
+                self.base_rows.tolist(),
+                (self.columns + 1).tolist(),
+                self._layout.offsets.tolist(),
+            )
+        )
 
 
 def factor_count_bound(n: int, m: int) -> int:
@@ -210,30 +392,32 @@ def embed_factor(factor: Factor, n: int) -> np.ndarray:
     return out
 
 
-def _compose(phases: np.ndarray, reversed_blocks, stack: tuple[int, ...] = ()) -> np.ndarray:
-    """Build ``diag(exp(1j*phases))`` times the daggered blocks in the given order.
+def _compose(plan: DecompositionPlan, blocks: np.ndarray) -> np.ndarray:
+    """Build ``diag(exp(1j*phases))`` times the daggered blocks of ``plan``.
 
-    ``reversed_blocks`` iterates ``(indices, block)`` pairs with the *last*
-    applied factor first, i.e. already in product order; ``indices`` are the
-    0-based modes the block acts on.  A block may carry leading ``stack``
-    axes, one matrix per slice, and the result then has shape
-    ``stack + (n, n)``.  Shared by the exact and perturbed reconstruction
-    paths, so zero perturbation reproduces the exact result bit for bit and
-    each slice of a stack equals the same slice composed alone.
+    ``blocks`` is laid out like ``plan.blocks`` and may carry leading
+    ``stack`` axes, one set of blocks per slice; the result then has shape
+    ``stack + (n, n)``.  The layers are applied last first.  The factors of
+    a layer act on disjoint columns, so one gather, product and scatter per
+    block size applies them all with the arithmetic of one factor at a
+    time.  Shared by the exact and perturbed reconstruction paths, so zero
+    perturbation reproduces the exact result bit for bit and each slice of
+    a stack equals the same slice composed alone.
     """
-    diag = np.diag(np.exp(1j * np.asarray(phases, dtype=np.float64)))
+    stack = blocks.shape[:-1]
+    diag = np.diag(np.exp(1j * plan.phases))
     out = np.broadcast_to(diag, stack + diag.shape).copy()
-    for idx, block in reversed_blocks:
-        out[..., idx] = out[..., idx] @ np.conj(block).swapaxes(-1, -2)
+    for s, _, cols, starts in reversed(plan._layout.layers):
+        entries = starts[:, np.newaxis] + np.arange(s * s)
+        block = blocks[..., entries].reshape(stack + (-1, s, s))
+        gathered = out[..., cols].swapaxes(-2, -3)
+        out[..., cols] = (gathered @ np.conj(block).swapaxes(-1, -2)).swapaxes(-3, -2)
     return out
 
 
 def reconstruct(plan: DecompositionPlan) -> np.ndarray:
     """Multiply a plan back out into the n x n matrix it encodes."""
-    return _compose(
-        plan.phases,
-        ((np.asarray(f.columns) - 1, f.block) for f in reversed(plan.factors)),
-    )
+    return _compose(plan, plan.blocks)
 
 
 def _zero_pattern(w: np.ndarray) -> bytes:
@@ -255,10 +439,10 @@ def _bits(mask: int) -> list[int]:
 def _schedule(n: int, m: int, pattern: bytes):
     """Simulate the sweep on a zero pattern; return its steps and zero counts.
 
-    Each step is ``(top, stop, idx, columns)``: the block covers rows
-    ``top:stop`` (``stop - 1`` is the active row) and the 0-based columns
-    ``idx`` (a slice when they are contiguous), and ``columns`` are the same
-    columns 1-based.  A step's RQ sets the block's lower triangle to exact
+    The steps come as the ``_Layout`` of the plan they produce, in order and
+    in wavefront layers: a step of size ``s`` with base row ``b`` covers the
+    rows ``b - s:b`` (``b - 1`` is the active row) and its columns.  A
+    step's RQ sets the block's lower triangle to exact
     zeros; any other row with a nonzero in the block's columns may then hold
     nonzeros in all of them, and a row with none keeps exact zeros there.
     The one exception is a 2-column step whose bottom row is ``(x, 0)``:
@@ -274,8 +458,7 @@ def _schedule(n: int, m: int, pattern: bytes):
         for c in _bits(mask):
             col_rows[c] |= 1 << r
     cleared = [0] * n  # per row, the below-diagonal entries stamped to zero
-    steps, new_zeros, refills = [], [], 0
-    indices = {}  # 1-based columns -> (0-based index, the same columns)
+    base_rows, columns, new_zeros, refills = [], [], [], 0
     for row in range(n - 1, 0, -1):
         diag = 1 << row
         while True:
@@ -332,17 +515,16 @@ def _schedule(n: int, m: int, pattern: bytes):
                     stamp = block & ~kept
                     fresh += (stamp & ~cleared[r]).bit_count()
                     cleared[r] |= stamp
-            columns = tuple(c + 1 for c in cols)
-            if columns not in indices:  # many steps share a column set
-                if cols[-1] - cols[0] == size - 1:
-                    idx = slice(cols[0], cols[-1] + 1)
-                else:
-                    idx = np.array(cols)
-                    idx.setflags(write=False)
-                indices[columns] = (idx, columns)
-            steps.append((top, row + 1, *indices[columns]))
+            base_rows.append(row + 1)
+            columns.append(cols + [-1] * (m - size))
             new_zeros.append(fresh)
-    return tuple(steps), tuple(new_zeros), refills
+    layout = _layout_of(
+        n,
+        m,
+        np.array(base_rows, dtype=np.intp).tobytes(),
+        np.array(columns, dtype=np.intp).reshape(-1, m).tobytes(),
+    )
+    return layout, tuple(new_zeros), refills
 
 
 def decompose(u, m: int) -> DecompositionPlan:
@@ -363,15 +545,17 @@ def decompose(u, m: int) -> DecompositionPlan:
             f"{_INPUT_UNITARY_TOL:.0e}"
         )
 
-    steps, new_zeros, refills = _schedule(n, m, _zero_pattern(w))
-    factors = []
-    for top, stop, idx, columns in steps:
-        r, q = rq_decompose(w[top:stop, idx])
-        w[:top, idx] = w[:top, idx] @ q
-        w[top:stop, idx] = r
-        factors.append(
-            Factor(size=len(columns), base_row=stop, columns=columns, block=q)
-        )
+    layout, new_zeros, refills = _schedule(n, m, _zero_pattern(w))
+    blocks = np.empty(layout.offsets[-1], dtype=np.complex128)
+    for s, tops, cols, starts in layout.layers:
+        rows = tops[:, np.newaxis] + np.arange(s)
+        block = (rows[:, :, np.newaxis], cols[:, np.newaxis, :])
+        r, q = rq_decompose(w[block])
+        # The rows below each block are finished: they hold exact zeros
+        # in its columns, and multiplying keeps them so.
+        w[:, cols] = (w[:, cols].swapaxes(0, 1) @ q).swapaxes(0, 1)
+        blocks[starts[:, np.newaxis] + np.arange(s * s)] = q.reshape(-1, s * s)
+        w[block] = r  # exact zeros below each block's diagonal
 
     # What survives must be a diagonal of pure phases.  An input that is
     # unitary within _INPUT_UNITARY_TOL ends within about n times that.
@@ -393,7 +577,10 @@ def decompose(u, m: int) -> DecompositionPlan:
     return DecompositionPlan(
         n=n,
         m=m,
-        factors=tuple(factors),
+        sizes=layout.sizes,
+        base_rows=layout.base_rows,
+        columns=layout.columns,
+        blocks=blocks,
         phases=phases,
         diagnostics=SweepDiagnostics(
             new_zeros_per_factor=new_zeros, refill_events=refills
@@ -434,7 +621,7 @@ def verify(plan: DecompositionPlan, u, tol: float | None = None) -> Verification
     rebuilt = reconstruct(plan)
     max_error = float(np.abs(rebuilt - mat).max())
     bound = factor_count_bound(plan.n, plan.m)
-    count = len(plan.factors)
+    count = len(plan.sizes)
     return VerificationReport(
         max_error=max_error,
         fidelity=_fidelity(mat, rebuilt),

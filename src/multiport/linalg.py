@@ -7,7 +7,6 @@ random sampling is a pure function of the seed that is passed in.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,12 +91,15 @@ def haar_random_unitary(n: int, seed: int) -> np.ndarray:
 
 
 def rq_decompose(a) -> tuple[np.ndarray, np.ndarray]:
-    """Factor a square matrix so that ``a @ q`` is upper triangular.
+    """Factor square matrices so that ``a @ q`` is upper triangular.
 
-    Returns ``(r, q)`` with ``q`` unitary and ``r = a @ q`` upper triangular
-    (``r`` carries exact structural zeros below the diagonal).  This is the
-    standard RQ decomposition ``a = r q'`` with ``q = q'^dag`` so the caller
-    can use ``q`` directly as a right-multiplier that triangularizes ``a``.
+    ``a`` is one ``(s, s)`` matrix or a stack of them (any leading axes,
+    typically ``(k, s, s)``); every matrix of the stack is factored on its
+    own.  Returns ``(r, q)`` of the same shape with each ``q`` unitary and
+    ``r = a @ q`` upper triangular (``r`` carries exact structural zeros
+    below the diagonal).  This is the standard RQ decomposition ``a = r q'``
+    with ``q = q'^dag`` so the caller can use ``q`` directly as a
+    right-multiplier that triangularizes ``a``.
 
     A 2 x 2 matrix gets the closed-form rotation that maps its bottom row
     ``(x, y)`` to ``(0, rho)`` with ``rho = |(x, y)|``; a zero bottom row
@@ -106,17 +108,22 @@ def rq_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     Householder QR of the reversed conjugate transpose: ``(J a)^dag = Q R``
     gives ``a (Q J) = J R^dag J``.
     """
-    mat = as_matrix(a, square=True)
-    if mat.shape[0] == 2:
-        (a00, a01), (x, y) = mat.tolist()
-        rho = math.hypot(abs(x), abs(y))
-        if rho == 0.0:
-            return mat.copy(), np.eye(2, dtype=np.complex128)
-        x /= rho
-        y /= rho
-        xc, yc = x.conjugate(), y.conjugate()
-        q = np.array([[y, xc], [-x, yc]])
-        r = np.array([[a00 * y - a01 * x, a00 * xc + a01 * yc], [0j, rho]])
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix contains non-finite entries")
+    if a.shape[-1] == 2:
+        rho = np.hypot(np.abs(a[..., 1, 0]), np.abs(a[..., 1, 1]))
+        zero = rho == 0.0
+        # A zero bottom row is divided by 1 instead and gets y = 1, so q = I.
+        unit = a[..., 1, :] / np.where(zero, 1.0, rho)[..., np.newaxis]
+        x, y = unit[..., 0], unit[..., 1] + zero
+        q = np.empty_like(a)
+        q[..., 0, 0], q[..., 0, 1], q[..., 1, 0], q[..., 1, 1] = y, np.conj(x), -x, np.conj(y)
+        r = np.zeros_like(a)
+        r[..., 0, :] = a[..., 0, :1] * q[..., 0, :] + a[..., 0, 1:] * q[..., 1, :]
+        r[..., 1, 1] = rho
         return r, q
-    q, r = np.linalg.qr(mat[::-1].conj().T)
-    return r.conj().T[::-1, ::-1], q[:, ::-1]
+    q, r = np.linalg.qr(np.conj(a[..., ::-1, :]).swapaxes(-1, -2))
+    return np.conj(r).swapaxes(-1, -2)[..., ::-1, ::-1], q[..., ::-1]

@@ -18,9 +18,10 @@ All sampling is driven by ``numpy`` seed sequences derived from a single
 master seed plus fixed stream tags, so every sweep is reproducible and
 distinct loops never share a stream.  One joint perturbation of a mesh is
 one generator, seeded from ``NoiseModel.seed``: it draws the offsets of
-every block as one flat array of ``(re, im)`` pairs, with the blocks in
-factor order and each block row-major.  A sweep stacks the perturbations of
-one matrix and composes them together; each slice of the stack depends only
+every block as one flat array of ``(re, im)`` pairs laid out like the
+plan's own ``blocks`` array (factor order, each block row-major).  A sweep
+stacks the perturbations of one matrix and composes them together, one
+wavefront layer of the plan at a time; each slice of the stack depends only
 on its own seed, so it equals the same perturbation composed alone.
 """
 
@@ -157,42 +158,6 @@ def fidelity(q, q_pert) -> float:
     return float(_fidelities(q, p))
 
 
-@dataclass(frozen=True, eq=False)
-class _PackedPlan:
-    """A plan laid out for batched perturbation.
-
-    ``blocks`` holds every factor block row-major in one flat array, in
-    factor order.  ``factors`` gives, per factor, its 0-based mode indices,
-    the slice of ``blocks`` holding its entries, and its block size.
-    ``groups`` gathers the factors by block size as ``(entry_index, ideal)``
-    pairs: ``entry_index`` (shape ``(K_s, s*s)``) picks the size-``s``
-    blocks out of the flat array and ``ideal`` is their ``(K_s, s, s)``
-    stack.
-    """
-
-    phases: np.ndarray
-    blocks: np.ndarray
-    factors: tuple[tuple[np.ndarray, slice, int], ...]
-    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-
-def _pack(plan: DecompositionPlan) -> _PackedPlan:
-    factors = []
-    start = 0
-    for f in plan.factors:
-        factors.append((np.asarray(f.columns) - 1, slice(start, start + f.size**2), f.size))
-        start += f.size**2
-    blocks = np.zeros(start, dtype=np.complex128)
-    for f, (_, entries, _) in zip(plan.factors, factors):
-        blocks[entries] = f.block.ravel()
-    groups = []
-    for s in sorted({size for _, _, size in factors}):
-        starts = np.array([entries.start for _, entries, size in factors if size == s])
-        entry_index = starts[:, None] + np.arange(s * s)
-        groups.append((entry_index, blocks[entry_index].reshape(-1, s, s)))
-    return _PackedPlan(plan.phases, blocks, tuple(factors), tuple(groups))
-
-
 def _perturb_blocks(blocks: np.ndarray, sigma: float, seeds) -> np.ndarray:
     """One joint perturbation of a flat block array per seed: ``(P, size)``.
 
@@ -209,27 +174,20 @@ def _perturb_blocks(blocks: np.ndarray, sigma: float, seeds) -> np.ndarray:
     return blocks + sigma * pairs.view(np.complex128)[..., 0]
 
 
-def _perturbed_stack(packed: _PackedPlan, sigma: float, seeds):
+def _perturbed_stack(plan: DecompositionPlan, sigma: float, seeds):
     """Compose one perturbation of the plan per seed, as one stack.
 
     Returns the ``(P, n, n)`` perturbed matrices and the ``(P, K)`` block
     fidelities, with the factors of each slice ordered by block size.
     """
-    flat = _perturb_blocks(packed.blocks, sigma, seeds)
+    flat = _perturb_blocks(plan.blocks, sigma, seeds)
     stack = (len(seeds),)
     block_fids = [np.zeros(stack + (0,))]  # a plan without factors has no groups
-    for entry_index, ideal in packed.groups:
-        perturbed = flat[:, entry_index].reshape(stack + ideal.shape)
+    for s, _, entries in plan._layout.by_size():
+        ideal = plan.blocks[entries].reshape(-1, s, s)
+        perturbed = flat[:, entries].reshape(stack + ideal.shape)
         block_fids.append(_fidelities(ideal, perturbed))
-    matrices = _compose(
-        packed.phases,
-        (
-            (idx, flat[:, entries].reshape(stack + (s, s)))
-            for idx, entries, s in reversed(packed.factors)
-        ),
-        stack,
-    )
-    return matrices, np.concatenate(block_fids, axis=-1)
+    return _compose(plan, flat), np.concatenate(block_fids, axis=-1)
 
 
 def reconstruct_perturbed(plan: DecompositionPlan, noise: NoiseModel) -> np.ndarray:
@@ -238,7 +196,7 @@ def reconstruct_perturbed(plan: DecompositionPlan, noise: NoiseModel) -> np.ndar
     With ``noise.sigma == 0`` this reproduces ``reconstruct(plan)`` bit for
     bit (same composition code path, identical blocks).
     """
-    matrices, _ = _perturbed_stack(_pack(plan), noise.sigma, [noise.seed])
+    matrices, _ = _perturbed_stack(plan, noise.sigma, [noise.seed])
     return matrices[0]
 
 
@@ -421,16 +379,16 @@ def _check_counts(n_matrices: int, n_perturbations: int) -> tuple[int, int]:
 
 
 def _prepare(n: int, m: int, n_matrices: int, seed: int, key) -> list:
-    """Draw a sweep's trial matrices and decompose and pack each one once.
+    """Draw a sweep's trial matrices and decompose each one once.
 
     Matrix ``t`` is the Haar unitary seeded by
     ``_child_seed(seed, _MATRIX_STREAM, *key, t)``.  Returns the
-    ``(u, packed plan)`` pairs that ``_sweep_cell`` takes.
+    ``(u, plan)`` pairs that ``_sweep_cell`` takes.
     """
     prepared = []
     for t in range(n_matrices):
         u = haar_random_unitary(n, _child_seed(seed, _MATRIX_STREAM, *key, t))
-        prepared.append((u, _pack(decompose(u, m))))
+        prepared.append((u, decompose(u, m)))
     return prepared
 
 
@@ -439,18 +397,18 @@ def _sweep_cell(
 ) -> SweepResult:
     """Pool block and matrix fidelities over every perturbation of every matrix.
 
-    ``prepared`` lists ``(u, packed plan)`` pairs.  Perturbation ``p`` of
+    ``prepared`` lists ``(u, plan)`` pairs.  Perturbation ``p`` of
     matrix ``t`` is the joint draw seeded by
     ``_child_seed(seed, _NOISE_STREAM, *cell, t, p)``; the perturbations of
     one matrix are composed as one stack.
     """
     fq_acc = _RunningMean()
     fu_acc = _RunningMean()
-    for t, (u, packed) in enumerate(prepared):
+    for t, (u, plan) in enumerate(prepared):
         seeds = [
             _child_seed(seed, _NOISE_STREAM, *cell, t, p) for p in range(n_perturbations)
         ]
-        rebuilt, block_fids = _perturbed_stack(packed, sigma, seeds)
+        rebuilt, block_fids = _perturbed_stack(plan, sigma, seeds)
         fq_acc.add(block_fids)
         fu_acc.add(_fidelities(u, rebuilt))
     return SweepResult(n=n, m=m, sigma=sigma, fq=fq_acc.stats(), fu=fu_acc.stats())
@@ -485,9 +443,8 @@ def sweep_noise(
 
     results: list[SweepResult] = []
     for mi, m in enumerate(m_list):
-        # Decompose and pack each trial matrix once; the packed plan is
-        # reused across the whole sigma grid (perturbation draws stay
-        # independent per sigma).
+        # Decompose each trial matrix once; the plan is reused across the
+        # whole sigma grid (perturbation draws stay independent per sigma).
         prepared = _prepare(n, m, n_matrices, seed, (mi,))
         for si, sigma in enumerate(sigma_grid):
             results.append(

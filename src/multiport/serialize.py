@@ -14,12 +14,13 @@ consistency and raise ``ValueError`` on malformed input.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
 import numpy as np
 
-from .decomposition import DecompositionPlan, Factor
+from .decomposition import DecompositionPlan, _FactorError, _shape_fault
 from .linalg import as_matrix
 from .robustness import SweepResult
 
@@ -35,7 +36,7 @@ __all__ = [
 
 CSV_HEADER = "n,m,sigma,fq_mean,fq_stderr,fu_mean,fu_stderr,samples"
 # json.loads gives exactly these types for JSON numbers; bool is excluded
-_JSON_NUMBERS = (int, float)
+_JSON_NUMBERS = frozenset((int, float))
 
 
 def _f17(x: float) -> str:
@@ -46,26 +47,21 @@ def _f12(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _matrix_fields(mat: np.ndarray, pad: str) -> str:
-    """The ``rows``, ``cols`` and ``entries`` lines of a matrix object.
-
-    Each line starts with ``pad``; each row of entries sits two spaces deeper.
-    """
+def matrix_to_json(a) -> str:
+    """Serialize a matrix to its canonical JSON text."""
+    mat = as_matrix(a)
     rows, cols = mat.shape
     entries = ",\n".join(
-        pad + "  " + ", ".join(f"[{_f17(v.real)}, {_f17(v.imag)}]" for v in row)
+        "    " + ", ".join(f"[{_f17(v.real)}, {_f17(v.imag)}]" for v in row)
         for row in mat.tolist()
     )
     return (
-        f'{pad}"rows": {rows},\n'
-        f'{pad}"cols": {cols},\n'
-        f'{pad}"entries": [\n{entries}\n{pad}]\n'
+        "{\n"
+        f'  "rows": {rows},\n'
+        f'  "cols": {cols},\n'
+        f'  "entries": [\n{entries}\n  ]\n'
+        "}\n"
     )
-
-
-def matrix_to_json(a) -> str:
-    """Serialize a matrix to its canonical JSON text."""
-    return "{\n" + _matrix_fields(as_matrix(a), "  ") + "}\n"
 
 
 # Validation messages are formatted only on failure: a plan holds thousands
@@ -95,11 +91,11 @@ def _as_float(obj, name: str) -> float:
     return value
 
 
-def _matrix_from_obj(obj, name: str) -> np.ndarray:
-    """Validate a parsed matrix object and return it as a complex128 array.
+def _matrix_entries(obj, name: str) -> tuple[int, int, list]:
+    """Check a parsed matrix object's keys, shape and entry count.
 
-    Every entry must be a ``[re, im]`` list of two finite JSON numbers (not
-    booleans or strings).  Error messages start with ``name``.
+    Returns ``(rows, cols, entries)``; ``_entry_array`` checks the entries
+    themselves.  Error messages start with ``name``.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"{name} must be an object")
@@ -111,19 +107,41 @@ def _matrix_from_obj(obj, name: str) -> np.ndarray:
         raise ValueError(f"{name} shape must be positive integers, got {rows!r}x{cols!r}")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ValueError(f"{name} entries must be a list of {rows * cols} [re, im] pairs")
-    for k, pair in enumerate(entries):
-        if not (
-            type(pair) is list
-            and len(pair) == 2
-            and type(pair[0]) in _JSON_NUMBERS
-            and type(pair[1]) in _JSON_NUMBERS
-        ):
-            raise ValueError(f"{name} entry {k} must be a [re, im] pair of numbers")
-    parts = np.array(entries, dtype=np.float64)
-    if not np.isfinite(parts).all():
-        k = int(np.argmin(np.isfinite(parts).all(axis=1)))
-        raise ValueError(f"{name} entry {k} must be finite")
-    return parts.view(np.complex128).reshape(rows, cols)
+    return rows, cols, entries
+
+
+def _is_pair(pair) -> bool:
+    return (
+        type(pair) is list
+        and len(pair) == 2
+        and type(pair[0]) in _JSON_NUMBERS
+        and type(pair[1]) in _JSON_NUMBERS
+    )
+
+
+def _entry_array(entries: list, entry_name) -> np.ndarray:
+    """Parsed ``[re, im]`` entries as a flat complex128 array.
+
+    Every entry must be a list of two finite JSON numbers (not booleans or
+    strings).  The types of all entries are checked at once; the message
+    of the first bad entry ``j`` starts with ``entry_name(j)``.
+    """
+    if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}:
+        parts = list(itertools.chain.from_iterable(entries))
+        if set(map(type, parts)) <= _JSON_NUMBERS:
+            parts = np.array(parts, dtype=np.float64).reshape(-1, 2)
+            finite = np.isfinite(parts).all(axis=1)
+            if not finite.all():
+                raise ValueError(f"{entry_name(int(np.argmin(finite)))} must be finite")
+            return parts.view(np.complex128)[:, 0]
+    j = next(j for j, pair in enumerate(entries) if not _is_pair(pair))
+    raise ValueError(f"{entry_name(j)} must be a [re, im] pair of numbers")
+
+
+def _matrix_from_obj(obj, name: str) -> np.ndarray:
+    """Validate a parsed matrix object and return it as a complex128 array."""
+    rows, cols, entries = _matrix_entries(obj, name)
+    return _entry_array(entries, lambda j: f"{name} entry {j}").reshape(rows, cols)
 
 
 def json_to_matrix(text: str) -> np.ndarray:
@@ -142,34 +160,63 @@ def load_matrix(path) -> np.ndarray:
         return json_to_matrix(fh.read())
 
 
+def _factor_template(size: int) -> str:
+    """The ``%`` template of one plan factor with a ``size x size`` block.
+
+    It takes the base row, the ``size`` 1-based columns and the block's
+    ``2 * size**2`` real and imaginary parts, row-major, and lays the block
+    out as ``matrix_to_json`` lays out a matrix, six spaces deeper.
+    """
+    row = "          " + ", ".join(["[%.17g, %.17g]"] * size)
+    return (
+        "    {\n"
+        f'      "size": {size},\n'
+        '      "base_row": %d,\n'
+        '      "columns": [' + ", ".join(["%d"] * size) + "],\n"
+        '      "block": {\n'
+        f'        "rows": {size},\n'
+        f'        "cols": {size},\n'
+        '        "entries": [\n' + ",\n".join([row] * size) + "\n        ]\n"
+        "      }\n"
+        "    }"
+    )
+
+
 def plan_to_json(plan: DecompositionPlan) -> str:
     """Serialize a decomposition plan to its canonical JSON text."""
-    parts = ["{\n", f'  "n": {plan.n},\n', f'  "m": {plan.m},\n', '  "factors": [\n']
-    factor_chunks = []
-    for f in plan.factors:
-        cols = ", ".join(str(c) for c in f.columns)
-        factor_chunks.append(
-            "    {\n"
-            f'      "size": {f.size},\n'
-            f'      "base_row": {f.base_row},\n'
-            f'      "columns": [{cols}],\n'
-            '      "block": {\n'
-            + _matrix_fields(f.block, "        ")
-            + "      }\n"
-            "    }"
-        )
-    parts.append(",\n".join(factor_chunks))
-    if factor_chunks:
-        parts.append("\n")
+    sizes = plan.sizes.tolist()
+    templates = {s: _factor_template(s) for s in set(sizes)}
+    parts = plan.blocks.view(np.float64).tolist()
+    factors = []
+    start = 0
+    for s, row, cols in zip(sizes, plan.base_rows.tolist(), (plan.columns + 1).tolist()):
+        stop = start + 2 * s * s
+        factors.append(templates[s] % (row, *cols[:s], *parts[start:stop]))
+        start = stop
+    body = ",\n".join(factors) + "\n" if factors else ""
     phases = ", ".join(_f17(p) for p in plan.phases)
-    parts.append("  ],\n")
-    parts.append(f'  "phases": [{phases}]\n')
-    parts.append("}\n")
-    return "".join(parts)
+    return (
+        "{\n"
+        f'  "n": {plan.n},\n'
+        f'  "m": {plan.m},\n'
+        '  "factors": [\n'
+        + body
+        + "  ],\n"
+        f'  "phases": [{phases}]\n'
+        "}\n"
+    )
 
 
-def _factor_from_obj(obj) -> Factor:
-    """Validate one parsed plan factor; messages are relative to the factor."""
+_COLUMNS_MESSAGE = "columns must be a list of integers"
+
+
+def _factor_fields(obj) -> tuple[int, int, list, list]:
+    """Check one parsed plan factor; messages are relative to the factor.
+
+    Returns its size, base row, 1-based columns and block entries, with the
+    block's shape and the number of columns matching the size.  The types
+    of the columns and entries are left to one check over all factors.
+    """
     _require(isinstance(obj, dict), "must be an object")
     for key in ("size", "base_row", "columns", "block"):
         if key not in obj:
@@ -177,12 +224,12 @@ def _factor_from_obj(obj) -> Factor:
     size = _as_int(obj["size"], "size")
     base_row = _as_int(obj["base_row"], "base_row")
     columns = obj["columns"]
-    _require(
-        isinstance(columns, list) and all(map(_is_int, columns)),
-        "columns must be a list of integers",
-    )
-    block = _matrix_from_obj(obj["block"], "block")
-    return Factor(size=size, base_row=base_row, columns=tuple(columns), block=block)
+    _require(isinstance(columns, list), _COLUMNS_MESSAGE)  # json_to_plan checks the items
+    rows, cols, entries = _matrix_entries(obj["block"], "block")
+    fault = _shape_fault(size, (rows, cols), len(columns))
+    if fault is not None:
+        raise ValueError(fault)
+    return size, base_row, columns, entries
 
 
 def json_to_plan(text: str) -> DecompositionPlan:
@@ -195,20 +242,52 @@ def json_to_plan(text: str) -> DecompositionPlan:
     m = _as_int(obj["m"], "m")
     raw_factors = obj["factors"]
     _require(isinstance(raw_factors, list), "factors must be a list")
-    factors = []
+    sizes, base_rows, columns, entries = [], [], [], []
     for k, rf in enumerate(raw_factors):
         try:
-            factors.append(_factor_from_obj(rf))
+            size, base_row, cols, pairs = _factor_fields(rf)
         except ValueError as exc:
             raise ValueError(f"factors[{k}]: {exc}") from None
+        sizes.append(size)
+        base_rows.append(base_row)
+        columns.extend(cols)
+        entries.extend(pairs)
+    if not set(map(type, columns)) <= {int}:
+        k = next(k for k, rf in enumerate(raw_factors) if not all(map(_is_int, rf["columns"])))
+        raise ValueError(f"factors[{k}]: {_COLUMNS_MESSAGE}")
+    sizes = np.array(sizes, dtype=np.intp)
+    ends = np.cumsum(sizes * sizes)
+
+    def entry_name(j):
+        k = int(np.searchsorted(ends, j, side="right"))
+        return f"factors[{k}]: block entry {j - ends[k] + sizes[k] ** 2}"
+
+    blocks = _entry_array(entries, entry_name)
+    try:
+        base_rows = np.array(base_rows, dtype=np.intp)
+        columns = np.array(columns, dtype=np.intp) - 1
+    except OverflowError:
+        raise ValueError("invalid plan: a base row or column is out of range") from None
     raw_phases = obj["phases"]
     _require(isinstance(raw_phases, list), "phases must be a list")
+    # The plan takes the columns padded with -1 to width m.  m is checked
+    # there; a valid m is at most n = len(phases), so the clamp only keeps an
+    # invalid m from sizing the array, and a factor wider than m is rejected
+    # by its size before the columns' width is looked at.
+    width = max(min(m, len(raw_phases)), int(sizes.max(initial=0)))
+    padded = np.full((len(sizes), width), -1, dtype=np.intp)
+    padded[np.arange(width) < sizes[:, np.newaxis]] = columns
     phases = np.array(
         [_as_float(p, f"phases[{k}]") for k, p in enumerate(raw_phases)],
         dtype=np.float64,
     )
     try:
-        return DecompositionPlan(n=n, m=m, factors=tuple(factors), phases=phases)
+        return DecompositionPlan(
+            n=n, m=m, sizes=sizes, base_rows=base_rows, columns=padded,
+            blocks=blocks, phases=phases,
+        )
+    except _FactorError:
+        raise
     except ValueError as exc:
         raise ValueError(f"invalid plan: {exc}") from None
 

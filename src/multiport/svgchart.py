@@ -88,6 +88,15 @@ def _fmt_tick(v: float) -> str:
     return format(v, ".6g")
 
 
+def _escape(text: str) -> str:
+    """``text`` with the characters XML reserves in element content escaped.
+
+    The same as ``xml.sax.saxutils.escape``, whose import pulls in
+    ``urllib.request`` and ``ssl`` (about 6 MB of resident memory).
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt_px(v: float) -> str:
     return format(v, ".2f")
 
@@ -98,7 +107,11 @@ def line_chart(
     y_label: str,
     title: str,
 ) -> str:
-    """Render the series into an SVG document string."""
+    """Render the series into an SVG document string.
+
+    The title, axis labels and series labels are plain text; characters
+    that XML reserves (``<``, ``&``, ``>``) are escaped.
+    """
     series = list(series)
     if not series:
         raise ValueError("at least one series is required")
@@ -138,7 +151,7 @@ def line_chart(
     out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
     out.append(
         f'<text x="{_WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>'
+        f'font-family="sans-serif" font-size="16">{_escape(title)}</text>'
     )
 
     for t in _nice_ticks(x_lo + pad_x, x_hi - pad_x):
@@ -169,12 +182,12 @@ def line_chart(
     )
     out.append(
         f'<text x="{left + plot_w / 2:.0f}" y="{_HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{x_label}</text>'
+        f'font-family="sans-serif" font-size="13">{_escape(x_label)}</text>'
     )
     out.append(
         f'<text x="16" y="{top + plot_h / 2:.0f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 16 {top + plot_h / 2:.0f})">{y_label}</text>'
+        f'transform="rotate(-90 16 {top + plot_h / 2:.0f})">{_escape(y_label)}</text>'
     )
 
     for idx, s in enumerate(series):
@@ -218,7 +231,7 @@ def line_chart(
         )
         out.append(
             f'<text x="{legend_x + 28}" y="{y + 4}" font-family="sans-serif" '
-            f'font-size="12">{s.label}</text>'
+            f'font-size="12">{_escape(s.label)}</text>'
         )
 
     out.append("</svg>")

@@ -21,6 +21,23 @@ from multiport.linalg import haar_random_unitary, unitarity
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
+def plan_from_factors(n, m, factors, phases):
+    """The plan holding ``factors``, in order, and ``phases``."""
+    width = max([m] + [f.size for f in factors])
+    columns = np.full((len(factors), width), -1)
+    for k, f in enumerate(factors):
+        columns[k, : f.size] = np.array(f.columns) - 1
+    return DecompositionPlan(
+        n=n,
+        m=m,
+        sizes=[f.size for f in factors],
+        base_rows=[f.base_row for f in factors],
+        columns=columns,
+        blocks=np.concatenate([np.zeros(0, complex)] + [f.block.ravel() for f in factors]),
+        phases=phases,
+    )
+
+
 def random_permutation_unitary(n, seed):
     rng = np.random.default_rng(seed)
     return np.eye(n, dtype=complex)[:, rng.permutation(n)]
@@ -332,13 +349,13 @@ class TestSchedule:
 
 class TestReconstruct:
     def test_empty_plan_is_identity(self):
-        plan = DecompositionPlan(n=3, m=2, factors=(), phases=np.zeros(3))
+        plan = plan_from_factors(n=3, m=2, factors=(), phases=np.zeros(3))
         np.testing.assert_array_equal(reconstruct(plan), np.eye(3))
 
     def test_single_factor_definition(self):
         q = haar_random_unitary(2, 6)
         f = Factor(size=2, base_row=3, columns=(1, 3), block=q)
-        plan = DecompositionPlan(n=3, m=2, factors=(f,), phases=np.zeros(3))
+        plan = plan_from_factors(n=3, m=2, factors=(f,), phases=np.zeros(3))
         np.testing.assert_allclose(
             reconstruct(plan), embed_factor(f, 3).conj().T, atol=1e-15
         )
@@ -354,39 +371,87 @@ class TestReconstruct:
 
     def test_phases_only(self):
         angles = np.array([0.1, -0.5, 2.0, 3.1])
-        plan = DecompositionPlan(n=4, m=2, factors=(), phases=angles)
+        plan = plan_from_factors(n=4, m=2, factors=(), phases=angles)
         np.testing.assert_allclose(
             reconstruct(plan), np.diag(np.exp(1j * angles)), atol=0
         )
 
 
+class TestLayers:
+    """Plans are composed one wavefront layer at a time."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["dense", "block-diagonal", "permuted block-diagonal"])
+    def test_reconstruct_matches_explicit_embedded_product(self, kind, m):
+        n = 24
+        if kind == "dense":
+            u = haar_random_unitary(n, 40 + m)
+        else:
+            u, _ = block_diagonal(n, m)
+            if kind.startswith("permuted"):
+                u = u[:, np.random.default_rng(m).permutation(n)]
+        plan = decompose(u, m)
+        expected = np.diag(np.exp(1j * plan.phases))
+        for f in reversed(plan.factors):
+            expected = expected @ embed_factor(f, n).conj().T
+        assert np.abs(reconstruct(plan) - expected).max() <= n * np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", [3, 8, 21])
+    def test_pairwise_mesh_layers_are_its_antidiagonals(self, n):
+        layout, _, _ = _schedule(n, 2, _zero_pattern(np.ones((n, n))))
+        assert len(layout.layers) == 2 * n - 3
+        # the steps of one layer act on disjoint columns
+        for _, _, cols, _ in layout.layers:
+            assert len(set(cols.ravel().tolist())) == cols.size
+
+    def test_factor_order_is_schedule_order(self):
+        plan = decompose(haar_random_unitary(9, 3), 3)
+        layout, _, _ = _schedule(9, 3, _zero_pattern(np.ones((9, 9))))
+        np.testing.assert_array_equal(plan.base_rows, layout.base_rows)
+        np.testing.assert_array_equal(plan.columns, layout.columns)
+
+
 class TestPlanValidation:
     def test_rejects_phase_out_of_range(self):
         with pytest.raises(ValueError, match="pi"):
-            DecompositionPlan(n=2, m=2, factors=(), phases=np.array([0.0, 4.0]))
+            plan_from_factors(n=2, m=2, factors=(), phases=np.array([0.0, 4.0]))
 
     def test_rejects_wrong_phase_count(self):
         with pytest.raises(ValueError):
-            DecompositionPlan(n=3, m=2, factors=(), phases=np.zeros(2))
+            plan_from_factors(n=3, m=2, factors=(), phases=np.zeros(2))
 
     def test_rejects_oversized_factor(self):
         f = Factor(size=3, base_row=3, columns=(1, 2, 3), block=haar_random_unitary(3, 1))
         with pytest.raises(ValueError, match="size"):
-            DecompositionPlan(n=3, m=2, factors=(f,), phases=np.zeros(3))
+            plan_from_factors(n=3, m=2, factors=(f,), phases=np.zeros(3))
 
     def test_rejects_base_row_beyond_n(self):
         f = Factor(size=2, base_row=5, columns=(1, 5), block=SWAP)
         with pytest.raises(ValueError, match="base row"):
-            DecompositionPlan(n=3, m=2, factors=(f,), phases=np.zeros(3))
+            plan_from_factors(n=3, m=2, factors=(f,), phases=np.zeros(3))
 
     def test_rejects_count_beyond_bound(self):
         f = Factor(size=2, base_row=2, columns=(1, 2), block=SWAP)
         with pytest.raises(ValueError, match="bound"):
-            DecompositionPlan(n=2, m=2, factors=(f, f), phases=np.zeros(2))
+            plan_from_factors(n=2, m=2, factors=(f, f), phases=np.zeros(2))
 
     def test_rejects_m_out_of_range(self):
         with pytest.raises(ValueError):
-            DecompositionPlan(n=2, m=3, factors=(), phases=np.zeros(2))
+            plan_from_factors(n=2, m=3, factors=(), phases=np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "columns,message",
+        [
+            ([[0, 1]], r"columns must be a \(1, 3\) array"),
+            ([[0, 1, 2]], "padded with -1"),
+        ],
+    )
+    def test_rejects_columns_not_padded_to_m(self, columns, message):
+        with pytest.raises(ValueError, match=message):
+            DecompositionPlan(
+                n=3, m=3, sizes=[2], base_rows=[2], columns=columns,
+                blocks=SWAP.ravel(), phases=np.zeros(3),
+            )
 
 
 class TestVerify:
@@ -409,7 +474,7 @@ class TestVerify:
                 block=np.eye(f0.size),
             ),
         ) + plan.factors[1:]
-        bad = DecompositionPlan(n=plan.n, m=plan.m, factors=tampered, phases=plan.phases)
+        bad = plan_from_factors(n=plan.n, m=plan.m, factors=tampered, phases=plan.phases)
         report = verify(bad, u)
         assert not report.passed
         assert report.fidelity < 1 - 1e-6
@@ -527,4 +592,26 @@ class TestBlockDiagonalProperties:
         target(len(steps) - bound, label=f"m={m}")  # steer the search toward the bound
         assert len(steps) <= bound
         plan = decompose(u, m)
+        assert np.abs(reconstruct(plan) - u).max() <= 4 * n * np.finfo(float).eps
+
+
+@st.composite
+def phase_diagonals(draw):
+    """A diagonal of unit-modulus phases and a block size."""
+    n = draw(st.integers(2, 24))
+    m = draw(st.integers(2, min(4, n)))
+    angles = draw(st.lists(st.floats(-np.pi, np.pi), min_size=n, max_size=n))
+    return np.diag(np.exp(1j * np.array(angles))), m
+
+
+class TestPhaseDiagonalProperties:
+    """A phase diagonal needs no factor and round-trips exactly."""
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(phase_diagonals())
+    def test_phase_diagonal(self, case):
+        u, m = case
+        n = u.shape[0]
+        plan = decompose(u, m)
+        assert len(plan.sizes) == 0 and plan.factors == ()
         assert np.abs(reconstruct(plan) - u).max() <= 4 * n * np.finfo(float).eps

@@ -1,9 +1,11 @@
-import dataclasses
+import itertools
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import hyp1f1
 
 from multiport import robustness
@@ -14,7 +16,6 @@ from multiport.robustness import (
     NoiseModel,
     _fidelities,
     _mean_block_fidelity,
-    _pack,
     _perturb_blocks,
     _perturbed_stack,
     _RunningMean,
@@ -138,6 +139,30 @@ class TestRunningMean:
         assert acc.stats().mean == pytest.approx(mean, rel=1e-14)
         assert acc.stats().std_error == pytest.approx(se, rel=1e-12)
 
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(0, 64), min_size=2, max_size=400),
+        st.lists(st.integers(1, 60), min_size=1, max_size=20),
+    )
+    def test_matches_numpy_a_few_ulps_below_one(self, ulps, chunks):
+        # values 1 - k * 2**-53 differ from each other by whole ulps, the
+        # resolution at which any two-pass statistic can resolve them
+        ulp = 2.0**-53
+        values = 1.0 - np.array(ulps) * ulp
+        acc = _RunningMean()
+        start = 0
+        for size in itertools.cycle(chunks):
+            if start >= values.size:
+                break
+            acc.add(values[start : start + size])
+            start += size
+        stats = acc.stats()
+        mean, se = self._reference(values)
+        root_n = np.sqrt(values.size)
+        assert stats.samples == values.size
+        assert abs(stats.mean - mean) <= 8 * ulp
+        assert abs(stats.std_error - se) * root_n <= 2 * ulp
+
     def test_single_sample_and_empty(self):
         acc = _RunningMean()
         with pytest.raises(ValueError):
@@ -157,13 +182,12 @@ class TestPerturbFactor:
 
     def test_sigma_zero_is_identity(self, sample_plan):
         _, plan = sample_plan
-        packed = _pack(plan)
-        flat = _perturb_blocks(packed.blocks, 0.0, [5, 6])
-        np.testing.assert_array_equal(flat, np.stack([packed.blocks] * 2))
+        flat = _perturb_blocks(plan.blocks, 0.0, [5, 6])
+        np.testing.assert_array_equal(flat, np.stack([plan.blocks] * 2))
 
     def test_deterministic_per_draw(self, sample_plan):
         _, plan = sample_plan
-        blocks = _pack(plan).blocks
+        blocks = plan.blocks
         a = _perturb_blocks(blocks, 0.2, [31, 32])
         b = _perturb_blocks(blocks, 0.2, [31, 32])
         np.testing.assert_array_equal(a, b)
@@ -171,7 +195,7 @@ class TestPerturbFactor:
 
     def test_seed_changes_draw(self, sample_plan):
         _, plan = sample_plan
-        blocks = _pack(plan).blocks
+        blocks = plan.blocks
         a = _perturb_blocks(blocks, 0.2, [31])
         b = _perturb_blocks(blocks, 0.2, [32])
         assert not np.array_equal(a, b)
@@ -187,7 +211,7 @@ class TestPerturbFactor:
 
     def test_result_allows_non_unitary_block(self, sample_plan):
         _, plan = sample_plan
-        rebuilt, block_fids = _perturbed_stack(_pack(plan), 0.3, [1, 2])
+        rebuilt, block_fids = _perturbed_stack(plan, 0.3, [1, 2])
         assert rebuilt.shape == (2, 8, 8)
         assert block_fids.shape == (2, len(plan.factors))
         assert np.isfinite(block_fids).all() and (block_fids < 1).all()
@@ -199,7 +223,7 @@ class TestPerturbFactor:
     def test_stack_slices_equal_single_reconstructions(self, sample_plan):
         _, plan = sample_plan
         seeds = [40, 41, 42]
-        rebuilt, _ = _perturbed_stack(_pack(plan), 0.1, seeds)
+        rebuilt, _ = _perturbed_stack(plan, 0.1, seeds)
         for p, seed in enumerate(seeds):
             np.testing.assert_array_equal(
                 rebuilt[p], reconstruct_perturbed(plan, NoiseModel(0.1, seed))
@@ -207,24 +231,27 @@ class TestPerturbFactor:
 
     def test_block_fidelities_match_scalar_fidelity(self, sample_plan):
         _, plan = sample_plan
-        packed = _pack(plan)
-        flat = _perturb_blocks(packed.blocks, 0.2, [3, 4])
-        _, block_fids = _perturbed_stack(packed, 0.2, [3, 4])
+        flat = _perturb_blocks(plan.blocks, 0.2, [3, 4])
+        _, block_fids = _perturbed_stack(plan, 0.2, [3, 4])
+        starts = np.cumsum([0] + [f.size**2 for f in plan.factors])
         for p in range(2):
             expected = []
-            for (_, entries, s), f in zip(packed.factors, plan.factors):
+            for start, f in zip(starts, plan.factors):
+                s = f.size
+                entries = slice(start, start + s * s)
                 expected.append((s, fidelity(f.block, flat[p, entries].reshape(s, s))))
             # block fidelities come grouped by block size, factor order within
             expected = [fid for _, fid in sorted(expected, key=lambda e: e[0])]
             np.testing.assert_allclose(block_fids[p], expected, rtol=0, atol=1e-14)
 
-    def test_zero_power_block_rejected(self, sample_plan):
+    def test_zero_power_block_rejected(self, sample_plan, monkeypatch):
         _, plan = sample_plan
-        packed = _pack(plan)
-        zeroed = packed.blocks.copy()
-        zeroed[packed.factors[0][1]] = 0.0
+        zeroed = plan.blocks.copy()
+        zeroed[: plan.sizes[0] ** 2] = 0.0
+        # a plan only holds unitary blocks, so zero the first one as it is drawn
+        monkeypatch.setattr(robustness, "_perturb_blocks", lambda blocks, sigma, seeds: zeroed[None])
         with pytest.raises(ValueError, match="zero"):
-            _perturbed_stack(dataclasses.replace(packed, blocks=zeroed), 0.0, [0])
+            _perturbed_stack(plan, 0.0, [0])
 
 
 class TestReconstructPerturbed:

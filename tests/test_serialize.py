@@ -106,6 +106,13 @@ def _one_factor_plan(entries, block=None):
     )
 
 
+# one 2 x 2 swap factor; fill in its columns and base row
+_SWAP = (
+    '{"size": 2, "columns": %s, "base_row": %d, "block": {"rows": 2, "cols": 2, '
+    '"entries": [[0, 0], [1, 0], [1, 0], [0, 0]]}}'
+)
+
+
 class TestPlanJson:
     def test_round_trip_exact(self, plan):
         again = json_to_plan(plan_to_json(plan))
@@ -168,6 +175,38 @@ class TestPlanJson:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError, match="factors|plan JSON"):
             json_to_plan(bad)
+
+    @pytest.mark.parametrize(
+        "factor,message",
+        [
+            ('{"size": 1, "base_row": 1, "columns": [1], "block": {"rows": 1, "cols": 1, '
+             '"entries": [[1, 0]]}}', "factors[0]: block size must be at least 2, got 1"),
+            (_SWAP % ("[2, 1]", 2), "factors[0]: columns must be strictly ascending, got (2, 1)"),
+            (_SWAP % ("[0, 1]", 2), "factors[0]: column indices are 1-based, got (0, 1)"),
+            (_SWAP % ("[1, 2]", 1), "factors[0]: base row 1 lies above the last column 2"),
+            (_SWAP % ("[1, 2]", 3), "invalid plan: factors[0] base row 3 exceeds n = 2"),
+            (_SWAP % ("[1, 2.0]", 2), "factors[0]: columns must be a list of integers"),
+            (_SWAP.replace("[0, 0]]}", "[2, 0]]}") % ("[1, 2]", 2),
+             "factors[0]: factor block is not unitary (defect 4.000e+00)"),
+        ],
+    )
+    def test_factor_messages(self, factor, message):
+        text = '{"n": 2, "m": 2, "factors": [%s], "phases": [0, 0]}' % factor
+        with pytest.raises(ValueError) as exc:
+            json_to_plan(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("columns,base_row", [("[1, 2]", 10**30), ("[1, 10000000000000000000000]", 2)])
+    def test_rejects_index_beyond_machine_integers(self, columns, base_row):
+        text = '{"n": 2, "m": 2, "factors": [%s], "phases": [0, 0]}' % (_SWAP % (columns, base_row))
+        with pytest.raises(ValueError, match="invalid plan"):
+            json_to_plan(text)
+
+    @pytest.mark.parametrize("n,m", [(2, 10**12), (10**12, 10**12), (2, -(10**12))])
+    def test_rejects_huge_block_size_without_sizing_by_it(self, n, m):
+        text = '{"n": %d, "m": %d, "factors": [%s], "phases": [0, 0]}' % (n, m, _SWAP % ("[1, 2]", 2))
+        with pytest.raises(ValueError, match="invalid plan"):
+            json_to_plan(text)
 
     def test_one_factor_template_is_valid(self):
         plan = json_to_plan(_one_factor_plan("[[0, 0], [1, 0], [1, 0], [0, 0]]"))

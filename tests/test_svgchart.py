@@ -62,6 +62,12 @@ class TestLineChart:
         assert "sweep" in text
         assert "m = 2" in text and "m = 3" in text
 
+    def test_reserved_characters_in_text_are_escaped(self):
+        series = [Series("m < 3 & more", (0.0, 1.0), (0.5, 0.6), (0.0, 0.0))]
+        root = ET.fromstring(line_chart(series, "x < 1", "y & z", title="a > b"))
+        texts = {t.text for t in root.iter(f"{SVG_NS}text")}
+        assert {"m < 3 & more", "x < 1", "y & z", "a > b"} <= texts
+
     def test_error_bars_drawn_only_when_given(self):
         root = ET.fromstring(line_chart(two_series(), "x", "y", title="t"))
 
