@@ -40,7 +40,7 @@ def main():
     finite = (n * (n - 1) // 2) * args.c2 / factor_count_bound(n, m)
     print(f"\nverdicts at n = {n}, 5% either side of the finite-n break-even:")
     for cm in (0.95 * finite, 1.05 * finite):
-        comp = cost_compare(n, m, cm, args.c2, factor_count_bound(n, m))
+        comp = cost_compare(n, m, cm, args.c2)
         print(f"  c_m = {cm:8.3f}: cost_m = {comp.cost_m:12.1f} "
               f"vs cost_2 = {comp.cost_2:10.1f} -> "
               f"advantageous = {comp.advantageous}")

@@ -24,7 +24,6 @@ from .decomposition import (
     DecompositionError,
     cost_compare,
     decompose,
-    factor_count_bound,
     reconstruct,
     verify,
 )
@@ -192,8 +191,7 @@ def _cmd_sweep_size(args) -> int:
 
 
 def _cmd_cost(args) -> int:
-    count = factor_count_bound(args.n, args.m)
-    comp = cost_compare(args.n, args.m, args.cm, args.c2, count)
+    comp = cost_compare(args.n, args.m, args.cm, args.c2)
     threshold = args.m * (args.m - 1) / 2 * args.c2
     print(f"n = {comp.n}")
     print(f"m = {comp.m}")

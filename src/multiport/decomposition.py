@@ -28,8 +28,9 @@ graph (for ``m = 2`` these are the anti-diagonals of the triangular mesh).
 ``decompose`` and the composition behind ``reconstruct`` run one layer at a
 time, with one batched RQ or matrix product per block size in the layer.
 A ``DecompositionPlan`` stores its factors as flat arrays in factor order
-(sizes, base rows, padded columns and one array of row-major blocks); the
-``Factor`` objects of ``plan.factors`` are built from them on demand.
+(sizes, base rows, padded columns and one array of row-major blocks) and
+validates them once, when it is built; ``plan.factors`` returns records
+whose blocks are read-only views of those arrays.
 """
 
 from __future__ import annotations
@@ -82,17 +83,8 @@ def _first(bad: np.ndarray) -> int | None:
     return int(np.argmax(bad)) if bad.any() else None
 
 
-def _shape_fault(size: int, shape: tuple, n_columns: int) -> str | None:
-    """What is wrong with a factor's block shape or column count, or ``None``."""
-    if shape != (size, size):
-        return f"block shape {shape} does not match size {size}"
-    if n_columns != size:
-        return f"expected {size} columns, got {n_columns}"
-    return None
-
-
 def _factor_fault(sizes, base_rows, columns) -> tuple[int, str] | None:
-    """The first factor with a malformed size, columns or base row, and why.
+    """The first factor of a plan with a malformed size, columns or base row.
 
     ``columns`` holds each factor's 0-based columns padded with -1 to a
     width that fits every factor; returns ``(k, message)`` for the first
@@ -126,41 +118,21 @@ def _unitarity_defects(blocks: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Factor:
-    """One block unitary acting on a chosen subset of modes.
+    """One block unitary of a plan, acting on a chosen subset of modes.
 
     ``columns`` are 1-based mode indices in strictly ascending order;
     ``base_row`` is the 1-based row whose left-of-diagonal entries the block
     was chosen to clear.  ``block`` is the ``size x size`` unitary itself.
     The full-dimension action of the factor is ``embed_factor(factor, n)``.
-    A plan stores its factors as flat arrays and builds these on demand
-    (``DecompositionPlan.factors``).
+    ``DecompositionPlan.factors`` builds these records from a plan that was
+    validated once, when it was built, and each ``block`` is a read-only
+    view of ``plan.blocks``; the record itself checks nothing.
     """
 
     size: int
     base_row: int
     columns: tuple[int, ...]
     block: np.ndarray
-
-    def __post_init__(self) -> None:
-        size = int(self.size)
-        base_row = int(self.base_row)
-        columns = tuple(map(int, self.columns))
-        block = np.array(self.block, dtype=np.complex128)
-        block.setflags(write=False)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "base_row", base_row)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "block", block)
-
-        fault = _shape_fault(size, block.shape, len(columns))
-        if fault is not None:
-            raise ValueError(fault)
-        fault = _factor_fault(np.array([size]), np.array([base_row]), np.array([columns]) - 1)
-        if fault is not None:
-            raise ValueError(fault[1])
-        defect = _unitarity_defects(block)
-        if not defect <= _BLOCK_UNITARY_TOL:  # also rejects NaN
-            raise ValueError(f"factor block is not unitary (defect {defect:.3e})")
 
 
 @dataclass(frozen=True)
@@ -275,11 +247,13 @@ class DecompositionPlan:
     stored as flat arrays: ``sizes`` and 1-based ``base_rows`` (one entry
     per factor), ``columns`` (each factor's 0-based modes, padded with -1 to
     width ``m``) and ``blocks`` (every block row-major, one after the
-    other).  ``factors`` builds them as ``Factor`` objects on demand.
-    ``phases`` holds the n output phase angles, each in ``(-pi, pi]``,
-    defining ``D = diag(exp(1j * phases))``.  Construction validates every
-    factor, the unitarity of the blocks as one stacked check per block size,
-    and splits the factors into wavefront layers.
+    other).  ``phases`` holds the n output phase angles, each in
+    ``(-pi, pi]``, defining ``D = diag(exp(1j * phases))``.  Construction
+    copies the arrays read-only, validates every factor (size, columns,
+    base row, and the unitarity of the blocks as one stacked check per
+    block size) and splits the factors into wavefront layers; it is the
+    only place a factor is checked.  ``factors`` lists them as ``Factor``
+    records over read-only views of ``blocks``.
     """
 
     n: int
@@ -353,9 +327,10 @@ class DecompositionPlan:
 
     @property
     def factors(self) -> tuple[Factor, ...]:
-        """The factors in the order they were applied, built as ``Factor`` objects."""
+        """The factors in the order they were applied; blocks are views of ``blocks``."""
+        blocks = self.blocks
         return tuple(
-            Factor(s, row, cols[:s], self.blocks[start : start + s * s].reshape(s, s))
+            Factor(s, row, tuple(cols[:s]), blocks[start : start + s * s].reshape(s, s))
             for s, row, cols, start in zip(
                 self.sizes.tolist(),
                 self.base_rows.tolist(),
@@ -382,12 +357,16 @@ def factor_count_bound(n: int, m: int) -> int:
 def embed_factor(factor: Factor, n: int) -> np.ndarray:
     """Expand a factor to its full ``n x n`` action (identity elsewhere)."""
     n = int(n)
-    if factor.columns[-1] > n:
+    cols = factor.columns
+    k = len(cols)
+    shape = np.shape(factor.block)
+    if not (len(set(cols)) == k and 0 < min(cols, default=0) and max(cols) <= n
+            and shape == (k, k)):
         raise ValueError(
-            f"factor touches column {factor.columns[-1]} but n = {n}"
+            f"factor on columns {cols} with block shape {shape} does not embed in n = {n}"
         )
     out = np.eye(n, dtype=np.complex128)
-    idx = np.asarray(factor.columns) - 1
+    idx = np.asarray(cols) - 1
     out[np.ix_(idx, idx)] = factor.block
     return out
 
@@ -649,16 +628,14 @@ class CostComparison:
     advantageous: bool
 
 
-def cost_compare(n: int, m: int, c_m: float, c_2: float, count_m: int) -> CostComparison:
-    """Compare an m-block mesh of ``count_m`` factors against a 2 x 2 mesh."""
+def cost_compare(n: int, m: int, c_m: float, c_2: float) -> CostComparison:
+    """Compare a mesh of ``factor_count_bound(n, m)`` m-blocks against a 2 x 2 mesh."""
     n, m = _check_block_size(n, m)
     c_m = float(c_m)
     c_2 = float(c_2)
     if not (c_m > 0 and c_2 > 0):
         raise ValueError(f"costs must be positive, got c_m={c_m}, c_2={c_2}")
-    count_m = int(count_m)
-    if count_m < 1:
-        raise ValueError(f"count_m must be positive, got {count_m}")
+    count_m = factor_count_bound(n, m)
     cost_m = c_m * count_m
     cost_2 = c_2 * (n * (n - 1) / 2)
     return CostComparison(

@@ -8,8 +8,10 @@ nested matrix object.  Floats are rendered with 17 significant digits, which
 round-trips IEEE doubles exactly; sweep CSVs use 12 significant digits.
 
 Writers emit deterministic text: serializing the same object twice yields
-byte-identical output.  Loaders validate shape, finiteness, and internal
-consistency and raise ``ValueError`` on malformed input.
+byte-identical output.  Negative zeros are written as ``0``, the value
+``json.loads`` reads back, so reading a file and writing it again
+reproduces it byte for byte.  Loaders validate shape, finiteness, and
+internal consistency and raise ``ValueError`` on malformed input.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 
 import numpy as np
 
-from .decomposition import DecompositionPlan, _FactorError, _shape_fault
+from .decomposition import DecompositionPlan, _FactorError
 from .linalg import as_matrix
 from .robustness import SweepResult
 
@@ -49,7 +51,7 @@ def _f12(x: float) -> str:
 
 def matrix_to_json(a) -> str:
     """Serialize a matrix to its canonical JSON text."""
-    mat = as_matrix(a)
+    mat = as_matrix(a) + 0.0  # negative zeros become 0
     rows, cols = mat.shape
     entries = ",\n".join(
         "    " + ", ".join(f"[{_f17(v.real)}, {_f17(v.imag)}]" for v in row)
@@ -186,7 +188,7 @@ def plan_to_json(plan: DecompositionPlan) -> str:
     """Serialize a decomposition plan to its canonical JSON text."""
     sizes = plan.sizes.tolist()
     templates = {s: _factor_template(s) for s in set(sizes)}
-    parts = plan.blocks.view(np.float64).tolist()
+    parts = (plan.blocks.view(np.float64) + 0.0).tolist()  # negative zeros become 0
     factors = []
     start = 0
     for s, row, cols in zip(sizes, plan.base_rows.tolist(), (plan.columns + 1).tolist()):
@@ -194,7 +196,7 @@ def plan_to_json(plan: DecompositionPlan) -> str:
         factors.append(templates[s] % (row, *cols[:s], *parts[start:stop]))
         start = stop
     body = ",\n".join(factors) + "\n" if factors else ""
-    phases = ", ".join(_f17(p) for p in plan.phases)
+    phases = ", ".join(_f17(p) for p in plan.phases + 0.0)
     return (
         "{\n"
         f'  "n": {plan.n},\n'
@@ -226,9 +228,10 @@ def _factor_fields(obj) -> tuple[int, int, list, list]:
     columns = obj["columns"]
     _require(isinstance(columns, list), _COLUMNS_MESSAGE)  # json_to_plan checks the items
     rows, cols, entries = _matrix_entries(obj["block"], "block")
-    fault = _shape_fault(size, (rows, cols), len(columns))
-    if fault is not None:
-        raise ValueError(fault)
+    if (rows, cols) != (size, size):
+        raise ValueError(f"block shape {(rows, cols)} does not match size {size}")
+    if len(columns) != size:
+        raise ValueError(f"expected {size} columns, got {len(columns)}")
     return size, base_row, columns, entries
 
 

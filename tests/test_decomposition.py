@@ -70,43 +70,89 @@ class TestFactorCountBound:
             factor_count_bound(n, m)
 
 
+def one_factor_plan(n, m, size, base_row, columns, block):
+    """The plan holding one hand-built ``Factor`` record, and zero phases."""
+    return plan_from_factors(n, m, (Factor(size, base_row, columns, block),), np.zeros(n))
+
+
 class TestFactor:
+    """The plan checks each factor once; ``plan.factors`` reads it back as views."""
+
     def test_valid_factor(self):
-        f = Factor(size=2, base_row=3, columns=(1, 3), block=SWAP)
-        assert f.columns == (1, 3)
+        plan = one_factor_plan(n=3, m=2, size=2, base_row=3, columns=(1, 3), block=SWAP)
+        (f,) = plan.factors
+        assert (f.size, f.base_row, f.columns) == (2, 3, (1, 3))
+        assert type(f.size) is int and type(f.base_row) is int
+        assert all(type(c) is int for c in f.columns)
         np.testing.assert_array_equal(f.block, SWAP)
 
     def test_block_is_write_protected_copy(self):
-        block = SWAP.copy()
-        f = Factor(size=2, base_row=2, columns=(1, 2), block=block)
-        block[0, 0] = 9.0
-        assert f.block[0, 0] == 0.0
-        with pytest.raises(ValueError):
-            f.block[0, 0] = 1.0
+        blocks = np.concatenate([SWAP.ravel(), haar_random_unitary(2, 4).ravel()])
+        sizes, base_rows = np.array([2, 2]), np.array([3, 3])
+        columns = np.array([[0, 2], [1, 2]])
+        plan = DecompositionPlan(
+            n=3, m=2, sizes=sizes, base_rows=base_rows, columns=columns,
+            blocks=blocks, phases=np.zeros(3),
+        )
+        expected = blocks.copy()
+        factors = plan.factors
+        for k, f in enumerate(factors):
+            assert np.shares_memory(f.block, plan.blocks)
+            np.testing.assert_array_equal(f.block, expected[4 * k : 4 * k + 4].reshape(2, 2))
+            with pytest.raises(ValueError, match="read-only"):
+                f.block[0, 0] = 9.0
+        blocks[:] = 9.0
+        sizes[:], base_rows[:], columns[:] = 3, 1, 0
+        np.testing.assert_array_equal(plan.blocks, expected)
+        for listing in (factors, plan.factors):
+            assert [(f.size, f.base_row, f.columns) for f in listing] == [
+                (2, 3, (1, 3)), (2, 3, (2, 3)),
+            ]
+            np.testing.assert_array_equal(
+                np.concatenate([f.block.ravel() for f in listing]), expected
+            )
+
+    @staticmethod
+    def rejects(message, **factor):
+        with pytest.raises(ValueError) as excinfo:
+            one_factor_plan(**factor)
+        assert str(excinfo.value) == message
 
     def test_rejects_non_unitary_block(self):
-        with pytest.raises(ValueError, match="unitary"):
-            Factor(size=2, base_row=2, columns=(1, 2), block=np.diag([1.0, 2.0]))
+        self.rejects(
+            "factors[0]: factor block is not unitary (defect 3.000e+00)",
+            n=2, m=2, size=2, base_row=2, columns=(1, 2), block=np.diag([1.0, 2.0]),
+        )
 
     def test_rejects_size_one(self):
-        with pytest.raises(ValueError):
-            Factor(size=1, base_row=1, columns=(1,), block=np.eye(1))
+        self.rejects(
+            "factors[0]: block size must be at least 2, got 1",
+            n=2, m=2, size=1, base_row=1, columns=(1,), block=np.eye(1),
+        )
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            Factor(size=3, base_row=3, columns=(1, 2, 3), block=SWAP)
+        self.rejects(
+            "expected 9 block entries, got shape (4,)",
+            n=3, m=3, size=3, base_row=3, columns=(1, 2, 3), block=SWAP,
+        )
 
     def test_rejects_descending_columns(self):
-        with pytest.raises(ValueError, match="ascending"):
-            Factor(size=2, base_row=3, columns=(3, 1), block=SWAP)
+        self.rejects(
+            "factors[0]: columns must be strictly ascending, got (3, 1)",
+            n=3, m=2, size=2, base_row=3, columns=(3, 1), block=SWAP,
+        )
 
     def test_rejects_column_above_base_row(self):
-        with pytest.raises(ValueError, match="base row"):
-            Factor(size=2, base_row=2, columns=(1, 3), block=SWAP)
+        self.rejects(
+            "factors[0]: base row 2 lies above the last column 3",
+            n=3, m=2, size=2, base_row=2, columns=(1, 3), block=SWAP,
+        )
 
     def test_rejects_zero_column(self):
-        with pytest.raises(ValueError, match="1-based"):
-            Factor(size=2, base_row=2, columns=(0, 1), block=SWAP)
+        self.rejects(
+            "factors[0]: column indices are 1-based, got (0, 1)",
+            n=2, m=2, size=2, base_row=2, columns=(0, 1), block=SWAP,
+        )
 
 
 class TestEmbedFactor:
@@ -133,7 +179,24 @@ class TestEmbedFactor:
 
     def test_rejects_small_dimension(self):
         f = Factor(size=2, base_row=4, columns=(2, 4), block=SWAP)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not embed in n = 3"):
+            embed_factor(f, 3)
+
+    @pytest.mark.parametrize("columns", [(0, 1), (2, 2)])
+    def test_rejects_zero_or_repeated_column(self, columns):
+        # column 0 would wrap to the last mode; a repeated column would
+        # write one block entry over another
+        f = Factor(size=2, base_row=2, columns=columns, block=SWAP)
+        with pytest.raises(ValueError, match="does not embed"):
+            embed_factor(f, 3)
+
+    @pytest.mark.parametrize(
+        "columns,block",
+        [((1, 2, 3), SWAP), ((1, 2), np.ones((2, 3))), ((2,), SWAP)],
+    )
+    def test_rejects_block_not_matching_columns(self, columns, block):
+        f = Factor(size=len(columns), base_row=3, columns=columns, block=block)
+        with pytest.raises(ValueError, match="does not embed"):
             embed_factor(f, 3)
 
 
@@ -489,7 +552,7 @@ class TestCostCompare:
     def test_worked_example(self):
         # m=3, c_m=2, c_2=1, n=50: bound = floor(2450/6) + 49 = 457,
         # cost_m = 914, cost_2 = 50*49/2 = 1225
-        comp = cost_compare(50, 3, 2.0, 1.0, factor_count_bound(50, 3))
+        comp = cost_compare(50, 3, 2.0, 1.0)
         assert comp.count_m == 457
         assert comp.cost_m == 914.0
         assert comp.cost_2 == 1225.0
@@ -497,7 +560,7 @@ class TestCostCompare:
 
     def test_equal_costs_not_advantageous(self):
         n = 10
-        comp = cost_compare(n, 2, 1.0, 1.0, n * (n - 1) // 2)
+        comp = cost_compare(n, 2, 1.0, 1.0)
         assert comp.cost_m == comp.cost_2
         assert not comp.advantageous
 
@@ -505,28 +568,23 @@ class TestCostCompare:
         # at c_m exactly (1/2)m(m-1)c_2 the +n-1 remainder overhead makes the
         # block mesh strictly more expensive, even at large n
         n = 5000
-        comp = cost_compare(n, 3, 3.0, 1.0, factor_count_bound(n, 3))
+        comp = cost_compare(n, 3, 3.0, 1.0)
         assert not comp.advantageous
 
     def test_large_n_threshold_both_sides_m10(self):
         # break-even c_m = (1/2)*10*9 = 45; 5% to either side at n=5000
         n = 5000
-        count = factor_count_bound(n, 10)
-        assert count == 282721  # floor(5000*4999/90) + 4999, by hand
-        cheap = cost_compare(n, 10, 0.95 * 45.0, 1.0, count)
-        dear = cost_compare(n, 10, 1.05 * 45.0, 1.0, count)
+        cheap = cost_compare(n, 10, 0.95 * 45.0, 1.0)
+        dear = cost_compare(n, 10, 1.05 * 45.0, 1.0)
+        assert cheap.count_m == 282721  # floor(5000*4999/90) + 4999, by hand
         assert cheap.advantageous
         assert not dear.advantageous
 
     def test_rejects_nonpositive_cost(self):
         with pytest.raises(ValueError):
-            cost_compare(4, 2, 0.0, 1.0, 6)
+            cost_compare(4, 2, 0.0, 1.0)
         with pytest.raises(ValueError):
-            cost_compare(4, 2, 1.0, -1.0, 6)
-
-    def test_rejects_bad_count(self):
-        with pytest.raises(ValueError):
-            cost_compare(4, 2, 1.0, 1.0, 0)
+            cost_compare(4, 2, 1.0, -1.0)
 
 
 @st.composite

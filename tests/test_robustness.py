@@ -60,6 +60,24 @@ class TestFidelity:
         p = q + 0.05
         assert fidelity(q, 3.7 * p) == pytest.approx(fidelity(q, p), abs=1e-12)
 
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 8),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 1.0),
+        st.floats(1e-3, 1e3),
+        st.floats(-np.pi, np.pi),
+        st.floats(-np.pi, np.pi),
+    )
+    def test_global_phase_and_scale_of_perturbed_argument(self, d, seed, noise, c, theta, phi):
+        # scaling q is not an invariance (F scales by c**2), so only p is scaled
+        q = haar_random_unitary(d, seed)
+        rng = np.random.default_rng(seed)
+        p = q + noise * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        base = fidelity(q, p)
+        assert fidelity(q, c * np.exp(1j * theta) * p) == pytest.approx(base, abs=1e-12)
+        assert fidelity(np.exp(1j * phi) * q, p) == pytest.approx(base, abs=1e-12)
+
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             fidelity(np.eye(2), np.zeros((2, 2)))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from multiport.decomposition import decompose, reconstruct
 from multiport.linalg import haar_random_unitary
@@ -90,6 +91,14 @@ class TestMatrixJson:
         with pytest.raises(ValueError):
             matrix_to_json(np.array([[np.nan]]))
 
+    def test_negative_zero_written_as_zero(self):
+        # json.loads reads "-0" as the integer 0, so "-0" would not survive a rewrite
+        mat = np.array([[complex(-0.0, -0.0), complex(-0.0, 1.0)], [1.0, complex(0.5, -0.0)]])
+        text = matrix_to_json(mat)
+        assert "-0," not in text and "-0]" not in text
+        assert matrix_to_json(json_to_matrix(text)) == text
+        np.testing.assert_array_equal(json_to_matrix(text), mat)
+
 
 @pytest.fixture(scope="module")
 def plan():
@@ -126,6 +135,21 @@ class TestPlanJson:
 
     def test_deterministic_text(self, plan):
         assert plan_to_json(plan) == plan_to_json(plan)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["haar", "permutation", "permuted block-diagonal"])
+    def test_read_then_write_gives_the_same_text(self, kind, m):
+        n = 12
+        rng = np.random.default_rng(m)
+        if kind == "haar":
+            u = haar_random_unitary(n, m)
+        elif kind == "permutation":
+            u = np.eye(n, dtype=complex)[:, rng.permutation(n)]
+        else:
+            blocks = [haar_random_unitary(k, m + k) for k in (5, 4, 3)]
+            u = scipy.linalg.block_diag(*blocks)[:, rng.permutation(n)]
+        text = plan_to_json(decompose(u, m))
+        assert plan_to_json(json_to_plan(text)) == text
 
     def test_empty_plan(self):
         empty = decompose(np.eye(3, dtype=complex), 2)
@@ -188,6 +212,9 @@ class TestPlanJson:
             (_SWAP % ("[1, 2.0]", 2), "factors[0]: columns must be a list of integers"),
             (_SWAP.replace("[0, 0]]}", "[2, 0]]}") % ("[1, 2]", 2),
              "factors[0]: factor block is not unitary (defect 4.000e+00)"),
+            (_SWAP.replace('"size": 2', '"size": 3') % ("[1, 2]", 2),
+             "factors[0]: block shape (2, 2) does not match size 3"),
+            (_SWAP % ("[1]", 2), "factors[0]: expected 2 columns, got 1"),
         ],
     )
     def test_factor_messages(self, factor, message):

@@ -3,11 +3,13 @@
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import multiport
+from multiport.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -52,3 +54,18 @@ def test_readme_has_two_python_blocks():
 def test_readme_python_block_runs(index, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(compile(readme_python_blocks()[index], f"README.md block {index}", "exec"), {})
+
+
+def readme_cli_commands():
+    """The ``multiport ...`` lines of the README's CLI block, continuations joined."""
+    blocks = re.findall(r"^```sh\n(.*?)^```$", README.read_text(), re.M | re.S)
+    (block,) = [b for b in blocks if b.startswith("multiport ")]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_cli_commands()
+    assert len(commands) == 7 and all(argv[0] == "multiport" for argv in commands)
+    for argv in commands:
+        assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
