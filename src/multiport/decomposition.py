@@ -25,8 +25,14 @@ their pattern allows.  Schedules are kept in a small bounded cache.
 Steps on disjoint columns commute, so a schedule splits into wavefront
 layers: a step's layer is its longest-path depth in the column-conflict
 graph (for ``m = 2`` these are the anti-diagonals of the triangular mesh).
-``decompose`` and the composition behind ``reconstruct`` run one layer at a
-time, with one batched RQ or matrix product per block size in the layer.
+The sweep runs one layer at a time, with one batched RQ, product and
+scatter per block size in the layer, on a whole stack of inputs at once:
+the inputs of one zero pattern share the schedule, so they cross its
+layers together, and each matrix gets the arithmetic, and so the plan, it
+would get alone.  ``decompose`` is the stack of one; the noise sweeps
+decompose all their trial matrices of one size as one stack.  The
+composition behind ``reconstruct`` runs the layers the same way, on one
+set of blocks or a stack of them.
 A ``DecompositionPlan`` stores its factors as flat arrays in factor order
 (sizes, base rows, padded columns and one array of row-major blocks) and
 validates them once, when it is built; ``plan.factors`` returns records
@@ -36,6 +42,7 @@ whose blocks are read-only views of those arrays.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,8 +71,9 @@ class DecompositionError(RuntimeError):
 
 
 def _check_block_size(n, m) -> tuple[int, int]:
-    """``(n, m)`` as ints; raises ``ValueError`` unless ``2 <= m <= n``."""
-    n, m = int(n), int(m)
+    """``(n, m)`` as ints; raises ``TypeError`` unless both are integers
+    and ``ValueError`` unless ``2 <= m <= n``."""
+    n, m = operator.index(n), operator.index(m)
     if not 2 <= m <= n:
         raise ValueError(f"block size m={m} must satisfy 2 <= m <= n={n}")
     return n, m
@@ -371,22 +379,26 @@ def embed_factor(factor: Factor, n: int) -> np.ndarray:
     return out
 
 
-def _compose(plan: DecompositionPlan, blocks: np.ndarray) -> np.ndarray:
-    """Build ``diag(exp(1j*phases))`` times the daggered blocks of ``plan``.
+def _compose(layout: _Layout, blocks: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Build ``diag(exp(1j*phases))`` times the daggered blocks of a layout.
 
-    ``blocks`` is laid out like ``plan.blocks`` and may carry leading
-    ``stack`` axes, one set of blocks per slice; the result then has shape
-    ``stack + (n, n)``.  The layers are applied last first.  The factors of
-    a layer act on disjoint columns, so one gather, product and scatter per
-    block size applies them all with the arithmetic of one factor at a
-    time.  Shared by the exact and perturbed reconstruction paths, so zero
-    perturbation reproduces the exact result bit for bit and each slice of
-    a stack equals the same slice composed alone.
+    ``blocks`` is laid out like ``DecompositionPlan.blocks`` and may carry
+    leading ``stack`` axes, one set of blocks per slice; ``phases`` holds n
+    phase angles per slice, with leading axes that broadcast to ``stack``.
+    The slices may come from different plans that share the layout.  The
+    result has shape ``stack + (n, n)``.  The layers are applied last
+    first.  The factors of a layer act on disjoint columns, so one gather,
+    product and scatter per block size applies them all with the
+    arithmetic of one factor at a time.  Shared by the exact and perturbed
+    reconstruction paths, so zero perturbation reproduces the exact result
+    bit for bit and each slice of a stack equals the same slice composed
+    alone.
     """
     stack = blocks.shape[:-1]
-    diag = np.diag(np.exp(1j * plan.phases))
-    out = np.broadcast_to(diag, stack + diag.shape).copy()
-    for s, _, cols, starts in reversed(plan._layout.layers):
+    n = phases.shape[-1]
+    out = np.zeros(stack + (n, n), dtype=np.complex128)
+    out[..., np.arange(n), np.arange(n)] = np.exp(1j * phases)
+    for s, _, cols, starts in reversed(layout.layers):
         entries = starts[:, np.newaxis] + np.arange(s * s)
         block = blocks[..., entries].reshape(stack + (-1, s, s))
         gathered = out[..., cols].swapaxes(-2, -3)
@@ -396,7 +408,7 @@ def _compose(plan: DecompositionPlan, blocks: np.ndarray) -> np.ndarray:
 
 def reconstruct(plan: DecompositionPlan) -> np.ndarray:
     """Multiply a plan back out into the n x n matrix it encodes."""
-    return _compose(plan, plan.blocks)
+    return _compose(plan._layout, plan.blocks, plan.phases)
 
 
 def _zero_pattern(w: np.ndarray) -> bytes:
@@ -506,38 +518,37 @@ def _schedule(n: int, m: int, pattern: bytes):
     return layout, tuple(new_zeros), refills
 
 
-def decompose(u, m: int) -> DecompositionPlan:
-    """Sweep an n x n unitary into at most ``factor_count_bound(n, m)`` factors.
+def _sweep(w: np.ndarray, layout: _Layout) -> np.ndarray:
+    """Sweep a ``(T, n, n)`` stack in place through one schedule's layers.
 
-    The schedule comes from the exact zero pattern of ``u`` (see the module
-    docstring) and is cached per ``(m, pattern)``, so every dense input of a
-    given size shares one.  Raises ``ValueError`` for a non-unitary input or
-    an out-of-range ``m``, and ``DecompositionError`` if the swept matrix is
-    not a diagonal of unit-modulus phases.
+    Every matrix of the stack must have the zero pattern the schedule was
+    simulated on.  Each layer group gets one batched RQ, one product and
+    one scatter for the whole stack; the arithmetic on each matrix is that
+    of the matrix swept alone.  Returns the ``(T, entries)`` blocks, laid
+    out like ``DecompositionPlan.blocks``; ``w`` ends holding the swept
+    matrices.
     """
-    w = as_matrix(u, square=True).copy()
-    n, m = _check_block_size(w.shape[0], m)
-    report = unitarity(w, tol=_INPUT_UNITARY_TOL)
-    if not report.is_unitary:
-        raise ValueError(
-            f"input is not unitary: defect {report.defect:.3e} exceeds "
-            f"{_INPUT_UNITARY_TOL:.0e}"
-        )
-
-    layout, new_zeros, refills = _schedule(n, m, _zero_pattern(w))
-    blocks = np.empty(layout.offsets[-1], dtype=np.complex128)
+    blocks = np.empty((len(w), layout.offsets[-1]), dtype=np.complex128)
     for s, tops, cols, starts in layout.layers:
         rows = tops[:, np.newaxis] + np.arange(s)
-        block = (rows[:, :, np.newaxis], cols[:, np.newaxis, :])
+        block = (slice(None), rows[:, :, np.newaxis], cols[:, np.newaxis, :])
         r, q = rq_decompose(w[block])
         # The rows below each block are finished: they hold exact zeros
         # in its columns, and multiplying keeps them so.
-        w[:, cols] = (w[:, cols].swapaxes(0, 1) @ q).swapaxes(0, 1)
-        blocks[starts[:, np.newaxis] + np.arange(s * s)] = q.reshape(-1, s * s)
+        w[:, :, cols] = (w[:, :, cols].swapaxes(1, 2) @ q).swapaxes(1, 2)
+        blocks[:, starts[:, np.newaxis] + np.arange(s * s)] = q.reshape(len(w), -1, s * s)
         w[block] = r  # exact zeros below each block's diagonal
+    return blocks
 
-    # What survives must be a diagonal of pure phases.  An input that is
-    # unitary within _INPUT_UNITARY_TOL ends within about n times that.
+
+def _phases(w: np.ndarray) -> np.ndarray:
+    """The phase angles, in ``(-pi, pi]``, of a swept matrix's diagonal.
+
+    Raises ``DecompositionError`` unless ``w`` is a diagonal of unit-modulus
+    entries; an input unitary within ``_INPUT_UNITARY_TOL`` ends within
+    about n times that.
+    """
+    n = w.shape[0]
     diag = np.diagonal(w)
     diag_tol = 2.0 * n * _INPUT_UNITARY_TOL
     off = np.abs(w - np.diag(diag)).max()
@@ -552,19 +563,59 @@ def decompose(u, m: int) -> DecompositionPlan:
         )
     phases = np.angle(diag)
     phases[phases <= -np.pi] += 2.0 * np.pi  # fold the -pi edge into (-pi, pi]
+    return phases
 
-    return DecompositionPlan(
-        n=n,
-        m=m,
-        sizes=layout.sizes,
-        base_rows=layout.base_rows,
-        columns=layout.columns,
-        blocks=blocks,
-        phases=phases,
-        diagnostics=SweepDiagnostics(
-            new_zeros_per_factor=new_zeros, refill_events=refills
-        ),
-    )
+
+def _decompose_stack(us: np.ndarray, m: int) -> list[DecompositionPlan]:
+    """Decompose every matrix of a finite ``(T, n, n)`` complex stack.
+
+    The members are grouped by exact zero pattern, and each group crosses
+    its cached schedule's layers together (see ``_sweep``), so each plan is
+    bit for bit the one the matrix gets when swept alone.  Returns the
+    plans in stack order; raises as ``decompose`` does if any member is at
+    fault.
+    """
+    n, m = _check_block_size(us.shape[-1], m)
+    for u in us:
+        report = unitarity(u, tol=_INPUT_UNITARY_TOL)
+        if not report.is_unitary:
+            raise ValueError(
+                f"input is not unitary: defect {report.defect:.3e} exceeds "
+                f"{_INPUT_UNITARY_TOL:.0e}"
+            )
+    groups: dict[bytes, list[int]] = {}
+    for t, u in enumerate(us):
+        groups.setdefault(_zero_pattern(u), []).append(t)
+    plans = [None] * len(us)
+    for pattern, members in groups.items():
+        layout, new_zeros, refills = _schedule(n, m, pattern)
+        w = us[members]  # a copy: fancy indexing
+        blocks = _sweep(w, layout)
+        diagnostics = SweepDiagnostics(new_zeros_per_factor=new_zeros, refill_events=refills)
+        for t, swept, flat in zip(members, w, blocks):
+            plans[t] = DecompositionPlan(
+                n=n,
+                m=m,
+                sizes=layout.sizes,
+                base_rows=layout.base_rows,
+                columns=layout.columns,
+                blocks=flat,
+                phases=_phases(swept),
+                diagnostics=diagnostics,
+            )
+    return plans
+
+
+def decompose(u, m: int) -> DecompositionPlan:
+    """Sweep an n x n unitary into at most ``factor_count_bound(n, m)`` factors.
+
+    The schedule comes from the exact zero pattern of ``u`` (see the module
+    docstring) and is cached per ``(m, pattern)``, so every dense input of a
+    given size shares one.  Raises ``ValueError`` for a non-unitary input or
+    an out-of-range ``m``, and ``DecompositionError`` if the swept matrix is
+    not a diagonal of unit-modulus phases.
+    """
+    return _decompose_stack(as_matrix(u, square=True)[np.newaxis], m)[0]
 
 
 @dataclass(frozen=True)

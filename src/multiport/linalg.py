@@ -7,6 +7,7 @@ random sampling is a pure function of the seed that is passed in.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,7 @@ def sample_haar(rng: np.random.Generator, n: int, count: int | None = None) -> n
     """
     if n < 1:
         raise ValueError(f"dimension must be at least 1, got {n}")
-    shape = (n, n) if count is None else (int(count), n, n)
+    shape = (n, n) if count is None else (operator.index(count), n, n)
     # real/imaginary parts are drawn as interleaved pairs so the stream
     # position after k matrices does not depend on how calls are batched
     pairs = rng.standard_normal(shape + (2,))
@@ -87,7 +88,7 @@ def sample_haar(rng: np.random.Generator, n: int, count: int | None = None) -> n
 def haar_random_unitary(n: int, seed: int) -> np.ndarray:
     """Seeded Haar-random unitary.  Same ``(n, seed)`` gives identical output."""
     rng = np.random.default_rng(np.random.SeedSequence(int(seed) & _U64_MASK))
-    return sample_haar(rng, int(n))
+    return sample_haar(rng, operator.index(n))
 
 
 def rq_decompose(a) -> tuple[np.ndarray, np.ndarray]:

@@ -19,20 +19,29 @@ master seed plus fixed stream tags, so every sweep is reproducible and
 distinct loops never share a stream.  One joint perturbation of a mesh is
 one generator, seeded from ``NoiseModel.seed``: it draws the offsets of
 every block as one flat array of ``(re, im)`` pairs laid out like the
-plan's own ``blocks`` array (factor order, each block row-major).  A sweep
-stacks the perturbations of one matrix and composes them together, one
-wavefront layer of the plan at a time; each slice of the stack depends only
-on its own seed, so it equals the same perturbation composed alone.
+plan's own ``blocks`` array (factor order, each block row-major).
+
+A sweep decomposes the trial matrices of one block size as one stack, then
+composes their perturbations as stacks too, one wavefront layer at a time
+for every slice: all draws of all ``(sigma, matrix)`` pairs of that block
+size, in chunks of whole pairs that hold at most ``_STACK_ENTRIES``
+(``2**18``) complex entries of matrices plus blocks.  Each slice depends
+only on its own seed, so it equals the same perturbation composed alone,
+and each chunk is pooled pair by pair in ``(sigma, matrix)`` order as soon
+as it is composed, so the results do not depend on the chunking.  The
+ceiling keeps memory bounded: at ``n = 100`` an unbounded stack of 80 pairs
+took about eight times the memory and twice the time of one pair at a time.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import DecompositionPlan, _check_block_size, _compose, decompose
+from .decomposition import DecompositionPlan, _check_block_size, _compose, _decompose_stack
 from .linalg import _U64_MASK, as_matrix, haar_random_unitary, sample_haar
 
 __all__ = [
@@ -47,6 +56,10 @@ __all__ = [
 # Trials per vectorized batch of ``component_fidelity_estimate``; the result
 # does not depend on it.
 _ESTIMATE_CHUNK = 32768
+# Complex entries of perturbed matrices plus blocks that a sweep composes as
+# one stack; the results do not depend on it.  Unbounded stacks of large
+# meshes ran slower and used several times the memory.
+_STACK_ENTRIES = 2**18
 
 # Stream tags keep the independent sampling loops (matrix draws, noise draws,
 # component estimates) on disjoint substreams of one seed.
@@ -174,20 +187,29 @@ def _perturb_blocks(blocks: np.ndarray, sigma: float, seeds) -> np.ndarray:
     return blocks + sigma * pairs.view(np.complex128)[..., 0]
 
 
-def _perturbed_stack(plan: DecompositionPlan, sigma: float, seeds):
-    """Compose one perturbation of the plan per seed, as one stack.
+def _perturbed_stack(plans, sigmas, seeds):
+    """Compose one perturbation per seed of each plan, as one stack.
 
-    Returns the ``(P, n, n)`` perturbed matrices and the ``(P, K)`` block
+    ``plans`` share one layout; ``seeds[c]`` lists the ``P`` draws of
+    ``plans[c]`` at noise strength ``sigmas[c]``.  Returns the
+    ``(C, P, n, n)`` perturbed matrices and the ``(C, P, K)`` block
     fidelities, with the factors of each slice ordered by block size.
+    Each slice equals the same draw composed alone.
     """
-    flat = _perturb_blocks(plan.blocks, sigma, seeds)
-    stack = (len(seeds),)
-    block_fids = [np.zeros(stack + (0,))]  # a plan without factors has no groups
-    for s, _, entries in plan._layout.by_size():
-        ideal = plan.blocks[entries].reshape(-1, s, s)
-        perturbed = flat[:, entries].reshape(stack + ideal.shape)
-        block_fids.append(_fidelities(ideal, perturbed))
-    return _compose(plan, flat), np.concatenate(block_fids, axis=-1)
+    layout = plans[0]._layout
+    flat = np.stack([
+        _perturb_blocks(plan.blocks, sigma, draws)
+        for plan, sigma, draws in zip(plans, sigmas, seeds)
+    ])
+    ideal = np.stack([plan.blocks for plan in plans])[:, np.newaxis]
+    block_fids = [np.zeros(flat.shape[:-1] + (0,))]  # a plan without factors has no groups
+    for s, _, entries in layout.by_size():
+        block_fids.append(_fidelities(
+            ideal[..., entries].reshape(ideal.shape[:-1] + (-1, s, s)),
+            flat[..., entries].reshape(flat.shape[:-1] + (-1, s, s)),
+        ))
+    phases = np.stack([plan.phases for plan in plans])[:, np.newaxis]
+    return _compose(layout, flat, phases), np.concatenate(block_fids, axis=-1)
 
 
 def reconstruct_perturbed(plan: DecompositionPlan, noise: NoiseModel) -> np.ndarray:
@@ -196,8 +218,8 @@ def reconstruct_perturbed(plan: DecompositionPlan, noise: NoiseModel) -> np.ndar
     With ``noise.sigma == 0`` this reproduces ``reconstruct(plan)`` bit for
     bit (same composition code path, identical blocks).
     """
-    matrices, _ = _perturbed_stack(plan, noise.sigma, [noise.seed])
-    return matrices[0]
+    matrices, _ = _perturbed_stack([plan], [noise.sigma], [[noise.seed]])
+    return matrices[0, 0]
 
 
 class _RunningMean:
@@ -250,8 +272,8 @@ def component_fidelity_estimate(
     strength ``sigma``, and records the fidelity.  Fully vectorized in
     chunks; deterministic for fixed ``(m, sigma, trials, seed)``.
     """
-    m = int(m)
-    trials = int(trials)
+    m = operator.index(m)
+    trials = operator.index(trials)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     sigma = _check_sigma(sigma)
@@ -318,7 +340,7 @@ def calibrate_sigma(m: int, target_fq: float, tolerance: float) -> CalibrationRe
     """
     from scipy.optimize import brentq
 
-    m = int(m)
+    m = operator.index(m)
     if m < 2:
         raise ValueError(f"block size must be at least 2, got {m}")
     target_fq = float(target_fq)
@@ -369,8 +391,8 @@ def calibrate_sigma(m: int, target_fq: float, tolerance: float) -> CalibrationRe
 
 
 def _check_counts(n_matrices: int, n_perturbations: int) -> tuple[int, int]:
-    n_matrices = int(n_matrices)
-    n_perturbations = int(n_perturbations)
+    n_matrices = operator.index(n_matrices)
+    n_perturbations = operator.index(n_perturbations)
     if n_matrices < 1:
         raise ValueError(f"n_matrices must be positive, got {n_matrices}")
     if n_perturbations < 1:
@@ -378,40 +400,75 @@ def _check_counts(n_matrices: int, n_perturbations: int) -> tuple[int, int]:
     return n_matrices, n_perturbations
 
 
-def _prepare(n: int, m: int, n_matrices: int, seed: int, key) -> list:
-    """Draw a sweep's trial matrices and decompose each one once.
+def _prepare(n: int, m: int, n_matrices: int, seed: int, key):
+    """Draw a sweep's trial matrices and decompose them once, as one stack.
 
     Matrix ``t`` is the Haar unitary seeded by
     ``_child_seed(seed, _MATRIX_STREAM, *key, t)``.  Returns the
-    ``(u, plan)`` pairs that ``_sweep_cell`` takes.
+    ``(n_matrices, n, n)`` stack and its plans, which ``_sweep_cells``
+    takes.
     """
-    prepared = []
-    for t in range(n_matrices):
-        u = haar_random_unitary(n, _child_seed(seed, _MATRIX_STREAM, *key, t))
-        prepared.append((u, decompose(u, m)))
-    return prepared
+    us = np.stack([
+        haar_random_unitary(n, _child_seed(seed, _MATRIX_STREAM, *key, t))
+        for t in range(n_matrices)
+    ])
+    return us, _decompose_stack(us, m)
 
 
-def _sweep_cell(
-    n: int, m: int, sigma: float, prepared, n_perturbations: int, seed: int, cell
-) -> SweepResult:
+def _chunks(plans, pairs, n_perturbations: int):
+    """Split ``(cell, t)`` pairs, in order, into runs composed as one stack.
+
+    A run holds pairs whose plans share one layout and at most
+    ``_STACK_ENTRIES`` complex entries of perturbed matrices plus blocks,
+    ``n_perturbations`` of each per pair, and always at least one pair.
+    """
+    chunk, entries = [], 0
+    for pair in pairs:
+        plan = plans[pair[1]]
+        size = n_perturbations * (plan.n * plan.n + plan.blocks.size)
+        if chunk and (
+            entries + size > _STACK_ENTRIES or plan._layout is not plans[chunk[0][1]]._layout
+        ):
+            yield chunk
+            chunk, entries = [], 0
+        chunk.append(pair)
+        entries += size
+    yield chunk
+
+
+def _sweep_cells(
+    n: int, m: int, cells, prepared, n_perturbations: int, seed: int
+) -> list[SweepResult]:
     """Pool block and matrix fidelities over every perturbation of every matrix.
 
-    ``prepared`` lists ``(u, plan)`` pairs.  Perturbation ``p`` of
-    matrix ``t`` is the joint draw seeded by
-    ``_child_seed(seed, _NOISE_STREAM, *cell, t, p)``; the perturbations of
-    one matrix are composed as one stack.
+    ``cells`` lists ``(sigma, key)`` pairs and ``prepared`` is what
+    ``_prepare`` returns.  Perturbation ``p`` of matrix ``t`` in a cell is
+    the joint draw seeded by ``_child_seed(seed, _NOISE_STREAM, *key, t, p)``.
+    The ``(cell, matrix)`` pairs are composed as stacks of whole pairs (see
+    ``_chunks``), and each stack is pooled as soon as it is composed, one
+    pair at a time in ``(cell, matrix)`` order: block fidelities, then
+    matrix fidelities, each pair's draws as one batch.  So the results do
+    not depend on how the pairs are stacked.
     """
-    fq_acc = _RunningMean()
-    fu_acc = _RunningMean()
-    for t, (u, plan) in enumerate(prepared):
+    us, plans = prepared
+    accs = [(_RunningMean(), _RunningMean()) for _ in cells]
+    pairs = [(c, t) for c in range(len(cells)) for t in range(len(plans))]
+    for chunk in _chunks(plans, pairs, n_perturbations):
+        sigmas = [cells[c][0] for c, _ in chunk]
         seeds = [
-            _child_seed(seed, _NOISE_STREAM, *cell, t, p) for p in range(n_perturbations)
+            [_child_seed(seed, _NOISE_STREAM, *cells[c][1], t, p) for p in range(n_perturbations)]
+            for c, t in chunk
         ]
-        rebuilt, block_fids = _perturbed_stack(plan, sigma, seeds)
-        fq_acc.add(block_fids)
-        fu_acc.add(_fidelities(u, rebuilt))
-    return SweepResult(n=n, m=m, sigma=sigma, fq=fq_acc.stats(), fu=fu_acc.stats())
+        members = [t for _, t in chunk]
+        rebuilt, block_fids = _perturbed_stack([plans[t] for t in members], sigmas, seeds)
+        matrix_fids = _fidelities(us[members][:, np.newaxis], rebuilt)
+        for (c, _), fq, fu in zip(chunk, block_fids, matrix_fids):
+            accs[c][0].add(fq)
+            accs[c][1].add(fu)
+    return [
+        SweepResult(n=n, m=m, sigma=sigma, fq=fq.stats(), fu=fu.stats())
+        for (sigma, _), (fq, fu) in zip(cells, accs)
+    ]
 
 
 def sweep_noise(
@@ -430,8 +487,8 @@ def sweep_noise(
     matrix fidelities per ``(m, sigma)`` cell.  Results are ordered with
     ``m`` outermost, then ``sigma`` in the given order.
     """
-    n = int(n)
-    m_list = [int(m) for m in m_list]
+    n = operator.index(n)
+    m_list = [operator.index(m) for m in m_list]
     if not m_list:
         raise ValueError("m_list must not be empty")
     for m in m_list:
@@ -443,13 +500,11 @@ def sweep_noise(
 
     results: list[SweepResult] = []
     for mi, m in enumerate(m_list):
-        # Decompose each trial matrix once; the plan is reused across the
-        # whole sigma grid (perturbation draws stay independent per sigma).
+        # Decompose the trial matrices once, as one stack; the plans serve
+        # the whole sigma grid (perturbation draws stay independent per sigma).
         prepared = _prepare(n, m, n_matrices, seed, (mi,))
-        for si, sigma in enumerate(sigma_grid):
-            results.append(
-                _sweep_cell(n, m, sigma, prepared, n_perturbations, seed, (mi, si))
-            )
+        cells = [(sigma, (mi, si)) for si, sigma in enumerate(sigma_grid)]
+        results += _sweep_cells(n, m, cells, prepared, n_perturbations, seed)
     return results
 
 
@@ -471,10 +526,10 @@ def sweep_size(
     block sizes, but every ``m`` needs at least one ``n >= m``.  Results are
     ordered with ``m`` outermost, then ``n``.
     """
-    m_list = [int(m) for m in m_list]
+    m_list = [operator.index(m) for m in m_list]
     if not m_list:
         raise ValueError("m_list must not be empty")
-    n_grid = [int(n) for n in n_grid]
+    n_grid = [operator.index(n) for n in n_grid]
     if not n_grid:
         raise ValueError("n_grid must not be empty")
     for n in n_grid:
@@ -491,7 +546,7 @@ def sweep_size(
             if n < m:
                 continue
             prepared = _prepare(n, m, n_matrices, seed, (mi, ni))
-            results.append(
-                _sweep_cell(n, m, sigma, prepared, n_perturbations, seed, (mi, ni))
+            results += _sweep_cells(
+                n, m, [(sigma, (mi, ni))], prepared, n_perturbations, seed
             )
     return results

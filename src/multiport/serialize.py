@@ -84,10 +84,18 @@ def _as_int(obj, name: str) -> int:
     return obj
 
 
+def _to_float(obj) -> float:
+    """``float(obj)``, with an integer too large for a float read as infinite."""
+    try:
+        return float(obj)
+    except OverflowError:
+        return math.inf
+
+
 def _as_float(obj, name: str) -> float:
     if type(obj) not in _JSON_NUMBERS:
         raise ValueError(f"{name} must be a number")
-    value = float(obj)
+    value = _to_float(obj)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite")
     return value
@@ -131,7 +139,10 @@ def _entry_array(entries: list, entry_name) -> np.ndarray:
     if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}:
         parts = list(itertools.chain.from_iterable(entries))
         if set(map(type, parts)) <= _JSON_NUMBERS:
-            parts = np.array(parts, dtype=np.float64).reshape(-1, 2)
+            try:
+                parts = np.array(parts, dtype=np.float64).reshape(-1, 2)
+            except OverflowError:  # an integer too large for a float
+                parts = np.array(list(map(_to_float, parts))).reshape(-1, 2)
             finite = np.isfinite(parts).all(axis=1)
             if not finite.all():
                 raise ValueError(f"{entry_name(int(np.argmin(finite)))} must be finite")

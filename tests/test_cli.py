@@ -138,6 +138,28 @@ class TestDecomposeReconstructVerify:
         assert code == 1
         assert "unitary" in err
 
+    @pytest.mark.parametrize("command", ["decompose", "reconstruct"])
+    def test_integer_too_large_for_a_float_fails_cleanly(self, tmp_path, command):
+        huge = "1" + "0" * 400
+        if command == "decompose":
+            text = '{"rows": 1, "cols": 1, "entries": [[%s, 0]]}' % huge
+            args = ["--m", "2"]
+        else:
+            text = '{"n": 2, "m": 2, "factors": [], "phases": [0, %s]}' % huge
+            args = []
+        infile = tmp_path / "in.json"
+        infile.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "multiport.cli", command, "--in", str(infile), *args,
+             "--out", str(tmp_path / "out.json")],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "must be finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_file_fails(self, tmp_path, capsys):
         code, _, err = run(
             ["decompose", "--in", str(tmp_path / "nope.json"), "--m", "2",

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from multiport.decomposition import (
     DecompositionPlan,
     Factor,
+    _decompose_stack,
     _schedule,
     _zero_pattern,
     cost_compare,
@@ -68,6 +69,14 @@ class TestFactorCountBound:
     def test_out_of_range(self, n, m):
         with pytest.raises(ValueError):
             factor_count_bound(n, m)
+
+    @pytest.mark.parametrize("n,m", [(5.9, 2), (6, 2.0), (6.0, 3)])
+    def test_rejects_non_integer_sizes(self, n, m):
+        with pytest.raises(TypeError):
+            factor_count_bound(n, m)
+
+    def test_accepts_numpy_integers(self):
+        assert factor_count_bound(np.int64(13), np.int64(4)) == 25
 
 
 def one_factor_plan(n, m, size, base_row, columns, block):
@@ -302,6 +311,63 @@ class TestDecompose:
     def test_rejects_bad_block_size(self, m):
         with pytest.raises(ValueError, match="block size"):
             decompose(np.eye(6, dtype=complex), m)
+
+    @pytest.mark.parametrize("m", [2.7, 3.0])
+    def test_rejects_non_integer_block_size(self, m):
+        with pytest.raises(TypeError):
+            decompose(haar_random_unitary(5, 1), m)
+
+    def test_accepts_numpy_integer_block_size(self):
+        u = haar_random_unitary(5, 1)
+        a, b = decompose(u, np.int64(3)), decompose(u, 3)
+        assert a.m == 3 and type(a.m) is int
+        np.testing.assert_array_equal(a.blocks, b.blocks)
+
+
+def _same_plan(a, b):
+    """Two plans hold the same factors, bit for bit, and the same diagnostics."""
+    for name in ("sizes", "base_rows", "columns", "blocks", "phases"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.tobytes() == y.tobytes(), name
+    assert (a.n, a.m, a.diagnostics) == (b.n, b.m, b.diagnostics)
+
+
+class TestDecomposeStack:
+    """A stack of inputs crosses the layers together and gives per-matrix plans."""
+
+    @pytest.mark.parametrize("n,m", [(2, 2), (5, 2), (9, 3), (16, 4), (12, 12)])
+    def test_dense_stack_matches_one_at_a_time(self, n, m):
+        us = np.stack([haar_random_unitary(n, 40 + t) for t in range(7)])
+        for u, plan in zip(us, _decompose_stack(us, m)):
+            _same_plan(plan, decompose(u, m))
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_mixed_patterns_match_one_at_a_time(self, m):
+        n = 12
+        dense = haar_random_unitary(n, 5)
+        holed = haar_random_unitary(n, 6)
+        holed[3, 1] = 0.0  # one exact zero gives the member its own schedule
+        members = [
+            dense,
+            random_permutation_unitary(n, 1),
+            block_diagonal(n, 2)[0][:, np.random.default_rng(3).permutation(n)],
+            haar_random_unitary(n, 7),
+            np.diag(np.exp(1j * np.linspace(-3, 3, n))),
+            scipy.linalg.block_diag(haar_random_unitary(5, 8), haar_random_unitary(7, 9)),
+        ]
+        us = np.stack(members)
+        plans = _decompose_stack(us, m)
+        assert len(plans) == len(members)
+        for u, plan in zip(us, plans):
+            _same_plan(plan, decompose(u, m))
+        # the dense members share one schedule, and so one layout
+        assert plans[0]._layout is plans[3]._layout
+        assert len(plans[1].sizes) < len(plans[0].sizes)
+
+    def test_rejects_a_non_unitary_member(self):
+        us = np.stack([haar_random_unitary(4, 1), np.diag([1.0, 2.0, 1.0, 1.0])]).astype(complex)
+        with pytest.raises(ValueError, match="not unitary"):
+            _decompose_stack(us, 2)
 
 
 def near_permutation(n, eps, seed):

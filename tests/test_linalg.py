@@ -112,6 +112,17 @@ class TestHaarRandomUnitary:
         for k in range(10):
             assert unitarity(batch[k]).defect < 1e-12
 
+    def test_rejects_non_integer_sizes(self):
+        with pytest.raises(TypeError):
+            haar_random_unitary(4.0, 1)
+        with pytest.raises(TypeError):
+            sample_haar(np.random.default_rng(0), 3, count=2.5)
+
+    def test_accepts_numpy_integer_sizes(self):
+        np.testing.assert_array_equal(haar_random_unitary(np.int64(4), 1), haar_random_unitary(4, 1))
+        a = sample_haar(np.random.default_rng(0), 3, count=np.int64(2))
+        np.testing.assert_array_equal(a, sample_haar(np.random.default_rng(0), 3, count=2))
+
 
 class TestRQDecompose:
     def test_identity(self):

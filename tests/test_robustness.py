@@ -229,9 +229,9 @@ class TestPerturbFactor:
 
     def test_result_allows_non_unitary_block(self, sample_plan):
         _, plan = sample_plan
-        rebuilt, block_fids = _perturbed_stack(plan, 0.3, [1, 2])
-        assert rebuilt.shape == (2, 8, 8)
-        assert block_fids.shape == (2, len(plan.factors))
+        rebuilt, block_fids = _perturbed_stack([plan], [0.3], [[1, 2]])
+        assert rebuilt.shape == (1, 2, 8, 8)
+        assert block_fids.shape == (1, 2, len(plan.factors))
         assert np.isfinite(block_fids).all() and (block_fids < 1).all()
 
     def test_rejects_negative_sigma(self):
@@ -241,16 +241,16 @@ class TestPerturbFactor:
     def test_stack_slices_equal_single_reconstructions(self, sample_plan):
         _, plan = sample_plan
         seeds = [40, 41, 42]
-        rebuilt, _ = _perturbed_stack(plan, 0.1, seeds)
+        rebuilt, _ = _perturbed_stack([plan], [0.1], [seeds])
         for p, seed in enumerate(seeds):
             np.testing.assert_array_equal(
-                rebuilt[p], reconstruct_perturbed(plan, NoiseModel(0.1, seed))
+                rebuilt[0, p], reconstruct_perturbed(plan, NoiseModel(0.1, seed))
             )
 
     def test_block_fidelities_match_scalar_fidelity(self, sample_plan):
         _, plan = sample_plan
         flat = _perturb_blocks(plan.blocks, 0.2, [3, 4])
-        _, block_fids = _perturbed_stack(plan, 0.2, [3, 4])
+        (block_fids,) = _perturbed_stack([plan], [0.2], [[3, 4]])[1]
         starts = np.cumsum([0] + [f.size**2 for f in plan.factors])
         for p in range(2):
             expected = []
@@ -269,7 +269,7 @@ class TestPerturbFactor:
         # a plan only holds unitary blocks, so zero the first one as it is drawn
         monkeypatch.setattr(robustness, "_perturb_blocks", lambda blocks, sigma, seeds: zeroed[None])
         with pytest.raises(ValueError, match="zero"):
-            _perturbed_stack(plan, 0.0, [0])
+            _perturbed_stack([plan], [0.0], [[0]])
 
 
 class TestReconstructPerturbed:
@@ -556,6 +556,160 @@ class TestSweepSize:
     def test_rejects_m_without_some_n_at_least_m(self, m_list, n_grid, bad):
         with pytest.raises(ValueError, match=f"m={bad}"):
             sweep_size(m_list, n_grid, 0.95, 0.005, 1, 1, seed=0)
+
+
+def _pooled(values):
+    """Mean and standard error of the mean of a sample, as the sweeps report them."""
+    values = np.asarray(values)
+    return values.mean(), values.std(ddof=1) / np.sqrt(values.size), values.size
+
+
+def _documented_cell(n, m, sigma, n_matrices, n_perturbations, seed, matrix_key, cell):
+    """One sweep cell rebuilt from public per-matrix pieces and its documented seeds.
+
+    Matrix ``t`` is ``haar_random_unitary(n, _child_seed(seed, _MATRIX_STREAM,
+    *matrix_key, t))``; its draw ``p`` is ``NoiseModel(sigma, _child_seed(seed,
+    _NOISE_STREAM, *cell, t, p))``, whose one generator draws ``(re, im)``
+    offsets for ``plan.blocks`` in order.
+    """
+    from multiport.robustness import _MATRIX_STREAM, _NOISE_STREAM, _child_seed
+
+    fq, fu = [], []
+    for t in range(n_matrices):
+        u = haar_random_unitary(n, _child_seed(seed, _MATRIX_STREAM, *matrix_key, t))
+        plan = decompose(u, m)
+        for p in range(n_perturbations):
+            noise = NoiseModel(sigma, _child_seed(seed, _NOISE_STREAM, *cell, t, p))
+            rng = np.random.default_rng(
+                np.random.SeedSequence(_child_seed(noise.seed, _NOISE_STREAM))
+            )
+            offsets = rng.standard_normal((plan.blocks.size, 2))
+            perturbed = plan.blocks + sigma * (offsets[:, 0] + 1j * offsets[:, 1])
+            start = 0
+            for f in plan.factors:
+                stop = start + f.size**2
+                fq.append(fidelity(f.block, perturbed[start:stop].reshape(f.size, f.size)))
+                start = stop
+            fu.append(fidelity(u, reconstruct_perturbed(plan, noise)))
+    return _pooled(fq), _pooled(fu)
+
+
+class TestSweepSeeding:
+    """Sweeps match their documented streams, rebuilt one matrix and draw at a time."""
+
+    @staticmethod
+    def _check(result, expected):
+        for stats, (mean, se, count) in zip((result.fq, result.fu), expected):
+            assert stats.samples == count
+            assert stats.mean == pytest.approx(mean, rel=0, abs=1e-14)
+            assert stats.std_error == pytest.approx(se, rel=0, abs=1e-14)
+
+    def test_sweep_noise(self):
+        m_list, sigmas = [2, 3], [0.0, 0.1]
+        results = sweep_noise(6, m_list, sigmas, 2, 3, seed=5)
+        cells = [(mi, m, si, s) for mi, m in enumerate(m_list) for si, s in enumerate(sigmas)]
+        assert len(results) == len(cells)
+        for result, (mi, m, si, sigma) in zip(results, cells):
+            assert (result.m, result.sigma) == (m, sigma)
+            self._check(result, _documented_cell(6, m, sigma, 2, 3, 5, (mi,), (mi, si)))
+
+    def test_sweep_size(self):
+        results = sweep_size([2], [3, 5], 0.95, 0.005, 2, 3, seed=4)
+        sigma = calibrate_sigma(2, 0.95, 0.005).sigma
+        assert [r.n for r in results] == [3, 5]
+        for ni, result in enumerate(results):
+            assert result.sigma == sigma
+            self._check(result, _documented_cell(result.n, 2, sigma, 2, 3, 4, (0, ni), (0, ni)))
+
+
+class TestSweepStacks:
+    """The (sigma, matrix) pairs of a sweep are composed as bounded stacks."""
+
+    @staticmethod
+    def _sweeps():
+        return (
+            sweep_noise(7, [2, 3], [0.0, 0.05, 0.2], 3, 4, seed=11),
+            sweep_size([2, 3], [3, 6], 0.9, 0.01, 3, 2, seed=12),
+        )
+
+    @staticmethod
+    def _stack_sizes(monkeypatch):
+        """The number of pairs in each stack composed from now on, as a live list."""
+        stacked = []
+
+        def spy(plans, sigmas, seeds):
+            stacked.append(len(plans))
+            return _perturbed_stack(plans, sigmas, seeds)
+
+        monkeypatch.setattr(robustness, "_perturbed_stack", spy)
+        return stacked
+
+    @pytest.mark.parametrize("ceiling,pairs_per_stack", [(1, {1}), (2**62, {9, 3})])
+    def test_results_do_not_depend_on_the_ceiling(self, monkeypatch, ceiling, pairs_per_stack):
+        default = self._sweeps()
+        monkeypatch.setattr(robustness, "_STACK_ENTRIES", ceiling)
+        stacked = self._stack_sizes(monkeypatch)
+        assert self._sweeps() == default
+        # one pair per stack, or every pair of one m (noise) or one cell (size)
+        assert set(stacked) == pairs_per_stack
+
+    def test_default_ceiling_stacks_small_sweeps_whole(self, monkeypatch):
+        stacked = self._stack_sizes(monkeypatch)
+        sweep_noise(20, [2, 3, 5, 10], [0.0, 0.05, 0.1, 0.2], 2, 5, seed=1)
+        assert stacked == [8, 8, 8, 8]
+
+    def test_chunks_keep_pairs_whole_and_in_order(self, monkeypatch):
+        from multiport.robustness import _chunks
+
+        n = 6
+        perm = np.eye(n, dtype=complex)[:, [1, 0, 3, 2, 5, 4]]
+        plans = [decompose(haar_random_unitary(n, t), 2) for t in range(3)]
+        plans.insert(2, decompose(perm, 2))
+        pairs = [(c, t) for c in range(2) for t in range(4)]
+        # a plan of another layout starts a new stack
+        assert list(_chunks(plans, pairs, 3)) == [
+            [(0, 0), (0, 1)], [(0, 2)], [(0, 3), (1, 0), (1, 1)], [(1, 2)], [(1, 3)]
+        ]
+        dense = 3 * (n * n + plans[0].blocks.size)
+        monkeypatch.setattr(robustness, "_STACK_ENTRIES", 2 * dense)
+        assert [len(c) for c in _chunks(plans[:2] * 3, pairs[:6], 3)] == [2, 2, 2]
+        monkeypatch.setattr(robustness, "_STACK_ENTRIES", dense - 1)
+        assert [len(c) for c in _chunks(plans[:2] * 3, pairs[:6], 3)] == [1] * 6
+
+
+class TestIntegerSizes:
+    """Sizes and counts must be integers; numpy integers are accepted."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: calibrate_sigma(2.9, 0.9, 0.01),
+            lambda: component_fidelity_estimate(2.0, 0.1, 10, 0),
+            lambda: component_fidelity_estimate(2, 0.1, 10.0, 0),
+            lambda: sweep_noise(5.0, [2], [0.1], 1, 1, seed=0),
+            lambda: sweep_noise(5, [2.5], [0.1], 1, 1, seed=0),
+            lambda: sweep_noise(5, [2], [0.1], 1.0, 1, seed=0),
+            lambda: sweep_noise(5, [2], [0.1], 1, 1.5, seed=0),
+            lambda: sweep_size([2.0], [4], 0.95, 0.005, 1, 1, seed=0),
+            lambda: sweep_size([2], [4.0], 0.95, 0.005, 1, 1, seed=0),
+        ],
+    )
+    def test_rejects_floats(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    def test_accepts_numpy_integers(self):
+        i = np.int64
+        assert calibrate_sigma(i(3), 0.9, 0.01) == calibrate_sigma(3, 0.9, 0.01)
+        assert component_fidelity_estimate(i(2), 0.1, i(50), 0) == component_fidelity_estimate(
+            2, 0.1, 50, 0
+        )
+        assert sweep_noise(i(5), [i(2)], [0.1], i(2), i(2), seed=0) == sweep_noise(
+            5, [2], [0.1], 2, 2, seed=0
+        )
+        assert sweep_size([i(2)], [i(4)], 0.95, 0.005, i(2), i(2), seed=0) == sweep_size(
+            [2], [4], 0.95, 0.005, 2, 2, seed=0
+        )
 
 
 class TestFidelityStats:

@@ -19,6 +19,9 @@ from multiport.serialize import (
     sweep_results_to_csv,
 )
 
+# A JSON integer too large for a float: float() and numpy raise OverflowError.
+HUGE = "1" + "0" * 400
+
 AWKWARD = np.array(
     [
         [1 / 3 + 1j * np.pi, -0.0 + 0j],
@@ -90,6 +93,11 @@ class TestMatrixJson:
     def test_rejects_nonfinite_on_write(self):
         with pytest.raises(ValueError):
             matrix_to_json(np.array([[np.nan]]))
+
+    def test_rejects_integer_too_large_for_a_float(self):
+        text = '{"rows": 1, "cols": 2, "entries": [[1, 0], [0, -%s]]}' % HUGE
+        with pytest.raises(ValueError, match=r"^matrix JSON entry 1 must be finite$"):
+            json_to_matrix(text)
 
     def test_negative_zero_written_as_zero(self):
         # json.loads reads "-0" as the integer 0, so "-0" would not survive a rewrite
@@ -233,6 +241,16 @@ class TestPlanJson:
     def test_rejects_huge_block_size_without_sizing_by_it(self, n, m):
         text = '{"n": %d, "m": %d, "factors": [%s], "phases": [0, 0]}' % (n, m, _SWAP % ("[1, 2]", 2))
         with pytest.raises(ValueError, match="invalid plan"):
+            json_to_plan(text)
+
+    def test_rejects_block_entry_too_large_for_a_float(self):
+        text = _one_factor_plan("[[0, 0], [1, 0], [%s, 0], [0, 0]]" % HUGE)
+        with pytest.raises(ValueError, match=r"^factors\[0\]: block entry 2 must be finite$"):
+            json_to_plan(text)
+
+    def test_rejects_phase_too_large_for_a_float(self):
+        text = '{"n": 2, "m": 2, "factors": [], "phases": [0, %s]}' % HUGE
+        with pytest.raises(ValueError, match=r"^phases\[1\] must be finite$"):
             json_to_plan(text)
 
     def test_one_factor_template_is_valid(self):
