@@ -26,13 +26,13 @@ Steps on disjoint columns commute, so a schedule splits into wavefront
 layers: a step's layer is its longest-path depth in the column-conflict
 graph (for ``m = 2`` these are the anti-diagonals of the triangular mesh).
 The sweep runs one layer at a time, with one batched RQ, product and
-scatter per block size in the layer, on a whole stack of inputs at once:
-the inputs of one zero pattern share the schedule, so they cross its
-layers together, and each matrix gets the arithmetic, and so the plan, it
-would get alone.  ``decompose`` is the stack of one; the noise sweeps
-decompose all their trial matrices of one size as one stack.  The
-composition behind ``reconstruct`` runs the layers the same way, on one
-set of blocks or a stack of them.
+scatter per block size in the layer, on a whole stack of inputs at once.
+A stack holds one zero pattern, so its inputs share one schedule and cross
+its layers together, and each matrix gets the arithmetic, and so the plan,
+it would get alone.  ``decompose`` is the stack of one; the noise sweeps
+decompose all their trial matrices of one size, Haar draws and so dense,
+as one stack.  The composition behind ``reconstruct`` runs the layers the
+same way, on one set of blocks or a stack of them.
 A ``DecompositionPlan`` stores its factors as flat arrays in factor order
 (sizes, base rows, padded columns and one array of row-major blocks) and
 validates them once, when it is built; ``plan.factors`` returns records
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, rq_decompose, unitarity
+from .linalg import _fidelities, as_matrix, rq_decompose
 
 __all__ = [
     "DecompositionError",
@@ -120,6 +120,7 @@ def _factor_fault(sizes, base_rows, columns) -> tuple[int, str] | None:
 
 def _unitarity_defects(blocks: np.ndarray) -> np.ndarray:
     """``max|B^dag B - I|`` of every ``s x s`` block of a ``(..., s, s)`` stack."""
+    # einsum: 2.2 ms for 4950 2x2 blocks against 4.4 ms for a stacked ``@`` (2 cores).
     gram = np.einsum("...ji,...jk->...ik", np.conj(blocks), blocks)
     return np.abs(gram - _identity(blocks.shape[-1])).max(axis=(-2, -1))
 
@@ -364,7 +365,7 @@ def factor_count_bound(n: int, m: int) -> int:
 
 def embed_factor(factor: Factor, n: int) -> np.ndarray:
     """Expand a factor to its full ``n x n`` action (identity elsewhere)."""
-    n = int(n)
+    n = operator.index(n)
     cols = factor.columns
     k = len(cols)
     shape = np.shape(factor.block)
@@ -569,41 +570,43 @@ def _phases(w: np.ndarray) -> np.ndarray:
 def _decompose_stack(us: np.ndarray, m: int) -> list[DecompositionPlan]:
     """Decompose every matrix of a finite ``(T, n, n)`` complex stack.
 
-    The members are grouped by exact zero pattern, and each group crosses
-    its cached schedule's layers together (see ``_sweep``), so each plan is
-    bit for bit the one the matrix gets when swept alone.  Returns the
-    plans in stack order; raises as ``decompose`` does if any member is at
-    fault.
+    Every member must have the same exact zero pattern, so the stack
+    crosses that pattern's cached schedule's layers together (see
+    ``_sweep``) and each plan is bit for bit the one the matrix gets when
+    swept alone.  Returns the plans in stack order; raises as
+    ``decompose`` does if any member is at fault, and ``ValueError`` if
+    the members' zero patterns differ.
     """
     n, m = _check_block_size(us.shape[-1], m)
-    for u in us:
-        report = unitarity(u, tol=_INPUT_UNITARY_TOL)
-        if not report.is_unitary:
-            raise ValueError(
-                f"input is not unitary: defect {report.defect:.3e} exceeds "
-                f"{_INPUT_UNITARY_TOL:.0e}"
-            )
-    groups: dict[bytes, list[int]] = {}
-    for t, u in enumerate(us):
-        groups.setdefault(_zero_pattern(u), []).append(t)
-    plans = [None] * len(us)
-    for pattern, members in groups.items():
-        layout, new_zeros, refills = _schedule(n, m, pattern)
-        w = us[members]  # a copy: fancy indexing
-        blocks = _sweep(w, layout)
-        diagnostics = SweepDiagnostics(new_zeros_per_factor=new_zeros, refill_events=refills)
-        for t, swept, flat in zip(members, w, blocks):
-            plans[t] = DecompositionPlan(
-                n=n,
-                m=m,
-                sizes=layout.sizes,
-                base_rows=layout.base_rows,
-                columns=layout.columns,
-                blocks=flat,
-                phases=_phases(swept),
-                diagnostics=diagnostics,
-            )
-    return plans
+    # ``@``, not einsum: 0.25 ms for one n=100 input against 4.2 ms (2 cores).
+    gram = np.conj(us).swapaxes(-1, -2) @ us
+    defects = np.abs(gram - np.eye(n)).max(axis=(-2, -1))
+    t = _first(~(defects <= _INPUT_UNITARY_TOL))  # also rejects NaN
+    if t is not None:
+        raise ValueError(
+            f"input is not unitary: defect {defects[t]:.3e} exceeds "
+            f"{_INPUT_UNITARY_TOL:.0e}"
+        )
+    nonzero = us != 0
+    if (nonzero != nonzero[0]).any():
+        raise ValueError("the matrices of a stack must share one zero pattern")
+    layout, new_zeros, refills = _schedule(n, m, _zero_pattern(us[0]))
+    w = us.copy()
+    blocks = _sweep(w, layout)
+    diagnostics = SweepDiagnostics(new_zeros_per_factor=new_zeros, refill_events=refills)
+    return [
+        DecompositionPlan(
+            n=n,
+            m=m,
+            sizes=layout.sizes,
+            base_rows=layout.base_rows,
+            columns=layout.columns,
+            blocks=flat,
+            phases=_phases(swept),
+            diagnostics=diagnostics,
+        )
+        for swept, flat in zip(w, blocks)
+    ]
 
 
 def decompose(u, m: int) -> DecompositionPlan:
@@ -636,8 +639,6 @@ def verify(plan: DecompositionPlan, u, tol: float | None = None) -> Verification
     ``passed`` requires the maximum absolute entry error to stay within
     ``tol`` (default ``1e-9 * n``) and the factor count to respect the bound.
     """
-    from .robustness import fidelity as _fidelity
-
     mat = as_matrix(u, square=True)
     if mat.shape[0] != plan.n:
         raise ValueError(
@@ -654,7 +655,7 @@ def verify(plan: DecompositionPlan, u, tol: float | None = None) -> Verification
     count = len(plan.sizes)
     return VerificationReport(
         max_error=max_error,
-        fidelity=_fidelity(mat, rebuilt),
+        fidelity=float(_fidelities(mat, rebuilt)),
         factor_count=count,
         factor_bound=bound,
         tol=tol,

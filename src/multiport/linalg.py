@@ -8,13 +8,11 @@ random sampling is a pure function of the seed that is passed in.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "as_matrix",
-    "unitarity",
     "haar_random_unitary",
     "sample_haar",
     "rq_decompose",
@@ -42,27 +40,18 @@ def as_matrix(a, *, square: bool = False) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
-class UnitarityReport:
-    """Result of a unitarity check.
+def _fidelities(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Phase-insensitive fidelity over the last two axes, broadcasting the rest.
 
-    ``defect`` is ``max|a^dag a - I|`` over all entries; ``is_unitary`` is
-    true when the defect does not exceed the tolerance the check ran with.
+    ``(..., d, d) x (..., d, d) -> (...)``; raises ``ValueError`` if any
+    perturbed matrix is identically zero.
     """
-
-    defect: float
-    tol: float
-    is_unitary: bool
-
-
-def unitarity(a, tol: float = 1e-12) -> UnitarityReport:
-    """Measure how far a square matrix is from unitary."""
-    mat = as_matrix(a, square=True)
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    n = mat.shape[0]
-    defect = float(np.abs(np.conj(mat).T @ mat - np.eye(n)).max())
-    return UnitarityReport(defect=defect, tol=float(tol), is_unitary=defect <= tol)
+    d = q.shape[-1]
+    power = np.einsum("...ij,...ij->...", np.conj(p), p).real / d
+    if not power.all():
+        raise ValueError("perturbed matrix is identically zero")
+    overlap = np.einsum("...ij,...ij->...", np.conj(q), p) / d
+    return np.abs(overlap) ** 2 / power
 
 
 def sample_haar(rng: np.random.Generator, n: int, count: int | None = None) -> np.ndarray:
@@ -86,8 +75,8 @@ def sample_haar(rng: np.random.Generator, n: int, count: int | None = None) -> n
 
 
 def haar_random_unitary(n: int, seed: int) -> np.ndarray:
-    """Seeded Haar-random unitary.  Same ``(n, seed)`` gives identical output."""
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed) & _U64_MASK))
+    """Seeded Haar-random unitary; the same integers ``(n, seed)`` give identical output."""
+    rng = np.random.default_rng(np.random.SeedSequence(operator.index(seed) & _U64_MASK))
     return sample_haar(rng, operator.index(n))
 
 
@@ -115,10 +104,19 @@ def rq_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     if a.shape[-1] == 2:
-        rho = np.hypot(np.abs(a[..., 1, 0]), np.abs(a[..., 1, 1]))
-        zero = rho == 0.0
-        # A zero bottom row is divided by 1 instead and gets y = 1, so q = I.
-        unit = a[..., 1, :] / np.where(zero, 1.0, rho)[..., np.newaxis]
+        bottom = a[..., 1, :]
+        rho = norm = np.hypot(np.abs(bottom[..., 0]), np.abs(bottom[..., 1]))
+        zero = False
+        small = rho < 2.0**-1022
+        if small.any():
+            # Dividing by a subnormal norm overflows, so those rows are first
+            # scaled by 2**600, which is exact.  A zero row is divided by 1
+            # instead and gets y = 1, so q = I.
+            bottom = np.where(small[..., np.newaxis], bottom * 2.0**600, bottom)
+            norm = np.hypot(np.abs(bottom[..., 0]), np.abs(bottom[..., 1]))
+            zero = norm == 0.0
+            norm = np.where(zero, 1.0, norm)
+        unit = bottom / norm[..., np.newaxis]
         x, y = unit[..., 0], unit[..., 1] + zero
         q = np.empty_like(a)
         q[..., 0, 0], q[..., 0, 1], q[..., 1, 0], q[..., 1, 1] = y, np.conj(x), -x, np.conj(y)

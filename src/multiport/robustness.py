@@ -23,9 +23,11 @@ plan's own ``blocks`` array (factor order, each block row-major).
 
 A sweep decomposes the trial matrices of one block size as one stack, then
 composes their perturbations as stacks too, one wavefront layer at a time
-for every slice: all draws of all ``(sigma, matrix)`` pairs of that block
-size, in chunks of whole pairs that hold at most ``_STACK_ENTRIES``
-(``2**18``) complex entries of matrices plus blocks.  Each slice depends
+for every slice.  The trial matrices are Haar draws, which have no exact
+zeros, so their plans share one layout and every ``(sigma, matrix)`` pair
+holds the same number of entries: the pairs of a block size are composed
+in runs of as many whole pairs as fit in ``_STACK_ENTRIES`` (``2**18``)
+complex entries of matrices plus blocks, at least one.  Each slice depends
 only on its own seed, so it equals the same perturbation composed alone,
 and each chunk is pooled pair by pair in ``(sigma, matrix)`` order as soon
 as it is composed, so the results do not depend on the chunking.  The
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import DecompositionPlan, _check_block_size, _compose, _decompose_stack
-from .linalg import _U64_MASK, as_matrix, haar_random_unitary, sample_haar
+from .linalg import _U64_MASK, _fidelities, as_matrix, haar_random_unitary, sample_haar
 
 __all__ = [
     "SweepResult",
@@ -70,7 +72,7 @@ _ESTIMATE_STREAM = 4
 
 def _child_seed(*parts: int) -> int:
     """Collapse a tuple of integers into one derived 64-bit seed."""
-    entropy = tuple(int(p) & _U64_MASK for p in parts)
+    entropy = tuple(operator.index(p) & _U64_MASK for p in parts)
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
@@ -100,7 +102,7 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sigma", _check_sigma(self.sigma))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", operator.index(self.seed))
 
 
 @dataclass(frozen=True)
@@ -146,20 +148,6 @@ class CalibrationResult:
     achieved: float
     target: float
     probes: int
-
-
-def _fidelities(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Phase-insensitive fidelity over the last two axes, broadcasting the rest.
-
-    ``(..., d, d) x (..., d, d) -> (...)``; raises ``ValueError`` if any
-    perturbed matrix is identically zero.
-    """
-    d = q.shape[-1]
-    power = np.einsum("...ij,...ij->...", np.conj(p), p).real / d
-    if not power.all():
-        raise ValueError("perturbed matrix is identically zero")
-    overlap = np.einsum("...ij,...ij->...", np.conj(q), p) / d
-    return np.abs(overlap) ** 2 / power
 
 
 def fidelity(q, q_pert) -> float:
@@ -415,27 +403,6 @@ def _prepare(n: int, m: int, n_matrices: int, seed: int, key):
     return us, _decompose_stack(us, m)
 
 
-def _chunks(plans, pairs, n_perturbations: int):
-    """Split ``(cell, t)`` pairs, in order, into runs composed as one stack.
-
-    A run holds pairs whose plans share one layout and at most
-    ``_STACK_ENTRIES`` complex entries of perturbed matrices plus blocks,
-    ``n_perturbations`` of each per pair, and always at least one pair.
-    """
-    chunk, entries = [], 0
-    for pair in pairs:
-        plan = plans[pair[1]]
-        size = n_perturbations * (plan.n * plan.n + plan.blocks.size)
-        if chunk and (
-            entries + size > _STACK_ENTRIES or plan._layout is not plans[chunk[0][1]]._layout
-        ):
-            yield chunk
-            chunk, entries = [], 0
-        chunk.append(pair)
-        entries += size
-    yield chunk
-
-
 def _sweep_cells(
     n: int, m: int, cells, prepared, n_perturbations: int, seed: int
 ) -> list[SweepResult]:
@@ -444,16 +411,18 @@ def _sweep_cells(
     ``cells`` lists ``(sigma, key)`` pairs and ``prepared`` is what
     ``_prepare`` returns.  Perturbation ``p`` of matrix ``t`` in a cell is
     the joint draw seeded by ``_child_seed(seed, _NOISE_STREAM, *key, t, p)``.
-    The ``(cell, matrix)`` pairs are composed as stacks of whole pairs (see
-    ``_chunks``), and each stack is pooled as soon as it is composed, one
-    pair at a time in ``(cell, matrix)`` order: block fidelities, then
-    matrix fidelities, each pair's draws as one batch.  So the results do
-    not depend on how the pairs are stacked.
+    The ``(cell, matrix)`` pairs are composed in order, in runs of whole
+    pairs (see the module docstring), and each run is pooled as soon as it
+    is composed, one pair at a time in ``(cell, matrix)`` order: block
+    fidelities, then matrix fidelities, each pair's draws as one batch.  So
+    the results do not depend on how the pairs are stacked.
     """
     us, plans = prepared
     accs = [(_RunningMean(), _RunningMean()) for _ in cells]
     pairs = [(c, t) for c in range(len(cells)) for t in range(len(plans))]
-    for chunk in _chunks(plans, pairs, n_perturbations):
+    per_stack = max(1, _STACK_ENTRIES // (n_perturbations * (n * n + plans[0].blocks.size)))
+    for start in range(0, len(pairs), per_stack):
+        chunk = pairs[start : start + per_stack]
         sigmas = [cells[c][0] for c, _ in chunk]
         seeds = [
             [_child_seed(seed, _NOISE_STREAM, *cells[c][1], t, p) for p in range(n_perturbations)]

@@ -41,29 +41,30 @@ CSV_HEADER = "n,m,sigma,fq_mean,fq_stderr,fu_mean,fu_stderr,samples"
 _JSON_NUMBERS = frozenset((int, float))
 
 
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _f12(x: float) -> str:
     return format(float(x), ".12g")
+
+
+def _matrix_template(rows: int, cols: int, indent: str = "") -> str:
+    """The ``%`` template of a ``rows x cols`` matrix object, ``indent`` deeper.
+
+    It takes the ``2 * rows * cols`` real and imaginary parts of the
+    entries, row-major, and renders each with 17 significant digits.
+    """
+    row = indent + "    " + ", ".join(["[%.17g, %.17g]"] * cols)
+    return (
+        "{\n"
+        f'{indent}  "rows": {rows},\n'
+        f'{indent}  "cols": {cols},\n'
+        f'{indent}  "entries": [\n' + ",\n".join([row] * rows) + f"\n{indent}  ]\n"
+        f"{indent}}}"
+    )
 
 
 def matrix_to_json(a) -> str:
     """Serialize a matrix to its canonical JSON text."""
     mat = as_matrix(a) + 0.0  # negative zeros become 0
-    rows, cols = mat.shape
-    entries = ",\n".join(
-        "    " + ", ".join(f"[{_f17(v.real)}, {_f17(v.imag)}]" for v in row)
-        for row in mat.tolist()
-    )
-    return (
-        "{\n"
-        f'  "rows": {rows},\n'
-        f'  "cols": {cols},\n'
-        f'  "entries": [\n{entries}\n  ]\n'
-        "}\n"
-    )
+    return _matrix_template(*mat.shape) % tuple(mat.ravel().view(np.float64).tolist()) + "\n"
 
 
 # Validation messages are formatted only on failure: a plan holds thousands
@@ -180,17 +181,12 @@ def _factor_template(size: int) -> str:
     ``2 * size**2`` real and imaginary parts, row-major, and lays the block
     out as ``matrix_to_json`` lays out a matrix, six spaces deeper.
     """
-    row = "          " + ", ".join(["[%.17g, %.17g]"] * size)
     return (
         "    {\n"
         f'      "size": {size},\n'
         '      "base_row": %d,\n'
         '      "columns": [' + ", ".join(["%d"] * size) + "],\n"
-        '      "block": {\n'
-        f'        "rows": {size},\n'
-        f'        "cols": {size},\n'
-        '        "entries": [\n' + ",\n".join([row] * size) + "\n        ]\n"
-        "      }\n"
+        '      "block": ' + _matrix_template(size, size, " " * 6) + "\n"
         "    }"
     )
 
@@ -207,7 +203,7 @@ def plan_to_json(plan: DecompositionPlan) -> str:
         factors.append(templates[s] % (row, *cols[:s], *parts[start:stop]))
         start = stop
     body = ",\n".join(factors) + "\n" if factors else ""
-    phases = ", ".join(_f17(p) for p in plan.phases + 0.0)
+    phases = ", ".join(["%.17g"] * plan.n) % tuple((plan.phases + 0.0).tolist())
     return (
         "{\n"
         f'  "n": {plan.n},\n'

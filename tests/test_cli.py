@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from multiport.cli import main
-from multiport.linalg import haar_random_unitary, unitarity
+from multiport.linalg import haar_random_unitary
 from multiport.serialize import CSV_HEADER, load_matrix, save_matrix
 
 
@@ -21,7 +21,8 @@ class TestRandom:
         out = tmp_path / "u.json"
         code, _, _ = run(["random", "--n", "6", "--seed", "3", "--out", str(out)], capsys)
         assert code == 0
-        assert unitarity(load_matrix(out), tol=1e-10).is_unitary
+        u = load_matrix(out)
+        assert np.abs(u.conj().T @ u - np.eye(6)).max() <= 1e-10
 
     def test_repeat_seed_identical_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -17,7 +17,7 @@ from multiport.decomposition import (
     reconstruct,
     verify,
 )
-from multiport.linalg import haar_random_unitary, unitarity
+from multiport.linalg import haar_random_unitary
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -37,6 +37,11 @@ def plan_from_factors(n, m, factors, phases):
         blocks=np.concatenate([np.zeros(0, complex)] + [f.block.ravel() for f in factors]),
         phases=phases,
     )
+
+
+def unitarity_defect(a):
+    """``max|A^dag A - I|`` of a square matrix."""
+    return np.abs(a.conj().T @ a - np.eye(len(a))).max()
 
 
 def random_permutation_unitary(n, seed):
@@ -184,7 +189,17 @@ class TestEmbedFactor:
 
     def test_embedding_is_unitary(self):
         f = Factor(size=3, base_row=5, columns=(1, 4, 5), block=haar_random_unitary(3, 2))
-        assert unitarity(embed_factor(f, 6), tol=1e-10).is_unitary
+        assert unitarity_defect(embed_factor(f, 6)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [3.9, 3.0])
+    def test_rejects_non_integer_dimension(self, n):
+        f = Factor(size=2, base_row=2, columns=(1, 2), block=SWAP)
+        with pytest.raises(TypeError):
+            embed_factor(f, n)
+
+    def test_accepts_numpy_integer_dimension(self):
+        f = Factor(size=2, base_row=3, columns=(1, 3), block=SWAP)
+        np.testing.assert_array_equal(embed_factor(f, np.int64(3)), embed_factor(f, 3))
 
     def test_rejects_small_dimension(self):
         f = Factor(size=2, base_row=4, columns=(2, 4), block=SWAP)
@@ -301,7 +316,7 @@ class TestDecompose:
 
     def test_reconstruction_is_unitary(self, haar_cases):
         for _, _, _, plan in haar_cases:
-            assert unitarity(reconstruct(plan), tol=1e-9).is_unitary
+            assert unitarity_defect(reconstruct(plan)) <= 1e-9
 
     def test_rejects_non_unitary_input(self):
         with pytest.raises(ValueError, match="unitary"):
@@ -342,27 +357,37 @@ class TestDecomposeStack:
             _same_plan(plan, decompose(u, m))
 
     @pytest.mark.parametrize("m", [2, 3, 5])
-    def test_mixed_patterns_match_one_at_a_time(self, m):
+    @pytest.mark.parametrize(
+        "kind", ["dense", "permutation", "permuted-block-diagonal", "phase-diagonal", "one-zero"]
+    )
+    def test_one_pattern_stacks_match_one_at_a_time(self, kind, m):
         n = 12
-        dense = haar_random_unitary(n, 5)
-        holed = haar_random_unitary(n, 6)
-        holed[3, 1] = 0.0  # one exact zero gives the member its own schedule
-        members = [
-            dense,
-            random_permutation_unitary(n, 1),
-            block_diagonal(n, 2)[0][:, np.random.default_rng(3).permutation(n)],
-            haar_random_unitary(n, 7),
-            np.diag(np.exp(1j * np.linspace(-3, 3, n))),
-            scipy.linalg.block_diag(haar_random_unitary(5, 8), haar_random_unitary(7, 9)),
-        ]
+        phases = [np.exp(1j * np.linspace(-3, 3, n) * (t + 1)) for t in range(4)]
+        if kind == "dense":
+            members = [haar_random_unitary(n, 5 + t) for t in range(4)]
+        elif kind == "permutation":
+            members = [random_permutation_unitary(n, 1) * d for d in phases]
+        elif kind == "permuted-block-diagonal":
+            cols = np.random.default_rng(3).permutation(n)
+            sizes = block_diagonal(n, 2)[1]
+            members = [
+                scipy.linalg.block_diag(*[haar_random_unitary(k, 10 * t + k) for k in sizes])[:, cols]
+                for t in range(4)
+            ]
+        elif kind == "phase-diagonal":
+            members = [np.diag(d) for d in phases]
+        else:
+            members = [one_exact_zero(n, 6 + t) for t in range(4)]
         us = np.stack(members)
         plans = _decompose_stack(us, m)
         assert len(plans) == len(members)
         for u, plan in zip(us, plans):
             _same_plan(plan, decompose(u, m))
-        # the dense members share one schedule, and so one layout
-        assert plans[0]._layout is plans[3]._layout
-        assert len(plans[1].sizes) < len(plans[0].sizes)
+
+    def test_rejects_mixed_zero_patterns(self):
+        us = np.stack([haar_random_unitary(6, 1), random_permutation_unitary(6, 2)])
+        with pytest.raises(ValueError, match="zero pattern"):
+            _decompose_stack(us, 2)
 
     def test_rejects_a_non_unitary_member(self):
         us = np.stack([haar_random_unitary(4, 1), np.diag([1.0, 2.0, 1.0, 1.0])]).astype(complex)
@@ -376,6 +401,16 @@ def near_permutation(n, eps, seed):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = (a + a.conj().T) / 2.0
     return np.eye(n)[rng.permutation(n)] @ scipy.linalg.expm(1j * eps * h)
+
+
+def one_exact_zero(n, seed):
+    """A Haar unitary rotated in columns 2 and 3 so that entry (4, 2) is exactly zero."""
+    u = haar_random_unitary(n, seed)
+    x, y = u[3, 1], u[3, 2]
+    r = np.hypot(abs(x), abs(y))
+    u[:, 1], u[:, 2] = (y * u[:, 1] - x * u[:, 2]) / r, (np.conj(x) * u[:, 1] + np.conj(y) * u[:, 2]) / r
+    u[3, 1] = 0.0  # the rotation leaves it within rounding of zero
+    return u
 
 
 def block_diagonal(n, seed):

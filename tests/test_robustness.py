@@ -10,11 +10,10 @@ from scipy.special import hyp1f1
 
 from multiport import robustness
 from multiport.decomposition import decompose, reconstruct
-from multiport.linalg import haar_random_unitary, sample_haar
+from multiport.linalg import _fidelities, haar_random_unitary, sample_haar
 from multiport.robustness import (
     FidelityStats,
     NoiseModel,
-    _fidelities,
     _mean_block_fidelity,
     _perturb_blocks,
     _perturbed_stack,
@@ -644,41 +643,33 @@ class TestSweepStacks:
         monkeypatch.setattr(robustness, "_perturbed_stack", spy)
         return stacked
 
-    @pytest.mark.parametrize("ceiling,pairs_per_stack", [(1, {1}), (2**62, {9, 3})])
+    # A pair of the noise sweep holds 4 * (7 * 7 + 84) = 532 entries at m = 2
+    # and 460 at m = 3; the size sweep's pairs hold 42, 192, 36 and 168.
+    @pytest.mark.parametrize(
+        "ceiling,pairs_per_stack",
+        [
+            (1, [1] * 30),
+            (2**62, [9, 9, 3, 3, 3, 3]),  # every pair of one m (noise) or one cell (size)
+            (2 * 532, [2, 2, 2, 2, 1] * 2 + [3] * 4),  # exactly two m = 2 pairs fit
+            (2 * 532 - 1, [1] * 9 + [2, 2, 2, 2, 1] + [3] * 4),
+            (532 - 1, [1] * 18 + [3, 2, 1, 3, 3]),
+        ],
+    )
     def test_results_do_not_depend_on_the_ceiling(self, monkeypatch, ceiling, pairs_per_stack):
         default = self._sweeps()
         monkeypatch.setattr(robustness, "_STACK_ENTRIES", ceiling)
         stacked = self._stack_sizes(monkeypatch)
         assert self._sweeps() == default
-        # one pair per stack, or every pair of one m (noise) or one cell (size)
-        assert set(stacked) == pairs_per_stack
+        assert stacked == pairs_per_stack
 
     def test_default_ceiling_stacks_small_sweeps_whole(self, monkeypatch):
         stacked = self._stack_sizes(monkeypatch)
         sweep_noise(20, [2, 3, 5, 10], [0.0, 0.05, 0.1, 0.2], 2, 5, seed=1)
         assert stacked == [8, 8, 8, 8]
 
-    def test_chunks_keep_pairs_whole_and_in_order(self, monkeypatch):
-        from multiport.robustness import _chunks
-
-        n = 6
-        perm = np.eye(n, dtype=complex)[:, [1, 0, 3, 2, 5, 4]]
-        plans = [decompose(haar_random_unitary(n, t), 2) for t in range(3)]
-        plans.insert(2, decompose(perm, 2))
-        pairs = [(c, t) for c in range(2) for t in range(4)]
-        # a plan of another layout starts a new stack
-        assert list(_chunks(plans, pairs, 3)) == [
-            [(0, 0), (0, 1)], [(0, 2)], [(0, 3), (1, 0), (1, 1)], [(1, 2)], [(1, 3)]
-        ]
-        dense = 3 * (n * n + plans[0].blocks.size)
-        monkeypatch.setattr(robustness, "_STACK_ENTRIES", 2 * dense)
-        assert [len(c) for c in _chunks(plans[:2] * 3, pairs[:6], 3)] == [2, 2, 2]
-        monkeypatch.setattr(robustness, "_STACK_ENTRIES", dense - 1)
-        assert [len(c) for c in _chunks(plans[:2] * 3, pairs[:6], 3)] == [1] * 6
-
 
 class TestIntegerSizes:
-    """Sizes and counts must be integers; numpy integers are accepted."""
+    """Sizes, counts and seeds must be integers; numpy integers are accepted."""
 
     @pytest.mark.parametrize(
         "call",
@@ -692,6 +683,10 @@ class TestIntegerSizes:
             lambda: sweep_noise(5, [2], [0.1], 1, 1.5, seed=0),
             lambda: sweep_size([2.0], [4], 0.95, 0.005, 1, 1, seed=0),
             lambda: sweep_size([2], [4.0], 0.95, 0.005, 1, 1, seed=0),
+            lambda: NoiseModel(0.1, 2.7),
+            lambda: sweep_noise(4, [2], [0.1], 1, 1, seed=7.9),
+            lambda: sweep_size([2], [4], 0.95, 0.005, 1, 1, seed=7.0),
+            lambda: component_fidelity_estimate(2, 0.1, 10, 3.5),
         ],
     )
     def test_rejects_floats(self, call):
@@ -709,6 +704,15 @@ class TestIntegerSizes:
         )
         assert sweep_size([i(2)], [i(4)], 0.95, 0.005, i(2), i(2), seed=0) == sweep_size(
             [2], [4], 0.95, 0.005, 2, 2, seed=0
+        )
+
+    def test_accepts_numpy_integer_seeds(self):
+        i = np.int64
+        noise = NoiseModel(0.1, i(2))
+        assert noise.seed == 2 and type(noise.seed) is int
+        assert sweep_noise(4, [2], [0.1], 1, 1, seed=i(7)) == sweep_noise(4, [2], [0.1], 1, 1, seed=7)
+        assert component_fidelity_estimate(2, 0.1, 50, i(3)) == component_fidelity_estimate(
+            2, 0.1, 50, 3
         )
 
 
