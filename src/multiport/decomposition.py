@@ -25,14 +25,19 @@ their pattern allows.  Schedules are kept in a small bounded cache.
 Steps on disjoint columns commute, so a schedule splits into wavefront
 layers: a step's layer is its longest-path depth in the column-conflict
 graph (for ``m = 2`` these are the anti-diagonals of the triangular mesh).
-The sweep runs one layer at a time, with one batched RQ, product and
-scatter per block size in the layer, on a whole stack of inputs at once.
+The sweep runs one layer at a time, with one batched RQ and one gather,
+product and scatter per block size in the layer, on a whole stack of inputs
+at once.  The working matrices are kept transposed, row ``c`` holding
+column ``c``, so a layer moves whole contiguous rows and its product is a
+stack of ``(s, s) @ (s, n)`` products that numpy hands to BLAS as they
+lie; the blocks are written in layer order and put in factor order once.
 A stack holds one zero pattern, so its inputs share one schedule and cross
 its layers together, and each matrix gets the arithmetic, and so the plan,
 it would get alone.  ``decompose`` is the stack of one; the noise sweeps
 decompose all their trial matrices of one size, Haar draws and so dense,
 as one stack.  The composition behind ``reconstruct`` runs the layers the
-same way, on one set of blocks or a stack of them.
+same way, transposed, on one set of blocks or a stack of them, taking the
+blocks in layer order once.
 A ``DecompositionPlan`` stores its factors as flat arrays in factor order
 (sizes, base rows, padded columns and one array of row-major blocks) and
 validates them once, when it is built; ``plan.factors`` returns records
@@ -180,22 +185,36 @@ class _Layout:
 
     ``sizes``, ``base_rows`` (1-based) and ``columns`` (0-based, padded with
     -1 to width m) list the factors in order, and block ``k`` fills
-    ``offsets[k]:offsets[k + 1]`` of a flat block array.  ``layers`` holds
-    one ``(size, tops, cols, starts)`` group per layer and block size, in
-    layer order: the first row of each factor's block in the swept matrix,
-    its 0-based columns and the start of its entries in the flat array, as
-    ``(k,)``, ``(k, s)`` and ``(k,)`` index arrays for a group of ``k``
-    factors.
+    ``offsets[k]:offsets[k + 1]`` of a flat block array.  ``order`` lists
+    the factors in layer order, each layer's factors grouped by block size,
+    and ``layers`` holds one ``(size, tops, cols, start)`` group per layer
+    and block size, in that order: the first row of each factor's block in
+    the swept matrix and its 0-based columns, as ``(k,)`` and ``(k, s)``
+    index arrays for a group of ``k`` factors, and where the group's
+    ``k * s * s`` entries start once the blocks are put in layer order
+    (see ``layer_entries``).
     """
 
     sizes: np.ndarray
     base_rows: np.ndarray
     columns: np.ndarray
     offsets: np.ndarray
+    order: np.ndarray
     layers: tuple
 
     def __len__(self) -> int:
         return len(self.sizes)
+
+    def layer_entries(self) -> np.ndarray:
+        """The flat block array's entries in layer order, as one index array.
+
+        ``blocks[..., layout.layer_entries()]`` holds each group's blocks
+        as one contiguous run, row-major block after block.  It is derived
+        on each call rather than kept, so the cached layouts stay small.
+        """
+        counts = self.sizes[self.order] ** 2
+        shift = self.offsets[self.order] - (np.cumsum(counts) - counts)
+        return np.repeat(shift, counts) + np.arange(self.offsets[-1])
 
     def by_size(self):
         """Per block size ``s``: ``(s, factors, entries)``.
@@ -236,6 +255,7 @@ def _layout_of(n: int, m: int, base_rows: bytes, columns: bytes) -> _Layout:
     key = (np.asarray(layer, dtype=np.intp) * (m + 1) + sizes)[order]
     bounds = np.flatnonzero(np.diff(key, prepend=-1, append=-1)).tolist()
     layers = []
+    entry = 0
     for start, stop in zip(bounds[:-1], bounds[1:]):
         group = order[start:stop]
         s = int(sizes[group[0]])
@@ -243,9 +263,10 @@ def _layout_of(n: int, m: int, base_rows: bytes, columns: bytes) -> _Layout:
             s,
             _frozen(base[group] - s, np.intp),
             _frozen(cols[group, :s], np.intp),
-            _frozen(offsets[group], np.intp),
+            entry,
         ))
-    return _Layout(sizes, base, cols, offsets, tuple(layers))
+        entry += len(group) * s * s
+    return _Layout(sizes, base, cols, offsets, _frozen(order, np.intp), tuple(layers))
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,24 +408,31 @@ def _compose(layout: _Layout, blocks: np.ndarray, phases: np.ndarray) -> np.ndar
     leading ``stack`` axes, one set of blocks per slice; ``phases`` holds n
     phase angles per slice, with leading axes that broadcast to ``stack``.
     The slices may come from different plans that share the layout.  The
-    result has shape ``stack + (n, n)``.  The layers are applied last
-    first.  The factors of a layer act on disjoint columns, so one gather,
-    product and scatter per block size applies them all with the
-    arithmetic of one factor at a time.  Shared by the exact and perturbed
-    reconstruction paths, so zero perturbation reproduces the exact result
-    bit for bit and each slice of a stack equals the same slice composed
-    alone.
+    result is a C-contiguous array of shape ``stack + (n, n)``.
+
+    The product is built transposed, row ``c`` holding column ``c``, so a
+    factor's right-multiplication by ``B^dag`` is ``conj(B)`` times the
+    contiguous rows of its columns.  The layers are applied last first,
+    each block size of a layer with one gather, product and scatter of
+    whole rows, as the factors of a layer act on disjoint columns; its
+    blocks are one contiguous run of the layer-order index, derived once
+    per call.  Shared by the exact and perturbed reconstruction paths, so
+    zero perturbation reproduces the exact result bit for bit and each
+    slice of a stack equals the same slice composed alone.
     """
     stack = blocks.shape[:-1]
     n = phases.shape[-1]
     out = np.zeros(stack + (n, n), dtype=np.complex128)
     out[..., np.arange(n), np.arange(n)] = np.exp(1j * phases)
-    for s, _, cols, starts in reversed(layout.layers):
-        entries = starts[:, np.newaxis] + np.arange(s * s)
-        block = blocks[..., entries].reshape(stack + (-1, s, s))
-        gathered = out[..., cols].swapaxes(-2, -3)
-        out[..., cols] = (gathered @ np.conj(block).swapaxes(-1, -2)).swapaxes(-3, -2)
-    return out
+    # Gathering all blocks in layer order at once would hold a second copy of
+    # a sweep's whole stack of blocks; one run of the index per layer does not.
+    entries = layout.layer_entries()
+    for s, _, cols, start in reversed(layout.layers):
+        block = np.conj(blocks[..., entries[start : start + cols.size * s]])
+        out[..., cols, :] = block.reshape(stack + (-1, s, s)) @ out[..., cols, :]
+    # A transposed view would change how later reductions over the result
+    # (``_fidelities``' einsum) sum, and so their bits, with the stack shape.
+    return np.ascontiguousarray(out.swapaxes(-1, -2))
 
 
 def reconstruct(plan: DecompositionPlan) -> np.ndarray:
@@ -520,25 +548,33 @@ def _schedule(n: int, m: int, pattern: bytes):
 
 
 def _sweep(w: np.ndarray, layout: _Layout) -> np.ndarray:
-    """Sweep a ``(T, n, n)`` stack in place through one schedule's layers.
+    """Sweep a ``(T, n, n)`` stack of transposed matrices through a schedule.
 
-    Every matrix of the stack must have the zero pattern the schedule was
-    simulated on.  Each layer group gets one batched RQ, one product and
-    one scatter for the whole stack; the arithmetic on each matrix is that
-    of the matrix swept alone.  Returns the ``(T, entries)`` blocks, laid
-    out like ``DecompositionPlan.blocks``; ``w`` ends holding the swept
-    matrices.
+    The stack is swept in place, one layer at a time.  Row ``c`` of
+    ``w[t]`` holds column ``c`` of matrix ``t``, so a step's
+    right-multiplication of its columns by ``q`` is ``q^T`` times their
+    contiguous rows.  Every matrix of the stack must have the zero pattern
+    the schedule was simulated on.  Each layer group gets one batched RQ,
+    and one gather, product and scatter of whole rows for the whole stack;
+    the arithmetic on each matrix is that of the matrix swept alone.  The
+    ``q`` blocks are written in layer order and put in factor order once,
+    at the end.  Returns the ``(T, entries)`` blocks, laid out like
+    ``DecompositionPlan.blocks``; ``w`` ends holding the swept matrices,
+    transposed.
     """
-    blocks = np.empty((len(w), layout.offsets[-1]), dtype=np.complex128)
-    for s, tops, cols, starts in layout.layers:
+    t = len(w)
+    in_layers = np.empty((t, layout.offsets[-1]), dtype=np.complex128)
+    for s, tops, cols, start in layout.layers:
         rows = tops[:, np.newaxis] + np.arange(s)
-        block = (slice(None), rows[:, :, np.newaxis], cols[:, np.newaxis, :])
+        block = (slice(None), cols[:, np.newaxis, :], rows[:, :, np.newaxis])
         r, q = rq_decompose(w[block])
         # The rows below each block are finished: they hold exact zeros
         # in its columns, and multiplying keeps them so.
-        w[:, :, cols] = (w[:, :, cols].swapaxes(1, 2) @ q).swapaxes(1, 2)
-        blocks[:, starts[:, np.newaxis] + np.arange(s * s)] = q.reshape(len(w), -1, s * s)
+        w[:, cols, :] = q.swapaxes(-1, -2) @ w[:, cols, :]
+        in_layers[:, start : start + cols.size * s] = q.reshape(t, -1)
         w[block] = r  # exact zeros below each block's diagonal
+    blocks = np.empty_like(in_layers)
+    blocks[:, layout.layer_entries()] = in_layers
     return blocks
 
 
@@ -591,7 +627,7 @@ def _decompose_stack(us: np.ndarray, m: int) -> list[DecompositionPlan]:
     if (nonzero != nonzero[0]).any():
         raise ValueError("the matrices of a stack must share one zero pattern")
     layout, new_zeros, refills = _schedule(n, m, _zero_pattern(us[0]))
-    w = us.copy()
+    w = us.swapaxes(-1, -2).copy()
     blocks = _sweep(w, layout)
     diagnostics = SweepDiagnostics(new_zeros_per_factor=new_zeros, refill_events=refills)
     return [
@@ -602,7 +638,7 @@ def _decompose_stack(us: np.ndarray, m: int) -> list[DecompositionPlan]:
             base_rows=layout.base_rows,
             columns=layout.columns,
             blocks=flat,
-            phases=_phases(swept),
+            phases=_phases(swept.T),
             diagnostics=diagnostics,
         )
         for swept, flat in zip(w, blocks)

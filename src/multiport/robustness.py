@@ -165,7 +165,7 @@ def _perturb_blocks(blocks: np.ndarray, sigma: float, seeds) -> np.ndarray:
     Slice ``p`` is a pure function of ``(seeds[p], sigma, blocks)``: its
     generator draws one ``(size, 2)`` standard-normal array of ``(re, im)``
     offsets, scaled by ``sigma``.  With ``sigma == 0`` every slice is
-    ``blocks`` itself and nothing is drawn.
+    ``blocks`` itself, nothing is drawn and the seeds are not read.
     """
     if sigma == 0.0:
         return np.broadcast_to(blocks, (len(seeds), blocks.size))
@@ -426,6 +426,7 @@ def _sweep_cells(
         sigmas = [cells[c][0] for c, _ in chunk]
         seeds = [
             [_child_seed(seed, _NOISE_STREAM, *cells[c][1], t, p) for p in range(n_perturbations)]
+            if cells[c][0] else [None] * n_perturbations  # a sigma = 0 draw reads no seed
             for c, t in chunk
         ]
         members = [t for _, t in chunk]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -219,27 +220,66 @@ def plan_to_json(plan: DecompositionPlan) -> str:
 _COLUMNS_MESSAGE = "columns must be a list of integers"
 
 
-def _factor_fields(obj) -> tuple[int, int, list, list]:
+def _check_factor(obj) -> None:
     """Check one parsed plan factor; messages are relative to the factor.
 
-    Returns its size, base row, 1-based columns and block entries, with the
-    block's shape and the number of columns matching the size.  The types
-    of the columns and entries are left to one check over all factors.
+    Its keys and the types of its size and base row are checked, and the
+    block's shape and the number of columns must match the size.  The
+    types of the columns and entries are left to one check over all factors.
     """
     _require(isinstance(obj, dict), "must be an object")
     for key in ("size", "base_row", "columns", "block"):
         if key not in obj:
             raise ValueError(f"is missing key '{key}'")
     size = _as_int(obj["size"], "size")
-    base_row = _as_int(obj["base_row"], "base_row")
+    _as_int(obj["base_row"], "base_row")
     columns = obj["columns"]
     _require(isinstance(columns, list), _COLUMNS_MESSAGE)  # json_to_plan checks the items
-    rows, cols, entries = _matrix_entries(obj["block"], "block")
+    rows, cols, _ = _matrix_entries(obj["block"], "block")
     if (rows, cols) != (size, size):
         raise ValueError(f"block shape {(rows, cols)} does not match size {size}")
     if len(columns) != size:
         raise ValueError(f"expected {size} columns, got {len(columns)}")
-    return size, base_row, columns, entries
+
+
+def _all_factor_fields(raw_factors: list) -> tuple[list, list, list, list] | None:
+    """Check every parsed plan factor at once, in whole-list passes.
+
+    Makes the checks of ``_check_factor`` and accepts exactly the factors
+    it accepts, but words no message: returns ``None`` if any factor fails,
+    else the sizes, base rows, concatenated 1-based columns and
+    concatenated block entries.
+    """
+    if not set(map(type, raw_factors)) <= {dict}:
+        return None
+    try:
+        sizes, base_rows, columns, blocks = (
+            list(map(operator.itemgetter(key), raw_factors))
+            for key in ("size", "base_row", "columns", "block")
+        )
+        if not set(map(type, blocks)) <= {dict}:
+            return None
+        rows, cols, entries = (
+            list(map(operator.itemgetter(key), blocks)) for key in ("rows", "cols", "entries")
+        )
+    except KeyError:  # some factor or block lacks a key
+        return None
+    if not (
+        set(map(type, itertools.chain(sizes, base_rows, rows, cols))) <= {int}
+        and min(sizes, default=1) >= 1
+        and rows == sizes == cols
+        and set(map(type, columns)) <= {list}
+        and list(map(len, columns)) == sizes
+        and set(map(type, entries)) <= {list}
+        and list(map(len, entries)) == [s * s for s in sizes]
+    ):
+        return None
+    return (
+        sizes,
+        base_rows,
+        list(itertools.chain.from_iterable(columns)),
+        list(itertools.chain.from_iterable(entries)),
+    )
 
 
 def json_to_plan(text: str) -> DecompositionPlan:
@@ -252,16 +292,15 @@ def json_to_plan(text: str) -> DecompositionPlan:
     m = _as_int(obj["m"], "m")
     raw_factors = obj["factors"]
     _require(isinstance(raw_factors, list), "factors must be a list")
-    sizes, base_rows, columns, entries = [], [], [], []
-    for k, rf in enumerate(raw_factors):
-        try:
-            size, base_row, cols, pairs = _factor_fields(rf)
-        except ValueError as exc:
-            raise ValueError(f"factors[{k}]: {exc}") from None
-        sizes.append(size)
-        base_rows.append(base_row)
-        columns.extend(cols)
-        entries.extend(pairs)
+    fields = _all_factor_fields(raw_factors)
+    if fields is None:
+        # Some factor is malformed: find the first one and word its message.
+        for k, rf in enumerate(raw_factors):
+            try:
+                _check_factor(rf)
+            except ValueError as exc:
+                raise ValueError(f"factors[{k}]: {exc}") from None
+    sizes, base_rows, columns, entries = fields
     if not set(map(type, columns)) <= {int}:
         k = next(k for k, rf in enumerate(raw_factors) if not all(map(_is_int, rf["columns"])))
         raise ValueError(f"factors[{k}]: {_COLUMNS_MESSAGE}")

@@ -1,12 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
+from multiport import decomposition
 from multiport.decomposition import (
     DecompositionPlan,
     Factor,
+    _compose,
     _decompose_stack,
     _schedule,
     _zero_pattern,
@@ -17,7 +21,7 @@ from multiport.decomposition import (
     reconstruct,
     verify,
 )
-from multiport.linalg import haar_random_unitary
+from multiport.linalg import _fidelities, haar_random_unitary, rq_decompose
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -448,6 +452,38 @@ class TestNearDegenerate:
         if kind == "phase-only":
             assert plan.factors == ()
 
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("modes", [(15, 7, 3), (9, 8, 0)])
+    def test_rotation_by_a_subnormal_angle(self, monkeypatch, m, modes):
+        # Rotating modes i, j by 1e-320 and then j, k by 0.5 (k < j < i)
+        # leaves row i two subnormal entries left of its diagonal.  At m = 2
+        # the first step on that row takes just those two columns, so its
+        # bottom row has a subnormal norm, where dividing by the norm
+        # overflows unless rq_decompose rescales; at m = 3 the Householder
+        # RQ takes them.  A single rotation leaves every row a unit-size
+        # entry in each of its steps' columns.
+        n = 17
+        i, j, k = modes
+        u = np.eye(n, dtype=complex)
+        for a, b, theta in ((i, j, 1e-320), (j, k, 0.5)):
+            g = np.eye(n, dtype=complex)
+            c, s = np.cos(theta), np.sin(theta)
+            g[np.ix_([a, b], [a, b])] = [[c, -s], [s, c]]
+            u = u @ g
+        assert 0 < np.abs(u[u != 0]).min() < np.finfo(float).tiny
+        norms = []
+
+        def spy(a):
+            if a.shape[-1] == 2:
+                norms.extend(np.hypot(np.abs(a[..., 1, 0]), np.abs(a[..., 1, 1])).ravel())
+            return rq_decompose(a)
+
+        monkeypatch.setattr(decomposition, "rq_decompose", spy)
+        plan = decompose(u, m)
+        assert np.abs(reconstruct(plan) - u).max() <= 4 * n * np.finfo(float).eps
+        if m == 2:
+            assert any(0 < rho < np.finfo(float).tiny for rho in norms)
+
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_block_diagonal_factors_stay_inside_blocks(self, m):
         u, sizes = block_diagonal(32, 7)
@@ -567,6 +603,35 @@ class TestLayers:
         # the steps of one layer act on disjoint columns
         for _, _, cols, _ in layout.layers:
             assert len(set(cols.ravel().tolist())) == cols.size
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_stacks_compose_contiguous_slices_equal_to_each_alone(self, m):
+        n = 14
+        us = np.stack([haar_random_unitary(n, 70 + 10 * m + c) for c in range(2)])
+        plans = [decompose(u, m) for u in us]
+        layout = plans[0]._layout
+        if m > 2:
+            # some layers hold blocks of two sizes, so they run as two groups
+            depth = [0] * n
+            for s, cols in zip(layout.sizes.tolist(), layout.columns.tolist()):
+                d = 1 + max(depth[c] for c in cols[:s])
+                depth = [d if c in cols[:s] else x for c, x in enumerate(depth)]
+            assert len(layout.layers) > max(depth)
+        assert reconstruct(plans[0]).flags.c_contiguous
+        rng = np.random.default_rng(m)
+        noise = rng.standard_normal((2, 3, plans[0].blocks.size, 2)).view(complex)[..., 0]
+        blocks = np.stack([plan.blocks for plan in plans])[:, np.newaxis] + 0.1 * noise
+        phases = np.stack([plan.phases for plan in plans])[:, np.newaxis]
+        stack = _compose(layout, blocks, phases)
+        assert stack.shape == (2, 3, n, n) and stack.flags.c_contiguous
+        # As in the sweeps: the fidelities against the C-contiguous inputs,
+        # whose reduction sums in an order set by both operands' layouts.
+        fids = _fidelities(us[:, np.newaxis], stack)
+        for c, p in itertools.product(range(2), range(3)):
+            alone = _compose(layout, blocks[c, p], phases[c, 0])
+            assert alone.flags.c_contiguous
+            assert alone.tobytes() == stack[c, p].tobytes()
+            assert _fidelities(us[c], alone).tobytes() == fids[c, p].tobytes()
 
     def test_factor_order_is_schedule_order(self):
         plan = decompose(haar_random_unitary(9, 3), 3)

@@ -7,6 +7,8 @@ from multiport.linalg import haar_random_unitary
 from multiport.robustness import FidelityStats, SweepResult, sweep_noise
 from multiport.serialize import (
     CSV_HEADER,
+    _all_factor_fields,
+    _check_factor,
     json_to_matrix,
     json_to_plan,
     load_matrix,
@@ -256,6 +258,78 @@ class TestPlanJson:
     def test_one_factor_template_is_valid(self):
         plan = json_to_plan(_one_factor_plan("[[0, 0], [1, 0], [1, 0], [0, 0]]"))
         np.testing.assert_array_equal(plan.factors[0].block, [[0, 1], [1, 0]])
+
+
+def _swap_factor(**changes):
+    """A parsed 2 x 2 swap factor with some fields replaced (``None`` drops one)."""
+    block = {"rows": 2, "cols": 2, "entries": [[0, 0], [1, 0], [1, 0], [0, 0]]}
+    factor = {"size": 2, "base_row": 2, "columns": [1, 2], "block": block}
+    for key, value in changes.items():
+        target = block if key in block else factor
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+    return factor
+
+
+class TestWholeListFactorChecks:
+    """The whole-list pass accepts exactly the factors ``_check_factor`` accepts."""
+
+    @pytest.mark.parametrize(
+        "factor",
+        [
+            _swap_factor(),
+            _swap_factor(extra="ignored"),
+            _swap_factor(columns=[1, "2"]),  # item types are checked over all factors
+            _swap_factor(entries=[[0, 0], [1, 0], [1, 0], ["x"]]),  # so are entries
+            _swap_factor(base_row=-7),
+            "swap",
+            [1, 2],
+            None,
+            _swap_factor(size=None),
+            _swap_factor(base_row=None),
+            _swap_factor(columns=None),
+            _swap_factor(block=None),
+            _swap_factor(size=True),
+            _swap_factor(size=2.0),
+            _swap_factor(base_row=2.0),
+            _swap_factor(base_row=False),
+            _swap_factor(columns="12"),
+            _swap_factor(columns={"1": 2}),
+            _swap_factor(columns=[1]),
+            _swap_factor(block="swap"),
+            _swap_factor(block=[[0, 1], [1, 0]]),
+            _swap_factor(rows=None),
+            _swap_factor(cols=None),
+            _swap_factor(entries=None),
+            _swap_factor(rows=True),
+            _swap_factor(cols=2.0),
+            _swap_factor(rows=3),
+            _swap_factor(cols=1),
+            _swap_factor(entries="x"),
+            _swap_factor(entries=[[0, 0], [1, 0], [1, 0]]),
+            _swap_factor(size=0, rows=0, cols=0, columns=[], entries=[]),
+            _swap_factor(size=-1, rows=-1, cols=-1, columns=[1], entries=[[1, 0]]),
+            _swap_factor(size=1, rows=1, cols=1, columns=[1], entries=[[1, 0]]),
+        ],
+    )
+    def test_agrees_with_the_per_factor_check(self, factor):
+        try:
+            _check_factor(factor)
+            valid = True
+        except ValueError:
+            valid = False
+        for factors in ([factor], [_swap_factor(), factor], [factor, _swap_factor()]):
+            assert (_all_factor_fields(factors) is not None) == valid
+
+    def test_fields_concatenate_in_factor_order(self):
+        first = _swap_factor()
+        second = _swap_factor(base_row=3, columns=[2, 3])
+        sizes, base_rows, columns, entries = _all_factor_fields([first, second])
+        assert (sizes, base_rows, columns) == ([2, 2], [2, 3], [1, 2, 2, 3])
+        assert entries == first["block"]["entries"] + second["block"]["entries"]
+        assert _all_factor_fields([]) == ([], [], [], [])
 
 
 class TestSweepCsv:
