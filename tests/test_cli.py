@@ -126,18 +126,26 @@ class TestDecomposeReconstructVerify:
     def test_corrupted_plan_fails_reconstruct(self, tmp_path, capsys, matrix_file):
         plan = tmp_path / "plan.json"
         run(["decompose", "--in", str(matrix_file), "--m", "3", "--out", str(plan)], capsys)
-        text = plan.read_text().replace('"size": 3', '"size": 3', 1)
         # break a block: replace the first block's top-left real part
         import json as _json
 
-        obj = _json.loads(text)
-        obj["factors"][0]["block"]["entries"][0][0] = 99.0
+        obj = _json.loads(plan.read_text())
+        obj["blocks"][0] = 99.0
         plan.write_text(_json.dumps(obj))
         code, _, err = run(
             ["reconstruct", "--in", str(plan), "--out", str(tmp_path / "o.json")], capsys
         )
         assert code == 1
         assert "unitary" in err
+
+    def test_format_1_plan_fails_with_advice(self, tmp_path, capsys):
+        plan = tmp_path / "old.json"
+        plan.write_text('{"n": 2, "m": 2, "factors": [], "phases": [0, 0]}')
+        code, _, err = run(
+            ["reconstruct", "--in", str(plan), "--out", str(tmp_path / "o.json")], capsys
+        )
+        assert code == 1
+        assert "format-1" in err and "re-run `multiport decompose`" in err
 
     @pytest.mark.parametrize("command", ["decompose", "reconstruct"])
     def test_integer_too_large_for_a_float_fails_cleanly(self, tmp_path, command):
@@ -146,7 +154,10 @@ class TestDecomposeReconstructVerify:
             text = '{"rows": 1, "cols": 1, "entries": [[%s, 0]]}' % huge
             args = ["--m", "2"]
         else:
-            text = '{"n": 2, "m": 2, "factors": [], "phases": [0, %s]}' % huge
+            text = (
+                '{"format": 2, "n": 2, "m": 2, "sizes": [], "base_rows": [], "columns": [], '
+                '"blocks": [], "phases": [0, %s]}' % huge
+            )
             args = []
         infile = tmp_path / "in.json"
         infile.write_text(text)

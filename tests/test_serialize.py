@@ -1,14 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from multiport.decomposition import decompose, reconstruct
+from multiport.decomposition import DecompositionPlan, decompose, reconstruct
 from multiport.linalg import haar_random_unitary
 from multiport.robustness import FidelityStats, SweepResult, sweep_noise
 from multiport.serialize import (
     CSV_HEADER,
-    _all_factor_fields,
-    _check_factor,
     json_to_matrix,
     json_to_plan,
     load_matrix,
@@ -64,8 +64,6 @@ class TestMatrixJson:
         ]
         parsed = json_to_matrix(matrix_to_json(mat))
         np.testing.assert_array_equal(parsed, mat)
-        import json
-
         assert json.loads(matrix_to_json(mat))["entries"] == obj_entries
 
     def test_file_round_trip(self, tmp_path):
@@ -115,24 +113,69 @@ def plan():
     return decompose(haar_random_unitary(7, 21), 3)
 
 
-def _one_factor_plan(entries, block=None):
-    """Plan text with one 2 x 2 factor on modes 1, 2 and the given block entries."""
-    if block is None:
-        block = '{"rows": 2, "cols": 2, "entries": %s}' % entries
-    return (
-        '{"n": 2, "m": 2, "factors": [{"size": 2, "base_row": 2, "columns": [1, 2], '
-        '"block": %s}], "phases": [0, 0]}' % block
+# A plan of one 2 x 2 swap factor on modes 1, 2, as parsed plan JSON.
+_SWAP = {
+    "format": 2,
+    "n": 2,
+    "m": 2,
+    "sizes": [2],
+    "base_rows": [2],
+    "columns": [1, 2],
+    "blocks": [0, 0, 1, 0, 1, 0, 0, 0],
+    "phases": [0, 0],
+}
+
+
+def _plan_text(**changes):
+    """The swap plan's text with some top-level values replaced (``None`` drops one).
+
+    A value given as a ``str`` is pasted into the text as it is.
+    """
+    obj = {key: value for key, value in {**_SWAP, **changes}.items() if value is not None}
+    return "{%s}" % ", ".join(
+        f"{json.dumps(key)}: {value if isinstance(value, str) else json.dumps(value)}"
+        for key, value in obj.items()
     )
 
 
-# one 2 x 2 swap factor; fill in its columns and base row
-_SWAP = (
-    '{"size": 2, "columns": %s, "base_row": %d, "block": {"rows": 2, "cols": 2, '
-    '"entries": [[0, 0], [1, 0], [1, 0], [0, 0]]}}'
+def _bits(plan):
+    """The bytes of a plan's arrays, negative zeros read as 0."""
+    return [
+        (np.asarray(getattr(plan, name)) + 0).tobytes()
+        for name in ("sizes", "base_rows", "columns", "blocks", "phases")
+    ]
+
+
+_FORMAT_1 = (
+    'plan JSON is not in plan format 2 ("format": 2); format-1 plans, with a '
+    '"factors" list, are no longer read: re-run `multiport decompose` to write '
+    "the plan again"
 )
 
 
 class TestPlanJson:
+    def test_canonical_single_factor(self):
+        plan = DecompositionPlan(
+            n=2, m=2, sizes=[2], base_rows=[2], columns=[[0, 1]],
+            blocks=[0, 1, 1j, 0], phases=[0, 0.5],
+        )
+        assert plan_to_json(plan) == (
+            "{\n"
+            '  "format": 2,\n'
+            '  "n": 2,\n'
+            '  "m": 2,\n'
+            '  "sizes": [2],\n'
+            '  "base_rows": [2],\n'
+            '  "columns": [\n'
+            "    1, 2\n"
+            "  ],\n"
+            '  "blocks": [\n'
+            "    0, 0, 1, 0, 0, 1, 0, 0\n"
+            "  ],\n"
+            '  "phases": [0, 0.5]\n'
+            "}\n"
+        )
+
     def test_round_trip_exact(self, plan):
         again = json_to_plan(plan_to_json(plan))
         assert (again.n, again.m) == (plan.n, plan.m)
@@ -148,7 +191,7 @@ class TestPlanJson:
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     @pytest.mark.parametrize("kind", ["haar", "permutation", "permuted block-diagonal"])
-    def test_read_then_write_gives_the_same_text(self, kind, m):
+    def test_read_then_write_gives_the_same_text_and_bits(self, kind, m):
         n = 12
         rng = np.random.default_rng(m)
         if kind == "haar":
@@ -158,12 +201,29 @@ class TestPlanJson:
         else:
             blocks = [haar_random_unitary(k, m + k) for k in (5, 4, 3)]
             u = scipy.linalg.block_diag(*blocks)[:, rng.permutation(n)]
-        text = plan_to_json(decompose(u, m))
+        plan = decompose(u, m)
+        text = plan_to_json(plan)
+        again = json_to_plan(text)
+        assert _bits(again) == _bits(plan)
+        assert plan_to_json(again) == text
+
+    def test_negative_zero_written_as_zero(self):
+        plan = DecompositionPlan(
+            n=2, m=2, sizes=[2], base_rows=[2], columns=[[0, 1]],
+            blocks=[complex(-0.0, -0.0), 1, 1, complex(-0.0, 0)], phases=[-0.0, 0],
+        )
+        text = plan_to_json(plan)
+        assert "-0," not in text and "-0]" not in text and "-0\n" not in text
         assert plan_to_json(json_to_plan(text)) == text
 
     def test_empty_plan(self):
         empty = decompose(np.eye(3, dtype=complex), 2)
-        again = json_to_plan(plan_to_json(empty))
+        text = plan_to_json(empty)
+        assert text == (
+            '{\n  "format": 2,\n  "n": 3,\n  "m": 2,\n  "sizes": [],\n  "base_rows": [],\n'
+            '  "columns": [],\n  "blocks": [],\n  "phases": [0, 0, 0]\n}\n'
+        )
+        again = json_to_plan(text)
         assert len(again.factors) == 0
         np.testing.assert_array_equal(reconstruct(again), np.eye(3))
 
@@ -184,152 +244,142 @@ class TestPlanJson:
             json_to_plan(corrupted)
 
     def test_rejects_phase_out_of_range(self):
-        text = (
-            '{"n": 2, "m": 2, "factors": [], "phases": [0.0, 7.0]}'
-        )
+        text = _plan_text(sizes=[], base_rows=[], columns=[], blocks=[], phases=[0.0, 7.0])
         with pytest.raises(ValueError, match="invalid plan"):
             json_to_plan(text)
 
     @pytest.mark.parametrize(
-        "bad",
+        "text",
         [
-            '{"n": 2, "m": 2, "factors": []}',
-            '{"n": 2, "m": 2, "phases": [0, 0]}',
-            '{"n": 2, "m": 2, "factors": {}, "phases": [0, 0]}',
-            '{"n": 2, "m": 2, "factors": [{"size": 2}], "phases": [0, 0]}',
-            # one swap factor whose block entries are malformed
-            _one_factor_plan('[[0, 0], [1, 0], [1, 0], ["1", 0]]'),
-            _one_factor_plan("[[0, 0], [1, 0], [1, 0], [0, true]]"),
-            _one_factor_plan("[[0, 0], [1, 0], [1, 0], [NaN, 0]]"),
-            _one_factor_plan("[[0, 0], [1, 0], [1], [0, 0]]"),
-            _one_factor_plan("[[0, 0], [1, 0], [1, 0]]"),
-            _one_factor_plan("[[0, 0], [1, 0], [1, 0], [0, 0]]", block='"swap"'),
+            '{"n": 2, "m": 2, "factors": [], "phases": [0, 0]}',
+            _plan_text(factors=[]),
+            _plan_text(format=None),
+            _plan_text(format=1),
+            _plan_text(format=3),
+            _plan_text(format=2.0),
+            _plan_text(format='"2"'),
+            _plan_text(format=True),
         ],
     )
-    def test_rejects_malformed(self, bad):
-        with pytest.raises(ValueError, match="factors|plan JSON"):
-            json_to_plan(bad)
+    def test_rejects_format_1(self, text):
+        with pytest.raises(ValueError) as exc:
+            json_to_plan(text)
+        assert str(exc.value) == _FORMAT_1
 
     @pytest.mark.parametrize(
-        "factor,message",
+        "text,message",
         [
-            ('{"size": 1, "base_row": 1, "columns": [1], "block": {"rows": 1, "cols": 1, '
-             '"entries": [[1, 0]]}}', "factors[0]: block size must be at least 2, got 1"),
-            (_SWAP % ("[2, 1]", 2), "factors[0]: columns must be strictly ascending, got (2, 1)"),
-            (_SWAP % ("[0, 1]", 2), "factors[0]: column indices are 1-based, got (0, 1)"),
-            (_SWAP % ("[1, 2]", 1), "factors[0]: base row 1 lies above the last column 2"),
-            (_SWAP % ("[1, 2]", 3), "invalid plan: factors[0] base row 3 exceeds n = 2"),
-            (_SWAP % ("[1, 2.0]", 2), "factors[0]: columns must be a list of integers"),
-            (_SWAP.replace("[0, 0]]}", "[2, 0]]}") % ("[1, 2]", 2),
-             "factors[0]: factor block is not unitary (defect 4.000e+00)"),
-            (_SWAP.replace('"size": 2', '"size": 3') % ("[1, 2]", 2),
-             "factors[0]: block shape (2, 2) does not match size 3"),
-            (_SWAP % ("[1]", 2), "factors[0]: expected 2 columns, got 1"),
+            ("[1, 2]", "plan JSON must be an object"),
+            (_plan_text(phases=None), "plan JSON is missing key 'phases'"),
+            (_plan_text(columns=None), "plan JSON is missing key 'columns'"),
+            (_plan_text(n=2.0), "n must be an integer"),
+            (_plan_text(m=True), "m must be an integer"),
+            (_plan_text(sizes={}), "sizes must be a list of integers"),
+            (_plan_text(base_rows="[2.0]"), "base_rows must be a list of integers"),
+            (_plan_text(columns="[1, 2.0]"), "columns must be a list of integers"),
+            (_plan_text(blocks='"swap"'), "blocks must be a list of numbers"),
+            (_plan_text(blocks=[0, 0, 1, 0, 1, 0, "1", 0]), "blocks must be a list of numbers"),
+            (_plan_text(blocks=[0, 0, 1, 0, 1, 0, 0, True]), "blocks must be a list of numbers"),
+            (_plan_text(blocks=[0, 0, 1, 0, 1, 0, [0], 0]), "blocks must be a list of numbers"),
+            (_plan_text(phases=[0, None]), "phases must be a list of numbers"),
+            (_plan_text(columns=[1]), "columns must hold sum(sizes) = 2 integers, got 1"),
+            (_plan_text(sizes=[3]), "columns must hold sum(sizes) = 3 integers, got 2"),
+            (_plan_text(blocks=[0, 0, 1, 0, 1, 0, 0]),
+             "blocks must hold 2 * sum(sizes**2) = 8 numbers, got 7"),
+            (_plan_text(blocks="[0, 0, 1, 0, 1, 0, NaN, 0]"),
+             "factors[0]: block entry 3 must be finite"),
+            (_plan_text(phases="[0, -Infinity]"), "phases[1] must be finite"),
         ],
     )
-    def test_factor_messages(self, factor, message):
-        text = '{"n": 2, "m": 2, "factors": [%s], "phases": [0, 0]}' % factor
+    def test_list_messages(self, text, message):
         with pytest.raises(ValueError) as exc:
             json_to_plan(text)
         assert str(exc.value) == message
 
-    @pytest.mark.parametrize("columns,base_row", [("[1, 2]", 10**30), ("[1, 10000000000000000000000]", 2)])
-    def test_rejects_index_beyond_machine_integers(self, columns, base_row):
-        text = '{"n": 2, "m": 2, "factors": [%s], "phases": [0, 0]}' % (_SWAP % (columns, base_row))
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            (dict(sizes=[1], base_rows=[1], columns=[1], blocks=[1, 0]),
+             "factors[0]: block size must be at least 2, got 1"),
+            (dict(sizes=[0], columns=[], blocks=[]),
+             "factors[0]: block size must be at least 2, got 0"),
+            # sizes that must not place the columns: the plan rejects them first
+            (dict(n=3, sizes=[3, 0], base_rows=[3, 3], columns=[1, 2, 3], blocks=[0] * 18,
+                  phases=[0, 0, 0]),
+             "invalid plan: factors[0] has size 3 > m = 2"),
+            (dict(n=3, sizes=[1, -1, 2], base_rows=[1, 1, 2],
+                  blocks=[1, 0, 0, 0, *_SWAP["blocks"]], phases=[0, 0, 0]),
+             "factors[0]: block size must be at least 2, got 1"),
+            (dict(columns=[2, 1]), "factors[0]: columns must be strictly ascending, got (2, 1)"),
+            (dict(columns=[0, 1]), "factors[0]: column indices are 1-based, got (0, 1)"),
+            (dict(base_rows=[1]), "factors[0]: base row 1 lies above the last column 2"),
+            (dict(base_rows=[3]), "invalid plan: factors[0] base row 3 exceeds n = 2"),
+            (dict(blocks=[0, 0, 1, 0, 1, 0, 2, 0]),
+             "factors[0]: factor block is not unitary (defect 4.000e+00)"),
+        ],
+    )
+    def test_factor_messages(self, changes, message):
+        with pytest.raises(ValueError) as exc:
+            json_to_plan(_plan_text(**changes))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            dict(sizes=[0], columns=[], blocks=[]),
+            dict(sizes=[-1], columns=[], blocks=[0, 0]),
+            dict(sizes=[-1]),
+            dict(sizes=[10**12]),
+            dict(sizes=[10**12, 2 - 10**12]),
+            dict(sizes=[3, -1], blocks=[0] * 20),
+            dict(sizes=[2, 0], base_rows=[2, 1]),
+            dict(sizes=[2, 2], base_rows=[2, 2]),
+            dict(columns=[1, 2, 3]),
+            dict(blocks=[0, 0, 1, 0, 1, 0, 0, 0, 0]),
+        ]
+        + [
+            {key: [*_SWAP[key][:-1], bad]}
+            for key in ("sizes", "base_rows", "columns", "blocks", "phases")
+            for bad in (True, "1")
+        ],
+    )
+    def test_rejects_bad_lengths_and_types_with_value_error(self, changes):
+        # never an IndexError or TypeError from placing the columns
+        with pytest.raises(ValueError):
+            json_to_plan(_plan_text(**changes))
+
+    @pytest.mark.parametrize(
+        "changes", [dict(base_rows=[10**30]), dict(columns=[1, 10**22])]
+    )
+    def test_rejects_index_beyond_machine_integers(self, changes):
         with pytest.raises(ValueError, match="invalid plan"):
-            json_to_plan(text)
+            json_to_plan(_plan_text(**changes))
 
     @pytest.mark.parametrize("n,m", [(2, 10**12), (10**12, 10**12), (2, -(10**12))])
     def test_rejects_huge_block_size_without_sizing_by_it(self, n, m):
-        text = '{"n": %d, "m": %d, "factors": [%s], "phases": [0, 0]}' % (n, m, _SWAP % ("[1, 2]", 2))
         with pytest.raises(ValueError, match="invalid plan"):
-            json_to_plan(text)
+            json_to_plan(_plan_text(n=n, m=m))
 
     def test_rejects_block_entry_too_large_for_a_float(self):
-        text = _one_factor_plan("[[0, 0], [1, 0], [%s, 0], [0, 0]]" % HUGE)
+        text = _plan_text(blocks="[0, 0, 1, 0, %s, 0, 0, 0]" % HUGE)
         with pytest.raises(ValueError, match=r"^factors\[0\]: block entry 2 must be finite$"):
             json_to_plan(text)
 
+    def test_block_entry_is_named_in_its_factor(self):
+        text = plan_to_json(decompose(haar_random_unitary(5, 3), 2))
+        obj = json.loads(text)
+        obj["blocks"][2 * (4 + 4 + 3)] = 1e400  # float("inf"); factor 2, entry 3
+        with pytest.raises(ValueError, match=r"^factors\[2\]: block entry 3 must be finite$"):
+            json_to_plan(json.dumps(obj))
+
     def test_rejects_phase_too_large_for_a_float(self):
-        text = '{"n": 2, "m": 2, "factors": [], "phases": [0, %s]}' % HUGE
+        text = _plan_text(sizes=[], base_rows=[], columns=[], blocks=[], phases="[0, %s]" % HUGE)
         with pytest.raises(ValueError, match=r"^phases\[1\] must be finite$"):
             json_to_plan(text)
 
-    def test_one_factor_template_is_valid(self):
-        plan = json_to_plan(_one_factor_plan("[[0, 0], [1, 0], [1, 0], [0, 0]]"))
+    def test_swap_plan_is_valid(self):
+        plan = json_to_plan(_plan_text())
         np.testing.assert_array_equal(plan.factors[0].block, [[0, 1], [1, 0]])
-
-
-def _swap_factor(**changes):
-    """A parsed 2 x 2 swap factor with some fields replaced (``None`` drops one)."""
-    block = {"rows": 2, "cols": 2, "entries": [[0, 0], [1, 0], [1, 0], [0, 0]]}
-    factor = {"size": 2, "base_row": 2, "columns": [1, 2], "block": block}
-    for key, value in changes.items():
-        target = block if key in block else factor
-        if value is None:
-            del target[key]
-        else:
-            target[key] = value
-    return factor
-
-
-class TestWholeListFactorChecks:
-    """The whole-list pass accepts exactly the factors ``_check_factor`` accepts."""
-
-    @pytest.mark.parametrize(
-        "factor",
-        [
-            _swap_factor(),
-            _swap_factor(extra="ignored"),
-            _swap_factor(columns=[1, "2"]),  # item types are checked over all factors
-            _swap_factor(entries=[[0, 0], [1, 0], [1, 0], ["x"]]),  # so are entries
-            _swap_factor(base_row=-7),
-            "swap",
-            [1, 2],
-            None,
-            _swap_factor(size=None),
-            _swap_factor(base_row=None),
-            _swap_factor(columns=None),
-            _swap_factor(block=None),
-            _swap_factor(size=True),
-            _swap_factor(size=2.0),
-            _swap_factor(base_row=2.0),
-            _swap_factor(base_row=False),
-            _swap_factor(columns="12"),
-            _swap_factor(columns={"1": 2}),
-            _swap_factor(columns=[1]),
-            _swap_factor(block="swap"),
-            _swap_factor(block=[[0, 1], [1, 0]]),
-            _swap_factor(rows=None),
-            _swap_factor(cols=None),
-            _swap_factor(entries=None),
-            _swap_factor(rows=True),
-            _swap_factor(cols=2.0),
-            _swap_factor(rows=3),
-            _swap_factor(cols=1),
-            _swap_factor(entries="x"),
-            _swap_factor(entries=[[0, 0], [1, 0], [1, 0]]),
-            _swap_factor(size=0, rows=0, cols=0, columns=[], entries=[]),
-            _swap_factor(size=-1, rows=-1, cols=-1, columns=[1], entries=[[1, 0]]),
-            _swap_factor(size=1, rows=1, cols=1, columns=[1], entries=[[1, 0]]),
-        ],
-    )
-    def test_agrees_with_the_per_factor_check(self, factor):
-        try:
-            _check_factor(factor)
-            valid = True
-        except ValueError:
-            valid = False
-        for factors in ([factor], [_swap_factor(), factor], [factor, _swap_factor()]):
-            assert (_all_factor_fields(factors) is not None) == valid
-
-    def test_fields_concatenate_in_factor_order(self):
-        first = _swap_factor()
-        second = _swap_factor(base_row=3, columns=[2, 3])
-        sizes, base_rows, columns, entries = _all_factor_fields([first, second])
-        assert (sizes, base_rows, columns) == ([2, 2], [2, 3], [1, 2, 2, 3])
-        assert entries == first["block"]["entries"] + second["block"]["entries"]
-        assert _all_factor_fields([]) == ([], [], [], [])
 
 
 class TestSweepCsv:
