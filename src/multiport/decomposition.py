@@ -32,16 +32,20 @@ column ``c``, so a layer moves whole contiguous rows and its product is a
 stack of ``(s, s) @ (s, n)`` products that numpy hands to BLAS as they
 lie; the blocks are written in layer order and put in factor order once.
 A stack holds one zero pattern, so its inputs share one schedule and cross
-its layers together, and each matrix gets the arithmetic, and so the plan,
-it would get alone.  ``decompose`` is the stack of one; the noise sweeps
-decompose all their trial matrices of one size, Haar draws and so dense,
-as one stack.  The composition behind ``reconstruct`` runs the layers the
-same way, transposed, on one set of blocks or a stack of them, taking the
-blocks in layer order once.
+its layers together, and each matrix gets the arithmetic, and so the blocks
+and phases, it would get alone.  ``decompose`` is the stack of one and
+returns one plan; the noise sweeps decompose all their trial matrices of
+one size, Haar draws and so dense, as one stack, and build no per-matrix
+plans: they take the shared layout with a ``(T, entries)`` block array and
+``(T, n)`` phases.  The composition behind ``reconstruct`` runs the layers
+the same way, transposed, on one set of blocks or a stack of them, taking
+the blocks in layer order once.
 A ``DecompositionPlan`` stores its factors as flat arrays in factor order
 (sizes, base rows, padded columns and one array of row-major blocks) and
 validates them once, when it is built; ``plan.factors`` returns records
-whose blocks are read-only views of those arrays.
+whose blocks are read-only views of those arrays.  One validator,
+``_validated``, serves both: it checks a plan's fields, or a sweep's whole
+stack of blocks and phases at once, with the same checks and messages.
 """
 
 from __future__ import annotations
@@ -269,6 +273,78 @@ def _layout_of(n: int, m: int, base_rows: bytes, columns: bytes) -> _Layout:
     return _Layout(sizes, base, cols, offsets, _frozen(order, np.intp), tuple(layers))
 
 
+_PLAN_FIELDS = ("n", "m", "sizes", "base_rows", "columns", "blocks", "phases", "_layout")
+
+
+def _validated(n, m, sizes, base_rows, columns, blocks, phases, stack=()):
+    """Check the fields of one plan, or of a stack of plans sharing their factors.
+
+    The factors (``sizes``, ``base_rows``, ``columns``) are one sequence;
+    ``blocks`` and ``phases`` carry the leading ``stack`` axes, one set of
+    blocks and phases per plan (none for a single plan).  Every check runs
+    once over the whole stack: the phases, the factors' sizes, columns and
+    base rows, and the unitarity of every block, as one stacked check per
+    block size.  Raises ``ValueError`` (``_FactorError`` for a fault of
+    factor ``k``, in any plan of the stack) at the first fault; returns the
+    fields of ``_PLAN_FIELDS`` in order, the arrays as read-only copies and
+    the factors' ``_Layout`` last.  ``DecompositionPlan`` and the stack
+    decomposition both check through here.
+    """
+    n, m = _check_block_size(n, m)
+    phases = _frozen(phases, np.float64)
+    if phases.shape != stack + (n,):
+        raise ValueError(f"expected {n} phases, got shape {phases.shape}")
+    if not np.isfinite(phases).all():
+        raise ValueError("phases contain non-finite values")
+    if ((phases <= -np.pi) | (phases > np.pi)).any():
+        raise ValueError("phases must lie in (-pi, pi]")
+
+    sizes = _frozen(sizes, np.intp)
+    base_rows = _frozen(base_rows, np.intp)
+    if sizes.ndim != 1 or base_rows.shape != sizes.shape:
+        raise ValueError(
+            f"sizes and base_rows must be 1-D of one length, got shapes "
+            f"{sizes.shape} and {base_rows.shape}"
+        )
+    bound = factor_count_bound(n, m)
+    if len(sizes) > bound:
+        raise ValueError(
+            f"{len(sizes)} factors exceed the bound {bound} for n={n}, m={m}"
+        )
+    k = _first(sizes > m)
+    if k is not None:
+        raise ValueError(f"factors[{k}] has size {sizes[k]} > m = {m}")
+    columns = _frozen(columns, np.intp)
+    if columns.shape != (len(sizes), m):
+        raise ValueError(
+            f"columns must be a ({len(sizes)}, {m}) array, got shape {columns.shape}"
+        )
+    fault = _factor_fault(sizes, base_rows, columns)
+    if fault is not None:
+        raise _FactorError("factors[%d]: %s" % fault)
+    if (columns[np.arange(m) >= sizes[:, np.newaxis]] != -1).any():
+        raise ValueError("columns must be padded with -1 past each factor's size")
+    k = _first(base_rows > n)
+    if k is not None:
+        raise ValueError(f"factors[{k}] base row {base_rows[k]} exceeds n = {n}")
+    blocks = _frozen(blocks, np.complex128)
+    entries = int(sizes @ sizes)
+    if blocks.shape != stack + (entries,):
+        raise ValueError(f"expected {entries} block entries, got shape {blocks.shape}")
+
+    layout = _layout_of(n, m, base_rows.tobytes(), columns.tobytes())
+    defects = np.empty(stack + (len(sizes),))
+    for s, factors, index in layout.by_size():
+        defects[..., factors] = _unitarity_defects(blocks[..., index].reshape(stack + (-1, s, s)))
+    bad = _first(~(defects <= _BLOCK_UNITARY_TOL))  # also rejects NaN
+    if bad is not None:
+        raise _FactorError(
+            f"factors[{bad % len(sizes)}]: factor block is not unitary "
+            f"(defect {defects.flat[bad]:.3e})"
+        )
+    return n, m, sizes, base_rows, columns, blocks, phases, layout
+
+
 @dataclass(frozen=True, eq=False)
 class DecompositionPlan:
     """An ordered factorization ``u = D * Q_N^dag * ... * Q_1^dag``.
@@ -281,9 +357,10 @@ class DecompositionPlan:
     ``(-pi, pi]``, defining ``D = diag(exp(1j * phases))``.  Construction
     copies the arrays read-only, validates every factor (size, columns,
     base row, and the unitarity of the blocks as one stacked check per
-    block size) and splits the factors into wavefront layers; it is the
-    only place a factor is checked.  ``factors`` lists them as ``Factor``
-    records over read-only views of ``blocks``.
+    block size) and splits the factors into wavefront layers, all through
+    ``_validated``, the one factor validator, which also checks the block
+    stacks of the sweeps.  ``factors`` lists them as ``Factor`` records
+    over read-only views of ``blocks``.
     """
 
     n: int
@@ -297,62 +374,9 @@ class DecompositionPlan:
     _layout: _Layout = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        n, m = _check_block_size(self.n, self.m)
-        phases = _frozen(self.phases, np.float64)
-        if phases.shape != (n,):
-            raise ValueError(f"expected {n} phases, got shape {phases.shape}")
-        if not np.isfinite(phases).all():
-            raise ValueError("phases contain non-finite values")
-        if ((phases <= -np.pi) | (phases > np.pi)).any():
-            raise ValueError("phases must lie in (-pi, pi]")
-
-        sizes = _frozen(self.sizes, np.intp)
-        base_rows = _frozen(self.base_rows, np.intp)
-        if sizes.ndim != 1 or base_rows.shape != sizes.shape:
-            raise ValueError(
-                f"sizes and base_rows must be 1-D of one length, got shapes "
-                f"{sizes.shape} and {base_rows.shape}"
-            )
-        bound = factor_count_bound(n, m)
-        if len(sizes) > bound:
-            raise ValueError(
-                f"{len(sizes)} factors exceed the bound {bound} for n={n}, m={m}"
-            )
-        k = _first(sizes > m)
-        if k is not None:
-            raise ValueError(f"factors[{k}] has size {sizes[k]} > m = {m}")
-        columns = _frozen(self.columns, np.intp)
-        if columns.shape != (len(sizes), m):
-            raise ValueError(
-                f"columns must be a ({len(sizes)}, {m}) array, got shape {columns.shape}"
-            )
-        fault = _factor_fault(sizes, base_rows, columns)
-        if fault is not None:
-            raise _FactorError("factors[%d]: %s" % fault)
-        if (columns[np.arange(m) >= sizes[:, np.newaxis]] != -1).any():
-            raise ValueError("columns must be padded with -1 past each factor's size")
-        k = _first(base_rows > n)
-        if k is not None:
-            raise ValueError(f"factors[{k}] base row {base_rows[k]} exceeds n = {n}")
-        blocks = _frozen(self.blocks, np.complex128)
-        entries = int(sizes @ sizes)
-        if blocks.shape != (entries,):
-            raise ValueError(f"expected {entries} block entries, got shape {blocks.shape}")
-
-        layout = _layout_of(n, m, base_rows.tobytes(), columns.tobytes())
-        defects = np.empty(len(sizes))
-        for s, factors, index in layout.by_size():
-            defects[factors] = _unitarity_defects(blocks[index].reshape(-1, s, s))
-        k = _first(~(defects <= _BLOCK_UNITARY_TOL))  # also rejects NaN
-        if k is not None:
-            raise _FactorError(
-                f"factors[{k}]: factor block is not unitary (defect {defects[k]:.3e})"
-            )
-        for name, value in (
-            ("n", n), ("m", m), ("sizes", sizes), ("base_rows", base_rows),
-            ("columns", columns), ("blocks", blocks), ("phases", phases),
-            ("_layout", layout),
-        ):
+        for name, value in zip(_PLAN_FIELDS, _validated(
+            self.n, self.m, self.sizes, self.base_rows, self.columns, self.blocks, self.phases
+        )):
             object.__setattr__(self, name, value)
 
     @property
@@ -445,10 +469,10 @@ def _zero_pattern(w: np.ndarray) -> bytes:
     return np.packbits(w != 0, axis=1, bitorder="little").tobytes()
 
 
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, lowest first."""
+def _bits(mask: int, limit: int = -1) -> list[int]:
+    """Indices of the set bits of ``mask``, lowest first; at most ``limit`` if given."""
     out = []
-    while mask:
+    while mask and len(out) != limit:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
@@ -487,7 +511,7 @@ def _schedule(n: int, m: int, pattern: bytes):
             live = (rows[row] & (diag - 1)) | diag
             if live == diag:
                 break
-            cols = _bits(live)[:m]
+            cols = _bits(live, m)
             size = len(cols)
             top = row - size + 1
             block = touching = 0
@@ -579,16 +603,19 @@ def _sweep(w: np.ndarray, layout: _Layout) -> np.ndarray:
 
 
 def _phases(w: np.ndarray) -> np.ndarray:
-    """The phase angles, in ``(-pi, pi]``, of a swept matrix's diagonal.
+    """The phase angles, in ``(-pi, pi]``, of the diagonals of swept matrices.
 
-    Raises ``DecompositionError`` unless ``w`` is a diagonal of unit-modulus
-    entries; an input unitary within ``_INPUT_UNITARY_TOL`` ends within
-    about n times that.
+    ``w`` is a ``(..., n, n)`` stack, either way round; returns the
+    ``(..., n)`` angles.  Raises ``DecompositionError`` unless every matrix
+    is a diagonal of unit-modulus entries; an input unitary within
+    ``_INPUT_UNITARY_TOL`` ends within about n times that.
     """
-    n = w.shape[0]
-    diag = np.diagonal(w)
+    n = w.shape[-1]
+    diag = np.diagonal(w, axis1=-2, axis2=-1)
     diag_tol = 2.0 * n * _INPUT_UNITARY_TOL
-    off = np.abs(w - np.diag(diag)).max()
+    mags = np.abs(w)
+    mags[..., np.arange(n), np.arange(n)] = 0.0
+    off = mags.max()
     if off > diag_tol:
         raise DecompositionError(
             f"residual off-diagonal entry {off:.3e} exceeds {diag_tol:.3e}; "
@@ -603,15 +630,17 @@ def _phases(w: np.ndarray) -> np.ndarray:
     return phases
 
 
-def _decompose_stack(us: np.ndarray, m: int) -> list[DecompositionPlan]:
-    """Decompose every matrix of a finite ``(T, n, n)`` complex stack.
+def _sweep_stack(us: np.ndarray, m: int):
+    """Sweep every matrix of a finite ``(T, n, n)`` complex stack, unchecked.
 
     Every member must have the same exact zero pattern, so the stack
     crosses that pattern's cached schedule's layers together (see
-    ``_sweep``) and each plan is bit for bit the one the matrix gets when
-    swept alone.  Returns the plans in stack order; raises as
-    ``decompose`` does if any member is at fault, and ``ValueError`` if
-    the members' zero patterns differ.
+    ``_sweep``) and each member gets bit for bit the blocks and phases it
+    gets when swept alone.  Returns the schedule's ``SweepDiagnostics``
+    and ``_Layout``, the ``(T, entries)`` blocks and the ``(T, n)`` phases,
+    none of them checked by ``_validated``; raises ``ValueError`` for a
+    non-unitary member, an out-of-range ``m`` or members whose zero
+    patterns differ, and ``DecompositionError`` as ``_phases`` does.
     """
     n, m = _check_block_size(us.shape[-1], m)
     # ``@``, not einsum: 0.25 ms for one n=100 input against 4.2 ms (2 cores).
@@ -630,19 +659,26 @@ def _decompose_stack(us: np.ndarray, m: int) -> list[DecompositionPlan]:
     w = us.swapaxes(-1, -2).copy()
     blocks = _sweep(w, layout)
     diagnostics = SweepDiagnostics(new_zeros_per_factor=new_zeros, refill_events=refills)
-    return [
-        DecompositionPlan(
-            n=n,
-            m=m,
-            sizes=layout.sizes,
-            base_rows=layout.base_rows,
-            columns=layout.columns,
-            blocks=flat,
-            phases=_phases(swept.T),
-            diagnostics=diagnostics,
-        )
-        for swept, flat in zip(w, blocks)
-    ]
+    return diagnostics, layout, blocks, _phases(w)
+
+
+def _decompose_stack(us: np.ndarray, m: int):
+    """Decompose every matrix of a finite ``(T, n, n)`` complex stack.
+
+    The stack is swept as one (see ``_sweep_stack``) and its blocks and
+    phases pass the plan constructor's checks once, as a whole; no plan is
+    built.  Returns the cached ``_Layout`` the members share, their
+    ``(T, entries)`` blocks and their ``(T, n)`` phases, read-only, where
+    member ``t``'s are bit for bit those of ``decompose(us[t], m)``.
+    Raises as ``decompose`` and the plan constructor do if any member is
+    at fault, and ``ValueError`` if the members' zero patterns differ.
+    """
+    _, layout, blocks, phases = _sweep_stack(us, m)
+    *_, blocks, phases, layout = _validated(
+        us.shape[-1], m, layout.sizes, layout.base_rows, layout.columns, blocks, phases,
+        stack=(len(us),),
+    )
+    return layout, blocks, phases
 
 
 def decompose(u, m: int) -> DecompositionPlan:
@@ -654,7 +690,18 @@ def decompose(u, m: int) -> DecompositionPlan:
     an out-of-range ``m``, and ``DecompositionError`` if the swept matrix is
     not a diagonal of unit-modulus phases.
     """
-    return _decompose_stack(as_matrix(u, square=True)[np.newaxis], m)[0]
+    mat = as_matrix(u, square=True)
+    diagnostics, layout, blocks, phases = _sweep_stack(mat[np.newaxis], m)
+    return DecompositionPlan(
+        n=mat.shape[0],
+        m=m,
+        sizes=layout.sizes,
+        base_rows=layout.base_rows,
+        columns=layout.columns,
+        blocks=blocks[0],
+        phases=phases[0],
+        diagnostics=diagnostics,
+    )
 
 
 @dataclass(frozen=True)

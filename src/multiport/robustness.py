@@ -23,16 +23,21 @@ plan's own ``blocks`` array (factor order, each block row-major).
 
 A sweep decomposes the trial matrices of one block size as one stack, then
 composes their perturbations as stacks too, one wavefront layer at a time
-for every slice.  The trial matrices are Haar draws, which have no exact
-zeros, so their plans share one layout and every ``(sigma, matrix)`` pair
-holds the same number of entries: the pairs of a block size are composed
-in runs of as many whole pairs as fit in ``_STACK_ENTRIES`` (``2**18``)
-complex entries of matrices plus blocks, at least one.  Each slice depends
-only on its own seed, so it equals the same perturbation composed alone,
-and each chunk is pooled pair by pair in ``(sigma, matrix)`` order as soon
-as it is composed, so the results do not depend on the chunking.  The
-ceiling keeps memory bounded: at ``n = 100`` an unbounded stack of 80 pairs
-took about eight times the memory and twice the time of one pair at a time.
+for every slice.  It builds no per-matrix plans: the stack decomposition
+returns one shared layout with the ``(T, entries)`` blocks and ``(T, n)``
+phases of the ``T`` trial matrices, which it checks once, as a whole, with
+the validator that checks a plan, and the perturbations are composed
+straight from those arrays.  The trial matrices are Haar draws, which have
+no exact zeros, so they share one layout and every ``(sigma, matrix)``
+pair holds the same number of entries: the pairs of a block size are
+composed in runs of as many whole pairs as fit in ``_STACK_ENTRIES``
+(``2**18``) complex entries of matrices plus blocks, at least one.  Each
+slice depends only on its own seed, so it equals the same perturbation
+composed alone, and each chunk is pooled pair by pair in ``(sigma,
+matrix)`` order as soon as it is composed, so the results do not depend
+on the chunking.  The ceiling keeps memory bounded: at ``n = 100`` an
+unbounded stack of 80 pairs took about eight times the memory and twice
+the time of one pair at a time.
 """
 
 from __future__ import annotations
@@ -70,14 +75,31 @@ _NOISE_STREAM = 2
 _ESTIMATE_STREAM = 4
 
 
+def _seed_sequence(*parts: int) -> np.random.SeedSequence:
+    """``SeedSequence`` of the parts, each taken modulo ``2**64``.
+
+    numpy turns a sequence of ints into its entropy by writing each int as
+    little-endian 32-bit words, one word for 0 and no zero high word.  The
+    parts are handed over as those words, in one ``uint32`` array, which
+    numpy takes as it is: the same entropy, so the same streams, without
+    numpy's per-int coercion in Python.
+    """
+    words = []
+    for p in parts:
+        p = operator.index(p) & _U64_MASK
+        words.append(p & 0xFFFFFFFF)
+        if p >> 32:
+            words.append(p >> 32)
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
+
+
 def _child_seed(*parts: int) -> int:
     """Collapse a tuple of integers into one derived 64-bit seed."""
-    entropy = tuple(operator.index(p) & _U64_MASK for p in parts)
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(*parts).generate_state(1, np.uint64)[0])
 
 
 def _rng(*parts: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(_child_seed(*parts)))
+    return np.random.default_rng(_seed_sequence(_child_seed(*parts)))
 
 
 def _check_sigma(sigma) -> float:
@@ -175,29 +197,28 @@ def _perturb_blocks(blocks: np.ndarray, sigma: float, seeds) -> np.ndarray:
     return blocks + sigma * pairs.view(np.complex128)[..., 0]
 
 
-def _perturbed_stack(plans, sigmas, seeds):
-    """Compose one perturbation per seed of each plan, as one stack.
+def _perturbed_stack(layout, blocks, phases, sigmas, seeds):
+    """Compose one perturbation per seed of each set of blocks, as one stack.
 
-    ``plans`` share one layout; ``seeds[c]`` lists the ``P`` draws of
-    ``plans[c]`` at noise strength ``sigmas[c]``.  Returns the
+    ``blocks`` (``(C, entries)``) and ``phases`` (``(C, n)``) hold ``C``
+    sets of plan fields that share ``layout``; ``seeds[c]`` lists the ``P``
+    draws of set ``c`` at noise strength ``sigmas[c]``.  Returns the
     ``(C, P, n, n)`` perturbed matrices and the ``(C, P, K)`` block
     fidelities, with the factors of each slice ordered by block size.
     Each slice equals the same draw composed alone.
     """
-    layout = plans[0]._layout
     flat = np.stack([
-        _perturb_blocks(plan.blocks, sigma, draws)
-        for plan, sigma, draws in zip(plans, sigmas, seeds)
+        _perturb_blocks(ideal, sigma, draws)
+        for ideal, sigma, draws in zip(blocks, sigmas, seeds)
     ])
-    ideal = np.stack([plan.blocks for plan in plans])[:, np.newaxis]
+    ideal = blocks[:, np.newaxis]
     block_fids = [np.zeros(flat.shape[:-1] + (0,))]  # a plan without factors has no groups
     for s, _, entries in layout.by_size():
         block_fids.append(_fidelities(
             ideal[..., entries].reshape(ideal.shape[:-1] + (-1, s, s)),
             flat[..., entries].reshape(flat.shape[:-1] + (-1, s, s)),
         ))
-    phases = np.stack([plan.phases for plan in plans])[:, np.newaxis]
-    return _compose(layout, flat, phases), np.concatenate(block_fids, axis=-1)
+    return _compose(layout, flat, phases[:, np.newaxis]), np.concatenate(block_fids, axis=-1)
 
 
 def reconstruct_perturbed(plan: DecompositionPlan, noise: NoiseModel) -> np.ndarray:
@@ -206,7 +227,10 @@ def reconstruct_perturbed(plan: DecompositionPlan, noise: NoiseModel) -> np.ndar
     With ``noise.sigma == 0`` this reproduces ``reconstruct(plan)`` bit for
     bit (same composition code path, identical blocks).
     """
-    matrices, _ = _perturbed_stack([plan], [noise.sigma], [[noise.seed]])
+    matrices, _ = _perturbed_stack(
+        plan._layout, plan.blocks[np.newaxis], plan.phases[np.newaxis],
+        [noise.sigma], [[noise.seed]],
+    )
     return matrices[0, 0]
 
 
@@ -393,14 +417,16 @@ def _prepare(n: int, m: int, n_matrices: int, seed: int, key):
 
     Matrix ``t`` is the Haar unitary seeded by
     ``_child_seed(seed, _MATRIX_STREAM, *key, t)``.  Returns the
-    ``(n_matrices, n, n)`` stack and its plans, which ``_sweep_cells``
-    takes.
+    ``(n_matrices, n, n)`` stack followed by what ``_decompose_stack``
+    returns for it (the shared layout, the ``(n_matrices, entries)`` blocks
+    and the ``(n_matrices, n)`` phases), which ``_sweep_cells`` takes; no
+    plan is built.
     """
     us = np.stack([
         haar_random_unitary(n, _child_seed(seed, _MATRIX_STREAM, *key, t))
         for t in range(n_matrices)
     ])
-    return us, _decompose_stack(us, m)
+    return (us, *_decompose_stack(us, m))
 
 
 def _sweep_cells(
@@ -417,10 +443,10 @@ def _sweep_cells(
     fidelities, then matrix fidelities, each pair's draws as one batch.  So
     the results do not depend on how the pairs are stacked.
     """
-    us, plans = prepared
+    us, layout, blocks, phases = prepared
     accs = [(_RunningMean(), _RunningMean()) for _ in cells]
-    pairs = [(c, t) for c in range(len(cells)) for t in range(len(plans))]
-    per_stack = max(1, _STACK_ENTRIES // (n_perturbations * (n * n + plans[0].blocks.size)))
+    pairs = [(c, t) for c in range(len(cells)) for t in range(len(us))]
+    per_stack = max(1, _STACK_ENTRIES // (n_perturbations * (n * n + blocks.shape[-1])))
     for start in range(0, len(pairs), per_stack):
         chunk = pairs[start : start + per_stack]
         sigmas = [cells[c][0] for c, _ in chunk]
@@ -430,7 +456,9 @@ def _sweep_cells(
             for c, t in chunk
         ]
         members = [t for _, t in chunk]
-        rebuilt, block_fids = _perturbed_stack([plans[t] for t in members], sigmas, seeds)
+        rebuilt, block_fids = _perturbed_stack(
+            layout, blocks[members], phases[members], sigmas, seeds
+        )
         matrix_fids = _fidelities(us[members][:, np.newaxis], rebuilt)
         for (c, _), fq, fu in zip(chunk, block_fids, matrix_fids):
             accs[c][0].add(fq)
@@ -470,7 +498,7 @@ def sweep_noise(
 
     results: list[SweepResult] = []
     for mi, m in enumerate(m_list):
-        # Decompose the trial matrices once, as one stack; the plans serve
+        # Decompose the trial matrices once, as one stack; its blocks serve
         # the whole sigma grid (perturbation draws stay independent per sigma).
         prepared = _prepare(n, m, n_matrices, seed, (mi,))
         cells = [(sigma, (mi, si)) for si, sigma in enumerate(sigma_grid)]

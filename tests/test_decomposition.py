@@ -343,22 +343,27 @@ class TestDecompose:
         np.testing.assert_array_equal(a.blocks, b.blocks)
 
 
-def _same_plan(a, b):
-    """Two plans hold the same factors, bit for bit, and the same diagnostics."""
-    for name in ("sizes", "base_rows", "columns", "blocks", "phases"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.tobytes() == y.tobytes(), name
-    assert (a.n, a.m, a.diagnostics) == (b.n, b.m, b.diagnostics)
+def _same_as_one_at_a_time(us, m):
+    """Each member's blocks and phases in the stack are bit for bit its own plan's."""
+    layout, blocks, phases = _decompose_stack(us, m)
+    assert blocks.shape == (len(us), layout.offsets[-1])
+    assert phases.shape == us.shape[:2]
+    assert not (blocks.flags.writeable or phases.flags.writeable)
+    for u, member_blocks, member_phases in zip(us, blocks, phases):
+        plan = decompose(u, m)
+        for name in ("sizes", "base_rows", "columns"):
+            assert getattr(plan, name).tobytes() == getattr(layout, name).tobytes(), name
+        assert member_blocks.tobytes() == plan.blocks.tobytes()
+        assert member_phases.tobytes() == plan.phases.tobytes()
 
 
 class TestDecomposeStack:
-    """A stack of inputs crosses the layers together and gives per-matrix plans."""
+    """A stack of inputs crosses the layers together, each member as if alone."""
 
     @pytest.mark.parametrize("n,m", [(2, 2), (5, 2), (9, 3), (16, 4), (12, 12)])
     def test_dense_stack_matches_one_at_a_time(self, n, m):
         us = np.stack([haar_random_unitary(n, 40 + t) for t in range(7)])
-        for u, plan in zip(us, _decompose_stack(us, m)):
-            _same_plan(plan, decompose(u, m))
+        _same_as_one_at_a_time(us, m)
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     @pytest.mark.parametrize(
@@ -382,11 +387,7 @@ class TestDecomposeStack:
             members = [np.diag(d) for d in phases]
         else:
             members = [one_exact_zero(n, 6 + t) for t in range(4)]
-        us = np.stack(members)
-        plans = _decompose_stack(us, m)
-        assert len(plans) == len(members)
-        for u, plan in zip(us, plans):
-            _same_plan(plan, decompose(u, m))
+        _same_as_one_at_a_time(np.stack(members), m)
 
     def test_rejects_mixed_zero_patterns(self):
         us = np.stack([haar_random_unitary(6, 1), random_permutation_unitary(6, 2)])
@@ -397,6 +398,21 @@ class TestDecomposeStack:
         us = np.stack([haar_random_unitary(4, 1), np.diag([1.0, 2.0, 1.0, 1.0])]).astype(complex)
         with pytest.raises(ValueError, match="not unitary"):
             _decompose_stack(us, 2)
+
+    @pytest.mark.parametrize("member", [0, 2])
+    def test_rejects_a_non_unitary_swept_block_with_the_plan_message(self, monkeypatch, member):
+        us = np.stack([haar_random_unitary(6, 70 + t) for t in range(3)])
+        sweep = decomposition._sweep
+        k = 3
+
+        def corrupting(w, layout):
+            blocks = sweep(w, layout)
+            blocks[member, layout.offsets[k]] *= 1.5
+            return blocks
+
+        monkeypatch.setattr(decomposition, "_sweep", corrupting)
+        with pytest.raises(ValueError, match=rf"^factors\[{k}\]: factor block is not unitary \(defect"):
+            _decompose_stack(us, 3)
 
 
 def near_permutation(n, eps, seed):

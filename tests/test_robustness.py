@@ -1,4 +1,6 @@
 import itertools
+import operator
+import random
 import subprocess
 import sys
 
@@ -10,7 +12,7 @@ from scipy.special import hyp1f1
 
 from multiport import robustness
 from multiport.decomposition import decompose, reconstruct
-from multiport.linalg import _fidelities, haar_random_unitary, sample_haar
+from multiport.linalg import _U64_MASK, _fidelities, haar_random_unitary, sample_haar
 from multiport.robustness import (
     FidelityStats,
     NoiseModel,
@@ -194,6 +196,13 @@ def sample_plan():
     return u, decompose(u, 3)
 
 
+def _plan_stack(plan, sigma, seeds):
+    """``_perturbed_stack`` on the arrays of one plan: one set of blocks, drawn once per seed."""
+    return _perturbed_stack(
+        plan._layout, plan.blocks[np.newaxis], plan.phases[np.newaxis], [sigma], [seeds]
+    )
+
+
 class TestPerturbFactor:
     """The batched draw: one generator per joint perturbation of a mesh."""
 
@@ -228,7 +237,7 @@ class TestPerturbFactor:
 
     def test_result_allows_non_unitary_block(self, sample_plan):
         _, plan = sample_plan
-        rebuilt, block_fids = _perturbed_stack([plan], [0.3], [[1, 2]])
+        rebuilt, block_fids = _plan_stack(plan, 0.3, [1, 2])
         assert rebuilt.shape == (1, 2, 8, 8)
         assert block_fids.shape == (1, 2, len(plan.factors))
         assert np.isfinite(block_fids).all() and (block_fids < 1).all()
@@ -240,7 +249,7 @@ class TestPerturbFactor:
     def test_stack_slices_equal_single_reconstructions(self, sample_plan):
         _, plan = sample_plan
         seeds = [40, 41, 42]
-        rebuilt, _ = _perturbed_stack([plan], [0.1], [seeds])
+        rebuilt, _ = _plan_stack(plan, 0.1, seeds)
         for p, seed in enumerate(seeds):
             np.testing.assert_array_equal(
                 rebuilt[0, p], reconstruct_perturbed(plan, NoiseModel(0.1, seed))
@@ -249,7 +258,7 @@ class TestPerturbFactor:
     def test_block_fidelities_match_scalar_fidelity(self, sample_plan):
         _, plan = sample_plan
         flat = _perturb_blocks(plan.blocks, 0.2, [3, 4])
-        (block_fids,) = _perturbed_stack([plan], [0.2], [[3, 4]])[1]
+        (block_fids,) = _plan_stack(plan, 0.2, [3, 4])[1]
         starts = np.cumsum([0] + [f.size**2 for f in plan.factors])
         for p in range(2):
             expected = []
@@ -268,7 +277,7 @@ class TestPerturbFactor:
         # a plan only holds unitary blocks, so zero the first one as it is drawn
         monkeypatch.setattr(robustness, "_perturb_blocks", lambda blocks, sigma, seeds: zeroed[None])
         with pytest.raises(ValueError, match="zero"):
-            _perturbed_stack([plan], [0.0], [[0]])
+            _plan_stack(plan, 0.0, [0])
 
 
 class TestReconstructPerturbed:
@@ -621,6 +630,40 @@ class TestSweepSeeding:
             self._check(result, _documented_cell(result.n, 2, sigma, 2, 3, 4, (0, ni), (0, ni)))
 
 
+def _reference_child_seed(*parts):
+    """``_child_seed`` by its definition: numpy's hash of the parts modulo 2**64."""
+    entropy = tuple(operator.index(p) & _U64_MASK for p in parts)
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+
+
+class TestChildSeed:
+    """The seeds and generators of the streams, pinned to numpy's own coercion of the parts."""
+
+    PARTS = [
+        0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, 2**70 + 3,
+        np.int64(-5), np.uint64(2**63 + 7), np.int32(7), np.uint8(0),
+    ]
+
+    @classmethod
+    def _tuples(cls):
+        pick = random.Random(0)
+        for k in range(1, 8):
+            yield from itertools.product(cls.PARTS, repeat=k) if k <= 2 else (
+                tuple(pick.choice(cls.PARTS) for _ in range(k)) for _ in range(150)
+            )
+
+    def test_matches_the_definition(self):
+        for parts in self._tuples():
+            assert robustness._child_seed(*parts) == _reference_child_seed(*parts), parts
+
+    def test_generators_match_the_definition(self):
+        for parts in [(7, 2, 0, 1, 3), (2**64 - 1, 2), (0,), (-1, 2**32)]:
+            expected = np.random.default_rng(np.random.SeedSequence(_reference_child_seed(*parts)))
+            np.testing.assert_array_equal(
+                robustness._rng(*parts).standard_normal(5), expected.standard_normal(5)
+            )
+
+
 class TestSweepStacks:
     """The (sigma, matrix) pairs of a sweep are composed as bounded stacks."""
 
@@ -636,9 +679,9 @@ class TestSweepStacks:
         """The number of pairs in each stack composed from now on, as a live list."""
         stacked = []
 
-        def spy(plans, sigmas, seeds):
-            stacked.append(len(plans))
-            return _perturbed_stack(plans, sigmas, seeds)
+        def spy(layout, blocks, phases, sigmas, seeds):
+            stacked.append(len(blocks))
+            return _perturbed_stack(layout, blocks, phases, sigmas, seeds)
 
         monkeypatch.setattr(robustness, "_perturbed_stack", spy)
         return stacked
