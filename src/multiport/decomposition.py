@@ -20,7 +20,8 @@ schedule of steps is simulated once on the input's exact zero pattern
 entries.  Dense inputs, including near-permutations with tiny entries, all
 share the one schedule of their ``(n, m)``; inputs with exact zeros (phase
 diagonals, permutations, block-diagonal matrices) get the shorter schedule
-their pattern allows.  Schedules are kept in a small bounded cache.
+their pattern allows, or the dense one if theirs would be longer than
+``factor_count_bound``.  Schedules are kept in a small bounded cache.
 
 Steps on disjoint columns commute, so a schedule splits into wavefront
 layers: a step's layer is its longest-path depth in the column-conflict
@@ -481,11 +482,36 @@ def _bits(mask: int, limit: int = -1) -> list[int]:
 
 @functools.lru_cache(maxsize=_SCHEDULE_CACHE_SIZE)
 def _schedule(n: int, m: int, pattern: bytes):
-    """Simulate the sweep on a zero pattern; return its steps and zero counts.
+    """The steps and zero counts of the sweep of a zero pattern.
 
     The steps come as the ``_Layout`` of the plan they produce, in order and
-    in wavefront layers: a step of size ``s`` with base row ``b`` covers the
-    rows ``b - s:b`` (``b - 1`` is the active row) and its columns.  A
+    in wavefront layers (see ``_simulate``).  A pattern whose simulated
+    schedule has more than ``factor_count_bound(n, m)`` steps gets the
+    schedule of the dense pattern of ``(n, m)`` instead: it assumes no zeros
+    (the RQs are applied whatever the entries, and finished rows stay zero
+    by structure), so it serves any input, and the bound holds for every
+    pattern by construction.  Only then is the dense schedule simulated.
+    """
+    base_rows, columns, new_zeros, refills = _simulate(n, m, pattern)
+    if len(base_rows) > factor_count_bound(n, m):
+        dense = _zero_pattern(np.ones((n, n), dtype=bool))
+        if pattern != dense:
+            return _schedule(n, m, dense)
+    layout = _layout_of(
+        n,
+        m,
+        np.array(base_rows, dtype=np.intp).tobytes(),
+        np.array(columns, dtype=np.intp).reshape(-1, m).tobytes(),
+    )
+    return layout, tuple(new_zeros), refills
+
+
+def _simulate(n: int, m: int, pattern: bytes):
+    """Simulate the sweep on a zero pattern; return its steps and zero counts.
+
+    The steps come in order as their base rows and their columns, each
+    padded with -1 to ``m``: a step of size ``s`` with base row ``b`` covers
+    the rows ``b - s:b`` (``b - 1`` is the active row) and its columns.  A
     step's RQ sets the block's lower triangle to exact
     zeros; any other row with a nonzero in the block's columns may then hold
     nonzeros in all of them, and a row with none keeps exact zeros there.
@@ -562,13 +588,7 @@ def _schedule(n: int, m: int, pattern: bytes):
             base_rows.append(row + 1)
             columns.append(cols + [-1] * (m - size))
             new_zeros.append(fresh)
-    layout = _layout_of(
-        n,
-        m,
-        np.array(base_rows, dtype=np.intp).tobytes(),
-        np.array(columns, dtype=np.intp).reshape(-1, m).tobytes(),
-    )
-    return layout, tuple(new_zeros), refills
+    return base_rows, columns, new_zeros, refills
 
 
 def _sweep(w: np.ndarray, layout: _Layout) -> np.ndarray:

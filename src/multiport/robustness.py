@@ -16,10 +16,13 @@ Monte-Carlo cross-check.  The sweeps are Monte Carlo.
 
 All sampling is driven by ``numpy`` seed sequences derived from a single
 master seed plus fixed stream tags, so every sweep is reproducible and
-distinct loops never share a stream.  One joint perturbation of a mesh is
-one generator, seeded from ``NoiseModel.seed``: it draws the offsets of
-every block as one flat array of ``(re, im)`` pairs laid out like the
-plan's own ``blocks`` array (factor order, each block row-major).
+distinct loops never share a stream.  A joint perturbation of a mesh draws
+the offsets of every block as one flat array of ``(re, im)`` pairs laid
+out like the plan's own ``blocks`` array (factor order, each block
+row-major).  All the perturbations of one ``(cell, matrix)`` pair of a
+sweep come from one generator, in one call: perturbation ``p`` is the
+``p``-th consecutive such array it draws, so a pair's first perturbation
+is the one ``NoiseModel`` gives with the pair's seed.
 
 A sweep decomposes the trial matrices of one block size as one stack, then
 composes their perturbations as stacks too, one wavefront layer at a time
@@ -116,7 +119,9 @@ class NoiseModel:
 
     One model is one joint perturbation of a whole mesh: ``seed`` seeds the
     single generator that draws the offsets of every block, so the same
-    ``(seed, plan)`` always produces the same perturbed matrix.
+    ``(seed, plan)`` always produces the same perturbed matrix.  It is the
+    first draw of that generator; a sweep takes a pair's later
+    perturbations from the same generator, one after another.
     """
 
     sigma: float
@@ -181,35 +186,34 @@ def fidelity(q, q_pert) -> float:
     return float(_fidelities(q, p))
 
 
-def _perturb_blocks(blocks: np.ndarray, sigma: float, seeds) -> np.ndarray:
-    """One joint perturbation of a flat block array per seed: ``(P, size)``.
+def _perturb_blocks(blocks: np.ndarray, sigma: float, seed, draws: int) -> np.ndarray:
+    """``draws`` joint perturbations of a flat block array: ``(draws, size)``.
 
-    Slice ``p`` is a pure function of ``(seeds[p], sigma, blocks)``: its
-    generator draws one ``(size, 2)`` standard-normal array of ``(re, im)``
-    offsets, scaled by ``sigma``.  With ``sigma == 0`` every slice is
-    ``blocks`` itself, nothing is drawn and the seeds are not read.
+    One generator, ``_rng(seed, _NOISE_STREAM)``, draws one
+    ``(draws, size, 2)`` standard-normal array of ``(re, im)`` offsets,
+    scaled by ``sigma``, so slice ``p`` is the ``p``-th consecutive
+    ``(size, 2)`` draw of that generator.  With ``sigma == 0`` every slice
+    is ``blocks`` itself, nothing is drawn and the seed is not read.
     """
     if sigma == 0.0:
-        return np.broadcast_to(blocks, (len(seeds), blocks.size))
-    pairs = np.empty((len(seeds), blocks.size, 2))
-    for p, seed in enumerate(seeds):
-        _rng(seed, _NOISE_STREAM).standard_normal(out=pairs[p])
+        return np.broadcast_to(blocks, (draws, blocks.size))
+    pairs = _rng(seed, _NOISE_STREAM).standard_normal((draws, blocks.size, 2))
     return blocks + sigma * pairs.view(np.complex128)[..., 0]
 
 
-def _perturbed_stack(layout, blocks, phases, sigmas, seeds):
-    """Compose one perturbation per seed of each set of blocks, as one stack.
+def _perturbed_stack(layout, blocks, phases, sigmas, seeds, draws):
+    """Compose ``draws`` perturbations of each set of blocks, as one stack.
 
     ``blocks`` (``(C, entries)``) and ``phases`` (``(C, n)``) hold ``C``
-    sets of plan fields that share ``layout``; ``seeds[c]`` lists the ``P``
-    draws of set ``c`` at noise strength ``sigmas[c]``.  Returns the
-    ``(C, P, n, n)`` perturbed matrices and the ``(C, P, K)`` block
-    fidelities, with the factors of each slice ordered by block size.
-    Each slice equals the same draw composed alone.
+    sets of plan fields that share ``layout``; set ``c`` is drawn from the
+    one generator of ``seeds[c]`` at noise strength ``sigmas[c]``.  Returns
+    the ``(C, draws, n, n)`` perturbed matrices and the ``(C, draws, K)``
+    block fidelities, with the factors of each slice ordered by block
+    size.  Each slice equals the same draw composed alone.
     """
     flat = np.stack([
-        _perturb_blocks(ideal, sigma, draws)
-        for ideal, sigma, draws in zip(blocks, sigmas, seeds)
+        _perturb_blocks(ideal, sigma, seed, draws)
+        for ideal, sigma, seed in zip(blocks, sigmas, seeds)
     ])
     ideal = blocks[:, np.newaxis]
     block_fids = [np.zeros(flat.shape[:-1] + (0,))]  # a plan without factors has no groups
@@ -229,7 +233,7 @@ def reconstruct_perturbed(plan: DecompositionPlan, noise: NoiseModel) -> np.ndar
     """
     matrices, _ = _perturbed_stack(
         plan._layout, plan.blocks[np.newaxis], plan.phases[np.newaxis],
-        [noise.sigma], [[noise.seed]],
+        [noise.sigma], [noise.seed], 1,
     )
     return matrices[0, 0]
 
@@ -435,8 +439,9 @@ def _sweep_cells(
     """Pool block and matrix fidelities over every perturbation of every matrix.
 
     ``cells`` lists ``(sigma, key)`` pairs and ``prepared`` is what
-    ``_prepare`` returns.  Perturbation ``p`` of matrix ``t`` in a cell is
-    the joint draw seeded by ``_child_seed(seed, _NOISE_STREAM, *key, t, p)``.
+    ``_prepare`` returns.  The perturbations of matrix ``t`` in a cell all
+    come from the one generator of ``_child_seed(seed, _NOISE_STREAM, *key,
+    t)`` (see ``_perturb_blocks``): perturbation ``p`` is its ``p``-th draw.
     The ``(cell, matrix)`` pairs are composed in order, in runs of whole
     pairs (see the module docstring), and each run is pooled as soon as it
     is composed, one pair at a time in ``(cell, matrix)`` order: block
@@ -451,13 +456,13 @@ def _sweep_cells(
         chunk = pairs[start : start + per_stack]
         sigmas = [cells[c][0] for c, _ in chunk]
         seeds = [
-            [_child_seed(seed, _NOISE_STREAM, *cells[c][1], t, p) for p in range(n_perturbations)]
-            if cells[c][0] else [None] * n_perturbations  # a sigma = 0 draw reads no seed
+            _child_seed(seed, _NOISE_STREAM, *cells[c][1], t)
+            if cells[c][0] else None  # a sigma = 0 pair reads no seed
             for c, t in chunk
         ]
         members = [t for _, t in chunk]
         rebuilt, block_fids = _perturbed_stack(
-            layout, blocks[members], phases[members], sigmas, seeds
+            layout, blocks[members], phases[members], sigmas, seeds, n_perturbations
         )
         matrix_fids = _fidelities(us[members][:, np.newaxis], rebuilt)
         for (c, _), fq, fu in zip(chunk, block_fids, matrix_fids):

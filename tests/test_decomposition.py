@@ -562,6 +562,66 @@ class TestSchedule:
                 assert sum(new_zeros) == n * (n - 1) // 2, (n, m)
                 assert refills == 0, (n, m)
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["permutation", "block-diagonal", "phase-only"])
+    def test_overlong_sparse_schedule_falls_back_to_dense(self, monkeypatch, kind, m):
+        n = 12
+        if kind == "permutation":
+            u = random_permutation_unitary(n, m)
+        elif kind == "block-diagonal":
+            u, _ = block_diagonal(n, m)
+        else:
+            u = np.diag(np.exp(1j * np.arange(n)))
+        dense = _zero_pattern(np.ones((n, n)))
+        bound = factor_count_bound(n, m)
+        simulate = decomposition._simulate
+        simulated = []
+
+        def overlong(n, m, pattern):
+            # one step past the bound for every sparse pattern
+            simulated.append(pattern == dense)
+            base_rows, columns, new_zeros, refills = simulate(n, m, pattern)
+            if pattern == dense:
+                return base_rows, columns, new_zeros, refills
+            extra = bound + 1 - len(base_rows)
+            pad = [[0, 1] + [-1] * (m - 2)] * extra
+            return base_rows + [2] * extra, columns + pad, new_zeros + [0] * extra, refills
+
+        _schedule.cache_clear()
+        monkeypatch.setattr(decomposition, "_simulate", overlong)
+        try:
+            plan = decompose(u, m)
+            assert simulated == [False, True]  # the dense schedule only on fallback
+            expected, _, _ = _schedule(n, m, dense)
+        finally:
+            monkeypatch.undo()
+            _schedule.cache_clear()
+        np.testing.assert_array_equal(plan.base_rows, expected.base_rows)
+        np.testing.assert_array_equal(plan.columns, expected.columns)
+        assert len(plan.sizes) <= bound
+        assert np.abs(reconstruct(plan) - u).max() <= 4 * n * np.finfo(float).eps
+        assert verify(plan, u).passed
+
+    def test_schedule_within_bound_is_not_replaced(self, monkeypatch):
+        n, m = 12, 3
+        simulate = decomposition._simulate
+        simulated = []
+
+        def spy(n, m, pattern):
+            simulated.append(pattern)
+            return simulate(n, m, pattern)
+
+        u = random_permutation_unitary(n, 5)
+        _schedule.cache_clear()
+        monkeypatch.setattr(decomposition, "_simulate", spy)
+        try:
+            plan = decompose(u, m)
+        finally:
+            monkeypatch.undo()
+            _schedule.cache_clear()
+        assert simulated == [_zero_pattern(u)]  # no dense simulation
+        assert len(plan.sizes) < factor_count_bound(n, m)
+
 
 class TestReconstruct:
     def test_empty_plan_is_identity(self):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import hyp1f1
 
 from multiport import robustness
-from multiport.decomposition import decompose, reconstruct
+from multiport.decomposition import _compose, decompose, reconstruct
 from multiport.linalg import _U64_MASK, _fidelities, haar_random_unitary, sample_haar
 from multiport.robustness import (
     FidelityStats,
@@ -196,48 +196,66 @@ def sample_plan():
     return u, decompose(u, 3)
 
 
-def _plan_stack(plan, sigma, seeds):
-    """``_perturbed_stack`` on the arrays of one plan: one set of blocks, drawn once per seed."""
+def _plan_stack(plan, sigma, seed, draws):
+    """``_perturbed_stack`` on the arrays of one plan: one set of blocks, ``draws`` draws."""
     return _perturbed_stack(
-        plan._layout, plan.blocks[np.newaxis], plan.phases[np.newaxis], [sigma], [seeds]
+        plan._layout, plan.blocks[np.newaxis], plan.phases[np.newaxis], [sigma], [seed], draws
     )
 
 
 class TestPerturbFactor:
-    """The batched draw: one generator per joint perturbation of a mesh."""
+    """The batched draw: one generator for all the joint perturbations of a mesh."""
 
     def test_sigma_zero_is_identity(self, sample_plan):
         _, plan = sample_plan
-        flat = _perturb_blocks(plan.blocks, 0.0, [5, 6])
+        flat = _perturb_blocks(plan.blocks, 0.0, 5, 2)
         np.testing.assert_array_equal(flat, np.stack([plan.blocks] * 2))
 
     def test_deterministic_per_draw(self, sample_plan):
         _, plan = sample_plan
         blocks = plan.blocks
-        a = _perturb_blocks(blocks, 0.2, [31, 32])
-        b = _perturb_blocks(blocks, 0.2, [31, 32])
+        a = _perturb_blocks(blocks, 0.2, 31, 2)
+        b = _perturb_blocks(blocks, 0.2, 31, 2)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a[0], a[1])
 
     def test_seed_changes_draw(self, sample_plan):
         _, plan = sample_plan
         blocks = plan.blocks
-        a = _perturb_blocks(blocks, 0.2, [31])
-        b = _perturb_blocks(blocks, 0.2, [32])
+        a = _perturb_blocks(blocks, 0.2, 31, 1)
+        b = _perturb_blocks(blocks, 0.2, 32, 1)
         assert not np.array_equal(a, b)
+
+    def test_slab_p_is_the_generators_draw_p(self, sample_plan):
+        _, plan = sample_plan
+        blocks = plan.blocks
+        flat = _perturb_blocks(blocks, 0.2, 31, 4)
+        rng = robustness._rng(31, robustness._NOISE_STREAM)
+        for p in range(4):
+            pairs = rng.standard_normal((blocks.size, 2))
+            np.testing.assert_array_equal(flat[p], blocks + 0.2 * (pairs[:, 0] + 1j * pairs[:, 1]))
+        # a shorter run is a prefix of a longer one
+        np.testing.assert_array_equal(_perturb_blocks(blocks, 0.2, 31, 2), flat[:2])
+
+    def test_first_slab_is_reconstruct_perturbed(self, sample_plan):
+        _, plan = sample_plan
+        rebuilt, _ = _plan_stack(plan, 0.1, 40, 3)
+        np.testing.assert_array_equal(
+            rebuilt[0, 0], reconstruct_perturbed(plan, NoiseModel(0.1, 40))
+        )
 
     def test_offset_variance(self):
         # E ||block' - block||_F^2 = 2 m^2 sigma^2 = 0.18 for m=3, sigma=0.1
         q = haar_random_unitary(3, 12).ravel()
         draws = 10_000
-        flat = _perturb_blocks(q, 0.1, range(draws))
+        flat = _perturb_blocks(q, 0.1, 0, draws)
         sq = np.sum(np.abs(flat - q) ** 2, axis=1)
         se = sq.std(ddof=1) / np.sqrt(draws)
         assert abs(sq.mean() - 0.18) <= 3 * se
 
     def test_result_allows_non_unitary_block(self, sample_plan):
         _, plan = sample_plan
-        rebuilt, block_fids = _plan_stack(plan, 0.3, [1, 2])
+        rebuilt, block_fids = _plan_stack(plan, 0.3, 1, 2)
         assert rebuilt.shape == (1, 2, 8, 8)
         assert block_fids.shape == (1, 2, len(plan.factors))
         assert np.isfinite(block_fids).all() and (block_fids < 1).all()
@@ -248,17 +266,15 @@ class TestPerturbFactor:
 
     def test_stack_slices_equal_single_reconstructions(self, sample_plan):
         _, plan = sample_plan
-        seeds = [40, 41, 42]
-        rebuilt, _ = _plan_stack(plan, 0.1, seeds)
-        for p, seed in enumerate(seeds):
-            np.testing.assert_array_equal(
-                rebuilt[0, p], reconstruct_perturbed(plan, NoiseModel(0.1, seed))
-            )
+        rebuilt, _ = _plan_stack(plan, 0.1, 40, 3)
+        flat = _perturb_blocks(plan.blocks, 0.1, 40, 3)
+        for p in range(3):
+            np.testing.assert_array_equal(rebuilt[0, p], _compose(plan._layout, flat[p], plan.phases))
 
     def test_block_fidelities_match_scalar_fidelity(self, sample_plan):
         _, plan = sample_plan
-        flat = _perturb_blocks(plan.blocks, 0.2, [3, 4])
-        (block_fids,) = _plan_stack(plan, 0.2, [3, 4])[1]
+        flat = _perturb_blocks(plan.blocks, 0.2, 3, 2)
+        (block_fids,) = _plan_stack(plan, 0.2, 3, 2)[1]
         starts = np.cumsum([0] + [f.size**2 for f in plan.factors])
         for p in range(2):
             expected = []
@@ -275,9 +291,11 @@ class TestPerturbFactor:
         zeroed = plan.blocks.copy()
         zeroed[: plan.sizes[0] ** 2] = 0.0
         # a plan only holds unitary blocks, so zero the first one as it is drawn
-        monkeypatch.setattr(robustness, "_perturb_blocks", lambda blocks, sigma, seeds: zeroed[None])
+        monkeypatch.setattr(
+            robustness, "_perturb_blocks", lambda blocks, sigma, seed, draws: zeroed[None]
+        )
         with pytest.raises(ValueError, match="zero"):
-            _plan_stack(plan, 0.0, [0])
+            _plan_stack(plan, 0.0, 0, 1)
 
 
 class TestReconstructPerturbed:
@@ -576,9 +594,11 @@ def _documented_cell(n, m, sigma, n_matrices, n_perturbations, seed, matrix_key,
     """One sweep cell rebuilt from public per-matrix pieces and its documented seeds.
 
     Matrix ``t`` is ``haar_random_unitary(n, _child_seed(seed, _MATRIX_STREAM,
-    *matrix_key, t))``; its draw ``p`` is ``NoiseModel(sigma, _child_seed(seed,
-    _NOISE_STREAM, *cell, t, p))``, whose one generator draws ``(re, im)``
-    offsets for ``plan.blocks`` in order.
+    *matrix_key, t))``.  Its draws all come from the one generator seeded by
+    ``_child_seed(_child_seed(seed, _NOISE_STREAM, *cell, t), _NOISE_STREAM)``,
+    which draws ``(re, im)`` offsets for ``plan.blocks`` in order, one
+    perturbation after another; the first is ``NoiseModel(sigma,
+    _child_seed(seed, _NOISE_STREAM, *cell, t))``.
     """
     from multiport.robustness import _MATRIX_STREAM, _NOISE_STREAM, _child_seed
 
@@ -586,11 +606,11 @@ def _documented_cell(n, m, sigma, n_matrices, n_perturbations, seed, matrix_key,
     for t in range(n_matrices):
         u = haar_random_unitary(n, _child_seed(seed, _MATRIX_STREAM, *matrix_key, t))
         plan = decompose(u, m)
+        noise = NoiseModel(sigma, _child_seed(seed, _NOISE_STREAM, *cell, t))
+        rng = np.random.default_rng(
+            np.random.SeedSequence(_child_seed(noise.seed, _NOISE_STREAM))
+        )
         for p in range(n_perturbations):
-            noise = NoiseModel(sigma, _child_seed(seed, _NOISE_STREAM, *cell, t, p))
-            rng = np.random.default_rng(
-                np.random.SeedSequence(_child_seed(noise.seed, _NOISE_STREAM))
-            )
             offsets = rng.standard_normal((plan.blocks.size, 2))
             perturbed = plan.blocks + sigma * (offsets[:, 0] + 1j * offsets[:, 1])
             start = 0
@@ -598,7 +618,10 @@ def _documented_cell(n, m, sigma, n_matrices, n_perturbations, seed, matrix_key,
                 stop = start + f.size**2
                 fq.append(fidelity(f.block, perturbed[start:stop].reshape(f.size, f.size)))
                 start = stop
-            fu.append(fidelity(u, reconstruct_perturbed(plan, noise)))
+            rebuilt = _compose(plan._layout, perturbed, plan.phases)
+            if p == 0:
+                np.testing.assert_array_equal(rebuilt, reconstruct_perturbed(plan, noise))
+            fu.append(fidelity(u, rebuilt))
     return _pooled(fq), _pooled(fu)
 
 
@@ -679,9 +702,9 @@ class TestSweepStacks:
         """The number of pairs in each stack composed from now on, as a live list."""
         stacked = []
 
-        def spy(layout, blocks, phases, sigmas, seeds):
+        def spy(layout, blocks, phases, sigmas, seeds, draws):
             stacked.append(len(blocks))
-            return _perturbed_stack(layout, blocks, phases, sigmas, seeds)
+            return _perturbed_stack(layout, blocks, phases, sigmas, seeds, draws)
 
         monkeypatch.setattr(robustness, "_perturbed_stack", spy)
         return stacked
