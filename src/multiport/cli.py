@@ -67,8 +67,7 @@ def _cmd_decompose(args) -> int:
     print(f"bound = {report.factor_bound}")
     print(f"max_error = {report.max_error:.3e}")
     print(f"fidelity = {report.fidelity:.12f}")
-    print(f"zeros_cleared = {plan.diagnostics.total_zeros}")
-    print(f"refill_events = {plan.diagnostics.refill_events}")
+    print(f"zeros_cleared = {sum(s * (s - 1) // 2 for s in plan.sizes.tolist())}")
     print(f"plan written to {args.out}")
     if not report.passed:
         print(

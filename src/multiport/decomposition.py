@@ -154,25 +154,6 @@ class Factor:
     block: np.ndarray
 
 
-@dataclass(frozen=True)
-class SweepDiagnostics:
-    """Bookkeeping from one decomposition run (not serialized with the plan).
-
-    Both counts come from the schedule, which is simulated on the input's
-    zero pattern.  ``new_zeros_per_factor`` counts the below-diagonal
-    entries each factor stamps to zero for the first time;
-    ``refill_events`` counts stamped zeros that a later factor may fill
-    again (zero on dense inputs).
-    """
-
-    new_zeros_per_factor: tuple[int, ...]
-    refill_events: int
-
-    @property
-    def total_zeros(self) -> int:
-        return sum(self.new_zeros_per_factor)
-
-
 class _FactorError(ValueError):
     """Factor ``k`` of a plan is malformed; the message starts ``factors[k]: ``."""
 
@@ -371,7 +352,6 @@ class DecompositionPlan:
     columns: np.ndarray
     blocks: np.ndarray
     phases: np.ndarray
-    diagnostics: SweepDiagnostics | None = field(default=None, repr=False)
     _layout: _Layout = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -481,8 +461,8 @@ def _bits(mask: int, limit: int = -1) -> list[int]:
 
 
 @functools.lru_cache(maxsize=_SCHEDULE_CACHE_SIZE)
-def _schedule(n: int, m: int, pattern: bytes):
-    """The steps and zero counts of the sweep of a zero pattern.
+def _schedule(n: int, m: int, pattern: bytes) -> _Layout:
+    """The steps of the sweep of a zero pattern, as a cached ``_Layout``.
 
     The steps come as the ``_Layout`` of the plan they produce, in order and
     in wavefront layers (see ``_simulate``).  A pattern whose simulated
@@ -491,23 +471,25 @@ def _schedule(n: int, m: int, pattern: bytes):
     (the RQs are applied whatever the entries, and finished rows stay zero
     by structure), so it serves any input, and the bound holds for every
     pattern by construction.  Only then is the dense schedule simulated.
+    No zero counts are kept: a schedule with sizes ``s`` clears exactly
+    ``sum(s * (s - 1) // 2)`` below-diagonal entries, ``n(n-1)/2`` for a
+    dense pattern (see ``_simulate``).
     """
-    base_rows, columns, new_zeros, refills = _simulate(n, m, pattern)
+    base_rows, columns = _simulate(n, m, pattern)
     if len(base_rows) > factor_count_bound(n, m):
         dense = _zero_pattern(np.ones((n, n), dtype=bool))
         if pattern != dense:
             return _schedule(n, m, dense)
-    layout = _layout_of(
+    return _layout_of(
         n,
         m,
         np.array(base_rows, dtype=np.intp).tobytes(),
         np.array(columns, dtype=np.intp).reshape(-1, m).tobytes(),
     )
-    return layout, tuple(new_zeros), refills
 
 
 def _simulate(n: int, m: int, pattern: bytes):
-    """Simulate the sweep on a zero pattern; return its steps and zero counts.
+    """Simulate the sweep on a zero pattern; return its steps.
 
     The steps come in order as their base rows and their columns, each
     padded with -1 to ``m``: a step of size ``s`` with base row ``b`` covers
@@ -517,9 +499,17 @@ def _simulate(n: int, m: int, pattern: bytes):
     nonzeros in all of them, and a row with none keeps exact zeros there.
     The one exception is a 2-column step whose bottom row is ``(x, 0)``:
     its rotation is an exact swap with phases, so the columns trade entries.
-    Rows below the active row are finished and never touched.  Also returns
-    the below-diagonal entries each step stamps to zero for the first time,
-    and the stamped entries a later step may fill again (refills).
+    Rows below the active row are finished and never touched.
+
+    The zeros need no tracking, as their count is a closed form of the step
+    sizes.  A step of size ``s`` with first row ``top`` on columns
+    ``c_0 < ... < c_{s-1}`` stamps the ``s(s-1)/2`` entries
+    ``(top + i, c_j)``, ``j < i``, all below the diagonal.  None is stamped
+    twice or filled again: a later step at active row ``R' <= top + s - 1``
+    never takes a stamped ``c_j`` while a row ``r <= R'`` holds a stamp
+    there, since ``R' >= r > top + j`` means row ``R'`` was stamped at
+    ``c_j`` too; fills and swaps touch only the current step's columns and
+    no finished row.
     """
     width = (n + 7) // 8
     rows = [int.from_bytes(pattern[r * width : (r + 1) * width], "little") for r in range(n)]
@@ -527,8 +517,7 @@ def _simulate(n: int, m: int, pattern: bytes):
     for r, mask in enumerate(rows):
         for c in _bits(mask):
             col_rows[c] |= 1 << r
-    cleared = [0] * n  # per row, the below-diagonal entries stamped to zero
-    base_rows, columns, new_zeros, refills = [], [], [], 0
+    base_rows, columns = [], []
     for row in range(n - 1, 0, -1):
         diag = 1 << row
         while True:
@@ -551,26 +540,19 @@ def _simulate(n: int, m: int, pattern: bytes):
                 # swap with phases: the two columns trade entries, no fill.
                 for r in _bits(touching & ~in_all):
                     rows[r] ^= block
-                    refills += (cleared[r] & rows[r]).bit_count()
-                    cleared[r] &= ~rows[r]
                 j = cols[0]
                 col_rows[j], col_rows[row] = col_rows[row], col_rows[j]
-                fresh = 1 - (cleared[row] >> j & 1)
-                cleared[row] |= 1 << j
             else:
                 above = touching & ((1 << top) - 1)
                 # Rows above the block that touch some but not all of its
                 # columns fill in the rest; rows touching all are unchanged.
                 for r in _bits(above & ~in_all):
                     rows[r] |= block
-                    refills += (cleared[r] & block).bit_count()
-                    cleared[r] &= ~block
                 finished = ~((diag << 1) - 1)
                 for c in cols:
                     col_rows[c] = above | (col_rows[c] & finished)
                 # Row top + k of the block is stamped to zero in its first k
                 # columns and keeps the rest, if it touched the block at all.
-                fresh = 0
                 kept = block
                 for k in range(size):
                     r = top + k
@@ -578,17 +560,11 @@ def _simulate(n: int, m: int, pattern: bytes):
                         kept &= ~(1 << cols[k - 1])
                     if rows[r] & block:
                         rows[r] = (rows[r] & ~block) | kept
-                        refills += (cleared[r] & kept).bit_count()
-                        cleared[r] &= ~kept
                         for c in cols[k:]:
                             col_rows[c] |= 1 << r
-                    stamp = block & ~kept
-                    fresh += (stamp & ~cleared[r]).bit_count()
-                    cleared[r] |= stamp
             base_rows.append(row + 1)
             columns.append(cols + [-1] * (m - size))
-            new_zeros.append(fresh)
-    return base_rows, columns, new_zeros, refills
+    return base_rows, columns
 
 
 def _sweep(w: np.ndarray, layout: _Layout) -> np.ndarray:
@@ -656,9 +632,9 @@ def _sweep_stack(us: np.ndarray, m: int):
     Every member must have the same exact zero pattern, so the stack
     crosses that pattern's cached schedule's layers together (see
     ``_sweep``) and each member gets bit for bit the blocks and phases it
-    gets when swept alone.  Returns the schedule's ``SweepDiagnostics``
-    and ``_Layout``, the ``(T, entries)`` blocks and the ``(T, n)`` phases,
-    none of them checked by ``_validated``; raises ``ValueError`` for a
+    gets when swept alone.  Returns the schedule's ``_Layout``, the
+    ``(T, entries)`` blocks and the ``(T, n)`` phases, none of them checked
+    by ``_validated``; raises ``ValueError`` for a
     non-unitary member, an out-of-range ``m`` or members whose zero
     patterns differ, and ``DecompositionError`` as ``_phases`` does.
     """
@@ -675,11 +651,10 @@ def _sweep_stack(us: np.ndarray, m: int):
     nonzero = us != 0
     if (nonzero != nonzero[0]).any():
         raise ValueError("the matrices of a stack must share one zero pattern")
-    layout, new_zeros, refills = _schedule(n, m, _zero_pattern(us[0]))
+    layout = _schedule(n, m, _zero_pattern(us[0]))
     w = us.swapaxes(-1, -2).copy()
     blocks = _sweep(w, layout)
-    diagnostics = SweepDiagnostics(new_zeros_per_factor=new_zeros, refill_events=refills)
-    return diagnostics, layout, blocks, _phases(w)
+    return layout, blocks, _phases(w)
 
 
 def _decompose_stack(us: np.ndarray, m: int):
@@ -693,7 +668,7 @@ def _decompose_stack(us: np.ndarray, m: int):
     Raises as ``decompose`` and the plan constructor do if any member is
     at fault, and ``ValueError`` if the members' zero patterns differ.
     """
-    _, layout, blocks, phases = _sweep_stack(us, m)
+    layout, blocks, phases = _sweep_stack(us, m)
     *_, blocks, phases, layout = _validated(
         us.shape[-1], m, layout.sizes, layout.base_rows, layout.columns, blocks, phases,
         stack=(len(us),),
@@ -711,7 +686,7 @@ def decompose(u, m: int) -> DecompositionPlan:
     not a diagonal of unit-modulus phases.
     """
     mat = as_matrix(u, square=True)
-    diagnostics, layout, blocks, phases = _sweep_stack(mat[np.newaxis], m)
+    layout, blocks, phases = _sweep_stack(mat[np.newaxis], m)
     return DecompositionPlan(
         n=mat.shape[0],
         m=m,
@@ -720,7 +695,6 @@ def decompose(u, m: int) -> DecompositionPlan:
         columns=layout.columns,
         blocks=blocks[0],
         phases=phases[0],
-        diagnostics=diagnostics,
     )
 
 

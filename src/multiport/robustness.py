@@ -78,31 +78,15 @@ _NOISE_STREAM = 2
 _ESTIMATE_STREAM = 4
 
 
-def _seed_sequence(*parts: int) -> np.random.SeedSequence:
-    """``SeedSequence`` of the parts, each taken modulo ``2**64``.
-
-    numpy turns a sequence of ints into its entropy by writing each int as
-    little-endian 32-bit words, one word for 0 and no zero high word.  The
-    parts are handed over as those words, in one ``uint32`` array, which
-    numpy takes as it is: the same entropy, so the same streams, without
-    numpy's per-int coercion in Python.
-    """
-    words = []
-    for p in parts:
-        p = operator.index(p) & _U64_MASK
-        words.append(p & 0xFFFFFFFF)
-        if p >> 32:
-            words.append(p >> 32)
-    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
-
-
 def _child_seed(*parts: int) -> int:
-    """Collapse a tuple of integers into one derived 64-bit seed."""
-    return int(_seed_sequence(*parts).generate_state(1, np.uint64)[0])
+    """Collapse a tuple of integers, each taken modulo ``2**64``, into one
+    derived 64-bit seed."""
+    entropy = [operator.index(p) & _U64_MASK for p in parts]
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
 def _rng(*parts: int) -> np.random.Generator:
-    return np.random.default_rng(_seed_sequence(_child_seed(*parts)))
+    return np.random.default_rng(_child_seed(*parts))
 
 
 def _check_sigma(sigma) -> float:

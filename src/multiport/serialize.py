@@ -97,8 +97,6 @@ def matrix_to_json(a) -> str:
     return _matrix_template(*mat.shape) % tuple(mat.ravel().view(np.float64).tolist()) + "\n"
 
 
-# Validation messages are formatted only on failure: a plan holds thousands
-# of blocks and nearly all of them are valid.
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)

@@ -48,6 +48,31 @@ def unitarity_defect(a):
     return np.abs(a.conj().T @ a - np.eye(len(a))).max()
 
 
+def stamp_counts(n, steps):
+    """How many factors of a plan or layout stamp each entry of an n x n matrix.
+
+    A factor of size ``s`` with base row ``b`` on 0-based columns ``c`` stamps
+    the entries ``(b - s + i, c[j])``, ``j < i < s``, of its block's lower
+    triangle.
+    """
+    counts = np.zeros((n, n), dtype=int)
+    for s in set(steps.sizes.tolist()):
+        k = steps.sizes == s
+        i, j = np.tril_indices(s, -1)
+        np.add.at(counts, (steps.base_rows[k, np.newaxis] - s + i, steps.columns[k][:, j]), 1)
+    return counts
+
+
+def assert_stamps_disjoint_below_diagonal(n, steps, dense):
+    """Each entry is stamped at most once and lies below the diagonal; a dense
+    pattern's stamps tile the strict lower triangle."""
+    counts = stamp_counts(n, steps)
+    assert counts.max(initial=0) <= 1
+    assert not np.triu(counts).any()
+    if dense:
+        np.testing.assert_array_equal(counts, np.tri(n, k=-1, dtype=int))
+
+
 def random_permutation_unitary(n, seed):
     rng = np.random.default_rng(seed)
     return np.eye(n, dtype=complex)[:, rng.permutation(n)]
@@ -303,20 +328,7 @@ class TestDecompose:
     def test_total_zeros_accounting(self, haar_cases):
         # every sweep stamps exactly the n(n-1)/2 below-diagonal entries once
         for n, _, _, plan in haar_cases:
-            diag = plan.diagnostics
-            assert diag is not None
-            assert diag.total_zeros == n * (n - 1) // 2
-            assert diag.refill_events == 0
-
-    def test_full_blocks_create_triangle_counts(self):
-        # a full m-sized factor stamps m(m-1)/2 fresh zeros
-        plan = decompose(haar_random_unitary(12, 6), 3)
-        full = [
-            c
-            for f, c in zip(plan.factors, plan.diagnostics.new_zeros_per_factor)
-            if f.size == 3
-        ]
-        assert full and all(c == 3 for c in full)
+            assert_stamps_disjoint_below_diagonal(n, plan, dense=True)
 
     def test_reconstruction_is_unitary(self, haar_cases):
         for _, _, _, plan in haar_cases:
@@ -555,12 +567,27 @@ class TestSchedule:
         for n in range(2, 65):
             pattern = _zero_pattern(np.ones((n, n)))
             for m in range(2, n + 1):
-                steps, new_zeros, refills = _schedule(n, m, pattern)
+                steps = _schedule(n, m, pattern)
                 assert len(steps) <= factor_count_bound(n, m), (n, m)
                 if m == 2:
                     assert len(steps) == n * (n - 1) // 2, n
-                assert sum(new_zeros) == n * (n - 1) // 2, (n, m)
-                assert refills == 0, (n, m)
+                zeros = sum(s * (s - 1) // 2 for s in steps.sizes.tolist())
+                assert zeros == n * (n - 1) // 2, (n, m)
+
+    def test_stamps_are_disjoint_and_below_the_diagonal(self):
+        # Every zero a step stamps stays zero, which is why the schedule
+        # keeps no zero counts: sum(s(s-1)/2) entries in all.
+        for n in range(2, 41):
+            pattern = _zero_pattern(np.ones((n, n)))
+            for m in range(2, n + 1):
+                assert_stamps_disjoint_below_diagonal(n, _schedule(n, m, pattern), dense=True)
+        rng = np.random.default_rng(20261019)
+        for _ in range(2000):
+            n = int(rng.integers(2, 17))
+            m = int(rng.integers(2, n + 1))
+            nonzero = rng.random((n, n)) < rng.random()
+            steps = _schedule(n, m, _zero_pattern(nonzero))
+            assert_stamps_disjoint_below_diagonal(n, steps, dense=nonzero.all())
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     @pytest.mark.parametrize("kind", ["permutation", "block-diagonal", "phase-only"])
@@ -580,19 +607,19 @@ class TestSchedule:
         def overlong(n, m, pattern):
             # one step past the bound for every sparse pattern
             simulated.append(pattern == dense)
-            base_rows, columns, new_zeros, refills = simulate(n, m, pattern)
+            base_rows, columns = simulate(n, m, pattern)
             if pattern == dense:
-                return base_rows, columns, new_zeros, refills
+                return base_rows, columns
             extra = bound + 1 - len(base_rows)
             pad = [[0, 1] + [-1] * (m - 2)] * extra
-            return base_rows + [2] * extra, columns + pad, new_zeros + [0] * extra, refills
+            return base_rows + [2] * extra, columns + pad
 
         _schedule.cache_clear()
         monkeypatch.setattr(decomposition, "_simulate", overlong)
         try:
             plan = decompose(u, m)
             assert simulated == [False, True]  # the dense schedule only on fallback
-            expected, _, _ = _schedule(n, m, dense)
+            expected = _schedule(n, m, dense)
         finally:
             monkeypatch.undo()
             _schedule.cache_clear()
@@ -674,7 +701,7 @@ class TestLayers:
 
     @pytest.mark.parametrize("n", [3, 8, 21])
     def test_pairwise_mesh_layers_are_its_antidiagonals(self, n):
-        layout, _, _ = _schedule(n, 2, _zero_pattern(np.ones((n, n))))
+        layout = _schedule(n, 2, _zero_pattern(np.ones((n, n))))
         assert len(layout.layers) == 2 * n - 3
         # the steps of one layer act on disjoint columns
         for _, _, cols, _ in layout.layers:
@@ -711,7 +738,7 @@ class TestLayers:
 
     def test_factor_order_is_schedule_order(self):
         plan = decompose(haar_random_unitary(9, 3), 3)
-        layout, _, _ = _schedule(9, 3, _zero_pattern(np.ones((9, 9))))
+        layout = _schedule(9, 3, _zero_pattern(np.ones((9, 9))))
         np.testing.assert_array_equal(plan.base_rows, layout.base_rows)
         np.testing.assert_array_equal(plan.columns, layout.columns)
 
@@ -856,7 +883,7 @@ class TestSparseScheduleProperties:
     def test_near_permutations(self, case):
         u, m = case
         n = u.shape[0]
-        steps, _, _ = _schedule(n, m, _zero_pattern(u))
+        steps = _schedule(n, m, _zero_pattern(u))
         bound = factor_count_bound(n, m)
         target(len(steps) - bound, label=f"m={m}")  # steer the search toward the bound
         assert len(steps) <= bound
@@ -887,7 +914,7 @@ class TestBlockDiagonalProperties:
     def test_block_diagonal(self, case):
         u, m = case
         n = u.shape[0]
-        steps, _, _ = _schedule(n, m, _zero_pattern(u))
+        steps = _schedule(n, m, _zero_pattern(u))
         bound = factor_count_bound(n, m)
         target(len(steps) - bound, label=f"m={m}")  # steer the search toward the bound
         assert len(steps) <= bound

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -188,6 +189,23 @@ class TestPlanJson:
 
     def test_deterministic_text(self, plan):
         assert plan_to_json(plan) == plan_to_json(plan)
+
+    @pytest.mark.parametrize("kind", ["dense", "block-diagonal", "phase-only"])
+    def test_decomposed_plan_equals_its_round_trip_in_every_field(self, kind):
+        n = 9
+        if kind == "dense":
+            u = haar_random_unitary(n, 8)
+        elif kind == "block-diagonal":
+            u = scipy.linalg.block_diag(haar_random_unitary(5, 1), haar_random_unitary(4, 2))
+        else:
+            u = np.diag(np.exp(1j * np.arange(n)))
+        plan = decompose(u, 3)
+        again = json_to_plan(plan_to_json(plan))
+        for f in dataclasses.fields(plan):
+            if f.init:
+                a, b = getattr(plan, f.name), getattr(again, f.name)
+                assert np.asarray(a).dtype == np.asarray(b).dtype, f.name
+                np.testing.assert_array_equal(a, b, err_msg=f.name)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     @pytest.mark.parametrize("kind", ["haar", "permutation", "permuted block-diagonal"])
