@@ -41,18 +41,25 @@ from .svgchart import save_chart, sweep_chart
 __all__ = ["main"]
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+def _list_of(kind, name):
+    """An argparse type for a comma-separated list of ``kind`` values."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(part) for part in text.split(",") if part.strip() != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {name}, got {text!r}")
+    return parse
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+def _save_sweep(args, results, config, x_of, x_label, title) -> int:
+    """Write a sweep's CSV and, if asked, its chart; print where they went."""
+    save_sweep_results(args.out, results, config)
+    print(f"rows = {len(results)}")
+    print(f"csv written to {args.out}")
+    if args.svg:
+        save_chart(args.svg, sweep_chart(results, x_of, x_label, title))
+        print(f"svg written to {args.svg}")
+    return 0
 
 
 def _cmd_decompose(args) -> int:
@@ -135,17 +142,10 @@ def _cmd_sweep_noise(args) -> int:
         "seed": args.seed,
         "fq_pooling": "all factor blocks per draw",
     }
-    save_sweep_results(args.out, results, config)
-    print(f"rows = {len(results)}")
-    print(f"csv written to {args.out}")
-    if args.svg:
-        chart = sweep_chart(
-            results, lambda r: r.fq.mean, "mean block fidelity",
-            "Matrix fidelity vs block fidelity",
-        )
-        save_chart(args.svg, chart)
-        print(f"svg written to {args.svg}")
-    return 0
+    return _save_sweep(
+        args, results, config, lambda r: r.fq.mean, "mean block fidelity",
+        "Matrix fidelity vs block fidelity",
+    )
 
 
 def _cmd_sweep_size(args) -> int:
@@ -174,19 +174,11 @@ def _cmd_sweep_size(args) -> int:
         calibrated.setdefault(r.m, r.sigma)
     for m in sorted(calibrated):
         config[f"calibrated_sigma_m{m}"] = format(calibrated[m], ".12g")
-    save_sweep_results(args.out, results, config)
-    for m in sorted(calibrated):
         print(f"calibrated sigma for m={m}: {calibrated[m]:.6g}")
-    print(f"rows = {len(results)}")
-    print(f"csv written to {args.out}")
-    if args.svg:
-        chart = sweep_chart(
-            results, lambda r: r.n, "matrix dimension n",
-            "Matrix fidelity vs size at calibrated block fidelity",
-        )
-        save_chart(args.svg, chart)
-        print(f"svg written to {args.svg}")
-    return 0
+    return _save_sweep(
+        args, results, config, lambda r: r.n, "matrix dimension n",
+        "Matrix fidelity vs size at calibrated block fidelity",
+    )
 
 
 def _cmd_cost(args) -> int:
@@ -235,8 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-noise", help="fidelity vs noise strength (CSV/SVG)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m-list", type=_int_list, required=True)
-    p.add_argument("--sigmas", type=_float_list, required=True)
+    p.add_argument("--m-list", type=_list_of(int, "integers"), required=True)
+    p.add_argument("--sigmas", type=_list_of(float, "numbers"), required=True)
     p.add_argument("--matrices", type=int, required=True)
     p.add_argument("--perturbations", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -245,8 +237,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep_noise)
 
     p = sub.add_parser("sweep-size", help="fidelity vs size at calibrated noise")
-    p.add_argument("--m-list", type=_int_list, required=True)
-    p.add_argument("--n-list", type=_int_list, required=True)
+    p.add_argument("--m-list", type=_list_of(int, "integers"), required=True)
+    p.add_argument("--n-list", type=_list_of(int, "integers"), required=True)
     p.add_argument("--target-fq", type=float, required=True)
     p.add_argument("--fq-tol", type=float, required=True)
     p.add_argument("--matrices", type=int, required=True)

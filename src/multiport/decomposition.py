@@ -31,7 +31,9 @@ product and scatter per block size in the layer, on a whole stack of inputs
 at once.  The working matrices are kept transposed, row ``c`` holding
 column ``c``, so a layer moves whole contiguous rows and its product is a
 stack of ``(s, s) @ (s, n)`` products that numpy hands to BLAS as they
-lie; the blocks are written in layer order and put in factor order once.
+lie.  Blocks have one order everywhere, the factor order: each layer group
+carries the indices of its blocks in the flat block array, where the sweep
+writes them and the composition reads them.
 A stack holds one zero pattern, so its inputs share one schedule and cross
 its layers together, and each matrix gets the arithmetic, and so the blocks
 and phases, it would get alone.  ``decompose`` is the stack of one and
@@ -39,8 +41,7 @@ returns one plan; the noise sweeps decompose all their trial matrices of
 one size, Haar draws and so dense, as one stack, and build no per-matrix
 plans: they take the shared layout with a ``(T, entries)`` block array and
 ``(T, n)`` phases.  The composition behind ``reconstruct`` runs the layers
-the same way, transposed, on one set of blocks or a stack of them, taking
-the blocks in layer order once.
+the same way, transposed, on one set of blocks or a stack of them.
 A ``DecompositionPlan`` stores its factors as flat arrays in factor order
 (sizes, base rows, padded columns and one array of row-major blocks) and
 validates them once, when it is built; ``plan.factors`` returns records
@@ -171,36 +172,22 @@ class _Layout:
 
     ``sizes``, ``base_rows`` (1-based) and ``columns`` (0-based, padded with
     -1 to width m) list the factors in order, and block ``k`` fills
-    ``offsets[k]:offsets[k + 1]`` of a flat block array.  ``order`` lists
-    the factors in layer order, each layer's factors grouped by block size,
-    and ``layers`` holds one ``(size, tops, cols, start)`` group per layer
-    and block size, in that order: the first row of each factor's block in
-    the swept matrix and its 0-based columns, as ``(k,)`` and ``(k, s)``
-    index arrays for a group of ``k`` factors, and where the group's
-    ``k * s * s`` entries start once the blocks are put in layer order
-    (see ``layer_entries``).
+    ``offsets[k]:offsets[k + 1]`` of a flat block array.  ``layers`` holds
+    one ``(size, tops, cols, entries)`` group per layer and block size, the
+    layers in order: for a group of ``k`` factors, the first row of each
+    factor's block in the swept matrix and its 0-based columns, as ``(k,)``
+    and ``(k, s)`` index arrays, and the ``(k, s*s)`` indices of their
+    blocks in the flat block array.
     """
 
     sizes: np.ndarray
     base_rows: np.ndarray
     columns: np.ndarray
     offsets: np.ndarray
-    order: np.ndarray
     layers: tuple
 
     def __len__(self) -> int:
         return len(self.sizes)
-
-    def layer_entries(self) -> np.ndarray:
-        """The flat block array's entries in layer order, as one index array.
-
-        ``blocks[..., layout.layer_entries()]`` holds each group's blocks
-        as one contiguous run, row-major block after block.  It is derived
-        on each call rather than kept, so the cached layouts stay small.
-        """
-        counts = self.sizes[self.order] ** 2
-        shift = self.offsets[self.order] - (np.cumsum(counts) - counts)
-        return np.repeat(shift, counts) + np.arange(self.offsets[-1])
 
     def by_size(self):
         """Per block size ``s``: ``(s, factors, entries)``.
@@ -241,7 +228,6 @@ def _layout_of(n: int, m: int, base_rows: bytes, columns: bytes) -> _Layout:
     key = (np.asarray(layer, dtype=np.intp) * (m + 1) + sizes)[order]
     bounds = np.flatnonzero(np.diff(key, prepend=-1, append=-1)).tolist()
     layers = []
-    entry = 0
     for start, stop in zip(bounds[:-1], bounds[1:]):
         group = order[start:stop]
         s = int(sizes[group[0]])
@@ -249,10 +235,9 @@ def _layout_of(n: int, m: int, base_rows: bytes, columns: bytes) -> _Layout:
             s,
             _frozen(base[group] - s, np.intp),
             _frozen(cols[group, :s], np.intp),
-            entry,
+            _frozen(offsets[group, np.newaxis] + np.arange(s * s), np.intp),
         ))
-        entry += len(group) * s * s
-    return _Layout(sizes, base, cols, offsets, _frozen(order, np.intp), tuple(layers))
+    return _Layout(sizes, base, cols, offsets, tuple(layers))
 
 
 _PLAN_FIELDS = ("n", "m", "sizes", "base_rows", "columns", "blocks", "phases", "_layout")
@@ -419,21 +404,17 @@ def _compose(layout: _Layout, blocks: np.ndarray, phases: np.ndarray) -> np.ndar
     factor's right-multiplication by ``B^dag`` is ``conj(B)`` times the
     contiguous rows of its columns.  The layers are applied last first,
     each block size of a layer with one gather, product and scatter of
-    whole rows, as the factors of a layer act on disjoint columns; its
-    blocks are one contiguous run of the layer-order index, derived once
-    per call.  Shared by the exact and perturbed reconstruction paths, so
-    zero perturbation reproduces the exact result bit for bit and each
-    slice of a stack equals the same slice composed alone.
+    whole rows, as the factors of a layer act on disjoint columns.  Shared
+    by the exact and perturbed reconstruction paths, so zero perturbation
+    reproduces the exact result bit for bit and each slice of a stack
+    equals the same slice composed alone.
     """
     stack = blocks.shape[:-1]
     n = phases.shape[-1]
     out = np.zeros(stack + (n, n), dtype=np.complex128)
     out[..., np.arange(n), np.arange(n)] = np.exp(1j * phases)
-    # Gathering all blocks in layer order at once would hold a second copy of
-    # a sweep's whole stack of blocks; one run of the index per layer does not.
-    entries = layout.layer_entries()
-    for s, _, cols, start in reversed(layout.layers):
-        block = np.conj(blocks[..., entries[start : start + cols.size * s]])
+    for s, _, cols, entries in reversed(layout.layers):
+        block = np.conj(blocks[..., entries])
         out[..., cols, :] = block.reshape(stack + (-1, s, s)) @ out[..., cols, :]
     # A transposed view would change how later reductions over the result
     # (``_fidelities``' einsum) sum, and so their bits, with the stack shape.
@@ -576,25 +557,22 @@ def _sweep(w: np.ndarray, layout: _Layout) -> np.ndarray:
     contiguous rows.  Every matrix of the stack must have the zero pattern
     the schedule was simulated on.  Each layer group gets one batched RQ,
     and one gather, product and scatter of whole rows for the whole stack;
-    the arithmetic on each matrix is that of the matrix swept alone.  The
-    ``q`` blocks are written in layer order and put in factor order once,
-    at the end.  Returns the ``(T, entries)`` blocks, laid out like
-    ``DecompositionPlan.blocks``; ``w`` ends holding the swept matrices,
-    transposed.
+    the arithmetic on each matrix is that of the matrix swept alone.  Each
+    group's ``q`` blocks go straight to their entries of the returned
+    ``(T, entries)`` blocks, laid out like ``DecompositionPlan.blocks``;
+    ``w`` ends holding the swept matrices, transposed.
     """
     t = len(w)
-    in_layers = np.empty((t, layout.offsets[-1]), dtype=np.complex128)
-    for s, tops, cols, start in layout.layers:
+    blocks = np.empty((t, layout.offsets[-1]), dtype=np.complex128)
+    for s, tops, cols, entries in layout.layers:
         rows = tops[:, np.newaxis] + np.arange(s)
         block = (slice(None), cols[:, np.newaxis, :], rows[:, :, np.newaxis])
         r, q = rq_decompose(w[block])
         # The rows below each block are finished: they hold exact zeros
         # in its columns, and multiplying keeps them so.
         w[:, cols, :] = q.swapaxes(-1, -2) @ w[:, cols, :]
-        in_layers[:, start : start + cols.size * s] = q.reshape(t, -1)
+        blocks[:, entries] = q.reshape(t, -1, s * s)
         w[block] = r  # exact zeros below each block's diagonal
-    blocks = np.empty_like(in_layers)
-    blocks[:, layout.layer_entries()] = in_layers
     return blocks
 
 
@@ -758,15 +736,22 @@ class CostComparison:
 
 
 def cost_compare(n: int, m: int, c_m: float, c_2: float) -> CostComparison:
-    """Compare a mesh of ``factor_count_bound(n, m)`` m-blocks against a 2 x 2 mesh."""
+    """Compare a mesh of ``factor_count_bound(n, m)`` m-blocks against a 2 x 2 mesh.
+
+    Raises ``ValueError`` for a non-positive cost, or for an ``n`` whose
+    factor counts exceed the float range.
+    """
     n, m = _check_block_size(n, m)
     c_m = float(c_m)
     c_2 = float(c_2)
     if not (c_m > 0 and c_2 > 0):
         raise ValueError(f"costs must be positive, got c_m={c_m}, c_2={c_2}")
     count_m = factor_count_bound(n, m)
-    cost_m = c_m * count_m
-    cost_2 = c_2 * (n * (n - 1) / 2)
+    try:
+        cost_m = c_m * count_m
+        cost_2 = c_2 * (n * (n - 1) / 2)
+    except OverflowError:
+        raise ValueError(f"factor counts for n={n} exceed the float range") from None
     return CostComparison(
         n=n,
         m=m,

@@ -207,6 +207,13 @@ class TestCost:
         assert code == 1
         assert "error" in err
 
+    def test_counts_beyond_float_range_fail(self, capsys):
+        n = str(10**155)
+        code, out, err = run(["cost", "--n", n, "--m", "3", "--cm", "2", "--c2", "1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: factor counts for n={n} exceed the float range\n"
+
 
 class TestSweepNoiseCommand:
     def test_writes_csv_and_svg(self, tmp_path, capsys):

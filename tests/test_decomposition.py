@@ -707,6 +707,45 @@ class TestLayers:
         for _, _, cols, _ in layout.layers:
             assert len(set(cols.ravel().tolist())) == cols.size
 
+    @staticmethod
+    def assert_groups_index_factor_blocks(layout):
+        """Each group's ``entries`` rows are its factors' blocks in the flat
+        factor-order block array, and the groups cover every factor once."""
+        flat, factors = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        for s, tops, cols, entries in layout.layers:
+            k = np.searchsorted(layout.offsets, entries[:, 0])  # the rows' factors
+            np.testing.assert_array_equal(entries, layout.offsets[k, np.newaxis] + np.arange(s * s))
+            np.testing.assert_array_equal(layout.sizes[k], s)
+            np.testing.assert_array_equal(cols, layout.columns[k, :s])
+            np.testing.assert_array_equal(tops, layout.base_rows[k] - s)
+            flat.append(entries.ravel())
+            factors.append(k)
+        np.testing.assert_array_equal(np.sort(np.concatenate(flat)), np.arange(layout.offsets[-1]))
+        np.testing.assert_array_equal(np.sort(np.concatenate(factors)), np.arange(len(layout)))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_dense_groups_index_factor_order_blocks(self, n):
+        for m in range(2, n + 1):
+            self.assert_groups_index_factor_blocks(
+                _schedule(n, m, _zero_pattern(np.ones((n, n))))
+            )
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["phase-only", "permutation", "permuted block-diagonal"])
+    def test_structured_groups_index_factor_order_blocks(self, kind, m):
+        for n, seed in itertools.product([5, 9, 12], range(3)):
+            if kind == "phase-only":
+                u = np.diag(np.exp(1j * np.arange(n)))
+            elif kind == "permutation":
+                u = random_permutation_unitary(n, seed)
+            else:
+                u, _ = block_diagonal(n, seed)
+                u = u[:, np.random.default_rng(seed).permutation(n)]
+            plan = decompose(u, m)
+            self.assert_groups_index_factor_blocks(plan._layout)
+            if kind != "phase-only":
+                assert len(plan.sizes) > 0
+
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_stacks_compose_contiguous_slices_equal_to_each_alone(self, m):
         n = 14
@@ -854,6 +893,14 @@ class TestCostCompare:
             cost_compare(4, 2, 0.0, 1.0)
         with pytest.raises(ValueError):
             cost_compare(4, 2, 1.0, -1.0)
+
+    def test_counts_beyond_float_range_name_n(self):
+        # 10**154 gives counts below the largest float; 10**155 gives more
+        assert cost_compare(10**154, 3, 2.0, 1.0).cost_2 == 5e307
+        with pytest.raises(ValueError, match=f"n={10**155} exceed the float range"):
+            cost_compare(10**155, 3, 2.0, 1.0)
+        with pytest.raises(ValueError, match="float range"):
+            cost_compare(10**200, 10**200, 2.0, 1.0)
 
 
 @st.composite
