@@ -53,6 +53,7 @@ stack of blocks and phases at once, with the same checks and messages.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -738,20 +739,22 @@ class CostComparison:
 def cost_compare(n: int, m: int, c_m: float, c_2: float) -> CostComparison:
     """Compare a mesh of ``factor_count_bound(n, m)`` m-blocks against a 2 x 2 mesh.
 
-    Raises ``ValueError`` for a non-positive cost, or for an ``n`` whose
-    factor counts exceed the float range.
+    Raises ``ValueError`` for a cost that is not positive and finite, or
+    for an ``n`` whose factor counts or total costs exceed the float range.
     """
     n, m = _check_block_size(n, m)
     c_m = float(c_m)
     c_2 = float(c_2)
-    if not (c_m > 0 and c_2 > 0):
-        raise ValueError(f"costs must be positive, got c_m={c_m}, c_2={c_2}")
+    if not (0 < c_m < math.inf and 0 < c_2 < math.inf):
+        raise ValueError(f"costs must be positive and finite, got c_m={c_m}, c_2={c_2}")
     count_m = factor_count_bound(n, m)
     try:
         cost_m = c_m * count_m
         cost_2 = c_2 * (n * (n - 1) / 2)
     except OverflowError:
         raise ValueError(f"factor counts for n={n} exceed the float range") from None
+    if math.isinf(cost_m) or math.isinf(cost_2):
+        raise ValueError(f"mesh costs for n={n}, c_m={c_m}, c_2={c_2} exceed the float range")
     return CostComparison(
         n=n,
         m=m,

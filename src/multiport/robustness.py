@@ -21,8 +21,9 @@ the offsets of every block as one flat array of ``(re, im)`` pairs laid
 out like the plan's own ``blocks`` array (factor order, each block
 row-major).  All the perturbations of one ``(cell, matrix)`` pair of a
 sweep come from one generator, in one call: perturbation ``p`` is the
-``p``-th consecutive such array it draws, so a pair's first perturbation
-is the one ``NoiseModel`` gives with the pair's seed.
+``p``-th consecutive such array it draws.  The sweeps and
+``component_fidelity_estimate`` draw their noise through one helper,
+``_perturb``.
 
 A sweep decomposes the trial matrices of one block size as one stack, then
 composes their perturbations as stacks too, one wavefront layer at a time
@@ -36,11 +37,16 @@ pair holds the same number of entries: the pairs of a block size are
 composed in runs of as many whole pairs as fit in ``_STACK_ENTRIES``
 (``2**18``) complex entries of matrices plus blocks, at least one.  Each
 slice depends only on its own seed, so it equals the same perturbation
-composed alone, and each chunk is pooled pair by pair in ``(sigma,
-matrix)`` order as soon as it is composed, so the results do not depend
-on the chunking.  The ceiling keeps memory bounded: at ``n = 100`` an
+composed alone.  The ceiling keeps memory bounded: at ``n = 100`` an
 unbounded stack of 80 pairs took about eight times the memory and twice
-the time of one pair at a time.
+the time of one pair at a time.  The fidelities of every chunk go into
+arrays that hold a whole block size in ``(sigma, matrix)`` order, and each
+cell is reduced once, when they are full, so the results do not depend on
+the chunking.  Those arrays take ``8 C T P (K + 1)`` bytes for ``C``
+cells, ``T`` matrices, ``P`` perturbations and ``K`` factors per plan:
+3.2 MB at ``m = 2`` for ``sweep_noise(100, [2, 3, 4], <4 sigmas>, 4, 5,
+seed)``, and 15 KB per cell at ``n = 20`` with 2 matrices and 5
+perturbations.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import DecompositionPlan, _check_block_size, _compose, _decompose_stack
+from .decomposition import _check_block_size, _compose, _decompose_stack
 from .linalg import _U64_MASK, _fidelities, as_matrix, haar_random_unitary, sample_haar
 
 __all__ = [
@@ -95,25 +101,6 @@ def _check_sigma(sigma) -> float:
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     return sigma
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Additive complex Gaussian entry noise of strength ``sigma``.
-
-    One model is one joint perturbation of a whole mesh: ``seed`` seeds the
-    single generator that draws the offsets of every block, so the same
-    ``(seed, plan)`` always produces the same perturbed matrix.  It is the
-    first draw of that generator; a sweep takes a pair's later
-    perturbations from the same generator, one after another.
-    """
-
-    sigma: float
-    seed: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma", _check_sigma(self.sigma))
-        object.__setattr__(self, "seed", operator.index(self.seed))
 
 
 @dataclass(frozen=True)
@@ -170,19 +157,28 @@ def fidelity(q, q_pert) -> float:
     return float(_fidelities(q, p))
 
 
+def _perturb(rng: np.random.Generator, ideal, sigma: float, shape: tuple) -> np.ndarray:
+    """``ideal`` plus entry noise: an N(0, sigma^2) offset on each real and imaginary part.
+
+    ``rng`` draws one ``shape + (2,)`` standard-normal array of ``(re, im)``
+    pairs, scaled by ``sigma``; ``ideal`` broadcasts against ``shape``.
+    This is the only place noise is drawn.
+    """
+    return ideal + sigma * rng.standard_normal(shape + (2,)).view(np.complex128)[..., 0]
+
+
 def _perturb_blocks(blocks: np.ndarray, sigma: float, seed, draws: int) -> np.ndarray:
     """``draws`` joint perturbations of a flat block array: ``(draws, size)``.
 
-    One generator, ``_rng(seed, _NOISE_STREAM)``, draws one
-    ``(draws, size, 2)`` standard-normal array of ``(re, im)`` offsets,
-    scaled by ``sigma``, so slice ``p`` is the ``p``-th consecutive
-    ``(size, 2)`` draw of that generator.  With ``sigma == 0`` every slice
-    is ``blocks`` itself, nothing is drawn and the seed is not read.
+    ``_perturb`` draws them from one generator, ``_rng(seed,
+    _NOISE_STREAM)``, as one ``(draws, size)`` array, so slice ``p`` is the
+    ``p``-th consecutive ``(size, 2)`` draw of that generator.  With
+    ``sigma == 0`` every slice is ``blocks`` itself, nothing is drawn and
+    the seed is not read.
     """
     if sigma == 0.0:
         return np.broadcast_to(blocks, (draws, blocks.size))
-    pairs = _rng(seed, _NOISE_STREAM).standard_normal((draws, blocks.size, 2))
-    return blocks + sigma * pairs.view(np.complex128)[..., 0]
+    return _perturb(_rng(seed, _NOISE_STREAM), blocks, sigma, (draws, blocks.size))
 
 
 def _perturbed_stack(layout, blocks, phases, sigmas, seeds, draws):
@@ -209,55 +205,18 @@ def _perturbed_stack(layout, blocks, phases, sigmas, seeds, draws):
     return _compose(layout, flat, phases[:, np.newaxis]), np.concatenate(block_fids, axis=-1)
 
 
-def reconstruct_perturbed(plan: DecompositionPlan, noise: NoiseModel) -> np.ndarray:
-    """Reassemble a plan with every factor independently perturbed.
+def _stats(values: np.ndarray) -> FidelityStats:
+    """Mean and standard error of the mean of a sample, in two passes.
 
-    With ``noise.sigma == 0`` this reproduces ``reconstruct(plan)`` bit for
-    bit (same composition code path, identical blocks).
+    Deviations are taken from the mean, never from zero, so values packed
+    close to 1 keep their spread.
     """
-    matrices, _ = _perturbed_stack(
-        plan._layout, plan.blocks[np.newaxis], plan.phases[np.newaxis],
-        [noise.sigma], [noise.seed], 1,
-    )
-    return matrices[0, 0]
-
-
-class _RunningMean:
-    """Streaming mean / standard-error accumulator.
-
-    Each ``add`` folds a whole batch in: the batch's own mean and sum of
-    squared deviations, merged into the running pair by the Chan-Golub-LeVeque
-    update.  Deviations are taken from means, never from zero, so values
-    packed close to 1 keep their spread.
-    """
-
-    __slots__ = ("count", "mean", "m2")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def add(self, values) -> None:
-        arr = np.asarray(values, dtype=np.float64).ravel()
-        if arr.size == 0:
-            return
-        batch_mean = float(arr.mean())
-        batch_m2 = float(np.square(arr - batch_mean).sum())
-        weight = arr.size / (self.count + arr.size)
-        delta = batch_mean - self.mean
-        self.mean += delta * weight
-        self.m2 += batch_m2 + delta * delta * self.count * weight
-        self.count += arr.size
-
-    def stats(self) -> FidelityStats:
-        if self.count == 0:
-            raise ValueError("no samples accumulated")
-        if self.count > 1:
-            std_error = math.sqrt(self.m2 / (self.count - 1) / self.count)
-        else:
-            std_error = 0.0
-        return FidelityStats(mean=self.mean, std_error=std_error, samples=self.count)
+    mean = float(values.mean())
+    count = values.size
+    std_error = 0.0
+    if count > 1:
+        std_error = math.sqrt(float(np.square(values - mean).sum()) / (count - 1) / count)
+    return FidelityStats(mean=mean, std_error=std_error, samples=count)
 
 
 def component_fidelity_estimate(
@@ -282,19 +241,12 @@ def component_fidelity_estimate(
     # sigma share the exact same Haar samples (common random numbers).
     root = np.random.SeedSequence(_child_seed(seed, _ESTIMATE_STREAM))
     haar_rng, noise_rng = (np.random.default_rng(s) for s in root.spawn(2))
-    acc = _RunningMean()
-    remaining = trials
-    while remaining:
-        b = min(_ESTIMATE_CHUNK, remaining)
-        remaining -= b
-        q = sample_haar(haar_rng, m, count=b)
-        if sigma == 0.0:
-            p = q
-        else:
-            pairs = noise_rng.normal(0.0, sigma, size=(b, m, m, 2))
-            p = q + pairs[..., 0] + 1j * pairs[..., 1]
-        acc.add(_fidelities(q, p))
-    return acc.stats()
+    fids = []
+    for start in range(0, trials, _ESTIMATE_CHUNK):
+        q = sample_haar(haar_rng, m, count=min(_ESTIMATE_CHUNK, trials - start))
+        p = q if sigma == 0.0 else _perturb(noise_rng, q, sigma, q.shape)
+        fids.append(_fidelities(q, p))
+    return _stats(np.concatenate(fids))
 
 
 def _mean_block_fidelity(m: int, sigma: float) -> float:
@@ -427,14 +379,15 @@ def _sweep_cells(
     come from the one generator of ``_child_seed(seed, _NOISE_STREAM, *key,
     t)`` (see ``_perturb_blocks``): perturbation ``p`` is its ``p``-th draw.
     The ``(cell, matrix)`` pairs are composed in order, in runs of whole
-    pairs (see the module docstring), and each run is pooled as soon as it
-    is composed, one pair at a time in ``(cell, matrix)`` order: block
-    fidelities, then matrix fidelities, each pair's draws as one batch.  So
-    the results do not depend on how the pairs are stacked.
+    pairs (see the module docstring), into one ``(pairs, draws, K)`` array of
+    block fidelities and one ``(pairs, draws)`` array of matrix fidelities,
+    and each cell is reduced once, by ``_stats``, when all are composed.
+    So the results do not depend on how the pairs are stacked.
     """
     us, layout, blocks, phases = prepared
-    accs = [(_RunningMean(), _RunningMean()) for _ in cells]
     pairs = [(c, t) for c in range(len(cells)) for t in range(len(us))]
+    fq = np.empty((len(pairs), n_perturbations, len(layout)))
+    fu = np.empty((len(pairs), n_perturbations))
     per_stack = max(1, _STACK_ENTRIES // (n_perturbations * (n * n + blocks.shape[-1])))
     for start in range(0, len(pairs), per_stack):
         chunk = pairs[start : start + per_stack]
@@ -448,13 +401,13 @@ def _sweep_cells(
         rebuilt, block_fids = _perturbed_stack(
             layout, blocks[members], phases[members], sigmas, seeds, n_perturbations
         )
-        matrix_fids = _fidelities(us[members][:, np.newaxis], rebuilt)
-        for (c, _), fq, fu in zip(chunk, block_fids, matrix_fids):
-            accs[c][0].add(fq)
-            accs[c][1].add(fu)
+        fq[start : start + len(chunk)] = block_fids
+        fu[start : start + len(chunk)] = _fidelities(us[members][:, np.newaxis], rebuilt)
     return [
-        SweepResult(n=n, m=m, sigma=sigma, fq=fq.stats(), fu=fu.stats())
-        for (sigma, _), (fq, fu) in zip(cells, accs)
+        SweepResult(n=n, m=m, sigma=sigma, fq=_stats(cell_fq), fu=_stats(cell_fu))
+        for (sigma, _), cell_fq, cell_fu in zip(
+            cells, fq.reshape(len(cells), -1), fu.reshape(len(cells), -1)
+        )
     ]
 
 

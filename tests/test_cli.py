@@ -207,6 +207,19 @@ class TestCost:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "cm,c2,message",
+        [
+            ("1e308", "1e308", "mesh costs for n=10, c_m=1e+308, c_2=1e+308 exceed the float range"),
+            ("inf", "1", "costs must be positive and finite, got c_m=inf, c_2=1.0"),
+        ],
+    )
+    def test_infinite_costs_fail(self, capsys, cm, c2, message):
+        code, out, err = run(["cost", "--n", "10", "--m", "3", "--cm", cm, "--c2", c2], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_counts_beyond_float_range_fail(self, capsys):
         n = str(10**155)
         code, out, err = run(["cost", "--n", n, "--m", "3", "--cm", "2", "--c2", "1"], capsys)

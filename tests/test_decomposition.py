@@ -894,6 +894,22 @@ class TestCostCompare:
         with pytest.raises(ValueError):
             cost_compare(4, 2, 1.0, -1.0)
 
+    @pytest.mark.parametrize(
+        "c_m,c_2", [(np.inf, 1.0), (1.0, np.inf), (np.inf, np.inf), (np.nan, 1.0), (1.0, np.nan)]
+    )
+    def test_rejects_non_finite_cost(self, c_m, c_2):
+        with pytest.raises(ValueError, match="costs must be positive and finite"):
+            cost_compare(10, 3, c_m, c_2)
+
+    def test_costs_beyond_float_range_name_n(self):
+        # 24 blocks of 3 x 3 and 45 of 2 x 2 at n = 10: either product can overflow
+        for c_m, c_2 in [(1e308, 1e308), (1e308, 1.0), (1.0, 1e308)]:
+            with pytest.raises(ValueError, match=r"mesh costs for n=10, .* exceed the float range"):
+                cost_compare(10, 3, c_m, c_2)
+        # just inside the range both totals stay finite
+        comp = cost_compare(10, 3, 1e306, 1e306)
+        assert (comp.cost_m, comp.cost_2) == (24e306, 45e306)
+
     def test_counts_beyond_float_range_name_n(self):
         # 10**154 gives counts below the largest float; 10**155 gives more
         assert cost_compare(10**154, 3, 2.0, 1.0).cost_2 == 5e307

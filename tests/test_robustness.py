@@ -1,6 +1,8 @@
 import itertools
+import math
 import operator
 import random
+import statistics
 import subprocess
 import sys
 
@@ -14,16 +16,16 @@ from multiport import robustness
 from multiport.decomposition import _compose, decompose, reconstruct
 from multiport.linalg import _U64_MASK, _fidelities, haar_random_unitary, sample_haar
 from multiport.robustness import (
+    _ESTIMATE_STREAM,
     FidelityStats,
-    NoiseModel,
     _mean_block_fidelity,
+    _perturb,
     _perturb_blocks,
     _perturbed_stack,
-    _RunningMean,
+    _stats,
     calibrate_sigma,
     component_fidelity_estimate,
     fidelity,
-    reconstruct_perturbed,
     sweep_noise,
     sweep_size,
 )
@@ -124,70 +126,50 @@ class TestBatchedFidelity:
             _fidelities(q, p)
 
 
-class TestRunningMean:
+class TestStats:
+    """``_stats`` against exact references: correctly rounded sums and exact variances."""
+
     @staticmethod
     def _reference(values):
-        return values.mean(), values.std(ddof=1) / np.sqrt(values.size)
+        values = values.tolist()
+        return statistics.fmean(values), statistics.stdev(values) / math.sqrt(len(values))
 
-    @pytest.mark.parametrize("chunk", [1, 7, 4096, 100_000])
-    def test_matches_numpy_near_one(self, chunk):
+    def test_matches_exact_reference_near_one(self):
         # values packed at 1 - 1e-8 with spread 1e-10: a plain sum of
         # squares cancels to a standard error of 0 here
         rng = np.random.default_rng(0)
         values = 1.0 - 1e-8 + 1e-10 * rng.standard_normal(100_000)
-        acc = _RunningMean()
-        for start in range(0, values.size, chunk):
-            acc.add(values[start : start + chunk])
+        stats = _stats(values)
         mean, se = self._reference(values)
-        stats = acc.stats()
         assert stats.samples == values.size
-        # one-at-a-time updates round the mean by a few ulps per step, far
-        # below its standard error
-        assert abs(stats.mean - mean) <= 0.05 * se
-        assert stats.std_error == pytest.approx(se, rel=1e-6)
-        assert stats.std_error == pytest.approx(3.2e-13, rel=0.05)
+        assert abs(stats.mean - mean) <= 4 * 2.0**-53
+        assert stats.std_error == pytest.approx(se, rel=1e-9, abs=0)
+        assert stats.std_error == pytest.approx(3.2e-13, rel=0.05, abs=0)
 
-    def test_uneven_chunks_match_numpy(self):
+    def test_matches_exact_reference_on_a_spread(self):
         rng = np.random.default_rng(1)
         values = rng.uniform(0.2, 0.9, 5000)
-        acc = _RunningMean()
-        for part in np.split(values, [1, 2, 50, 51, 3000]):
-            acc.add(part)
-        acc.add([])
+        stats = _stats(values)
         mean, se = self._reference(values)
-        assert acc.stats().mean == pytest.approx(mean, rel=1e-14)
-        assert acc.stats().std_error == pytest.approx(se, rel=1e-12)
+        assert stats.mean == pytest.approx(mean, rel=1e-15, abs=0)
+        assert stats.std_error == pytest.approx(se, rel=1e-12, abs=0)
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-    @given(
-        st.lists(st.integers(0, 64), min_size=2, max_size=400),
-        st.lists(st.integers(1, 60), min_size=1, max_size=20),
-    )
-    def test_matches_numpy_a_few_ulps_below_one(self, ulps, chunks):
+    @given(st.lists(st.integers(0, 64), min_size=2, max_size=400))
+    def test_matches_exact_reference_a_few_ulps_below_one(self, ulps):
         # values 1 - k * 2**-53 differ from each other by whole ulps, the
         # resolution at which any two-pass statistic can resolve them
         ulp = 2.0**-53
         values = 1.0 - np.array(ulps) * ulp
-        acc = _RunningMean()
-        start = 0
-        for size in itertools.cycle(chunks):
-            if start >= values.size:
-                break
-            acc.add(values[start : start + size])
-            start += size
-        stats = acc.stats()
+        stats = _stats(values)
         mean, se = self._reference(values)
         root_n = np.sqrt(values.size)
         assert stats.samples == values.size
         assert abs(stats.mean - mean) <= 8 * ulp
         assert abs(stats.std_error - se) * root_n <= 2 * ulp
 
-    def test_single_sample_and_empty(self):
-        acc = _RunningMean()
-        with pytest.raises(ValueError):
-            acc.stats()
-        acc.add(0.5)
-        assert acc.stats() == FidelityStats(mean=0.5, std_error=0.0, samples=1)
+    def test_single_sample(self):
+        assert _stats(np.array([0.5])) == FidelityStats(mean=0.5, std_error=0.0, samples=1)
 
 
 @pytest.fixture(scope="module")
@@ -203,7 +185,7 @@ def _plan_stack(plan, sigma, seed, draws):
     )
 
 
-class TestPerturbFactor:
+class TestPerturbBlocks:
     """The batched draw: one generator for all the joint perturbations of a mesh."""
 
     def test_sigma_zero_is_identity(self, sample_plan):
@@ -237,12 +219,12 @@ class TestPerturbFactor:
         # a shorter run is a prefix of a longer one
         np.testing.assert_array_equal(_perturb_blocks(blocks, 0.2, 31, 2), flat[:2])
 
-    def test_first_slab_is_reconstruct_perturbed(self, sample_plan):
+    def test_first_slab_is_the_one_draw_stack(self, sample_plan):
         _, plan = sample_plan
-        rebuilt, _ = _plan_stack(plan, 0.1, 40, 3)
-        np.testing.assert_array_equal(
-            rebuilt[0, 0], reconstruct_perturbed(plan, NoiseModel(0.1, 40))
-        )
+        rebuilt, block_fids = _plan_stack(plan, 0.1, 40, 3)
+        one, one_fids = _plan_stack(plan, 0.1, 40, 1)
+        np.testing.assert_array_equal(rebuilt[:, :1], one)
+        np.testing.assert_array_equal(block_fids[:, :1], one_fids)
 
     def test_offset_variance(self):
         # E ||block' - block||_F^2 = 2 m^2 sigma^2 = 0.18 for m=3, sigma=0.1
@@ -260,9 +242,12 @@ class TestPerturbFactor:
         assert block_fids.shape == (1, 2, len(plan.factors))
         assert np.isfinite(block_fids).all() and (block_fids < 1).all()
 
-    def test_rejects_negative_sigma(self):
-        with pytest.raises(ValueError):
-            NoiseModel(-0.1, 0)
+    @pytest.mark.parametrize("sigma", [-0.1, float("inf"), float("nan")])
+    def test_rejects_bad_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            component_fidelity_estimate(2, sigma, 10, 0)
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            sweep_noise(4, [2], [sigma], 1, 1, seed=0)
 
     def test_stack_slices_equal_single_reconstructions(self, sample_plan):
         _, plan = sample_plan
@@ -298,30 +283,29 @@ class TestPerturbFactor:
             _plan_stack(plan, 0.0, 0, 1)
 
 
-class TestReconstructPerturbed:
+class TestPerturbedStack:
+    """One joint perturbation of a whole mesh: a one-draw stack of one plan."""
+
     def test_sigma_zero_bit_identical(self, sample_plan):
         _, plan = sample_plan
-        np.testing.assert_array_equal(
-            reconstruct_perturbed(plan, NoiseModel(0.0, 99)), reconstruct(plan)
-        )
+        rebuilt, _ = _plan_stack(plan, 0.0, 99, 1)
+        np.testing.assert_array_equal(rebuilt[0, 0], reconstruct(plan))
 
     def test_deterministic(self, sample_plan):
         _, plan = sample_plan
-        noise = NoiseModel(0.05, 123)
         np.testing.assert_array_equal(
-            reconstruct_perturbed(plan, noise), reconstruct_perturbed(plan, noise)
+            _plan_stack(plan, 0.05, 123, 1)[0], _plan_stack(plan, 0.05, 123, 1)[0]
         )
 
     def test_tiny_noise_high_fidelity(self):
         u = haar_random_unitary(30, 41)
-        plan = decompose(u, 5)
-        pert = reconstruct_perturbed(plan, NoiseModel(1e-6, 7))
-        assert fidelity(u, pert) > 0.999
+        rebuilt, _ = _plan_stack(decompose(u, 5), 1e-6, 7, 1)
+        assert fidelity(u, rebuilt[0, 0]) > 0.999
 
     def test_large_noise_degrades(self, sample_plan):
         u, plan = sample_plan
-        pert = reconstruct_perturbed(plan, NoiseModel(1.0, 7))
-        assert fidelity(u, pert) < 0.5
+        rebuilt, _ = _plan_stack(plan, 1.0, 7, 1)
+        assert fidelity(u, rebuilt[0, 0]) < 0.5
 
 
 class TestComponentFidelityEstimate:
@@ -342,6 +326,18 @@ class TestComponentFidelityEstimate:
         monkeypatch.setattr(robustness, "_ESTIMATE_CHUNK", 5000)
         b = component_fidelity_estimate(2, 0.1, 5000, 3)
         assert a.mean == pytest.approx(b.mean, abs=1e-12)
+
+    @pytest.mark.parametrize("m,sigma", [(2, 0.1), (3, 0.05), (5, 1e-8), (10, 0.3)])
+    def test_draws_through_the_one_noise_path(self, m, sigma):
+        # rebuilt from the documented streams: Haar draws on the first child
+        # of the estimate's seed sequence, noise through ``_perturb`` on the
+        # second, in one chunk for this many trials
+        trials, seed = 1000, 23
+        root = np.random.SeedSequence(robustness._child_seed(seed, _ESTIMATE_STREAM))
+        haar_rng, noise_rng = (np.random.default_rng(s) for s in root.spawn(2))
+        q = sample_haar(haar_rng, m, count=trials)
+        p = _perturb(noise_rng, q, sigma, (trials, m, m))
+        assert component_fidelity_estimate(m, sigma, trials, seed) == _stats(_fidelities(q, p))
 
     def test_matches_independent_loop(self):
         # second route: a plain per-sample loop with its own stream
@@ -597,8 +593,8 @@ def _documented_cell(n, m, sigma, n_matrices, n_perturbations, seed, matrix_key,
     *matrix_key, t))``.  Its draws all come from the one generator seeded by
     ``_child_seed(_child_seed(seed, _NOISE_STREAM, *cell, t), _NOISE_STREAM)``,
     which draws ``(re, im)`` offsets for ``plan.blocks`` in order, one
-    perturbation after another; the first is ``NoiseModel(sigma,
-    _child_seed(seed, _NOISE_STREAM, *cell, t))``.
+    perturbation after another; the first is the one-draw stack of the
+    plan with seed ``_child_seed(seed, _NOISE_STREAM, *cell, t)``.
     """
     from multiport.robustness import _MATRIX_STREAM, _NOISE_STREAM, _child_seed
 
@@ -606,9 +602,9 @@ def _documented_cell(n, m, sigma, n_matrices, n_perturbations, seed, matrix_key,
     for t in range(n_matrices):
         u = haar_random_unitary(n, _child_seed(seed, _MATRIX_STREAM, *matrix_key, t))
         plan = decompose(u, m)
-        noise = NoiseModel(sigma, _child_seed(seed, _NOISE_STREAM, *cell, t))
+        noise_seed = _child_seed(seed, _NOISE_STREAM, *cell, t)
         rng = np.random.default_rng(
-            np.random.SeedSequence(_child_seed(noise.seed, _NOISE_STREAM))
+            np.random.SeedSequence(_child_seed(noise_seed, _NOISE_STREAM))
         )
         for p in range(n_perturbations):
             offsets = rng.standard_normal((plan.blocks.size, 2))
@@ -620,7 +616,8 @@ def _documented_cell(n, m, sigma, n_matrices, n_perturbations, seed, matrix_key,
                 start = stop
             rebuilt = _compose(plan._layout, perturbed, plan.phases)
             if p == 0:
-                np.testing.assert_array_equal(rebuilt, reconstruct_perturbed(plan, noise))
+                first, _ = _plan_stack(plan, sigma, noise_seed, 1)
+                np.testing.assert_array_equal(rebuilt, first[0, 0])
             fu.append(fidelity(u, rebuilt))
     return _pooled(fq), _pooled(fu)
 
@@ -749,7 +746,6 @@ class TestIntegerSizes:
             lambda: sweep_noise(5, [2], [0.1], 1, 1.5, seed=0),
             lambda: sweep_size([2.0], [4], 0.95, 0.005, 1, 1, seed=0),
             lambda: sweep_size([2], [4.0], 0.95, 0.005, 1, 1, seed=0),
-            lambda: NoiseModel(0.1, 2.7),
             lambda: sweep_noise(4, [2], [0.1], 1, 1, seed=7.9),
             lambda: sweep_size([2], [4], 0.95, 0.005, 1, 1, seed=7.0),
             lambda: component_fidelity_estimate(2, 0.1, 10, 3.5),
@@ -774,8 +770,6 @@ class TestIntegerSizes:
 
     def test_accepts_numpy_integer_seeds(self):
         i = np.int64
-        noise = NoiseModel(0.1, i(2))
-        assert noise.seed == 2 and type(noise.seed) is int
         assert sweep_noise(4, [2], [0.1], 1, 1, seed=i(7)) == sweep_noise(4, [2], [0.1], 1, 1, seed=7)
         assert component_fidelity_estimate(2, 0.1, 50, i(3)) == component_fidelity_estimate(
             2, 0.1, 50, 3
