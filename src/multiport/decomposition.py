@@ -26,14 +26,20 @@ their pattern allows, or the dense one if theirs would be longer than
 Steps on disjoint columns commute, so a schedule splits into wavefront
 layers: a step's layer is its longest-path depth in the column-conflict
 graph (for ``m = 2`` these are the anti-diagonals of the triangular mesh).
-The sweep runs one layer at a time, with one batched RQ and one gather,
-product and scatter per block size in the layer, on a whole stack of inputs
-at once.  The working matrices are kept transposed, row ``c`` holding
-column ``c``, so a layer moves whole contiguous rows and its product is a
-stack of ``(s, s) @ (s, n)`` products that numpy hands to BLAS as they
-lie.  Blocks have one order everywhere, the factor order: each layer group
-carries the indices of its blocks in the flat block array, where the sweep
-writes them and the composition reads them.
+The sweep runs one layer at a time, with one batched RQ and one product
+per block size in the layer, on a whole stack of inputs at once.  The
+working matrices are kept transposed, row ``c`` holding column ``c``, so a
+layer moves whole contiguous rows and its product is a stack of
+``(s, s) @ (s, n)`` products that numpy hands to BLAS as they lie.  A
+layer group's factors are sorted by first column; where their columns,
+concatenated, are one run ``c0 .. c1 - 1`` (every group of a dense
+``m = 2`` mesh: adjacent pairs), the group multiplies the slice of rows
+``c0:c1`` in place, and otherwise it gathers its rows by index and
+scatters them back.  Both give the same bits.  At ``m >= 3`` the factors
+of a layer take interleaved columns, so there only single-factor groups
+are runs.  Blocks have one order everywhere, the factor order: each layer
+group carries the indices of its blocks in the flat block array, where the
+sweep writes them and the composition reads them.
 A stack holds one zero pattern, so its inputs share one schedule and cross
 its layers together, and each matrix gets the arithmetic, and so the blocks
 and phases, it would get alone.  ``decompose`` is the stack of one and
@@ -174,11 +180,14 @@ class _Layout:
     ``sizes``, ``base_rows`` (1-based) and ``columns`` (0-based, padded with
     -1 to width m) list the factors in order, and block ``k`` fills
     ``offsets[k]:offsets[k + 1]`` of a flat block array.  ``layers`` holds
-    one ``(size, tops, cols, entries)`` group per layer and block size, the
-    layers in order: for a group of ``k`` factors, the first row of each
-    factor's block in the swept matrix and its 0-based columns, as ``(k,)``
-    and ``(k, s)`` index arrays, and the ``(k, s*s)`` indices of their
-    blocks in the flat block array.
+    one ``(size, rows, cols, entries, run)`` group per layer and block
+    size, the layers in order.  A group's ``k`` factors are sorted by first
+    column; ``rows`` holds the rows of each factor's block in the swept
+    matrix as a ``(k, s, 1)`` index array, ``cols`` their 0-based columns
+    as ``(k, s)``, and ``entries`` the ``(k, s*s)`` indices of their blocks
+    in the flat block array.  ``run`` is ``slice(c0, c0 + k*s)`` when the
+    group's columns, concatenated, are exactly ``c0 .. c0 + k*s - 1``, so
+    the kernels can move its rows as one slice; else ``None``.
     """
 
     sizes: np.ndarray
@@ -209,9 +218,13 @@ def _layout_of(n: int, m: int, base_rows: bytes, columns: bytes) -> _Layout:
     Steps on disjoint columns commute, so a factor's layer is its
     longest-path depth in the column-conflict graph: one past the deepest
     earlier factor sharing a column with it.  Within a layer the factors
-    are grouped by block size.  The layers depend only on ``n`` and the
-    columns, so a plan read back from its JSON gets the layers of the plan
-    it was written from; layouts are kept in a small bounded cache.
+    are grouped by block size, and a group is sorted by first column, so
+    adjacent factors on adjacent columns make one run (see ``_Layout``);
+    the order within a group is free, as its factors act on disjoint
+    columns and ``entries`` place each block.  The layers depend only on
+    ``n`` and the columns, so a plan read back from its JSON gets the
+    layers of the plan it was written from; layouts are kept in a small
+    bounded cache.
     """
     base = np.frombuffer(base_rows, dtype=np.intp)
     cols = np.frombuffer(columns, dtype=np.intp).reshape(-1, m)
@@ -225,18 +238,24 @@ def _layout_of(n: int, m: int, base_rows: bytes, columns: bytes) -> _Layout:
         layer.append(d)
         for c in row:
             depth[c] = d + 1
-    order = np.lexsort((sizes, layer))
+    order = np.lexsort((cols[:, 0], sizes, layer))
     key = (np.asarray(layer, dtype=np.intp) * (m + 1) + sizes)[order]
     bounds = np.flatnonzero(np.diff(key, prepend=-1, append=-1)).tolist()
     layers = []
     for start, stop in zip(bounds[:-1], bounds[1:]):
         group = order[start:stop]
         s = int(sizes[group[0]])
+        group_cols = cols[group, :s]
+        c0 = int(group_cols[0, 0])
+        run = slice(c0, c0 + group_cols.size)
+        tiled = np.array_equal(group_cols.ravel(), np.arange(run.start, run.stop))
+        tops = base[group, np.newaxis, np.newaxis] - s
         layers.append((
             s,
-            _frozen(base[group] - s, np.intp),
-            _frozen(cols[group, :s], np.intp),
+            _frozen(tops + np.arange(s)[:, np.newaxis], np.intp),
+            _frozen(group_cols, np.intp),
             _frozen(offsets[group, np.newaxis] + np.arange(s * s), np.intp),
+            run if tiled else None,
         ))
     return _Layout(sizes, base, cols, offsets, tuple(layers))
 
@@ -403,9 +422,11 @@ def _compose(layout: _Layout, blocks: np.ndarray, phases: np.ndarray) -> np.ndar
 
     The product is built transposed, row ``c`` holding column ``c``, so a
     factor's right-multiplication by ``B^dag`` is ``conj(B)`` times the
-    contiguous rows of its columns.  The layers are applied last first,
-    each block size of a layer with one gather, product and scatter of
-    whole rows, as the factors of a layer act on disjoint columns.  Shared
+    contiguous rows of its columns; the blocks are conjugated once, up
+    front.  The layers are applied last first, each block size of a layer
+    with one stacked product of whole rows, as the factors of a layer act
+    on disjoint columns: in place on the slice of a group's run, or
+    through a gather and scatter of its rows where it has none.  Shared
     by the exact and perturbed reconstruction paths, so zero perturbation
     reproduces the exact result bit for bit and each slice of a stack
     equals the same slice composed alone.
@@ -414,9 +435,14 @@ def _compose(layout: _Layout, blocks: np.ndarray, phases: np.ndarray) -> np.ndar
     n = phases.shape[-1]
     out = np.zeros(stack + (n, n), dtype=np.complex128)
     out[..., np.arange(n), np.arange(n)] = np.exp(1j * phases)
-    for s, _, cols, entries in reversed(layout.layers):
-        block = np.conj(blocks[..., entries])
-        out[..., cols, :] = block.reshape(stack + (-1, s, s)) @ out[..., cols, :]
+    conj = np.conj(blocks)
+    for s, _, cols, entries, run in reversed(layout.layers):
+        block = conj[..., entries].reshape(stack + (-1, s, s))
+        if run is None:
+            out[..., cols, :] = block @ out[..., cols, :]
+        else:
+            tile = out[..., run, :].reshape(stack + (-1, s, n))
+            np.matmul(block, tile, out=tile)
     # A transposed view would change how later reductions over the result
     # (``_fidelities``' einsum) sum, and so their bits, with the stack shape.
     return np.ascontiguousarray(out.swapaxes(-1, -2))
@@ -556,22 +582,28 @@ def _sweep(w: np.ndarray, layout: _Layout) -> np.ndarray:
     ``w[t]`` holds column ``c`` of matrix ``t``, so a step's
     right-multiplication of its columns by ``q`` is ``q^T`` times their
     contiguous rows.  Every matrix of the stack must have the zero pattern
-    the schedule was simulated on.  Each layer group gets one batched RQ,
-    and one gather, product and scatter of whole rows for the whole stack;
-    the arithmetic on each matrix is that of the matrix swept alone.  Each
+    the schedule was simulated on, and ``w`` must be C-contiguous, as a
+    group's run of rows is updated through a reshaped view.  Each layer
+    group gets one batched RQ of its gathered blocks and one product of
+    whole rows for the whole stack, in place on the slice of its run or
+    through a gather and scatter where it has none (see ``_Layout``); the
+    arithmetic on each matrix is that of the matrix swept alone.  Each
     group's ``q`` blocks go straight to their entries of the returned
     ``(T, entries)`` blocks, laid out like ``DecompositionPlan.blocks``;
     ``w`` ends holding the swept matrices, transposed.
     """
-    t = len(w)
+    t, n = w.shape[:2]
     blocks = np.empty((t, layout.offsets[-1]), dtype=np.complex128)
-    for s, tops, cols, entries in layout.layers:
-        rows = tops[:, np.newaxis] + np.arange(s)
-        block = (slice(None), cols[:, np.newaxis, :], rows[:, :, np.newaxis])
+    for s, rows, cols, entries, run in layout.layers:
+        block = (slice(None), cols[:, np.newaxis, :], rows)
         r, q = rq_decompose(w[block])
         # The rows below each block are finished: they hold exact zeros
         # in its columns, and multiplying keeps them so.
-        w[:, cols, :] = q.swapaxes(-1, -2) @ w[:, cols, :]
+        if run is None:
+            w[:, cols, :] = q.swapaxes(-1, -2) @ w[:, cols, :]
+        else:
+            tile = w[:, run, :].reshape(t, -1, s, n)
+            np.matmul(q.swapaxes(-1, -2), tile, out=tile)
         blocks[:, entries] = q.reshape(t, -1, s * s)
         w[block] = r  # exact zeros below each block's diagonal
     return blocks

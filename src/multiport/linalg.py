@@ -19,6 +19,9 @@ __all__ = [
 ]
 
 _U64_MASK = (1 << 64) - 1
+# A 0-d array: adding it costs less than converting a Python scalar per call.
+_ZERO = np.zeros((), dtype=np.complex128)
+_ZERO.setflags(write=False)
 
 
 def as_matrix(a, *, square: bool = False) -> np.ndarray:
@@ -94,9 +97,13 @@ def rq_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     A 2 x 2 matrix gets the closed-form rotation that maps its bottom row
     ``(x, y)`` to ``(0, rho)`` with ``rho = |(x, y)|``; a zero bottom row
     gives ``q = I``, and a bottom row ``(x, 0)`` an exact swap with phases
-    (the decomposition schedule relies on that).  Larger matrices use a
-    Householder QR of the reversed conjugate transpose: ``(J a)^dag = Q R``
-    gives ``a (Q J) = J R^dag J``.
+    (the decomposition schedule relies on that).  The rotation is
+    ``q = [[y, conj(x)], [-x, conj(y)]]`` for the unit row ``(x, y)``, written
+    into ``q`` by a handful of whole-stack ufuncs, since at the stack sizes
+    of a decomposition layer their call overhead is the cost; ``q[0, 0]``
+    never holds a negative zero, and ``q[1, 1]`` is its conjugate.  Larger
+    matrices use a Householder QR of the reversed conjugate transpose:
+    ``(J a)^dag = Q R`` gives ``a (Q J) = J R^dag J``.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
@@ -106,21 +113,28 @@ def rq_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     if a.shape[-1] == 2:
         bottom = a[..., 1, :]
         rho = norm = np.hypot(np.abs(bottom[..., 0]), np.abs(bottom[..., 1]))
-        zero = False
-        small = rho < 2.0**-1022
-        if small.any():
-            # Dividing by a subnormal norm overflows, so those rows are first
+        zero = _ZERO
+        if rho.min(initial=1.0) < 2.0**-1022:
+            # Dividing by a subnormal norm overflows, so those rows, and
+            # only those (another row's entries may overflow), are first
             # scaled by 2**600, which is exact.  A zero row is divided by 1
             # instead and gets y = 1, so q = I.
-            bottom = np.where(small[..., np.newaxis], bottom * 2.0**600, bottom)
+            small = rho < 2.0**-1022
+            bottom = bottom.copy()
+            bottom[small] *= 2.0**600
             norm = np.hypot(np.abs(bottom[..., 0]), np.abs(bottom[..., 1]))
             zero = norm == 0.0
             norm = np.where(zero, 1.0, norm)
         unit = bottom / norm[..., np.newaxis]
-        x, y = unit[..., 0], unit[..., 1] + zero
-        q = np.empty_like(a)
-        q[..., 0, 0], q[..., 0, 1], q[..., 1, 0], q[..., 1, 1] = y, np.conj(x), -x, np.conj(y)
-        r = np.zeros_like(a)
+        x = unit[..., 0]
+        q = np.empty(a.shape, dtype=np.complex128)
+        # Adding ``zero`` (0, or 1 on zero rows) also turns a -0 part of y
+        # into +0.
+        np.add(unit[..., 1], zero, out=q[..., 0, 0])
+        np.conjugate(x, out=q[..., 0, 1])
+        np.negative(x, out=q[..., 1, 0])
+        np.conjugate(q[..., 0, 0], out=q[..., 1, 1])
+        r = np.zeros(a.shape, dtype=np.complex128)
         r[..., 0, :] = a[..., 0, :1] * q[..., 0, :] + a[..., 0, 1:] * q[..., 1, :]
         r[..., 1, 1] = rho
         return r, q

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -704,20 +705,36 @@ class TestLayers:
         layout = _schedule(n, 2, _zero_pattern(np.ones((n, n))))
         assert len(layout.layers) == 2 * n - 3
         # the steps of one layer act on disjoint columns
-        for _, _, cols, _ in layout.layers:
+        for _, _, cols, _, run in layout.layers:
             assert len(set(cols.ravel().tolist())) == cols.size
+            # the Reck anti-diagonals: adjacent pairs stepping by 2, one run
+            assert run is not None
 
     @staticmethod
     def assert_groups_index_factor_blocks(layout):
         """Each group's ``entries`` rows are its factors' blocks in the flat
-        factor-order block array, and the groups cover every factor once."""
+        factor-order block array, and the groups cover every factor once.
+        ``rows`` are the blocks' rows as ``(k, s, 1)``, the factors sorted by
+        first column, and ``run`` is the slice of exactly the group's
+        columns when they tile one, else ``None``."""
         flat, factors = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-        for s, tops, cols, entries in layout.layers:
+        for s, rows, cols, entries, run in layout.layers:
             k = np.searchsorted(layout.offsets, entries[:, 0])  # the rows' factors
             np.testing.assert_array_equal(entries, layout.offsets[k, np.newaxis] + np.arange(s * s))
             np.testing.assert_array_equal(layout.sizes[k], s)
             np.testing.assert_array_equal(cols, layout.columns[k, :s])
-            np.testing.assert_array_equal(tops, layout.base_rows[k] - s)
+            assert rows.shape == (len(k), s, 1)
+            np.testing.assert_array_equal(
+                rows[..., 0], layout.base_rows[k, np.newaxis] - s + np.arange(s)
+            )
+            assert (np.diff(cols[:, 0]) > 0).all()
+            c0 = cols[0, 0]
+            tiled = np.array_equal(cols.ravel(), np.arange(c0, c0 + cols.size))
+            if run is None:
+                assert not tiled
+            else:
+                assert run.step is None
+                np.testing.assert_array_equal(np.arange(run.start, run.stop), cols.ravel())
             flat.append(entries.ravel())
             factors.append(k)
         np.testing.assert_array_equal(np.sort(np.concatenate(flat)), np.arange(layout.offsets[-1]))
@@ -774,6 +791,50 @@ class TestLayers:
             assert alone.flags.c_contiguous
             assert alone.tobytes() == stack[c, p].tobytes()
             assert _fidelities(us[c], alone).tobytes() == fids[c, p].tobytes()
+
+    @staticmethod
+    def one_pattern_stack(kind, n, seed, t):
+        """``t`` unitaries of one exact zero pattern: Haar draws, or one
+        structured matrix with ``t`` sets of column phases."""
+        if kind == "dense":
+            return np.stack([haar_random_unitary(n, seed + c) for c in range(t)])
+        rng = np.random.default_rng(seed)
+        if kind == "permutation":
+            u = random_permutation_unitary(n, seed)
+        elif kind == "phase-only":
+            u = np.eye(n, dtype=complex)
+        else:
+            u, _ = block_diagonal(n, seed)
+            u = u[:, rng.permutation(n)]
+        return u * np.exp(1j * rng.uniform(-np.pi, np.pi, (t, 1, n)))
+
+    @pytest.mark.parametrize("t", [1, 3])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "kind", ["dense", "permutation", "phase-only", "permuted block-diagonal"]
+    )
+    def test_runs_match_the_gather_path_bit_for_bit(self, kind, m, t):
+        n = 13
+        us = self.one_pattern_stack(kind, n, 60 + m, t)
+        layout = _schedule(n, m, _zero_pattern(us[0]))
+        # the same layout with every group gathered and scattered by index
+        gathered = dataclasses.replace(
+            layout, layers=tuple(group[:4] + (None,) for group in layout.layers)
+        )
+        if kind == "dense":
+            runs = [group[4] is not None for group in layout.layers]
+            assert all(runs) if m == 2 else any(runs)
+        w = us.swapaxes(-1, -2).copy()
+        w_gathered = w.copy()
+        blocks = decomposition._sweep(w, layout)
+        assert blocks.tobytes() == decomposition._sweep(w_gathered, gathered).tobytes()
+        assert w.tobytes() == w_gathered.tobytes()
+        phases = decomposition._phases(w)
+        noise = np.random.default_rng(m).standard_normal((t, 2, blocks.shape[1], 2))
+        perturbed = blocks[:, np.newaxis] + 0.1 * noise.view(complex)[..., 0]
+        for b, p in [(blocks[0], phases[0]), (perturbed, phases[:, np.newaxis])]:
+            assert _compose(layout, b, p).tobytes() == _compose(gathered, b, p).tobytes()
+        assert np.abs(_compose(layout, blocks, phases) - us).max() <= n * np.finfo(float).eps
 
     def test_factor_order_is_schedule_order(self):
         plan = decompose(haar_random_unitary(9, 3), 3)

@@ -170,6 +170,32 @@ class TestRQDecompose:
         # a normal row of the same stack gets the rotation it gets alone
         np.testing.assert_array_equal(q[1], rq_decompose(SWAP)[1])
 
+    def test_two_by_two_subnormal_row_beside_a_huge_one(self):
+        # Only the subnormal row is rescaled, so the other row's 1e300 entry
+        # is never scaled by 2**600 (an overflow warning, an error here).
+        a = np.array([[[1, 2], [1e-320, 0]], [[1, 2], [1e300, 3]]], dtype=complex)
+        r, q = rq_decompose(a)
+        for k in range(2):
+            r1, q1 = rq_decompose(a[k])
+            assert r[k].tobytes() == r1.tobytes() and q[k].tobytes() == q1.tobytes()
+            assert unitarity_defect(q[k]) <= 1e-15
+            assert r[k, 1, 0] == 0.0
+        assert r[1, 1, 1] == np.hypot(1e300, 3)
+
+    @pytest.mark.parametrize(
+        "bottom",
+        [[1.0, -0.0], [-0.0, 1.0], [1 - 0j, complex(-0.0, -0.0)],
+         [complex(-0.0, -0.0), complex(-0.0, -0.0)], [0.6 - 0j, 0.8 - 0j]],
+    )
+    def test_two_by_two_signed_zeros(self, bottom):
+        # q[0, 0] = y never holds a -0 part, and q[1, 1] is exactly its
+        # conjugate, so only its imaginary part can be -0.
+        a = np.array([[1.0, 2.0], bottom], dtype=complex)
+        _, q = rq_decompose(a)
+        parts = np.array([q[0, 0].real, q[0, 0].imag, q[1, 1].real])
+        assert not np.signbit(parts[parts == 0.0]).any()
+        assert q[1, 1].tobytes() == np.conj(q[0, 0]).tobytes()
+
     def test_real_input_promoted_to_complex(self):
         _, q = rq_decompose(np.eye(3))
         assert q.dtype == np.complex128

@@ -408,7 +408,7 @@ class TestMeanBlockFidelity:
         k = m * m
         one_minus = (1.0 - 1.0 / k) * (k / c) * (1.0 - (k - 1) / c)
         assert 1.0 - _mean_block_fidelity(m, np.sqrt(m / (2 * c))) == pytest.approx(
-            one_minus, rel=1e-6
+            one_minus, rel=1e-6, abs=0
         )
 
 
