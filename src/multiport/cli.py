@@ -136,7 +136,8 @@ def _cmd_sweep_noise(args) -> int:
         "command": "sweep-noise",
         "n": args.n,
         "m_list": ",".join(str(m) for m in args.m_list),
-        "sigmas": ",".join(format(s, ".12g") for s in args.sigmas),
+        # ``+ 0.0`` echoes -0 as 0, as the rows print it
+        "sigmas": ",".join(format(s + 0.0, ".12g") for s in args.sigmas),
         "matrices": args.matrices,
         "perturbations": args.perturbations,
         "seed": args.seed,

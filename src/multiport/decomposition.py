@@ -37,8 +37,11 @@ concatenated, are one run ``c0 .. c1 - 1`` (every group of a dense
 ``c0:c1`` in place, and otherwise it gathers its rows by index and
 scatters them back.  Both give the same bits.  At ``m >= 3`` the factors
 of a layer take interleaved columns, so there only single-factor groups
-are runs.  Blocks have one order everywhere, the factor order: each layer
-group carries the indices of its blocks in the flat block array, where the
+are runs.  The sweep reads a group's blocks for its RQ out of the working
+matrices, and writes their triangular factors back, through one flat
+index per group into each matrix read as a row of ``n*n`` entries.
+Blocks have one order everywhere, the factor order: each layer group
+carries the indices of its blocks in the flat block array, where the
 sweep writes them and the composition reads them.
 A stack holds one zero pattern, so its inputs share one schedule and cross
 its layers together, and each matrix gets the arithmetic, and so the blocks
@@ -180,14 +183,17 @@ class _Layout:
     ``sizes``, ``base_rows`` (1-based) and ``columns`` (0-based, padded with
     -1 to width m) list the factors in order, and block ``k`` fills
     ``offsets[k]:offsets[k + 1]`` of a flat block array.  ``layers`` holds
-    one ``(size, rows, cols, entries, run)`` group per layer and block
+    one ``(size, index, cols, entries, run)`` group per layer and block
     size, the layers in order.  A group's ``k`` factors are sorted by first
-    column; ``rows`` holds the rows of each factor's block in the swept
-    matrix as a ``(k, s, 1)`` index array, ``cols`` their 0-based columns
-    as ``(k, s)``, and ``entries`` the ``(k, s*s)`` indices of their blocks
-    in the flat block array.  ``run`` is ``slice(c0, c0 + k*s)`` when the
-    group's columns, concatenated, are exactly ``c0 .. c0 + k*s - 1``, so
-    the kernels can move its rows as one slice; else ``None``.
+    column; ``cols`` holds their 0-based columns as ``(k, s)``, ``index``
+    the ``(k, s, s)`` flat index of their blocks in a transposed ``n x n``
+    matrix read as one row of ``n*n`` (entry ``(i, j)`` of factor ``f``'s
+    block, from row ``base_row - s + i`` and column ``cols[f, j]``, sits at
+    ``cols[f, j] * n + base_row - s + i``), and ``entries`` the
+    ``(k, s*s)`` indices of their blocks in the flat block array.  ``run``
+    is ``slice(c0, c0 + k*s)`` when the group's columns, concatenated, are
+    exactly ``c0 .. c0 + k*s - 1``, so the kernels can move its rows as one
+    slice; else ``None``.
     """
 
     sizes: np.ndarray
@@ -249,10 +255,10 @@ def _layout_of(n: int, m: int, base_rows: bytes, columns: bytes) -> _Layout:
         c0 = int(group_cols[0, 0])
         run = slice(c0, c0 + group_cols.size)
         tiled = np.array_equal(group_cols.ravel(), np.arange(run.start, run.stop))
-        tops = base[group, np.newaxis, np.newaxis] - s
+        rows = base[group, np.newaxis, np.newaxis] - s + np.arange(s)[:, np.newaxis]
         layers.append((
             s,
-            _frozen(tops + np.arange(s)[:, np.newaxis], np.intp),
+            _frozen(group_cols[:, np.newaxis, :] * n + rows, np.intp),
             _frozen(group_cols, np.intp),
             _frozen(offsets[group, np.newaxis] + np.arange(s * s), np.intp),
             run if tiled else None,
@@ -582,21 +588,22 @@ def _sweep(w: np.ndarray, layout: _Layout) -> np.ndarray:
     ``w[t]`` holds column ``c`` of matrix ``t``, so a step's
     right-multiplication of its columns by ``q`` is ``q^T`` times their
     contiguous rows.  Every matrix of the stack must have the zero pattern
-    the schedule was simulated on, and ``w`` must be C-contiguous, as a
-    group's run of rows is updated through a reshaped view.  Each layer
-    group gets one batched RQ of its gathered blocks and one product of
-    whole rows for the whole stack, in place on the slice of its run or
-    through a gather and scatter where it has none (see ``_Layout``); the
-    arithmetic on each matrix is that of the matrix swept alone.  Each
+    the schedule was simulated on, and ``w`` must be C-contiguous, as it is
+    updated through reshaped views.  Each layer group gets one batched RQ
+    of its blocks, gathered from the ``(T, n*n)`` view of ``w`` through its
+    flat index, and one product of whole rows for the whole stack, in place
+    on the slice of its run or through a gather and scatter of rows where
+    it has none (see ``_Layout``); ``r`` goes back through the flat index.
+    The arithmetic on each matrix is that of the matrix swept alone.  Each
     group's ``q`` blocks go straight to their entries of the returned
     ``(T, entries)`` blocks, laid out like ``DecompositionPlan.blocks``;
     ``w`` ends holding the swept matrices, transposed.
     """
     t, n = w.shape[:2]
     blocks = np.empty((t, layout.offsets[-1]), dtype=np.complex128)
-    for s, rows, cols, entries, run in layout.layers:
-        block = (slice(None), cols[:, np.newaxis, :], rows)
-        r, q = rq_decompose(w[block])
+    cells = w.reshape(t, n * n)  # a view, as ``w`` is C-contiguous
+    for s, index, cols, entries, run in layout.layers:
+        r, q = rq_decompose(np.take(cells, index, axis=1))
         # The rows below each block are finished: they hold exact zeros
         # in its columns, and multiplying keeps them so.
         if run is None:
@@ -605,7 +612,7 @@ def _sweep(w: np.ndarray, layout: _Layout) -> np.ndarray:
             tile = w[:, run, :].reshape(t, -1, s, n)
             np.matmul(q.swapaxes(-1, -2), tile, out=tile)
         blocks[:, entries] = q.reshape(t, -1, s * s)
-        w[block] = r  # exact zeros below each block's diagonal
+        cells[:, index] = r  # exact zeros below each block's diagonal
     return blocks
 
 

@@ -37,16 +37,19 @@ pair holds the same number of entries: the pairs of a block size are
 composed in runs of as many whole pairs as fit in ``_STACK_ENTRIES``
 (``2**18``) complex entries of matrices plus blocks, at least one.  Each
 slice depends only on its own seed, so it equals the same perturbation
-composed alone.  The ceiling keeps memory bounded: at ``n = 100`` an
-unbounded stack of 80 pairs took about eight times the memory and twice
-the time of one pair at a time.  The fidelities of every chunk go into
-arrays that hold a whole block size in ``(sigma, matrix)`` order, and each
-cell is reduced once, when they are full, so the results do not depend on
-the chunking.  Those arrays take ``8 C T P (K + 1)`` bytes for ``C``
-cells, ``T`` matrices, ``P`` perturbations and ``K`` factors per plan:
-3.2 MB at ``m = 2`` for ``sweep_noise(100, [2, 3, 4], <4 sigmas>, 4, 5,
-seed)``, and 15 KB per cell at ``n = 20`` with 2 matrices and 5
-perturbations.
+composed alone.  At ``sigma = 0`` all the perturbations of a pair are its
+ideal blocks, so the pair enters the stack as one slice, composed once,
+and its fidelities are placed once per perturbation; the ceiling still
+counts it as a whole pair.  The ceiling keeps memory bounded: at
+``n = 100`` an unbounded stack of 80 pairs took about eight times the
+memory and twice the time of one pair at a time.  The fidelities of every
+chunk go into arrays that hold a whole block size in ``(sigma, matrix)``
+order, and each cell is reduced once, when they are full, so the results
+do not depend on the chunking.  Those arrays take ``8 C T P (K + 1)``
+bytes for ``C`` cells, ``T`` matrices, ``P`` perturbations and ``K``
+factors per plan: 3.2 MB at ``m = 2`` for ``sweep_noise(100, [2, 3, 4],
+<4 sigmas>, 4, 5, seed)``, and 15 KB per cell at ``n = 20`` with 2
+matrices and 5 perturbations.
 """
 
 from __future__ import annotations
@@ -96,11 +99,12 @@ def _rng(*parts: int) -> np.random.Generator:
 
 
 def _check_sigma(sigma) -> float:
-    """``sigma`` as a float; raises ``ValueError`` unless it is finite and >= 0."""
+    """``sigma`` as a float, ``-0.0`` as ``0.0``; raises ``ValueError`` unless
+    it is finite and >= 0."""
     sigma = float(sigma)
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    return sigma
+    return sigma + 0.0  # -0.0 + 0.0 is +0.0
 
 
 @dataclass(frozen=True)
@@ -173,11 +177,11 @@ def _perturb_blocks(blocks: np.ndarray, sigma: float, seed, draws: int) -> np.nd
     ``_perturb`` draws them from one generator, ``_rng(seed,
     _NOISE_STREAM)``, as one ``(draws, size)`` array, so slice ``p`` is the
     ``p``-th consecutive ``(size, 2)`` draw of that generator.  With
-    ``sigma == 0`` every slice is ``blocks`` itself, nothing is drawn and
-    the seed is not read.
+    ``sigma == 0`` every draw is ``blocks`` itself, so the result is the
+    one slice ``(1, size)``: nothing is drawn and the seed is not read.
     """
     if sigma == 0.0:
-        return np.broadcast_to(blocks, (draws, blocks.size))
+        return blocks[np.newaxis]
     return _perturb(_rng(seed, _NOISE_STREAM), blocks, sigma, (draws, blocks.size))
 
 
@@ -186,23 +190,34 @@ def _perturbed_stack(layout, blocks, phases, sigmas, seeds, draws):
 
     ``blocks`` (``(C, entries)``) and ``phases`` (``(C, n)``) hold ``C``
     sets of plan fields that share ``layout``; set ``c`` is drawn from the
-    one generator of ``seeds[c]`` at noise strength ``sigmas[c]``.  Returns
-    the ``(C, draws, n, n)`` perturbed matrices and the ``(C, draws, K)``
-    block fidelities, with the factors of each slice ordered by block
-    size.  Each slice equals the same draw composed alone.
+    one generator of ``seeds[c]`` at noise strength ``sigmas[c]``.  A set
+    at ``sigma == 0`` has ``draws`` equal draws, its ideal blocks, and
+    enters the stack as one slice; any other set as ``draws`` slices.
+    Returns the ``(S, n, n)`` composed slices, their ``(S, K)`` block
+    fidelities, with the factors of each slice ordered by block size, the
+    ``(S,)`` set of each slice and the ``(C, draws)`` slice of each draw.
+    Each slice equals the same draw composed alone.
     """
-    flat = np.stack([
+    flat = [
         _perturb_blocks(ideal, sigma, seed, draws)
         for ideal, sigma, seed in zip(blocks, sigmas, seeds)
-    ])
-    ideal = blocks[:, np.newaxis]
+    ]
+    counts = np.array([len(f) for f in flat])
+    owner = np.repeat(np.arange(len(flat)), counts)
+    # a one-slice set repeats its slice for every draw
+    slices = (np.cumsum(counts) - counts)[:, np.newaxis] + np.minimum(
+        np.arange(draws), counts[:, np.newaxis] - 1
+    )
+    flat = np.concatenate(flat)
+    ideal = blocks[owner]
     block_fids = [np.zeros(flat.shape[:-1] + (0,))]  # a plan without factors has no groups
     for s, _, entries in layout.by_size():
         block_fids.append(_fidelities(
-            ideal[..., entries].reshape(ideal.shape[:-1] + (-1, s, s)),
-            flat[..., entries].reshape(flat.shape[:-1] + (-1, s, s)),
+            ideal[:, entries].reshape(len(flat), -1, s, s),
+            flat[:, entries].reshape(len(flat), -1, s, s),
         ))
-    return _compose(layout, flat, phases[:, np.newaxis]), np.concatenate(block_fids, axis=-1)
+    rebuilt = _compose(layout, flat, phases[owner])
+    return rebuilt, np.concatenate(block_fids, axis=-1), owner, slices
 
 
 def _stats(values: np.ndarray) -> FidelityStats:
@@ -382,7 +397,11 @@ def _sweep_cells(
     pairs (see the module docstring), into one ``(pairs, draws, K)`` array of
     block fidelities and one ``(pairs, draws)`` array of matrix fidelities,
     and each cell is reduced once, by ``_stats``, when all are composed.
-    So the results do not depend on how the pairs are stacked.
+    So the results do not depend on how the pairs are stacked.  A pair at
+    ``sigma == 0`` is composed once, as one slice (see
+    ``_perturbed_stack``), and its fidelities fill all ``draws`` places of
+    its row, so it still counts ``draws`` samples; the stack ceiling counts
+    it as ``draws`` slices all the same.
     """
     us, layout, blocks, phases = prepared
     pairs = [(c, t) for c in range(len(cells)) for t in range(len(us))]
@@ -397,12 +416,12 @@ def _sweep_cells(
             if cells[c][0] else None  # a sigma = 0 pair reads no seed
             for c, t in chunk
         ]
-        members = [t for _, t in chunk]
-        rebuilt, block_fids = _perturbed_stack(
+        members = np.array([t for _, t in chunk])
+        rebuilt, block_fids, owner, slices = _perturbed_stack(
             layout, blocks[members], phases[members], sigmas, seeds, n_perturbations
         )
-        fq[start : start + len(chunk)] = block_fids
-        fu[start : start + len(chunk)] = _fidelities(us[members][:, np.newaxis], rebuilt)
+        fq[start : start + len(chunk)] = block_fids[slices]
+        fu[start : start + len(chunk)] = _fidelities(us[members[owner]], rebuilt)[slices]
     return [
         SweepResult(n=n, m=m, sigma=sigma, fq=_stats(cell_fq), fu=_stats(cell_fu))
         for (sigma, _), cell_fq, cell_fu in zip(

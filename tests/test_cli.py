@@ -257,6 +257,17 @@ class TestSweepNoiseCommand:
         row = csv.read_text().splitlines()[-1].split(",")
         assert row[3] == "1" and row[5] == "1"
 
+    def test_negative_zero_sigma_prints_as_zero(self, tmp_path, capsys):
+        args = ["sweep-noise", "--n", "4", "--m-list", "2", "--matrices", "2",
+                "--perturbations", "2", "--seed", "4"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(args + ["--sigmas=-0.0,0.1", "--out", str(a)], capsys)[0] == 0
+        assert run(args + ["--sigmas=0,0.1", "--out", str(b)], capsys)[0] == 0
+        lines = a.read_text().splitlines()
+        assert "# sigmas = 0,0.1" in lines
+        assert lines[-2].startswith("4,2,0,")
+        assert a.read_bytes() == b.read_bytes()
+
     def test_rerun_identical(self, tmp_path, capsys):
         args = ["sweep-noise", "--n", "5", "--m-list", "2", "--sigmas", "0.02,0.08",
                 "--matrices", "2", "--perturbations", "2", "--seed", "31"]

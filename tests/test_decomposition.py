@@ -711,21 +711,25 @@ class TestLayers:
             assert run is not None
 
     @staticmethod
-    def assert_groups_index_factor_blocks(layout):
+    def assert_groups_index_factor_blocks(layout, n):
         """Each group's ``entries`` rows are its factors' blocks in the flat
         factor-order block array, and the groups cover every factor once.
-        ``rows`` are the blocks' rows as ``(k, s, 1)``, the factors sorted by
-        first column, and ``run`` is the slice of exactly the group's
-        columns when they tile one, else ``None``."""
+        ``index`` is the ``(k, s, s)`` flat index of the blocks in a
+        transposed ``n x n`` matrix read as ``n*n`` entries, the factors
+        sorted by first column, and ``run`` is the slice of exactly the
+        group's columns when they tile one, else ``None``."""
         flat, factors = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-        for s, rows, cols, entries, run in layout.layers:
+        for s, index, cols, entries, run in layout.layers:
             k = np.searchsorted(layout.offsets, entries[:, 0])  # the rows' factors
             np.testing.assert_array_equal(entries, layout.offsets[k, np.newaxis] + np.arange(s * s))
             np.testing.assert_array_equal(layout.sizes[k], s)
             np.testing.assert_array_equal(cols, layout.columns[k, :s])
-            assert rows.shape == (len(k), s, 1)
+            assert index.shape == (len(k), s, s)
+            tops = layout.base_rows[k] - s
             np.testing.assert_array_equal(
-                rows[..., 0], layout.base_rows[k, np.newaxis] - s + np.arange(s)
+                index,
+                cols[:, np.newaxis, :] * n + tops[:, np.newaxis, np.newaxis]
+                + np.arange(s)[:, np.newaxis],
             )
             assert (np.diff(cols[:, 0]) > 0).all()
             c0 = cols[0, 0]
@@ -744,7 +748,7 @@ class TestLayers:
     def test_dense_groups_index_factor_order_blocks(self, n):
         for m in range(2, n + 1):
             self.assert_groups_index_factor_blocks(
-                _schedule(n, m, _zero_pattern(np.ones((n, n))))
+                _schedule(n, m, _zero_pattern(np.ones((n, n)))), n
             )
 
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -759,7 +763,7 @@ class TestLayers:
                 u, _ = block_diagonal(n, seed)
                 u = u[:, np.random.default_rng(seed).permutation(n)]
             plan = decompose(u, m)
-            self.assert_groups_index_factor_blocks(plan._layout)
+            self.assert_groups_index_factor_blocks(plan._layout, n)
             if kind != "phase-only":
                 assert len(plan.sizes) > 0
 
@@ -835,6 +839,32 @@ class TestLayers:
         for b, p in [(blocks[0], phases[0]), (perturbed, phases[:, np.newaxis])]:
             assert _compose(layout, b, p).tobytes() == _compose(gathered, b, p).tobytes()
         assert np.abs(_compose(layout, blocks, phases) - us).max() <= n * np.finfo(float).eps
+
+    @pytest.mark.parametrize("t", [1, 3])
+    @pytest.mark.parametrize(
+        "kind", ["dense", "permutation", "phase-only", "permuted block-diagonal"]
+    )
+    def test_flat_index_moves_the_blocks_of_the_broadcast_index(self, kind, t):
+        # ``_sweep`` reads and writes each group's blocks through the flat
+        # index; the reference is the two broadcast index arrays of the
+        # blocks' columns and rows.
+        for n in range(2, 14):
+            us = self.one_pattern_stack(kind, n, 90 + n, t)
+            for m in range(2, min(n, 5) + 1):
+                layout = _schedule(n, m, _zero_pattern(us[0]))
+                w = us.swapaxes(-1, -2).copy()
+                cells = w.reshape(t, n * n)
+                for s, index, cols, entries, _ in layout.layers:
+                    tops = layout.base_rows[np.searchsorted(layout.offsets, entries[:, 0])] - s
+                    rows = tops[:, np.newaxis, np.newaxis] + np.arange(s)[:, np.newaxis]
+                    block = (slice(None), cols[:, np.newaxis, :], rows)
+                    gathered = np.take(cells, index, axis=1)
+                    assert gathered.tobytes() == w[block].tobytes()
+                    r = np.random.default_rng(s).standard_normal(gathered.shape) + 0j
+                    expected = w.copy()
+                    expected[block] = r
+                    cells[:, index] = r
+                    assert w.tobytes() == expected.tobytes()
 
     def test_factor_order_is_schedule_order(self):
         plan = decompose(haar_random_unitary(9, 3), 3)

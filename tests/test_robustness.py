@@ -179,10 +179,12 @@ def sample_plan():
 
 
 def _plan_stack(plan, sigma, seed, draws):
-    """``_perturbed_stack`` on the arrays of one plan: one set of blocks, ``draws`` draws."""
-    return _perturbed_stack(
+    """``_perturbed_stack`` on the arrays of one plan: one set of blocks, ``draws``
+    draws, with its slices and block fidelities placed as ``(1, draws, ...)``."""
+    rebuilt, block_fids, _, slices = _perturbed_stack(
         plan._layout, plan.blocks[np.newaxis], plan.phases[np.newaxis], [sigma], [seed], draws
     )
+    return rebuilt[slices], block_fids[slices]
 
 
 class TestPerturbBlocks:
@@ -191,7 +193,7 @@ class TestPerturbBlocks:
     def test_sigma_zero_is_identity(self, sample_plan):
         _, plan = sample_plan
         flat = _perturb_blocks(plan.blocks, 0.0, 5, 2)
-        np.testing.assert_array_equal(flat, np.stack([plan.blocks] * 2))
+        np.testing.assert_array_equal(flat, plan.blocks[np.newaxis])
 
     def test_deterministic_per_draw(self, sample_plan):
         _, plan = sample_plan
@@ -729,6 +731,68 @@ class TestSweepStacks:
         stacked = self._stack_sizes(monkeypatch)
         sweep_noise(20, [2, 3, 5, 10], [0.0, 0.05, 0.1, 0.2], 2, 5, seed=1)
         assert stacked == [8, 8, 8, 8]
+
+    @staticmethod
+    def _reference_sweep(n, m_list, sigmas, n_matrices, draws, seed):
+        """``sweep_noise`` with every draw composed alone, the P equal draws
+        of a sigma = 0 pair included, pooled in the sweep's order."""
+        from multiport.robustness import _MATRIX_STREAM, _NOISE_STREAM, _child_seed
+
+        results = []
+        for mi, m in enumerate(m_list):
+            us = [
+                haar_random_unitary(n, _child_seed(seed, _MATRIX_STREAM, mi, t))
+                for t in range(n_matrices)
+            ]
+            plans = [decompose(u, m) for u in us]
+            for si, sigma in enumerate(sigmas):
+                fq, fu = [], []
+                for t, (u, plan) in enumerate(zip(us, plans)):
+                    layout = plan._layout
+                    if sigma:
+                        noise_seed = _child_seed(seed, _NOISE_STREAM, mi, si, t)
+                        drawn = _perturb_blocks(plan.blocks, sigma, noise_seed, draws)
+                    else:
+                        drawn = [plan.blocks] * draws
+                    for blocks in drawn:
+                        rebuilt = _compose(layout, blocks, plan.phases)
+                        fu.append(_fidelities(np.ascontiguousarray(u), rebuilt))
+                        fq += [
+                            _fidelities(
+                                plan.blocks[entries].reshape(-1, s, s),
+                                blocks[entries].reshape(-1, s, s),
+                            )
+                            for s, _, entries in layout.by_size()
+                        ]
+                results.append(robustness.SweepResult(
+                    n=n, m=m, sigma=sigma,
+                    fq=_stats(np.concatenate(fq)), fu=_stats(np.array(fu)),
+                ))
+        return results
+
+    @pytest.mark.parametrize("ceiling", [None, 1])
+    @pytest.mark.parametrize(
+        "sigmas", [[0.0], [0.0, 0.1], [0.1, 0.0, 0.2], [0.05, 0.0]]
+    )
+    def test_sigma_zero_pairs_compose_once(self, monkeypatch, sigmas, ceiling):
+        n, m_list, n_matrices, draws, seed = 7, [2, 3], 3, 4, 17
+        expected = self._reference_sweep(n, m_list, sigmas, n_matrices, draws, seed)
+        if ceiling is not None:
+            monkeypatch.setattr(robustness, "_STACK_ENTRIES", ceiling)
+        composed = []
+
+        def spy(layout, blocks, phases):
+            composed.append(math.prod(blocks.shape[:-1]))
+            return _compose(layout, blocks, phases)
+
+        monkeypatch.setattr(robustness, "_compose", spy)
+        results = sweep_noise(n, m_list, sigmas, n_matrices, draws, seed)
+        assert results == expected
+        # a sigma = 0 pair is one slice of the composed stack, any other P
+        assert sum(composed) == len(m_list) * n_matrices * sum(
+            draws if sigma else 1 for sigma in sigmas
+        )
+        assert all(r.fu.samples == n_matrices * draws for r in results)
 
 
 class TestIntegerSizes:
