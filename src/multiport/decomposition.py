@@ -50,7 +50,14 @@ returns one plan; the noise sweeps decompose all their trial matrices of
 one size, Haar draws and so dense, as one stack, and build no per-matrix
 plans: they take the shared layout with a ``(T, entries)`` block array and
 ``(T, n)`` phases.  The composition behind ``reconstruct`` runs the layers
-the same way, transposed, on one set of blocks or a stack of them.
+the same way, transposed, on one set of blocks or a stack of them, but in
+real arithmetic: each working row is split into its real and imaginary
+rows, ``(n, 2, n)`` floats per matrix, and each block into its real
+``(2s, 2s)`` embedding, so a group's product is a stack of real
+``(2s, 2s) @ (2s, n)`` products, several times cheaper than the complex
+ones at these shapes.  The sweep stays complex: its RQs need complex
+blocks, so split rows would pay a conversion per group, and they measured
+no faster there.
 A ``DecompositionPlan`` stores its factors as flat arrays in factor order
 (sizes, base rows, padded columns and one array of row-major blocks) and
 validates them once, when it is built; ``plan.factors`` returns records
@@ -193,7 +200,11 @@ class _Layout:
     ``(k, s*s)`` indices of their blocks in the flat block array.  ``run``
     is ``slice(c0, c0 + k*s)`` when the group's columns, concatenated, are
     exactly ``c0 .. c0 + k*s - 1``, so the kernels can move its rows as one
-    slice; else ``None``.
+    slice; else ``None``.  ``applied`` holds one ``(size, factors)`` pair
+    per block size: the indices of that size's factors in the order the
+    composition applies them, the groups last first.  ``spans`` holds one
+    slice per group, aligned with ``layers``: where the group's factors
+    sit in its size's ``factors``.
     """
 
     sizes: np.ndarray
@@ -201,6 +212,8 @@ class _Layout:
     columns: np.ndarray
     offsets: np.ndarray
     layers: tuple
+    applied: tuple
+    spans: tuple
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -247,10 +260,11 @@ def _layout_of(n: int, m: int, base_rows: bytes, columns: bytes) -> _Layout:
     order = np.lexsort((cols[:, 0], sizes, layer))
     key = (np.asarray(layer, dtype=np.intp) * (m + 1) + sizes)[order]
     bounds = np.flatnonzero(np.diff(key, prepend=-1, append=-1)).tolist()
-    layers = []
+    layers, groups = [], []
     for start, stop in zip(bounds[:-1], bounds[1:]):
         group = order[start:stop]
         s = int(sizes[group[0]])
+        groups.append((s, group))
         group_cols = cols[group, :s]
         c0 = int(group_cols[0, 0])
         run = slice(c0, c0 + group_cols.size)
@@ -263,7 +277,19 @@ def _layout_of(n: int, m: int, base_rows: bytes, columns: bytes) -> _Layout:
             _frozen(offsets[group, np.newaxis] + np.arange(s * s), np.intp),
             run if tiled else None,
         ))
-    return _Layout(sizes, base, cols, offsets, tuple(layers))
+    # The composition applies the groups last first; listing each size's
+    # factors in that order lets every group read one slice of them.
+    applied, spans, filled = {}, [], {}
+    for s, group in reversed(groups):
+        applied.setdefault(s, []).append(group)
+        start = filled.get(s, 0)
+        filled[s] = start + len(group)
+        spans.append(slice(start, filled[s]))
+    return _Layout(
+        sizes, base, cols, offsets, tuple(layers),
+        tuple((s, _frozen(np.concatenate(parts), np.intp)) for s, parts in applied.items()),
+        tuple(reversed(spans)),
+    )
 
 
 _PLAN_FIELDS = ("n", "m", "sizes", "base_rows", "columns", "blocks", "phases", "_layout")
@@ -424,34 +450,60 @@ def _compose(layout: _Layout, blocks: np.ndarray, phases: np.ndarray) -> np.ndar
     leading ``stack`` axes, one set of blocks per slice; ``phases`` holds n
     phase angles per slice, with leading axes that broadcast to ``stack``.
     The slices may come from different plans that share the layout.  The
-    result is a C-contiguous array of shape ``stack + (n, n)``.
+    result is a C-contiguous complex array of shape ``stack + (n, n)``.
 
     The product is built transposed, row ``c`` holding column ``c``, so a
     factor's right-multiplication by ``B^dag`` is ``conj(B)`` times the
-    contiguous rows of its columns; the blocks are conjugated once, up
-    front.  The layers are applied last first, each block size of a layer
-    with one stacked product of whole rows, as the factors of a layer act
-    on disjoint columns: in place on the slice of a group's run, or
-    through a gather and scatter of its rows where it has none.  Shared
-    by the exact and perturbed reconstruction paths, so zero perturbation
-    reproduces the exact result bit for bit and each slice of a stack
-    equals the same slice composed alone.
+    contiguous rows of its columns.  It is built in real arithmetic: the
+    working array is float64 of shape ``stack + (n, 2, n)``, row ``c``
+    holding the real part of column ``c`` at ``[..., c, 0, :]`` and its
+    imaginary part at ``[..., c, 1, :]``, so the ``s`` rows of a factor
+    read as ``2s`` real rows.  Each block entry ``b`` becomes the real
+    ``2 x 2`` block ``[[Re b, Im b], [-Im b, Re b]]``, which multiplies by
+    ``conj(b)``, so a block becomes one ``(2s, 2s)`` matrix; a real
+    ``(2s, 2s) @ (2s, n)`` product costs a fraction of a complex
+    ``(s, s) @ (s, n)`` one at these shapes.  The embeddings are built
+    once per call, one pass per block size with its factors in the order
+    they are applied (``_Layout.applied``), so each group reads a
+    contiguous slice of them.  The layers are applied last first, each
+    block size of a layer with one stacked product of whole rows, as the
+    factors of a layer act on disjoint columns: in place on the slice of
+    a group's run, or through a gather and scatter of its rows where it
+    has none.  Shared by the exact and perturbed reconstruction paths, so
+    zero perturbation reproduces the exact result bit for bit and each
+    slice of a stack equals the same slice composed alone.  The sweep
+    stays complex: its RQs need complex blocks, so split rows would pay a
+    conversion per group there.
     """
     stack = blocks.shape[:-1]
     n = phases.shape[-1]
-    out = np.zeros(stack + (n, n), dtype=np.complex128)
-    out[..., np.arange(n), np.arange(n)] = np.exp(1j * phases)
-    conj = np.conj(blocks)
-    for s, _, cols, entries, run in reversed(layout.layers):
-        block = conj[..., entries].reshape(stack + (-1, s, s))
+    embeddings = {}
+    for s, factors in layout.applied:
+        # Entry (i, p, j) of a factor's (s, 2, s) complex rows is b_ij; as
+        # float64 pairs, row (i, 0) holds [Re b, Im b] for each j.  Row
+        # (i, 1) is multiplied by 1j, exactly, into [-Im b, Re b].
+        local = np.arange(s * s).reshape(s, 1, s).repeat(2, axis=1).ravel()
+        embedding = np.take(blocks, layout.offsets[factors, np.newaxis] + local, axis=-1)
+        embedding *= np.tile(np.repeat([1, 1j], s), s)
+        embeddings[s] = embedding.view(np.float64).reshape(stack + (-1, 2 * s, 2 * s))
+    out = np.zeros(stack + (n, 2, n))
+    diagonal = np.exp(1j * phases)
+    d = np.arange(n)
+    out[..., d, 0, d] = diagonal.real
+    out[..., d, 1, d] = diagonal.imag
+    for (s, _, cols, _, run), span in zip(reversed(layout.layers), reversed(layout.spans)):
+        block = embeddings[s][..., span, :, :]
         if run is None:
-            out[..., cols, :] = block @ out[..., cols, :]
+            rows = out[..., cols, :, :]
+            out[..., cols, :, :] = (block @ rows.reshape(stack + (-1, 2 * s, n))).reshape(rows.shape)
         else:
-            tile = out[..., run, :].reshape(stack + (-1, s, n))
+            tile = out[..., run, :, :].reshape(stack + (-1, 2 * s, n))
             np.matmul(block, tile, out=tile)
     # A transposed view would change how later reductions over the result
     # (``_fidelities``' einsum) sum, and so their bits, with the stack shape.
-    return np.ascontiguousarray(out.swapaxes(-1, -2))
+    result = np.empty(stack + (n, n), dtype=np.complex128)
+    result.view(np.float64).reshape(stack + (n, n, 2))[...] = np.moveaxis(out, -1, -3)
+    return result
 
 
 def reconstruct(plan: DecompositionPlan) -> np.ndarray:
@@ -733,6 +785,8 @@ def verify(plan: DecompositionPlan, u, tol: float | None = None) -> Verification
 
     ``passed`` requires the maximum absolute entry error to stay within
     ``tol`` (default ``1e-9 * n``) and the factor count to respect the bound.
+    Raises ``ValueError`` unless ``tol`` is positive and finite: an infinite
+    tolerance would pass the plan of any matrix.
     """
     mat = as_matrix(u, square=True)
     if mat.shape[0] != plan.n:
@@ -742,8 +796,8 @@ def verify(plan: DecompositionPlan, u, tol: float | None = None) -> Verification
     if tol is None:
         tol = 1e-9 * plan.n
     tol = float(tol)
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     rebuilt = reconstruct(plan)
     max_error = float(np.abs(rebuilt - mat).max())
     bound = factor_count_bound(plan.n, plan.m)

@@ -35,7 +35,9 @@ straight from those arrays.  The trial matrices are Haar draws, which have
 no exact zeros, so they share one layout and every ``(sigma, matrix)``
 pair holds the same number of entries: the pairs of a block size are
 composed in runs of as many whole pairs as fit in ``_STACK_ENTRIES``
-(``2**18``) complex entries of matrices plus blocks, at least one.  Each
+(``2**18``) entries of matrices plus blocks, at least one: 4 MB as complex
+numbers, and more while they are composed, as the real embeddings of the
+blocks take twice the bytes of the blocks.  Each
 slice depends only on its own seed, so it equals the same perturbation
 composed alone.  At ``sigma = 0`` all the perturbations of a pair are its
 ideal blocks, so the pair enters the stack as one slice, composed once,
@@ -75,8 +77,8 @@ __all__ = [
 # Trials per vectorized batch of ``component_fidelity_estimate``; the result
 # does not depend on it.
 _ESTIMATE_CHUNK = 32768
-# Complex entries of perturbed matrices plus blocks that a sweep composes as
-# one stack; the results do not depend on it.  Unbounded stacks of large
+# Entries of perturbed matrices plus blocks that a sweep composes as one
+# stack; the results do not depend on it.  Unbounded stacks of large
 # meshes ran slower and used several times the memory.
 _STACK_ENTRIES = 2**18
 

@@ -103,6 +103,22 @@ class TestDecomposeReconstructVerify:
         assert "passed = False" in out
         assert "error" in err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_verify_rejects_tolerance_not_positive_and_finite(
+        self, tmp_path, capsys, matrix_file, tol
+    ):
+        # At --tol inf the plan of a different matrix would pass.
+        plan = tmp_path / "plan.json"
+        run(["decompose", "--in", str(matrix_file), "--m", "3", "--out", str(plan)], capsys)
+        other = tmp_path / "other.json"
+        save_matrix(other, haar_random_unitary(8, 16))
+        code, out, err = run(
+            ["verify", "--plan", str(plan), "--matrix", str(other), f"--tol={tol}"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: tol must be positive and finite")
+
     def test_non_unitary_input_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         save_matrix(bad, np.diag([1.0, 2.0]))

@@ -700,6 +700,71 @@ class TestLayers:
             expected = expected @ embed_factor(f, n).conj().T
         assert np.abs(reconstruct(plan) - expected).max() <= n * np.finfo(float).eps
 
+    @staticmethod
+    def explicit_product(layout, blocks, phases, n):
+        """``diag(exp(1j*phases))`` times the daggered full-size embeddings of
+        a layout's factors, holding ``blocks``, one complex product at a time."""
+        expected = np.diag(np.exp(1j * phases))
+        for s, row, cols, start in reversed(list(zip(
+            layout.sizes.tolist(), layout.base_rows.tolist(),
+            (layout.columns + 1).tolist(), layout.offsets.tolist(),
+        ))):
+            factor = Factor(s, row, tuple(cols[:s]), blocks[start : start + s * s].reshape(s, s))
+            expected = expected @ embed_factor(factor, n).conj().T
+        return expected
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["dense", "permuted block-diagonal"])
+    def test_perturbed_stacks_match_explicit_embedded_product(self, kind, m):
+        # Blocks far from unitary, as in a sweep at sigma = 0.3, through the
+        # real kernel's runs, gathered groups and, at m >= 3, mixed sizes.
+        n = 13
+        if kind == "dense":
+            u = haar_random_unitary(n, 30 + m)
+        else:
+            u, _ = block_diagonal(n, m)
+            u = u[:, np.random.default_rng(m).permutation(n)]
+        plan = decompose(u, m)
+        layout = plan._layout
+        groups = [group[4] is None for group in layout.layers]
+        if m > 2:
+            assert any(groups)
+            if kind == "dense":
+                assert len(set(layout.sizes.tolist())) > 1
+        noise = np.random.default_rng(m).standard_normal((2, 3, plan.blocks.size, 2))
+        blocks = plan.blocks + 0.3 * noise.view(complex)[..., 0]
+        stack = _compose(layout, blocks, plan.phases)
+        for c, p in itertools.product(range(2), range(3)):
+            expected = self.explicit_product(layout, blocks[c, p], plan.phases, n)
+            error = np.abs(stack[c, p] - expected).max()
+            assert error <= n * np.finfo(float).eps * np.abs(expected).max()
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["permutation", "swap mesh", "phase-only"])
+    def test_exact_plans_reconstruct_exactly(self, kind, m):
+        # Every entry of these products is one phase times entries 0 and
+        # +-1, so any order of arithmetic gives it exactly, zeros included.
+        n = 11
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            if kind == "permutation":
+                plan = decompose(random_permutation_unitary(n, seed), m)
+            elif kind == "phase-only":
+                plan = decompose(np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, n))), m)
+                assert len(plan.sizes) == 0
+            else:
+                factors = []
+                for _ in range(factor_count_bound(n, m)):
+                    s = int(rng.integers(2, m + 1))
+                    cols = np.sort(rng.choice(n, s, replace=False)) + 1
+                    block = np.eye(s, dtype=complex)[rng.permutation(s)]
+                    factors.append(Factor(s, n, tuple(cols.tolist()), block))
+                plan = plan_from_factors(n, m, factors, rng.uniform(-np.pi, np.pi, n))
+            expected = self.explicit_product(plan._layout, plan.blocks, plan.phases, n)
+            rebuilt = reconstruct(plan)
+            np.testing.assert_array_equal(rebuilt, expected)
+            assert np.count_nonzero(rebuilt) == n
+
     @pytest.mark.parametrize("n", [3, 8, 21])
     def test_pairwise_mesh_layers_are_its_antidiagonals(self, n):
         layout = _schedule(n, 2, _zero_pattern(np.ones((n, n))))
@@ -717,9 +782,11 @@ class TestLayers:
         ``index`` is the ``(k, s, s)`` flat index of the blocks in a
         transposed ``n x n`` matrix read as ``n*n`` entries, the factors
         sorted by first column, and ``run`` is the slice of exactly the
-        group's columns when they tile one, else ``None``."""
+        group's columns when they tile one, else ``None``.  ``spans`` slice
+        each group's factors out of its size's ``applied`` factors, which
+        list the groups of that size last first."""
         flat, factors = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-        for s, index, cols, entries, run in layout.layers:
+        for (s, index, cols, entries, run), span in zip(layout.layers, layout.spans):
             k = np.searchsorted(layout.offsets, entries[:, 0])  # the rows' factors
             np.testing.assert_array_equal(entries, layout.offsets[k, np.newaxis] + np.arange(s * s))
             np.testing.assert_array_equal(layout.sizes[k], s)
@@ -732,6 +799,7 @@ class TestLayers:
                 + np.arange(s)[:, np.newaxis],
             )
             assert (np.diff(cols[:, 0]) > 0).all()
+            np.testing.assert_array_equal(dict(layout.applied)[s][span], k)
             c0 = cols[0, 0]
             tiled = np.array_equal(cols.ravel(), np.arange(c0, c0 + cols.size))
             if run is None:
@@ -743,6 +811,13 @@ class TestLayers:
             factors.append(k)
         np.testing.assert_array_equal(np.sort(np.concatenate(flat)), np.arange(layout.offsets[-1]))
         np.testing.assert_array_equal(np.sort(np.concatenate(factors)), np.arange(len(layout)))
+        for s, applied in layout.applied:
+            spans = [
+                span for (size, *_), span in zip(reversed(layout.layers), reversed(layout.spans))
+                if size == s
+            ]
+            assert [span.start for span in spans] == [0] + [span.stop for span in spans[:-1]]
+            assert spans[-1].stop == len(applied) == np.count_nonzero(layout.sizes == s)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_dense_groups_index_factor_order_blocks(self, n):
@@ -945,6 +1020,13 @@ class TestVerify:
         plan = decompose(np.eye(3, dtype=complex), 2)
         with pytest.raises(ValueError, match="dimension"):
             verify(plan, np.eye(4))
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_rejects_tolerance_not_positive_and_finite(self, tol):
+        # An infinite tolerance would pass the plan of a different matrix.
+        plan = decompose(haar_random_unitary(5, 1), 2)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            verify(plan, haar_random_unitary(5, 2), tol=tol)
 
 
 class TestCostCompare:
