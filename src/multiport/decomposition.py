@@ -499,8 +499,8 @@ def _compose(layout: _Layout, blocks: np.ndarray, phases: np.ndarray) -> np.ndar
         else:
             tile = out[..., run, :, :].reshape(stack + (-1, 2 * s, n))
             np.matmul(block, tile, out=tile)
-    # A transposed view would change how later reductions over the result
-    # (``_fidelities``' einsum) sum, and so their bits, with the stack shape.
+    # C-contiguous, so ``_fidelities`` reads each slice as one flat segment
+    # of n*n entries without a copy; a transposed view would need one.
     result = np.empty(stack + (n, n), dtype=np.complex128)
     result.view(np.float64).reshape(stack + (n, n, 2))[...] = np.moveaxis(out, -1, -3)
     return result

@@ -43,18 +43,55 @@ def as_matrix(a, *, square: bool = False) -> np.ndarray:
     return mat
 
 
+def _segment_fidelities(q: np.ndarray, p: np.ndarray, starts, dims) -> np.ndarray:
+    """Phase-insensitive fidelities of the square matrices laid flat in segments.
+
+    ``q`` and ``p`` hold flat rows ``(..., L)`` that broadcast against each
+    other; segment ``k`` of a row starts at ``starts[k]`` and holds the
+    ``dims[k]**2`` entries of a row-major ``dims[k] x dims[k]`` matrix, the
+    segments in order and covering the row.  Returns ``(..., K)``, one
+    fidelity per segment, in segment order.  Overlaps and powers are
+    segment sums, ``np.add.reduceat`` along the row, so each value depends
+    only on the entries of its own segment, not on the leading axes or on
+    the other segments.  Raises ``ValueError`` if any perturbed matrix is
+    identically zero.
+    """
+    starts = np.asarray(starts, dtype=np.intp)
+    if not starts.size:  # a plan without factors has no blocks to score
+        return np.zeros(np.broadcast_shapes(q.shape, p.shape)[:-1] + (0,))
+    p = np.ascontiguousarray(p, dtype=np.complex128)
+    # a row of p read as float64 pairs: segment k starts at 2 * starts[k]
+    power = np.add.reduceat(np.square(p.view(np.float64)), 2 * starts, axis=-1) / dims
+    if not power.all():
+        raise ValueError("perturbed matrix is identically zero")
+    overlap = np.add.reduceat(np.conj(q) * p, starts, axis=-1) / dims
+    return np.abs(overlap) ** 2 / power
+
+
 def _fidelities(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Phase-insensitive fidelity over the last two axes, broadcasting the rest.
 
-    ``(..., d, d) x (..., d, d) -> (...)``; raises ``ValueError`` if any
-    perturbed matrix is identically zero.
+    ``(..., d, d) x (..., d, d) -> (...)``; each matrix is one segment of
+    ``_segment_fidelities``, so its value does not depend on how many
+    matrices share the call.  Raises ``ValueError`` if any perturbed matrix
+    is identically zero.
     """
     d = q.shape[-1]
-    power = np.einsum("...ij,...ij->...", np.conj(p), p).real / d
-    if not power.all():
-        raise ValueError("perturbed matrix is identically zero")
-    overlap = np.einsum("...ij,...ij->...", np.conj(q), p) / d
-    return np.abs(overlap) ** 2 / power
+    flat = [a.reshape(a.shape[:-2] + (d * d,)) for a in (q, p)]
+    return _segment_fidelities(*flat, [0], d)[..., 0]
+
+
+def _haar(pairs: np.ndarray) -> np.ndarray:
+    """Haar unitaries from Ginibre samples given as ``(..., n, n, 2)`` ``(re, im)`` pairs.
+
+    One stacked QR for the whole stack; the R diagonal's phases are folded
+    back into Q so the distribution is exactly Haar rather than QR-convention
+    dependent.  Each matrix depends only on its own pairs.
+    """
+    z = pairs[..., 0] + 1j * pairs[..., 1]
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., np.newaxis, :]
 
 
 def sample_haar(rng: np.random.Generator, n: int, count: int | None = None) -> np.ndarray:
@@ -62,25 +99,33 @@ def sample_haar(rng: np.random.Generator, n: int, count: int | None = None) -> n
 
     Returns a single ``(n, n)`` matrix when ``count`` is ``None``, else a
     stacked ``(count, n, n)`` array.  Uses the QR construction on a complex
-    Ginibre sample, with the R diagonal's phases folded back into Q so the
-    distribution is exactly Haar rather than QR-convention dependent.
+    Ginibre sample (see ``_haar``).
     """
     if n < 1:
         raise ValueError(f"dimension must be at least 1, got {n}")
     shape = (n, n) if count is None else (operator.index(count), n, n)
     # real/imaginary parts are drawn as interleaved pairs so the stream
     # position after k matrices does not depend on how calls are batched
-    pairs = rng.standard_normal(shape + (2,))
-    z = pairs[..., 0] + 1j * pairs[..., 1]
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., np.newaxis, :]
+    return _haar(rng.standard_normal(shape + (2,)))
 
 
 def haar_random_unitary(n: int, seed: int) -> np.ndarray:
     """Seeded Haar-random unitary; the same integers ``(n, seed)`` give identical output."""
-    rng = np.random.default_rng(np.random.SeedSequence(operator.index(seed) & _U64_MASK))
-    return sample_haar(rng, operator.index(n))
+    return _haar_stack(n, [seed])[0]
+
+
+def _haar_stack(n: int, seeds) -> np.ndarray:
+    """``haar_random_unitary(n, seed)`` for each seed, as one ``(len(seeds), n, n)`` stack.
+
+    Matrix ``t`` draws its Ginibre pairs from its own generator, seeded by
+    ``seeds[t]`` modulo ``2**64``, as ``sample_haar`` would, and the stack
+    goes through one stacked QR; each matrix depends only on its own seed.
+    """
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError(f"dimension must be at least 1, got {n}")
+    rngs = [np.random.default_rng(operator.index(seed) & _U64_MASK) for seed in seeds]
+    return _haar(np.stack([rng.standard_normal((n, n, 2)) for rng in rngs]))
 
 
 def rq_decompose(a) -> tuple[np.ndarray, np.ndarray]:

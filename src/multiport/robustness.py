@@ -19,11 +19,13 @@ master seed plus fixed stream tags, so every sweep is reproducible and
 distinct loops never share a stream.  A joint perturbation of a mesh draws
 the offsets of every block as one flat array of ``(re, im)`` pairs laid
 out like the plan's own ``blocks`` array (factor order, each block
-row-major).  All the perturbations of one ``(cell, matrix)`` pair of a
-sweep come from one generator, in one call: perturbation ``p`` is the
-``p``-th consecutive such array it draws.  The sweeps and
+row-major).  All the perturbations of one trial matrix of a sweep come
+from one generator, in one call: perturbation ``p`` is the ``p``-th
+consecutive such array it draws, as standard offsets, and every sigma of
+the sweep scales the same offsets.  So the cells of one block size share
+their noise draws, as they share their trial matrices.  The sweeps and
 ``component_fidelity_estimate`` draw their noise through one helper,
-``_perturb``.
+``_offsets``, and scale it through another, ``_perturb``.
 
 A sweep decomposes the trial matrices of one block size as one stack, then
 composes their perturbations as stacks too, one wavefront layer at a time
@@ -32,26 +34,31 @@ returns one shared layout with the ``(T, entries)`` blocks and ``(T, n)``
 phases of the ``T`` trial matrices, which it checks once, as a whole, with
 the validator that checks a plan, and the perturbations are composed
 straight from those arrays.  The trial matrices are Haar draws, which have
-no exact zeros, so they share one layout and every ``(sigma, matrix)``
+no exact zeros, so they share one layout and every ``(matrix, sigma)``
 pair holds the same number of entries: the pairs of a block size are
 composed in runs of as many whole pairs as fit in ``_STACK_ENTRIES``
 (``2**18``) entries of matrices plus blocks, at least one: 4 MB as complex
 numbers, and more while they are composed, as the real embeddings of the
-blocks take twice the bytes of the blocks.  Each
-slice depends only on its own seed, so it equals the same perturbation
-composed alone.  At ``sigma = 0`` all the perturbations of a pair are its
-ideal blocks, so the pair enters the stack as one slice, composed once,
-and its fidelities are placed once per perturbation; the ceiling still
-counts it as a whole pair.  The ceiling keeps memory bounded: at
-``n = 100`` an unbounded stack of 80 pairs took about eight times the
-memory and twice the time of one pair at a time.  The fidelities of every
-chunk go into arrays that hold a whole block size in ``(sigma, matrix)``
-order, and each cell is reduced once, when they are full, so the results
-do not depend on the chunking.  Those arrays take ``8 C T P (K + 1)``
-bytes for ``C`` cells, ``T`` matrices, ``P`` perturbations and ``K``
-factors per plan: 3.2 MB at ``m = 2`` for ``sweep_noise(100, [2, 3, 4],
-<4 sigmas>, 4, 5, seed)``, and 15 KB per cell at ``n = 20`` with 2
-matrices and 5 perturbations.
+blocks take twice the bytes of the blocks.  Only the offsets of the
+matrices in the stack being composed are held: ``8 P entries`` bytes per
+matrix, 1.6 MB at ``n = 100``, ``m = 2`` and ``P = 5``.  Each slice
+depends only on its own blocks and offsets, so it equals the same
+perturbation composed alone.  At ``sigma = 0`` all the perturbations of
+a pair are its ideal blocks, so the pair enters the stack as one slice,
+composed once, and its fidelities are placed once per perturbation; the
+ceiling still counts it as a whole pair.  The ceiling keeps memory
+bounded: at ``n = 100`` an unbounded stack of 80 pairs took about eight
+times the memory and twice the time of one pair at a time.  Block and matrix
+fidelities are segment sums over flat arrays
+(``linalg._segment_fidelities``), so no sum depends on what else shares
+the stack.  The fidelities of every chunk go into arrays that hold a
+whole block size in ``(sigma, matrix)`` order, and every cell is reduced
+in one pass when they are full, so the results do not depend on the
+chunking.  Those arrays take ``8 C T P (K + 1)`` bytes for ``C`` cells,
+``T`` matrices, ``P`` perturbations and ``K`` factors per plan: 3.2 MB
+at ``m = 2`` for ``sweep_noise(100, [2, 3, 4], <4 sigmas>, 4, 5,
+seed)``, and 15 KB per cell at ``n = 20`` with 2 matrices and 5
+perturbations.
 """
 
 from __future__ import annotations
@@ -63,7 +70,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import _check_block_size, _compose, _decompose_stack
-from .linalg import _U64_MASK, _fidelities, as_matrix, haar_random_unitary, sample_haar
+from .linalg import (
+    _U64_MASK, _fidelities, _haar_stack, _segment_fidelities, as_matrix, sample_haar,
+)
 
 __all__ = [
     "SweepResult",
@@ -163,77 +172,82 @@ def fidelity(q, q_pert) -> float:
     return float(_fidelities(q, p))
 
 
-def _perturb(rng: np.random.Generator, ideal, sigma: float, shape: tuple) -> np.ndarray:
-    """``ideal`` plus entry noise: an N(0, sigma^2) offset on each real and imaginary part.
+def _offsets(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Standard complex normal offsets: one ``(re, im)`` pair of N(0, 1) draws per entry.
 
-    ``rng`` draws one ``shape + (2,)`` standard-normal array of ``(re, im)``
-    pairs, scaled by ``sigma``; ``ideal`` broadcasts against ``shape``.
-    This is the only place noise is drawn.
+    ``rng`` draws them as one ``shape + (2,)`` array.  This is the only
+    place noise is drawn; ``_perturb`` scales the offsets by ``sigma``.
     """
-    return ideal + sigma * rng.standard_normal(shape + (2,)).view(np.complex128)[..., 0]
+    return rng.standard_normal(shape + (2,)).view(np.complex128)[..., 0]
 
 
-def _perturb_blocks(blocks: np.ndarray, sigma: float, seed, draws: int) -> np.ndarray:
-    """``draws`` joint perturbations of a flat block array: ``(draws, size)``.
+def _perturb(ideal, sigma: float, offsets: np.ndarray, out=None) -> np.ndarray:
+    """``ideal`` plus entry noise: ``ideal + sigma * offsets``.
 
-    ``_perturb`` draws them from one generator, ``_rng(seed,
-    _NOISE_STREAM)``, as one ``(draws, size)`` array, so slice ``p`` is the
-    ``p``-th consecutive ``(size, 2)`` draw of that generator.  With
-    ``sigma == 0`` every draw is ``blocks`` itself, so the result is the
-    one slice ``(1, size)``: nothing is drawn and the seed is not read.
+    With ``offsets`` from ``_offsets`` every real and imaginary part gets
+    an N(0, sigma^2) offset.  ``ideal`` broadcasts against ``offsets``, so
+    one set of offsets serves any number of noise strengths; the result
+    goes to ``out`` if it is given.
     """
-    if sigma == 0.0:
-        return blocks[np.newaxis]
-    return _perturb(_rng(seed, _NOISE_STREAM), blocks, sigma, (draws, blocks.size))
+    return np.add(ideal, np.multiply(sigma, offsets, out=out), out=out)
 
 
-def _perturbed_stack(layout, blocks, phases, sigmas, seeds, draws):
+def _perturbed_stack(layout, blocks, phases, sigmas, offsets, draws):
     """Compose ``draws`` perturbations of each set of blocks, as one stack.
 
     ``blocks`` (``(C, entries)``) and ``phases`` (``(C, n)``) hold ``C``
-    sets of plan fields that share ``layout``; set ``c`` is drawn from the
-    one generator of ``seeds[c]`` at noise strength ``sigmas[c]``.  A set
-    at ``sigma == 0`` has ``draws`` equal draws, its ideal blocks, and
-    enters the stack as one slice; any other set as ``draws`` slices.
-    Returns the ``(S, n, n)`` composed slices, their ``(S, K)`` block
-    fidelities, with the factors of each slice ordered by block size, the
-    ``(S,)`` set of each slice and the ``(C, draws)`` slice of each draw.
-    Each slice equals the same draw composed alone.
+    sets of plan fields that share ``layout``; set ``c`` is perturbed at
+    noise strength ``sigmas[c]`` by the ``(draws, entries)`` offsets
+    ``offsets[c]`` (see ``_perturb``), draw ``p`` by row ``p``.  A set at
+    ``sigma == 0`` has ``draws`` equal draws, its ideal blocks, and enters
+    the stack as one slice, its offsets unread (they may be ``None``); any
+    other set as ``draws`` slices.  Returns the ``(S, n, n)`` composed
+    slices, their ``(S, K)`` block fidelities in factor order, the ``(S,)``
+    set of each slice and the ``(C, draws)`` slice of each draw.  The block
+    fidelities are segment sums over the flat blocks
+    (``linalg._segment_fidelities`` at the layout's offsets), so each slice
+    and each of its fidelities equals the same draw composed and scored
+    alone.
     """
-    flat = [
-        _perturb_blocks(ideal, sigma, seed, draws)
-        for ideal, sigma, seed in zip(blocks, sigmas, seeds)
-    ]
-    counts = np.array([len(f) for f in flat])
-    owner = np.repeat(np.arange(len(flat)), counts)
+    counts = np.array([draws if sigma else 1 for sigma in sigmas])
+    owner = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts
     # a one-slice set repeats its slice for every draw
-    slices = (np.cumsum(counts) - counts)[:, np.newaxis] + np.minimum(
-        np.arange(draws), counts[:, np.newaxis] - 1
-    )
-    flat = np.concatenate(flat)
-    ideal = blocks[owner]
-    block_fids = [np.zeros(flat.shape[:-1] + (0,))]  # a plan without factors has no groups
-    for s, _, entries in layout.by_size():
-        block_fids.append(_fidelities(
-            ideal[:, entries].reshape(len(flat), -1, s, s),
-            flat[:, entries].reshape(len(flat), -1, s, s),
-        ))
+    slices = first[:, np.newaxis] + np.minimum(np.arange(draws), counts[:, np.newaxis] - 1)
+    flat = np.empty((len(owner), blocks.shape[-1]), dtype=np.complex128)
+    for ideal, sigma, noise, start in zip(blocks, sigmas, offsets, first.tolist()):
+        if sigma:
+            _perturb(ideal, sigma, noise, out=flat[start : start + draws])
+        else:
+            flat[start] = ideal
+    block_fids = _segment_fidelities(blocks[owner], flat, layout.offsets[:-1], layout.sizes)
     rebuilt = _compose(layout, flat, phases[owner])
-    return rebuilt, np.concatenate(block_fids, axis=-1), owner, slices
+    return rebuilt, block_fids, owner, slices
+
+
+def _row_stats(rows: np.ndarray) -> list[FidelityStats]:
+    """Mean and standard error of the mean of each row of a 2-D sample, in two passes.
+
+    Every row is reduced at once, each along its own contiguous row, so a
+    row's statistics do not depend on the other rows.  Deviations are taken
+    from the mean, never from zero, so values packed close to 1 keep their
+    spread.
+    """
+    count = rows.shape[-1]
+    means = rows.mean(axis=-1)
+    errors = np.zeros(len(rows))
+    if count > 1:
+        squares = np.square(rows - means[:, np.newaxis]).sum(axis=-1)
+        errors = np.sqrt(squares / (count - 1) / count)
+    return [
+        FidelityStats(mean=mean, std_error=error, samples=count)
+        for mean, error in zip(means.tolist(), errors.tolist())
+    ]
 
 
 def _stats(values: np.ndarray) -> FidelityStats:
-    """Mean and standard error of the mean of a sample, in two passes.
-
-    Deviations are taken from the mean, never from zero, so values packed
-    close to 1 keep their spread.
-    """
-    mean = float(values.mean())
-    count = values.size
-    std_error = 0.0
-    if count > 1:
-        std_error = math.sqrt(float(np.square(values - mean).sum()) / (count - 1) / count)
-    return FidelityStats(mean=mean, std_error=std_error, samples=count)
+    """``_row_stats`` of one sample."""
+    return _row_stats(values[np.newaxis])[0]
 
 
 def component_fidelity_estimate(
@@ -261,7 +275,7 @@ def component_fidelity_estimate(
     fids = []
     for start in range(0, trials, _ESTIMATE_CHUNK):
         q = sample_haar(haar_rng, m, count=min(_ESTIMATE_CHUNK, trials - start))
-        p = q if sigma == 0.0 else _perturb(noise_rng, q, sigma, q.shape)
+        p = q if sigma == 0.0 else _perturb(q, sigma, _offsets(noise_rng, q.shape))
         fids.append(_fidelities(q, p))
     return _stats(np.concatenate(fids))
 
@@ -373,61 +387,70 @@ def _prepare(n: int, m: int, n_matrices: int, seed: int, key):
     """Draw a sweep's trial matrices and decompose them once, as one stack.
 
     Matrix ``t`` is the Haar unitary seeded by
-    ``_child_seed(seed, _MATRIX_STREAM, *key, t)``.  Returns the
+    ``_child_seed(seed, _MATRIX_STREAM, *key, t)``, drawn with the others
+    through one stacked QR (``linalg._haar_stack``).  Returns the
     ``(n_matrices, n, n)`` stack followed by what ``_decompose_stack``
     returns for it (the shared layout, the ``(n_matrices, entries)`` blocks
-    and the ``(n_matrices, n)`` phases), which ``_sweep_cells`` takes; no
-    plan is built.
+    and the ``(n_matrices, n)`` phases); no plan is built.
     """
-    us = np.stack([
-        haar_random_unitary(n, _child_seed(seed, _MATRIX_STREAM, *key, t))
-        for t in range(n_matrices)
-    ])
+    us = _haar_stack(n, [_child_seed(seed, _MATRIX_STREAM, *key, t) for t in range(n_matrices)])
     return (us, *_decompose_stack(us, m))
 
 
 def _sweep_cells(
-    n: int, m: int, cells, prepared, n_perturbations: int, seed: int
+    n: int, m: int, sigmas, key, n_matrices: int, n_perturbations: int, seed: int
 ) -> list[SweepResult]:
     """Pool block and matrix fidelities over every perturbation of every matrix.
 
-    ``cells`` lists ``(sigma, key)`` pairs and ``prepared`` is what
-    ``_prepare`` returns.  The perturbations of matrix ``t`` in a cell all
-    come from the one generator of ``_child_seed(seed, _NOISE_STREAM, *key,
-    t)`` (see ``_perturb_blocks``): perturbation ``p`` is its ``p``-th draw.
-    The ``(cell, matrix)`` pairs are composed in order, in runs of whole
-    pairs (see the module docstring), into one ``(pairs, draws, K)`` array of
-    block fidelities and one ``(pairs, draws)`` array of matrix fidelities,
-    and each cell is reduced once, by ``_stats``, when all are composed.
-    So the results do not depend on how the pairs are stacked.  A pair at
+    The trial matrices are those of ``_prepare(n, m, n_matrices, seed,
+    key)``, one cell per noise strength in ``sigmas``.  Matrix ``t`` has
+    one set of noise for the whole list: the ``(draws, entries)`` offsets
+    of ``_rng(_child_seed(seed, _NOISE_STREAM, *key, t), _NOISE_STREAM)``
+    (see ``_offsets``), row ``p`` for perturbation ``p``, which every cell
+    scales by its own sigma (``_perturb``).  So the cells of one sweep
+    share their draws, as they share their matrices.  The ``(matrix,
+    cell)`` pairs are composed in that order, matrix outermost, in runs of
+    whole pairs (see the module docstring); a matrix's offsets are drawn
+    when its first ``sigma > 0`` pair enters a stack and held only while
+    its pairs are being composed.  The fidelities fill one ``(cells,
+    matrices, draws, K)`` array of block fidelities and one ``(cells,
+    matrices, draws)`` array of matrix fidelities, and every cell is
+    reduced in one pass, by ``_row_stats``, when all are composed.  So the
+    results do not depend on how the pairs are stacked.  A pair at
     ``sigma == 0`` is composed once, as one slice (see
     ``_perturbed_stack``), and its fidelities fill all ``draws`` places of
     its row, so it still counts ``draws`` samples; the stack ceiling counts
     it as ``draws`` slices all the same.
     """
-    us, layout, blocks, phases = prepared
-    pairs = [(c, t) for c in range(len(cells)) for t in range(len(us))]
-    fq = np.empty((len(pairs), n_perturbations, len(layout)))
-    fu = np.empty((len(pairs), n_perturbations))
-    per_stack = max(1, _STACK_ENTRIES // (n_perturbations * (n * n + blocks.shape[-1])))
+    us, layout, blocks, phases = _prepare(n, m, n_matrices, seed, key)
+    draws, entries = n_perturbations, blocks.shape[-1]
+    fq = np.empty((len(sigmas), n_matrices, draws, len(layout)))
+    fu = np.empty((len(sigmas), n_matrices, draws))
+    pairs = np.array([(t, c) for t in range(n_matrices) for c in range(len(sigmas))])
+    per_stack = max(1, _STACK_ENTRIES // (draws * (n * n + entries)))
+    held = {}
     for start in range(0, len(pairs), per_stack):
-        chunk = pairs[start : start + per_stack]
-        sigmas = [cells[c][0] for c, _ in chunk]
-        seeds = [
-            _child_seed(seed, _NOISE_STREAM, *cells[c][1], t)
-            if cells[c][0] else None  # a sigma = 0 pair reads no seed
-            for c, t in chunk
-        ]
-        members = np.array([t for _, t in chunk])
+        ts, cs = pairs[start : start + per_stack].T
+        chunk_sigmas = [sigmas[c] for c in cs.tolist()]
+        # Matrices come in order, so only the first one of a stack can
+        # have pairs in the stack before.
+        held = {t: noise for t, noise in held.items() if t == ts[0]}
+        for t, sigma in zip(ts.tolist(), chunk_sigmas):
+            if sigma and t not in held:
+                rng = _rng(_child_seed(seed, _NOISE_STREAM, *key, t), _NOISE_STREAM)
+                held[t] = _offsets(rng, (draws, entries))
         rebuilt, block_fids, owner, slices = _perturbed_stack(
-            layout, blocks[members], phases[members], sigmas, seeds, n_perturbations
+            layout, blocks[ts], phases[ts], chunk_sigmas,
+            [held.get(t) for t in ts.tolist()], draws,
         )
-        fq[start : start + len(chunk)] = block_fids[slices]
-        fu[start : start + len(chunk)] = _fidelities(us[members[owner]], rebuilt)[slices]
+        fq[cs, ts] = block_fids[slices]
+        fu[cs, ts] = _fidelities(us[ts[owner]], rebuilt)[slices]
     return [
-        SweepResult(n=n, m=m, sigma=sigma, fq=_stats(cell_fq), fu=_stats(cell_fu))
-        for (sigma, _), cell_fq, cell_fu in zip(
-            cells, fq.reshape(len(cells), -1), fu.reshape(len(cells), -1)
+        SweepResult(n=n, m=m, sigma=sigma, fq=cell_fq, fu=cell_fu)
+        for sigma, cell_fq, cell_fu in zip(
+            sigmas,
+            _row_stats(fq.reshape(len(sigmas), -1)),
+            _row_stats(fu.reshape(len(sigmas), -1)),
         )
     ]
 
@@ -443,9 +466,11 @@ def sweep_noise(
     """Fidelity statistics over a grid of block sizes and noise strengths.
 
     For each ``m`` the sweep decomposes ``n_matrices`` fresh Haar unitaries
-    once, then evaluates every ``sigma`` with ``n_perturbations``
-    independent joint perturbations per matrix, pooling block fidelities and
-    matrix fidelities per ``(m, sigma)`` cell.  Results are ordered with
+    once and draws ``n_perturbations`` independent joint perturbations per
+    matrix once, as standard offsets; every ``sigma`` scales those same
+    offsets, so the cells of one ``m`` share their draws as they share
+    their matrices.  Block fidelities and matrix fidelities are pooled per
+    ``(m, sigma)`` cell.  Results are ordered with
     ``m`` outermost, then ``sigma`` in the given order.
     """
     n = operator.index(n)
@@ -461,11 +486,11 @@ def sweep_noise(
 
     results: list[SweepResult] = []
     for mi, m in enumerate(m_list):
-        # Decompose the trial matrices once, as one stack; its blocks serve
-        # the whole sigma grid (perturbation draws stay independent per sigma).
-        prepared = _prepare(n, m, n_matrices, seed, (mi,))
-        cells = [(sigma, (mi, si)) for si, sigma in enumerate(sigma_grid)]
-        results += _sweep_cells(n, m, cells, prepared, n_perturbations, seed)
+        # The trial matrices of one m, and their noise draws, serve the
+        # whole sigma grid.
+        results += _sweep_cells(
+            n, m, sigma_grid, (mi,), n_matrices, n_perturbations, seed
+        )
     return results
 
 
@@ -506,8 +531,7 @@ def sweep_size(
         for ni, n in enumerate(n_grid):
             if n < m:
                 continue
-            prepared = _prepare(n, m, n_matrices, seed, (mi, ni))
             results += _sweep_cells(
-                n, m, [(sigma, (mi, ni))], prepared, n_perturbations, seed
+                n, m, [sigma], (mi, ni), n_matrices, n_perturbations, seed
             )
     return results

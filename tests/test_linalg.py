@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from multiport.linalg import (
+    _fidelities,
+    _haar_stack,
+    _segment_fidelities,
     as_matrix,
     haar_random_unitary,
     rq_decompose,
@@ -106,6 +109,78 @@ class TestHaarRandomUnitary:
         np.testing.assert_array_equal(haar_random_unitary(4, np.int64(1)), haar_random_unitary(4, 1))
         a = sample_haar(np.random.default_rng(0), 3, count=np.int64(2))
         np.testing.assert_array_equal(a, sample_haar(np.random.default_rng(0), 3, count=2))
+
+
+class TestHaarStack:
+    """One stacked QR for seeded Haar draws, each matrix from its own generator."""
+
+    def test_equals_one_matrix_at_a_time(self):
+        for n in range(2, 65):
+            for count in range(1, 6):
+                seeds = [n * 1000 + 7 * t - 3 for t in range(count)]
+                stack = _haar_stack(n, seeds)
+                assert stack.shape == (count, n, n)
+                for matrix, seed in zip(stack, seeds):
+                    # the construction ``sample_haar`` documents, one matrix at a time
+                    alone = sample_haar(np.random.default_rng(np.random.SeedSequence(seed)), n)
+                    assert matrix.tobytes() == alone.tobytes(), (n, count)
+                    assert matrix.tobytes() == haar_random_unitary(n, seed).tobytes()
+
+    def test_seeds_wrap_like_haar_random_unitary(self):
+        stack = _haar_stack(3, [-1, 2**64 + 5, np.int64(4)])
+        for matrix, seed in zip(stack, [2**64 - 1, 5, 4]):
+            np.testing.assert_array_equal(matrix, haar_random_unitary(3, seed))
+
+    def test_rejects_zero_dimension(self):
+        with pytest.raises(ValueError):
+            _haar_stack(0, [1])
+
+
+class TestFlatFidelities:
+    """Overlaps and powers are segment sums: no value depends on its neighbours."""
+
+    @staticmethod
+    def _pair(shape, seed):
+        rng = np.random.default_rng(seed)
+        return tuple(rng.standard_normal(shape + (2,)).view(complex)[..., 0] for _ in range(2))
+
+    def test_matrix_sums_do_not_depend_on_the_stack(self):
+        # 100 x 100 matrices hold more entries than numpy's iterator buffer
+        a, b = self._pair((7, 100, 100), 3)
+        fids = _fidelities(a, b)
+        for t in range(7):
+            assert fids[t].tobytes() == _fidelities(a[t : t + 1], b[t : t + 1])[0].tobytes()
+
+    def test_segments_score_like_their_matrices_alone(self):
+        sizes = np.array([3, 1, 2, 4, 2])
+        starts = np.cumsum(sizes**2) - sizes**2
+        q, p = self._pair((5, int(sizes @ sizes)), 8)
+        fids = _segment_fidelities(q, p, starts, sizes)
+        assert fids.shape == (5, len(sizes))
+        for row in range(5):
+            for k, (start, s) in enumerate(zip(starts.tolist(), sizes.tolist())):
+                alone = _fidelities(
+                    q[row, start : start + s * s].reshape(s, s),
+                    p[row, start : start + s * s].reshape(s, s),
+                )
+                assert fids[row, k].tobytes() == alone.tobytes()
+
+    def test_broadcasts_the_ideal_rows(self):
+        q, p = self._pair((4, 9), 5)
+        np.testing.assert_array_equal(
+            _segment_fidelities(q[0], p, [0], 3),
+            _segment_fidelities(np.tile(q[0], (4, 1)), p, [0], 3),
+        )
+
+    def test_no_segments(self):
+        empty = np.zeros((3, 0), dtype=complex)
+        assert _segment_fidelities(empty, empty, [], []).shape == (3, 0)
+
+    def test_zero_power_segment_rejected(self):
+        q, p = self._pair((2, 5), 1)
+        p[1, 4] = 0.0
+        with pytest.raises(ValueError, match="perturbed matrix is identically zero"):
+            _segment_fidelities(q, p, [0, 4], [2, 1])
 
 
 class TestRQDecompose:

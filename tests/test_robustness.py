@@ -10,18 +10,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.linalg
 from scipy.special import hyp1f1
 
 from multiport import robustness
 from multiport.decomposition import _compose, decompose, reconstruct
-from multiport.linalg import _U64_MASK, _fidelities, haar_random_unitary, sample_haar
+from multiport.linalg import (
+    _U64_MASK,
+    _fidelities,
+    _segment_fidelities,
+    haar_random_unitary,
+    sample_haar,
+)
 from multiport.robustness import (
     _ESTIMATE_STREAM,
+    _NOISE_STREAM,
     FidelityStats,
     _mean_block_fidelity,
+    _offsets,
     _perturb,
-    _perturb_blocks,
     _perturbed_stack,
+    _row_stats,
     _stats,
     calibrate_sigma,
     component_fidelity_estimate,
@@ -171,6 +180,23 @@ class TestStats:
     def test_single_sample(self):
         assert _stats(np.array([0.5])) == FidelityStats(mean=0.5, std_error=0.0, samples=1)
 
+    @staticmethod
+    def _one_row(values):
+        """The two-pass statistic of one sample, one scalar reduction at a time."""
+        mean = float(values.mean())
+        count = values.size
+        std_error = 0.0
+        if count > 1:
+            std_error = math.sqrt(float(np.square(values - mean).sum()) / (count - 1) / count)
+        return FidelityStats(mean=mean, std_error=std_error, samples=count)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 1), (4, 7), (2, 1000), (3, 12345)])
+    def test_rows_equal_one_row_at_a_time(self, shape):
+        rng = np.random.default_rng(shape[-1])
+        for rows in [rng.uniform(0.2, 0.9, shape), 1.0 - 1e-12 * rng.random(shape)]:
+            assert _row_stats(rows) == [self._one_row(row) for row in rows]
+            assert _row_stats(rows) == [_stats(row) for row in rows]
+
 
 @pytest.fixture(scope="module")
 def sample_plan():
@@ -178,11 +204,22 @@ def sample_plan():
     return u, decompose(u, 3)
 
 
+def _noise(seed, draws, size):
+    """The ``(draws, size)`` offsets a sweep draws for a matrix whose noise seed is ``seed``."""
+    return _offsets(robustness._rng(seed, _NOISE_STREAM), (draws, size))
+
+
+def _drawn(blocks, sigma, seed, draws):
+    """``draws`` joint perturbations of a flat block array: ``(draws, size)``."""
+    return _perturb(blocks, sigma, _noise(seed, draws, blocks.size))
+
+
 def _plan_stack(plan, sigma, seed, draws):
     """``_perturbed_stack`` on the arrays of one plan: one set of blocks, ``draws``
     draws, with its slices and block fidelities placed as ``(1, draws, ...)``."""
     rebuilt, block_fids, _, slices = _perturbed_stack(
-        plan._layout, plan.blocks[np.newaxis], plan.phases[np.newaxis], [sigma], [seed], draws
+        plan._layout, plan.blocks[np.newaxis], plan.phases[np.newaxis], [sigma],
+        [_noise(seed, draws, plan.blocks.size)], draws,
     )
     return rebuilt[slices], block_fids[slices]
 
@@ -190,36 +227,51 @@ def _plan_stack(plan, sigma, seed, draws):
 class TestPerturbBlocks:
     """The batched draw: one generator for all the joint perturbations of a mesh."""
 
-    def test_sigma_zero_is_identity(self, sample_plan):
+    def test_sigma_zero_is_one_slice_of_ideal_blocks(self, sample_plan):
         _, plan = sample_plan
-        flat = _perturb_blocks(plan.blocks, 0.0, 5, 2)
-        np.testing.assert_array_equal(flat, plan.blocks[np.newaxis])
+        rebuilt, block_fids, owner, slices = _perturbed_stack(
+            plan._layout, plan.blocks[np.newaxis], plan.phases[np.newaxis], [0.0], [None], 3
+        )
+        assert rebuilt.shape == (1, 8, 8) and owner.tolist() == [0]
+        assert slices.tolist() == [[0, 0, 0]]
+        np.testing.assert_array_equal(rebuilt[0], reconstruct(plan))
 
     def test_deterministic_per_draw(self, sample_plan):
         _, plan = sample_plan
         blocks = plan.blocks
-        a = _perturb_blocks(blocks, 0.2, 31, 2)
-        b = _perturb_blocks(blocks, 0.2, 31, 2)
+        a = _drawn(blocks, 0.2, 31, 2)
+        b = _drawn(blocks, 0.2, 31, 2)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a[0], a[1])
 
     def test_seed_changes_draw(self, sample_plan):
         _, plan = sample_plan
         blocks = plan.blocks
-        a = _perturb_blocks(blocks, 0.2, 31, 1)
-        b = _perturb_blocks(blocks, 0.2, 32, 1)
+        a = _drawn(blocks, 0.2, 31, 1)
+        b = _drawn(blocks, 0.2, 32, 1)
         assert not np.array_equal(a, b)
 
     def test_slab_p_is_the_generators_draw_p(self, sample_plan):
         _, plan = sample_plan
         blocks = plan.blocks
-        flat = _perturb_blocks(blocks, 0.2, 31, 4)
-        rng = robustness._rng(31, robustness._NOISE_STREAM)
+        flat = _drawn(blocks, 0.2, 31, 4)
+        rng = robustness._rng(31, _NOISE_STREAM)
         for p in range(4):
             pairs = rng.standard_normal((blocks.size, 2))
             np.testing.assert_array_equal(flat[p], blocks + 0.2 * (pairs[:, 0] + 1j * pairs[:, 1]))
         # a shorter run is a prefix of a longer one
-        np.testing.assert_array_equal(_perturb_blocks(blocks, 0.2, 31, 2), flat[:2])
+        np.testing.assert_array_equal(_drawn(blocks, 0.2, 31, 2), flat[:2])
+
+    def test_one_draw_serves_every_sigma(self, sample_plan):
+        _, plan = sample_plan
+        noise = _noise(31, 3, plan.blocks.size)
+        for sigma in [1e-3, 0.2]:
+            np.testing.assert_array_equal(
+                _perturb(plan.blocks, sigma, noise), plan.blocks + sigma * noise
+            )
+            out = np.empty_like(noise)
+            assert _perturb(plan.blocks, sigma, noise, out=out) is out
+            np.testing.assert_array_equal(out, plan.blocks + sigma * noise)
 
     def test_first_slab_is_the_one_draw_stack(self, sample_plan):
         _, plan = sample_plan
@@ -232,7 +284,7 @@ class TestPerturbBlocks:
         # E ||block' - block||_F^2 = 2 m^2 sigma^2 = 0.18 for m=3, sigma=0.1
         q = haar_random_unitary(3, 12).ravel()
         draws = 10_000
-        flat = _perturb_blocks(q, 0.1, 0, draws)
+        flat = _drawn(q, 0.1, 0, draws)
         sq = np.sum(np.abs(flat - q) ** 2, axis=1)
         se = sq.std(ddof=1) / np.sqrt(draws)
         assert abs(sq.mean() - 0.18) <= 3 * se
@@ -254,35 +306,75 @@ class TestPerturbBlocks:
     def test_stack_slices_equal_single_reconstructions(self, sample_plan):
         _, plan = sample_plan
         rebuilt, _ = _plan_stack(plan, 0.1, 40, 3)
-        flat = _perturb_blocks(plan.blocks, 0.1, 40, 3)
+        flat = _drawn(plan.blocks, 0.1, 40, 3)
         for p in range(3):
             np.testing.assert_array_equal(rebuilt[0, p], _compose(plan._layout, flat[p], plan.phases))
 
     def test_block_fidelities_match_scalar_fidelity(self, sample_plan):
         _, plan = sample_plan
-        flat = _perturb_blocks(plan.blocks, 0.2, 3, 2)
+        flat = _drawn(plan.blocks, 0.2, 3, 2)
         (block_fids,) = _plan_stack(plan, 0.2, 3, 2)[1]
         starts = np.cumsum([0] + [f.size**2 for f in plan.factors])
         for p in range(2):
-            expected = []
-            for start, f in zip(starts, plan.factors):
-                s = f.size
-                entries = slice(start, start + s * s)
-                expected.append((s, fidelity(f.block, flat[p, entries].reshape(s, s))))
-            # block fidelities come grouped by block size, factor order within
-            expected = [fid for _, fid in sorted(expected, key=lambda e: e[0])]
+            # block fidelities come in factor order
+            expected = [
+                fidelity(f.block, flat[p, start : start + f.size**2].reshape(f.size, f.size))
+                for start, f in zip(starts, plan.factors)
+            ]
             np.testing.assert_allclose(block_fids[p], expected, rtol=0, atol=1e-14)
 
-    def test_zero_power_block_rejected(self, sample_plan, monkeypatch):
+    def test_zero_power_block_rejected(self, sample_plan):
         _, plan = sample_plan
         zeroed = plan.blocks.copy()
         zeroed[: plan.sizes[0] ** 2] = 0.0
-        # a plan only holds unitary blocks, so zero the first one as it is drawn
-        monkeypatch.setattr(
-            robustness, "_perturb_blocks", lambda blocks, sigma, seed, draws: zeroed[None]
-        )
-        with pytest.raises(ValueError, match="zero"):
-            _plan_stack(plan, 0.0, 0, 1)
+        # a plan only holds unitary blocks, but the stack takes any blocks:
+        # zero the first one, and its noise, so its draw is zero
+        noise = _noise(0, 1, zeroed.size)
+        noise[0, : plan.sizes[0] ** 2] = 0.0
+        for sigma, offsets in [(0.0, None), (0.1, noise)]:
+            with pytest.raises(ValueError, match="perturbed matrix is identically zero"):
+                _perturbed_stack(
+                    plan._layout, zeroed[np.newaxis], plan.phases[np.newaxis],
+                    [sigma], [offsets], 1,
+                )
+
+
+def _block_diagonal(n, m, seed):
+    """Haar blocks of 1 to m modes on the diagonal, its columns permuted."""
+    rng = np.random.default_rng(seed)
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(min(int(rng.integers(1, m + 1)), n - sum(sizes)))
+    u = scipy.linalg.block_diag(*[haar_random_unitary(k, seed + k) for k in sizes])
+    return u.astype(complex)[:, rng.permutation(n)]
+
+
+class TestBlockScores:
+    """A stack's block fidelities: one flat segment per factor, in factor order."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["haar", "permuted block-diagonal"])
+    def test_match_scalar_fidelity_in_factor_order(self, kind, m):
+        n = 13
+        u = haar_random_unitary(n, 60 + m) if kind == "haar" else _block_diagonal(n, m, m)
+        plan = decompose(u, m)
+        if kind == "haar" and m > 2:
+            assert len(set(plan.sizes.tolist())) > 1
+        flat = _drawn(plan.blocks, 0.2, m, 3)
+        (block_fids,) = _plan_stack(plan, 0.2, m, 3)[1]
+        assert block_fids.shape == (3, len(plan.sizes))
+        offsets = plan._layout.offsets.tolist()
+        for p in range(3):
+            for k, f in enumerate(plan.factors):
+                perturbed = flat[p, offsets[k] : offsets[k + 1]].reshape(f.size, f.size)
+                assert abs(block_fids[p, k] - fidelity(f.block, perturbed)) <= 1e-14
+
+    def test_plan_without_factors(self):
+        plan = decompose(np.diag(np.exp(1j * np.arange(5.0))), 3)
+        assert len(plan.sizes) == 0
+        rebuilt, block_fids = _plan_stack(plan, 0.1, 4, 2)
+        assert block_fids.shape == (1, 2, 0)
+        np.testing.assert_array_equal(rebuilt[0, 1], reconstruct(plan))
 
 
 class TestPerturbedStack:
@@ -338,7 +430,7 @@ class TestComponentFidelityEstimate:
         root = np.random.SeedSequence(robustness._child_seed(seed, _ESTIMATE_STREAM))
         haar_rng, noise_rng = (np.random.default_rng(s) for s in root.spawn(2))
         q = sample_haar(haar_rng, m, count=trials)
-        p = _perturb(noise_rng, q, sigma, (trials, m, m))
+        p = _perturb(q, sigma, _offsets(noise_rng, (trials, m, m)))
         assert component_fidelity_estimate(m, sigma, trials, seed) == _stats(_fidelities(q, p))
 
     def test_matches_independent_loop(self):
@@ -588,23 +680,23 @@ def _pooled(values):
     return values.mean(), values.std(ddof=1) / np.sqrt(values.size), values.size
 
 
-def _documented_cell(n, m, sigma, n_matrices, n_perturbations, seed, matrix_key, cell):
+def _documented_cell(n, m, sigma, n_matrices, n_perturbations, seed, matrix_key, noise_key):
     """One sweep cell rebuilt from public per-matrix pieces and its documented seeds.
 
     Matrix ``t`` is ``haar_random_unitary(n, _child_seed(seed, _MATRIX_STREAM,
     *matrix_key, t))``.  Its draws all come from the one generator seeded by
-    ``_child_seed(_child_seed(seed, _NOISE_STREAM, *cell, t), _NOISE_STREAM)``,
+    ``_child_seed(_child_seed(seed, _NOISE_STREAM, *noise_key, t), _NOISE_STREAM)``,
     which draws ``(re, im)`` offsets for ``plan.blocks`` in order, one
     perturbation after another; the first is the one-draw stack of the
-    plan with seed ``_child_seed(seed, _NOISE_STREAM, *cell, t)``.
+    plan with seed ``_child_seed(seed, _NOISE_STREAM, *noise_key, t)``.
     """
-    from multiport.robustness import _MATRIX_STREAM, _NOISE_STREAM, _child_seed
+    from multiport.robustness import _MATRIX_STREAM, _child_seed
 
     fq, fu = [], []
     for t in range(n_matrices):
         u = haar_random_unitary(n, _child_seed(seed, _MATRIX_STREAM, *matrix_key, t))
         plan = decompose(u, m)
-        noise_seed = _child_seed(seed, _NOISE_STREAM, *cell, t)
+        noise_seed = _child_seed(seed, _NOISE_STREAM, *noise_key, t)
         rng = np.random.default_rng(
             np.random.SeedSequence(_child_seed(noise_seed, _NOISE_STREAM))
         )
@@ -637,11 +729,12 @@ class TestSweepSeeding:
     def test_sweep_noise(self):
         m_list, sigmas = [2, 3], [0.0, 0.1]
         results = sweep_noise(6, m_list, sigmas, 2, 3, seed=5)
-        cells = [(mi, m, si, s) for mi, m in enumerate(m_list) for si, s in enumerate(sigmas)]
+        cells = [(mi, m, s) for mi, m in enumerate(m_list) for s in sigmas]
         assert len(results) == len(cells)
-        for result, (mi, m, si, sigma) in zip(results, cells):
+        for result, (mi, m, sigma) in zip(results, cells):
             assert (result.m, result.sigma) == (m, sigma)
-            self._check(result, _documented_cell(6, m, sigma, 2, 3, 5, (mi,), (mi, si)))
+            # every sigma of one m perturbs with the same draws
+            self._check(result, _documented_cell(6, m, sigma, 2, 3, 5, (mi,), (mi,)))
 
     def test_sweep_size(self):
         results = sweep_size([2], [3, 5], 0.95, 0.005, 2, 3, seed=4)
@@ -701,9 +794,9 @@ class TestSweepStacks:
         """The number of pairs in each stack composed from now on, as a live list."""
         stacked = []
 
-        def spy(layout, blocks, phases, sigmas, seeds, draws):
+        def spy(layout, blocks, phases, sigmas, offsets, draws):
             stacked.append(len(blocks))
-            return _perturbed_stack(layout, blocks, phases, sigmas, seeds, draws)
+            return _perturbed_stack(layout, blocks, phases, sigmas, offsets, draws)
 
         monkeypatch.setattr(robustness, "_perturbed_stack", spy)
         return stacked
@@ -734,9 +827,10 @@ class TestSweepStacks:
 
     @staticmethod
     def _reference_sweep(n, m_list, sigmas, n_matrices, draws, seed):
-        """``sweep_noise`` with every draw composed alone, the P equal draws
-        of a sigma = 0 pair included, pooled in the sweep's order."""
-        from multiport.robustness import _MATRIX_STREAM, _NOISE_STREAM, _child_seed
+        """``sweep_noise`` with every draw composed and scored alone, the P
+        equal draws of a sigma = 0 pair included, pooled in the sweep's
+        order; each matrix's noise is drawn once and serves every sigma."""
+        from multiport.robustness import _MATRIX_STREAM, _child_seed
 
         results = []
         for mi, m in enumerate(m_list):
@@ -745,25 +839,21 @@ class TestSweepStacks:
                 for t in range(n_matrices)
             ]
             plans = [decompose(u, m) for u in us]
-            for si, sigma in enumerate(sigmas):
+            noises = [
+                _noise(_child_seed(seed, _NOISE_STREAM, mi, t), draws, plan.blocks.size)
+                for t, plan in enumerate(plans)
+            ]
+            for sigma in sigmas:
                 fq, fu = [], []
-                for t, (u, plan) in enumerate(zip(us, plans)):
+                for u, plan, noise in zip(us, plans, noises):
                     layout = plan._layout
-                    if sigma:
-                        noise_seed = _child_seed(seed, _NOISE_STREAM, mi, si, t)
-                        drawn = _perturb_blocks(plan.blocks, sigma, noise_seed, draws)
-                    else:
-                        drawn = [plan.blocks] * draws
+                    drawn = _perturb(plan.blocks, sigma, noise) if sigma else [plan.blocks] * draws
                     for blocks in drawn:
                         rebuilt = _compose(layout, blocks, plan.phases)
-                        fu.append(_fidelities(np.ascontiguousarray(u), rebuilt))
-                        fq += [
-                            _fidelities(
-                                plan.blocks[entries].reshape(-1, s, s),
-                                blocks[entries].reshape(-1, s, s),
-                            )
-                            for s, _, entries in layout.by_size()
-                        ]
+                        fu.append(_fidelities(u, rebuilt))
+                        fq.append(_segment_fidelities(
+                            plan.blocks, blocks, layout.offsets[:-1], layout.sizes
+                        ))
                 results.append(robustness.SweepResult(
                     n=n, m=m, sigma=sigma,
                     fq=_stats(np.concatenate(fq)), fu=_stats(np.array(fu)),
@@ -793,6 +883,49 @@ class TestSweepStacks:
             draws if sigma else 1 for sigma in sigmas
         )
         assert all(r.fu.samples == n_matrices * draws for r in results)
+
+
+class TestSharedNoise:
+    """One noise draw per trial matrix serves the whole sigma grid."""
+
+    @pytest.mark.parametrize("ceiling", [None, 1, 2 * 532])
+    def test_one_draw_per_block_size_and_matrix(self, monkeypatch, ceiling):
+        if ceiling is not None:
+            monkeypatch.setattr(robustness, "_STACK_ENTRIES", ceiling)
+        shapes = []
+
+        def spy(rng, shape):
+            shapes.append(shape)
+            return _offsets(rng, shape)
+
+        monkeypatch.setattr(robustness, "_offsets", spy)
+        # a sigma = 0 cell between two noisy ones: at the smallest ceiling a
+        # matrix's noisy pairs sit in stacks that are not adjacent
+        sweep_noise(7, [2, 3], [0.05, 0.0, 0.2, 0.1], 3, 4, seed=2)
+        entries = [4 * len(decompose(haar_random_unitary(7, 1), 2).sizes)]
+        assert len(shapes) == 2 * 3
+        assert [shape[0] for shape in shapes] == [4] * 6
+        assert [shape[1] for shape in shapes[:3]] == entries * 3
+
+    def test_no_draw_at_sigma_zero(self, monkeypatch):
+        monkeypatch.setattr(robustness, "_offsets", None)  # any draw fails
+        results = sweep_noise(6, [2, 3], [0.0, 0.0], 2, 3, seed=1)
+        assert [r.fu.samples for r in results] == [6] * 4
+        assert results[0] == results[1] and results[2] == results[3]
+
+    def test_sigma_listed_twice_gives_equal_cells(self):
+        a, zero, b = sweep_noise(7, [3], [0.1, 0.0, 0.1], 2, 3, seed=9)
+        assert a == b and zero != a
+        assert sweep_noise(7, [3], [0.1, 0.1], 2, 3, seed=9) == [a, a]
+
+    def test_results_do_not_depend_on_the_ceiling_at_n_100(self, monkeypatch):
+        # 100 x 100 matrices hold more entries than numpy's iterator buffer;
+        # the two ceilings stack one and two (sigma, matrix) pairs
+        results = []
+        for ceiling in (2**16, 2**18):
+            monkeypatch.setattr(robustness, "_STACK_ENTRIES", ceiling)
+            results.append(sweep_noise(100, [2, 3], [0, 1e-3], 2, 3, 1))
+        assert results[0] == results[1]
 
 
 class TestIntegerSizes:
