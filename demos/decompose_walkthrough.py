@@ -13,13 +13,7 @@ import argparse
 
 import numpy as np
 
-from multiport.decomposition import (
-    decompose,
-    embed_factor,
-    factor_count_bound,
-    reconstruct,
-    verify,
-)
+from multiport.decomposition import decompose, factor_count_bound, reconstruct, verify
 from multiport.linalg import haar_random_unitary
 
 
@@ -50,9 +44,13 @@ def main():
     rebuilt = reconstruct(plan)
     print(f"\nfast composition error:     {np.max(np.abs(rebuilt - u)):.3e}")
 
+    # each factor acts as its block on its modes and as the identity elsewhere
     explicit = np.diag(np.exp(1j * plan.phases))
     for f in reversed(plan.factors):
-        explicit = explicit @ embed_factor(f, plan.n).conj().T
+        embedded = np.eye(plan.n, dtype=complex)
+        modes = np.array(f.columns) - 1
+        embedded[np.ix_(modes, modes)] = f.block
+        explicit = explicit @ embedded.conj().T
     print(f"explicit embedding error:   {np.max(np.abs(explicit - u)):.3e}")
 
     report = verify(plan, u)

@@ -40,9 +40,10 @@ of a layer take interleaved columns, so there only single-factor groups
 are runs.  The sweep reads a group's blocks for its RQ out of the working
 matrices, and writes their triangular factors back, through one flat
 index per group into each matrix read as a row of ``n*n`` entries.
-Blocks have one order everywhere, the factor order: each layer group
-carries the indices of its blocks in the flat block array, where the
-sweep writes them and the composition reads them.
+Blocks have one order everywhere, the factor order: the layout lists each
+block size's blocks once, in the order the composition applies them, and
+a layer group holds its slice of that listing, where the sweep writes its
+blocks and the composition reads them.
 A stack holds one zero pattern, so its inputs share one schedule and cross
 its layers together, and each matrix gets the arithmetic, and so the blocks
 and phases, it would get alone.  ``decompose`` is the stack of one and
@@ -82,7 +83,6 @@ __all__ = [
     "Factor",
     "DecompositionPlan",
     "factor_count_bound",
-    "embed_factor",
     "decompose",
     "reconstruct",
     "verify",
@@ -160,7 +160,6 @@ class Factor:
     ``columns`` are 1-based mode indices in strictly ascending order;
     ``base_row`` is the 1-based row whose left-of-diagonal entries the block
     was chosen to clear.  ``block`` is the ``size x size`` unitary itself.
-    The full-dimension action of the factor is ``embed_factor(factor, n)``.
     ``DecompositionPlan.factors`` builds these records from a plan that was
     validated once, when it was built, and each ``block`` is a read-only
     view of ``plan.blocks``; the record itself checks nothing.
@@ -189,22 +188,22 @@ class _Layout:
 
     ``sizes``, ``base_rows`` (1-based) and ``columns`` (0-based, padded with
     -1 to width m) list the factors in order, and block ``k`` fills
-    ``offsets[k]:offsets[k + 1]`` of a flat block array.  ``layers`` holds
-    one ``(size, index, cols, entries, run)`` group per layer and block
-    size, the layers in order.  A group's ``k`` factors are sorted by first
-    column; ``cols`` holds their 0-based columns as ``(k, s)``, ``index``
-    the ``(k, s, s)`` flat index of their blocks in a transposed ``n x n``
-    matrix read as one row of ``n*n`` (entry ``(i, j)`` of factor ``f``'s
-    block, from row ``base_row - s + i`` and column ``cols[f, j]``, sits at
-    ``cols[f, j] * n + base_row - s + i``), and ``entries`` the
-    ``(k, s*s)`` indices of their blocks in the flat block array.  ``run``
-    is ``slice(c0, c0 + k*s)`` when the group's columns, concatenated, are
-    exactly ``c0 .. c0 + k*s - 1``, so the kernels can move its rows as one
-    slice; else ``None``.  ``applied`` holds one ``(size, factors)`` pair
-    per block size: the indices of that size's factors in the order the
-    composition applies them, the groups last first.  ``spans`` holds one
-    slice per group, aligned with ``layers``: where the group's factors
-    sit in its size's ``factors``.
+    ``offsets[k]:offsets[k + 1]`` of a flat block array.  ``applied`` holds
+    one ``(size, factors, entries)`` triple per block size, the sizes
+    ascending: ``factors`` are the indices of that size's factors in the
+    order the composition applies them, the groups last first, and
+    ``entries`` the ``(K_s, s*s)`` indices of their blocks in the flat
+    block array.  ``layers`` holds one ``(size, index, cols, span, run)``
+    group per layer and block size, the layers in order.  A group's ``k``
+    factors are sorted by first column; ``cols`` holds their 0-based
+    columns as ``(k, s)``, ``index`` the ``(k, s, s)`` flat index of their
+    blocks in a transposed ``n x n`` matrix read as one row of ``n*n``
+    (entry ``(i, j)`` of factor ``f``'s block, from row ``base_row - s + i``
+    and column ``cols[f, j]``, sits at ``cols[f, j] * n + base_row - s +
+    i``), and ``span`` the slice of its size's ``factors`` and ``entries``
+    that holds them.  ``run`` is ``slice(c0, c0 + k*s)`` when the group's
+    columns, concatenated, are exactly ``c0 .. c0 + k*s - 1``, so the
+    kernels can move its rows as one slice; else ``None``.
     """
 
     sizes: np.ndarray
@@ -213,21 +212,9 @@ class _Layout:
     offsets: np.ndarray
     layers: tuple
     applied: tuple
-    spans: tuple
 
     def __len__(self) -> int:
         return len(self.sizes)
-
-    def by_size(self):
-        """Per block size ``s``: ``(s, factors, entries)``.
-
-        ``factors`` are the indices of the size-``s`` factors in order and
-        ``entries`` (shape ``(K_s, s*s)``) pick their blocks out of a flat
-        block array.
-        """
-        for s in np.flatnonzero(np.bincount(self.sizes)).tolist():
-            factors = np.flatnonzero(self.sizes == s)
-            yield s, factors, self.offsets[factors, np.newaxis] + np.arange(s * s)
 
 
 @functools.lru_cache(maxsize=_SCHEDULE_CACHE_SIZE)
@@ -240,10 +227,10 @@ def _layout_of(n: int, m: int, base_rows: bytes, columns: bytes) -> _Layout:
     are grouped by block size, and a group is sorted by first column, so
     adjacent factors on adjacent columns make one run (see ``_Layout``);
     the order within a group is free, as its factors act on disjoint
-    columns and ``entries`` place each block.  The layers depend only on
-    ``n`` and the columns, so a plan read back from its JSON gets the
-    layers of the plan it was written from; layouts are kept in a small
-    bounded cache.
+    columns and its span of ``entries`` places each block.  The layers
+    depend only on ``n`` and the columns, so a plan read back from its
+    JSON gets the layers of the plan it was written from; layouts are kept
+    in a small bounded cache.
     """
     base = np.frombuffer(base_rows, dtype=np.intp)
     cols = np.frombuffer(columns, dtype=np.intp).reshape(-1, m)
@@ -260,11 +247,14 @@ def _layout_of(n: int, m: int, base_rows: bytes, columns: bytes) -> _Layout:
     order = np.lexsort((cols[:, 0], sizes, layer))
     key = (np.asarray(layer, dtype=np.intp) * (m + 1) + sizes)[order]
     bounds = np.flatnonzero(np.diff(key, prepend=-1, append=-1)).tolist()
-    layers, groups = [], []
+    # Each size's factors are listed in the order the composition applies
+    # them, the groups last first, so a size's first group is its last slice.
+    left = np.bincount(sizes).tolist()  # per size, its factors not yet grouped
+    layers = []
     for start, stop in zip(bounds[:-1], bounds[1:]):
         group = order[start:stop]
         s = int(sizes[group[0]])
-        groups.append((s, group))
+        left[s] -= len(group)
         group_cols = cols[group, :s]
         c0 = int(group_cols[0, 0])
         run = slice(c0, c0 + group_cols.size)
@@ -274,22 +264,16 @@ def _layout_of(n: int, m: int, base_rows: bytes, columns: bytes) -> _Layout:
             s,
             _frozen(group_cols[:, np.newaxis, :] * n + rows, np.intp),
             _frozen(group_cols, np.intp),
-            _frozen(offsets[group, np.newaxis] + np.arange(s * s), np.intp),
+            slice(left[s], left[s] + len(group)),
             run if tiled else None,
         ))
-    # The composition applies the groups last first; listing each size's
-    # factors in that order lets every group read one slice of them.
-    applied, spans, filled = {}, [], {}
-    for s, group in reversed(groups):
-        applied.setdefault(s, []).append(group)
-        start = filled.get(s, 0)
-        filled[s] = start + len(group)
-        spans.append(slice(start, filled[s]))
-    return _Layout(
-        sizes, base, cols, offsets, tuple(layers),
-        tuple((s, _frozen(np.concatenate(parts), np.intp)) for s, parts in applied.items()),
-        tuple(reversed(spans)),
-    )
+    backwards = np.lexsort((cols[:, 0], np.negative(layer)))  # that listing order
+    applied = []
+    for s in np.flatnonzero(np.bincount(sizes)).tolist():
+        factors = backwards[sizes[backwards] == s]
+        entries = offsets[factors, np.newaxis] + np.arange(s * s)
+        applied.append((s, _frozen(factors, np.intp), _frozen(entries, np.intp)))
+    return _Layout(sizes, base, cols, offsets, tuple(layers), tuple(applied))
 
 
 _PLAN_FIELDS = ("n", "m", "sizes", "base_rows", "columns", "blocks", "phases", "_layout")
@@ -353,8 +337,8 @@ def _validated(n, m, sizes, base_rows, columns, blocks, phases, stack=()):
 
     layout = _layout_of(n, m, base_rows.tobytes(), columns.tobytes())
     defects = np.empty(stack + (len(sizes),))
-    for s, factors, index in layout.by_size():
-        defects[..., factors] = _unitarity_defects(blocks[..., index].reshape(stack + (-1, s, s)))
+    for s, factors, entries in layout.applied:
+        defects[..., factors] = _unitarity_defects(blocks[..., entries].reshape(stack + (-1, s, s)))
     bad = _first(~(defects <= _BLOCK_UNITARY_TOL))  # also rejects NaN
     if bad is not None:
         raise _FactorError(
@@ -426,23 +410,6 @@ def factor_count_bound(n: int, m: int) -> int:
     return (n * (n - 1)) // (m * (m - 1)) + n - 1
 
 
-def embed_factor(factor: Factor, n: int) -> np.ndarray:
-    """Expand a factor to its full ``n x n`` action (identity elsewhere)."""
-    n = operator.index(n)
-    cols = factor.columns
-    k = len(cols)
-    shape = np.shape(factor.block)
-    if not (len(set(cols)) == k and 0 < min(cols, default=0) and max(cols) <= n
-            and shape == (k, k)):
-        raise ValueError(
-            f"factor on columns {cols} with block shape {shape} does not embed in n = {n}"
-        )
-    out = np.eye(n, dtype=np.complex128)
-    idx = np.asarray(cols) - 1
-    out[np.ix_(idx, idx)] = factor.block
-    return out
-
-
 def _compose(layout: _Layout, blocks: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """Build ``diag(exp(1j*phases))`` times the daggered blocks of a layout.
 
@@ -464,8 +431,8 @@ def _compose(layout: _Layout, blocks: np.ndarray, phases: np.ndarray) -> np.ndar
     ``(2s, 2s) @ (2s, n)`` product costs a fraction of a complex
     ``(s, s) @ (s, n)`` one at these shapes.  The embeddings are built
     once per call, one pass per block size with its factors in the order
-    they are applied (``_Layout.applied``), so each group reads a
-    contiguous slice of them.  The layers are applied last first, each
+    they are applied (``_Layout.applied``), so each group reads its
+    contiguous ``span`` of them.  The layers are applied last first, each
     block size of a layer with one stacked product of whole rows, as the
     factors of a layer act on disjoint columns: in place on the slice of
     a group's run, or through a gather and scatter of its rows where it
@@ -478,12 +445,12 @@ def _compose(layout: _Layout, blocks: np.ndarray, phases: np.ndarray) -> np.ndar
     stack = blocks.shape[:-1]
     n = phases.shape[-1]
     embeddings = {}
-    for s, factors in layout.applied:
+    for s, _, entries in layout.applied:
         # Entry (i, p, j) of a factor's (s, 2, s) complex rows is b_ij; as
         # float64 pairs, row (i, 0) holds [Re b, Im b] for each j.  Row
         # (i, 1) is multiplied by 1j, exactly, into [-Im b, Re b].
         local = np.arange(s * s).reshape(s, 1, s).repeat(2, axis=1).ravel()
-        embedding = np.take(blocks, layout.offsets[factors, np.newaxis] + local, axis=-1)
+        embedding = np.take(blocks, entries[:, local], axis=-1)
         embedding *= np.tile(np.repeat([1, 1j], s), s)
         embeddings[s] = embedding.view(np.float64).reshape(stack + (-1, 2 * s, 2 * s))
     out = np.zeros(stack + (n, 2, n))
@@ -491,7 +458,7 @@ def _compose(layout: _Layout, blocks: np.ndarray, phases: np.ndarray) -> np.ndar
     d = np.arange(n)
     out[..., d, 0, d] = diagonal.real
     out[..., d, 1, d] = diagonal.imag
-    for (s, _, cols, _, run), span in zip(reversed(layout.layers), reversed(layout.spans)):
+    for s, _, cols, span, run in reversed(layout.layers):
         block = embeddings[s][..., span, :, :]
         if run is None:
             rows = out[..., cols, :, :]
@@ -647,14 +614,15 @@ def _sweep(w: np.ndarray, layout: _Layout) -> np.ndarray:
     on the slice of its run or through a gather and scatter of rows where
     it has none (see ``_Layout``); ``r`` goes back through the flat index.
     The arithmetic on each matrix is that of the matrix swept alone.  Each
-    group's ``q`` blocks go straight to their entries of the returned
-    ``(T, entries)`` blocks, laid out like ``DecompositionPlan.blocks``;
-    ``w`` ends holding the swept matrices, transposed.
+    group's ``q`` blocks go straight to the returned ``(T, entries)``
+    blocks, through its ``span`` of ``_Layout.applied``, in the layout of
+    ``DecompositionPlan.blocks``; ``w`` ends as the swept matrices, transposed.
     """
     t, n = w.shape[:2]
     blocks = np.empty((t, layout.offsets[-1]), dtype=np.complex128)
     cells = w.reshape(t, n * n)  # a view, as ``w`` is C-contiguous
-    for s, index, cols, entries, run in layout.layers:
+    entries = {s: listed for s, _, listed in layout.applied}
+    for s, index, cols, span, run in layout.layers:
         r, q = rq_decompose(np.take(cells, index, axis=1))
         # The rows below each block are finished: they hold exact zeros
         # in its columns, and multiplying keeps them so.
@@ -663,7 +631,7 @@ def _sweep(w: np.ndarray, layout: _Layout) -> np.ndarray:
         else:
             tile = w[:, run, :].reshape(t, -1, s, n)
             np.matmul(q.swapaxes(-1, -2), tile, out=tile)
-        blocks[:, entries] = q.reshape(t, -1, s * s)
+        blocks[:, entries[s][span]] = q.reshape(t, -1, s * s)
         cells[:, index] = r  # exact zeros below each block's diagonal
     return blocks
 

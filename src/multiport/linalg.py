@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "as_matrix",
     "haar_random_unitary",
-    "sample_haar",
     "rq_decompose",
 ]
 
@@ -53,17 +52,28 @@ def _segment_fidelities(q: np.ndarray, p: np.ndarray, starts, dims) -> np.ndarra
     fidelity per segment, in segment order.  Overlaps and powers are
     segment sums, ``np.add.reduceat`` along the row, so each value depends
     only on the entries of its own segment, not on the leading axes or on
-    the other segments.  Raises ``ValueError`` if any perturbed matrix is
-    identically zero.
+    the other segments.  A segment whose power underflows below the normal
+    floats, or overflows, is scored again scaled by an exact power of two;
+    the rest keep their bits.  Raises ``ValueError`` if any perturbed matrix is not
+    finite or identically zero.
     """
     starts = np.asarray(starts, dtype=np.intp)
     if not starts.size:  # a plan without factors has no blocks to score
         return np.zeros(np.broadcast_shapes(q.shape, p.shape)[:-1] + (0,))
     p = np.ascontiguousarray(p, dtype=np.complex128)
     # a row of p read as float64 pairs: segment k starts at 2 * starts[k]
-    power = np.add.reduceat(np.square(p.view(np.float64)), 2 * starts, axis=-1) / dims
-    if not power.all():
-        raise ValueError("perturbed matrix is identically zero")
+    pairs = p.view(np.float64)
+    with np.errstate(over="ignore"):
+        power = np.add.reduceat(np.square(pairs), 2 * starts, axis=-1) / dims
+    redo = ~(power >= np.finfo(np.float64).tiny) | (power == np.inf)
+    if redo.any():
+        peak = np.maximum.reduceat(np.abs(pairs), 2 * starts, axis=-1)
+        if not np.isfinite(peak).all():
+            raise ValueError("perturbed matrix is not finite")
+        if not peak.all():
+            raise ValueError("perturbed matrix is identically zero")
+        shift = np.repeat(np.where(redo, -np.frexp(peak)[1], 0), 2 * np.square(dims), axis=-1)
+        return _segment_fidelities(q, np.ldexp(pairs, shift).view(np.complex128), starts, dims)
     overlap = np.add.reduceat(np.conj(q) * p, starts, axis=-1) / dims
     return np.abs(overlap) ** 2 / power
 
@@ -94,21 +104,6 @@ def _haar(pairs: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., np.newaxis, :]
 
 
-def sample_haar(rng: np.random.Generator, n: int, count: int | None = None) -> np.ndarray:
-    """Draw Haar-distributed ``n x n`` unitaries from an existing generator.
-
-    Returns a single ``(n, n)`` matrix when ``count`` is ``None``, else a
-    stacked ``(count, n, n)`` array.  Uses the QR construction on a complex
-    Ginibre sample (see ``_haar``).
-    """
-    if n < 1:
-        raise ValueError(f"dimension must be at least 1, got {n}")
-    shape = (n, n) if count is None else (operator.index(count), n, n)
-    # real/imaginary parts are drawn as interleaved pairs so the stream
-    # position after k matrices does not depend on how calls are batched
-    return _haar(rng.standard_normal(shape + (2,)))
-
-
 def haar_random_unitary(n: int, seed: int) -> np.ndarray:
     """Seeded Haar-random unitary; the same integers ``(n, seed)`` give identical output."""
     return _haar_stack(n, [seed])[0]
@@ -117,9 +112,9 @@ def haar_random_unitary(n: int, seed: int) -> np.ndarray:
 def _haar_stack(n: int, seeds) -> np.ndarray:
     """``haar_random_unitary(n, seed)`` for each seed, as one ``(len(seeds), n, n)`` stack.
 
-    Matrix ``t`` draws its Ginibre pairs from its own generator, seeded by
-    ``seeds[t]`` modulo ``2**64``, as ``sample_haar`` would, and the stack
-    goes through one stacked QR; each matrix depends only on its own seed.
+    Matrix ``t`` draws its ``(n, n, 2)`` Ginibre pairs from its own generator,
+    seeded by ``seeds[t]`` modulo ``2**64``, and the stack goes through one
+    stacked QR (``_haar``); each matrix depends only on its own seed.
     """
     n = operator.index(n)
     if n < 1:

@@ -71,7 +71,7 @@ import numpy as np
 
 from .decomposition import _check_block_size, _compose, _decompose_stack
 from .linalg import (
-    _U64_MASK, _fidelities, _haar_stack, _segment_fidelities, as_matrix, sample_haar,
+    _U64_MASK, _fidelities, _haar, _haar_stack, _segment_fidelities, as_matrix,
 )
 
 __all__ = [
@@ -267,6 +267,8 @@ def component_fidelity_estimate(
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     sigma = _check_sigma(sigma)
+    if m < 1:
+        raise ValueError(f"dimension must be at least 1, got {m}")
     # Haar draws and noise draws ride separate substreams, so the result is
     # independent of the internal chunk size and two estimates at different
     # sigma share the exact same Haar samples (common random numbers).
@@ -274,7 +276,7 @@ def component_fidelity_estimate(
     haar_rng, noise_rng = (np.random.default_rng(s) for s in root.spawn(2))
     fids = []
     for start in range(0, trials, _ESTIMATE_CHUNK):
-        q = sample_haar(haar_rng, m, count=min(_ESTIMATE_CHUNK, trials - start))
+        q = _haar(haar_rng.standard_normal((min(_ESTIMATE_CHUNK, trials - start), m, m, 2)))
         p = q if sigma == 0.0 else _perturb(q, sigma, _offsets(noise_rng, q.shape))
         fids.append(_fidelities(q, p))
     return _stats(np.concatenate(fids))

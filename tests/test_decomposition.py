@@ -17,7 +17,6 @@ from multiport.decomposition import (
     _zero_pattern,
     cost_compare,
     decompose,
-    embed_factor,
     factor_count_bound,
     reconstruct,
     verify,
@@ -47,6 +46,14 @@ def plan_from_factors(n, m, factors, phases):
 def unitarity_defect(a):
     """``max|A^dag A - I|`` of a square matrix."""
     return np.abs(a.conj().T @ a - np.eye(len(a))).max()
+
+
+def embed(factor, n):
+    """A factor's full ``n x n`` action: its block on its modes, identity elsewhere."""
+    out = np.eye(n, dtype=complex)
+    modes = np.asarray(factor.columns) - 1
+    out[np.ix_(modes, modes)] = factor.block
+    return out
 
 
 def stamp_counts(n, steps):
@@ -197,61 +204,6 @@ class TestFactor:
             "factors[0]: column indices are 1-based, got (0, 1)",
             n=2, m=2, size=2, base_row=2, columns=(0, 1), block=SWAP,
         )
-
-
-class TestEmbedFactor:
-    def test_identity_block(self):
-        f = Factor(size=2, base_row=2, columns=(1, 2), block=np.eye(2))
-        np.testing.assert_array_equal(embed_factor(f, 3), np.eye(3))
-
-    def test_swap_on_modes_one_three(self):
-        f = Factor(size=2, base_row=3, columns=(1, 3), block=SWAP)
-        expected = np.eye(3, dtype=complex)[:, [2, 1, 0]]
-        np.testing.assert_array_equal(embed_factor(f, 3), expected)
-
-    def test_untouched_modes_fixed(self):
-        q = haar_random_unitary(3, 8)
-        f = Factor(size=3, base_row=6, columns=(2, 3, 6), block=q)
-        full = embed_factor(f, 7)
-        v = np.zeros(7, dtype=complex)
-        v[[0, 3, 4, 6]] = [1.0, 2.0, -1j, 0.5]
-        np.testing.assert_array_equal(full @ v, v)
-
-    def test_embedding_is_unitary(self):
-        f = Factor(size=3, base_row=5, columns=(1, 4, 5), block=haar_random_unitary(3, 2))
-        assert unitarity_defect(embed_factor(f, 6)) <= 1e-10
-
-    @pytest.mark.parametrize("n", [3.9, 3.0])
-    def test_rejects_non_integer_dimension(self, n):
-        f = Factor(size=2, base_row=2, columns=(1, 2), block=SWAP)
-        with pytest.raises(TypeError):
-            embed_factor(f, n)
-
-    def test_accepts_numpy_integer_dimension(self):
-        f = Factor(size=2, base_row=3, columns=(1, 3), block=SWAP)
-        np.testing.assert_array_equal(embed_factor(f, np.int64(3)), embed_factor(f, 3))
-
-    def test_rejects_small_dimension(self):
-        f = Factor(size=2, base_row=4, columns=(2, 4), block=SWAP)
-        with pytest.raises(ValueError, match="does not embed in n = 3"):
-            embed_factor(f, 3)
-
-    @pytest.mark.parametrize("columns", [(0, 1), (2, 2)])
-    def test_rejects_zero_or_repeated_column(self, columns):
-        # column 0 would wrap to the last mode; a repeated column would
-        # write one block entry over another
-        f = Factor(size=2, base_row=2, columns=columns, block=SWAP)
-        with pytest.raises(ValueError, match="does not embed"):
-            embed_factor(f, 3)
-
-    @pytest.mark.parametrize(
-        "columns,block",
-        [((1, 2, 3), SWAP), ((1, 2), np.ones((2, 3))), ((2,), SWAP)],
-    )
-    def test_rejects_block_not_matching_columns(self, columns, block):
-        f = Factor(size=len(columns), base_row=3, columns=columns, block=block)
-        with pytest.raises(ValueError, match="does not embed"):
-            embed_factor(f, 3)
 
 
 @pytest.fixture(scope="module")
@@ -661,7 +613,7 @@ class TestReconstruct:
         f = Factor(size=2, base_row=3, columns=(1, 3), block=q)
         plan = plan_from_factors(n=3, m=2, factors=(f,), phases=np.zeros(3))
         np.testing.assert_allclose(
-            reconstruct(plan), embed_factor(f, 3).conj().T, atol=1e-15
+            reconstruct(plan), embed(f, 3).conj().T, atol=1e-15
         )
 
     def test_matches_explicit_embedded_product(self):
@@ -670,7 +622,7 @@ class TestReconstruct:
         plan = decompose(u, 3)
         expected = np.diag(np.exp(1j * plan.phases))
         for f in reversed(plan.factors):
-            expected = expected @ embed_factor(f, plan.n).conj().T
+            expected = expected @ embed(f, plan.n).conj().T
         np.testing.assert_allclose(reconstruct(plan), expected, atol=1e-13)
 
     def test_phases_only(self):
@@ -697,7 +649,7 @@ class TestLayers:
         plan = decompose(u, m)
         expected = np.diag(np.exp(1j * plan.phases))
         for f in reversed(plan.factors):
-            expected = expected @ embed_factor(f, n).conj().T
+            expected = expected @ embed(f, n).conj().T
         assert np.abs(reconstruct(plan) - expected).max() <= n * np.finfo(float).eps
 
     @staticmethod
@@ -710,7 +662,7 @@ class TestLayers:
             (layout.columns + 1).tolist(), layout.offsets.tolist(),
         ))):
             factor = Factor(s, row, tuple(cols[:s]), blocks[start : start + s * s].reshape(s, s))
-            expected = expected @ embed_factor(factor, n).conj().T
+            expected = expected @ embed(factor, n).conj().T
         return expected
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -777,17 +729,19 @@ class TestLayers:
 
     @staticmethod
     def assert_groups_index_factor_blocks(layout, n):
-        """Each group's ``entries`` rows are its factors' blocks in the flat
-        factor-order block array, and the groups cover every factor once.
-        ``index`` is the ``(k, s, s)`` flat index of the blocks in a
+        """Each group's ``span`` slices its factors out of its size's
+        ``applied`` listing, which lists the groups of that size last first,
+        and the rows of the listing's ``entries`` are those factors' blocks
+        in the flat factor-order block array; the groups cover every factor
+        once.  ``index`` is the ``(k, s, s)`` flat index of the blocks in a
         transposed ``n x n`` matrix read as ``n*n`` entries, the factors
         sorted by first column, and ``run`` is the slice of exactly the
-        group's columns when they tile one, else ``None``.  ``spans`` slice
-        each group's factors out of its size's ``applied`` factors, which
-        list the groups of that size last first."""
+        group's columns when they tile one, else ``None``."""
+        listed = {s: (factors, entries) for s, factors, entries in layout.applied}
+        assert list(listed) == sorted(set(layout.sizes.tolist()))
         flat, factors = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-        for (s, index, cols, entries, run), span in zip(layout.layers, layout.spans):
-            k = np.searchsorted(layout.offsets, entries[:, 0])  # the rows' factors
+        for s, index, cols, span, run in layout.layers:
+            k, entries = (listing[span] for listing in listed[s])  # the group's factors
             np.testing.assert_array_equal(entries, layout.offsets[k, np.newaxis] + np.arange(s * s))
             np.testing.assert_array_equal(layout.sizes[k], s)
             np.testing.assert_array_equal(cols, layout.columns[k, :s])
@@ -799,7 +753,6 @@ class TestLayers:
                 + np.arange(s)[:, np.newaxis],
             )
             assert (np.diff(cols[:, 0]) > 0).all()
-            np.testing.assert_array_equal(dict(layout.applied)[s][span], k)
             c0 = cols[0, 0]
             tiled = np.array_equal(cols.ravel(), np.arange(c0, c0 + cols.size))
             if run is None:
@@ -811,13 +764,11 @@ class TestLayers:
             factors.append(k)
         np.testing.assert_array_equal(np.sort(np.concatenate(flat)), np.arange(layout.offsets[-1]))
         np.testing.assert_array_equal(np.sort(np.concatenate(factors)), np.arange(len(layout)))
-        for s, applied in layout.applied:
-            spans = [
-                span for (size, *_), span in zip(reversed(layout.layers), reversed(layout.spans))
-                if size == s
-            ]
+        for s, applied, entries in layout.applied:
+            spans = [span for size, _, _, span, _ in reversed(layout.layers) if size == s]
             assert [span.start for span in spans] == [0] + [span.stop for span in spans[:-1]]
             assert spans[-1].stop == len(applied) == np.count_nonzero(layout.sizes == s)
+            assert entries.shape == (len(applied), s * s)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_dense_groups_index_factor_order_blocks(self, n):
@@ -929,8 +880,9 @@ class TestLayers:
                 layout = _schedule(n, m, _zero_pattern(us[0]))
                 w = us.swapaxes(-1, -2).copy()
                 cells = w.reshape(t, n * n)
-                for s, index, cols, entries, _ in layout.layers:
-                    tops = layout.base_rows[np.searchsorted(layout.offsets, entries[:, 0])] - s
+                listed = {s: factors for s, factors, _ in layout.applied}
+                for s, index, cols, span, _ in layout.layers:
+                    tops = layout.base_rows[listed[s][span]] - s
                     rows = tops[:, np.newaxis, np.newaxis] + np.arange(s)[:, np.newaxis]
                     block = (slice(None), cols[:, np.newaxis, :], rows)
                     gathered = np.take(cells, index, axis=1)

@@ -3,12 +3,12 @@ import pytest
 
 from multiport.linalg import (
     _fidelities,
+    _haar,
     _haar_stack,
     _segment_fidelities,
     as_matrix,
     haar_random_unitary,
     rq_decompose,
-    sample_haar,
 )
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -81,14 +81,14 @@ class TestHaarRandomUnitary:
         # E |tr U|^2 = 1 for Haar on U(n); a naive QR sampler without the
         # phase correction fails this badly.
         rng = np.random.default_rng(9)
-        q = sample_haar(rng, 3, count=20_000)
+        q = _haar(rng.standard_normal((20_000, 3, 3, 2)))
         vals = np.abs(np.trace(q, axis1=-2, axis2=-1)) ** 2
         se = vals.std(ddof=1) / np.sqrt(vals.size)
         assert abs(vals.mean() - 1.0) <= 4 * se
 
     def test_batched_matches_distribution_contract(self):
         rng = np.random.default_rng(4)
-        batch = sample_haar(rng, 4, count=10)
+        batch = _haar(rng.standard_normal((10, 4, 4, 2)))
         assert batch.shape == (10, 4, 4)
         for k in range(10):
             assert unitarity_defect(batch[k]) < 1e-12
@@ -96,8 +96,6 @@ class TestHaarRandomUnitary:
     def test_rejects_non_integer_sizes(self):
         with pytest.raises(TypeError):
             haar_random_unitary(4.0, 1)
-        with pytest.raises(TypeError):
-            sample_haar(np.random.default_rng(0), 3, count=2.5)
 
     @pytest.mark.parametrize("seed", [1.9, 1.0])
     def test_rejects_non_integer_seed(self, seed):
@@ -107,8 +105,6 @@ class TestHaarRandomUnitary:
     def test_accepts_numpy_integer_sizes(self):
         np.testing.assert_array_equal(haar_random_unitary(np.int64(4), 1), haar_random_unitary(4, 1))
         np.testing.assert_array_equal(haar_random_unitary(4, np.int64(1)), haar_random_unitary(4, 1))
-        a = sample_haar(np.random.default_rng(0), 3, count=np.int64(2))
-        np.testing.assert_array_equal(a, sample_haar(np.random.default_rng(0), 3, count=2))
 
 
 class TestHaarStack:
@@ -121,8 +117,9 @@ class TestHaarStack:
                 stack = _haar_stack(n, seeds)
                 assert stack.shape == (count, n, n)
                 for matrix, seed in zip(stack, seeds):
-                    # the construction ``sample_haar`` documents, one matrix at a time
-                    alone = sample_haar(np.random.default_rng(np.random.SeedSequence(seed)), n)
+                    # the construction ``_haar`` documents, one matrix at a time
+                    rng = np.random.default_rng(np.random.SeedSequence(seed))
+                    alone = _haar(rng.standard_normal((n, n, 2)))
                     assert matrix.tobytes() == alone.tobytes(), (n, count)
                     assert matrix.tobytes() == haar_random_unitary(n, seed).tobytes()
 
@@ -180,6 +177,26 @@ class TestFlatFidelities:
         q, p = self._pair((2, 5), 1)
         p[1, 4] = 0.0
         with pytest.raises(ValueError, match="perturbed matrix is identically zero"):
+            _segment_fidelities(q, p, [0, 4], [2, 1])
+
+    def test_rescaled_segments_leave_their_neighbours_bits(self):
+        # Segments whose squares underflow or overflow are scored at an
+        # exact power-of-two scale, as the unscaled segment scores; the
+        # other segments of their rows keep the bits they have alone.
+        sizes = np.array([3, 1, 2, 4, 2])
+        starts = np.cumsum(sizes**2) - sizes**2
+        q, p = self._pair((3, int(sizes @ sizes)), 12)
+        base = _segment_fidelities(q, p, starts, sizes)
+        scaled = p.copy()
+        for row, k, exponent in [(0, 1, 600), (1, 3, -600), (2, 0, 700), (2, 4, -700)]:
+            scaled[row, starts[k] : starts[k] + sizes[k] ** 2] *= 2.0**exponent
+        assert _segment_fidelities(q, scaled, starts, sizes).tobytes() == base.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+    def test_non_finite_segment_rejected(self, bad):
+        q, p = self._pair((2, 5), 1)
+        p[1, 1] = bad
+        with pytest.raises(ValueError, match="perturbed matrix is not finite"):
             _segment_fidelities(q, p, [0, 4], [2, 1])
 
 

@@ -18,9 +18,9 @@ from multiport.decomposition import _compose, decompose, reconstruct
 from multiport.linalg import (
     _U64_MASK,
     _fidelities,
+    _haar,
     _segment_fidelities,
     haar_random_unitary,
-    sample_haar,
 )
 from multiport.robustness import (
     _ESTIMATE_STREAM,
@@ -90,9 +90,25 @@ class TestFidelity:
         assert fidelity(q, c * np.exp(1j * theta) * p) == pytest.approx(base, abs=1e-12)
         assert fidelity(np.exp(1j * phi) * q, p) == pytest.approx(base, abs=1e-12)
 
+    @pytest.mark.parametrize("exponent", [600, -600])
+    def test_scaling_by_powers_of_two_is_exact_across_the_float_range(self, exponent):
+        # the squares of p underflow to 0 or overflow to inf at these scales
+        q = haar_random_unitary(3, 1)
+        p = q + 0.1 * haar_random_unitary(3, 2)
+        assert fidelity(q, 2.0**exponent * p) == fidelity(q, p)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e155, 1e-158, 1e-160, 1e-170])
+    def test_scaling_invariant_across_the_float_range(self, scale):
+        q = haar_random_unitary(3, 1)
+        p = q + 0.1 * haar_random_unitary(3, 2)
+        assert fidelity(q, scale * p) == pytest.approx(fidelity(q, p), rel=0, abs=1e-12)
+        assert fidelity(q, scale * q) == pytest.approx(1.0, rel=0, abs=1e-12)
+
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             fidelity(np.eye(2), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="perturbed matrix is identically zero"):
+            fidelity(haar_random_unitary(3, 1), np.zeros((3, 3)))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -429,7 +445,7 @@ class TestComponentFidelityEstimate:
         trials, seed = 1000, 23
         root = np.random.SeedSequence(robustness._child_seed(seed, _ESTIMATE_STREAM))
         haar_rng, noise_rng = (np.random.default_rng(s) for s in root.spawn(2))
-        q = sample_haar(haar_rng, m, count=trials)
+        q = _haar(haar_rng.standard_normal((trials, m, m, 2)))
         p = _perturb(q, sigma, _offsets(noise_rng, (trials, m, m)))
         assert component_fidelity_estimate(m, sigma, trials, seed) == _stats(_fidelities(q, p))
 
@@ -440,7 +456,7 @@ class TestComponentFidelityEstimate:
         rng = np.random.default_rng(1729)
         vals = np.empty(trials)
         for k in range(trials):
-            q = sample_haar(rng, m)
+            q = _haar(rng.standard_normal((m, m, 2)))
             p = q + sigma * (
                 rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
             )
@@ -463,6 +479,11 @@ class TestComponentFidelityEstimate:
     def test_rejects_bad_trials(self):
         with pytest.raises(ValueError):
             component_fidelity_estimate(2, 0.1, 0, 0)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_rejects_bad_dimension(self, m):
+        with pytest.raises(ValueError, match=f"dimension must be at least 1, got {m}"):
+            component_fidelity_estimate(m, 0.1, 10, 0)
 
 
 class TestMeanBlockFidelity:
@@ -633,6 +654,13 @@ class TestSweepNoise:
             sweep_noise(4, [2], [-0.1], 1, 1, seed=0)
         with pytest.raises(ValueError):
             sweep_noise(4, [2], [0.1], 0, 1, seed=0)
+
+    def test_overflowing_mesh_is_reported_as_not_finite(self):
+        # at sigma = 1e100 the composed products overflow; the sweep names
+        # that, rather than failing later on non-finite statistics
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(ValueError, match="perturbed matrix is not finite"):
+                sweep_noise(5, [2], [1e100], 2, 2, 1)
 
 
 class TestSweepSize:
