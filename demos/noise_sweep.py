@@ -53,7 +53,7 @@ def main():
 
     svg = sweep_chart(
         results, lambda r: r.fq.mean, "mean block fidelity F_Q",
-        f"noise robustness at n = {args.n}", y_label="mean matrix fidelity F_U",
+        f"noise robustness at n = {args.n}",
     )
     svg_path = args.out / "noise_sweep.svg"
     save_chart(svg_path, svg)

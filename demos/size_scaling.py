@@ -61,7 +61,6 @@ def main():
     svg = sweep_chart(
         results, lambda r: r.n, "matrix size n",
         f"scaling at fixed block fidelity {args.target_fq}",
-        y_label="mean matrix fidelity F_U",
     )
     svg_path = args.out / "size_scaling.svg"
     save_chart(svg_path, svg)

@@ -9,8 +9,7 @@ reassembled matrix: noise calibration to a target block fidelity from the
 closed-form mean block fidelity, and reproducible Monte-Carlo parameter
 sweeps with CSV/SVG output.
 
-Importing the package needs only numpy; scipy is imported the first time a
-calibration runs.
+The package needs only numpy, calibration included.
 """
 
 from .decomposition import decompose, factor_count_bound, reconstruct, verify

@@ -10,8 +10,9 @@ counterpart is the phase-insensitive overlap
 which is 1 exactly when ``p`` equals ``q`` up to a global phase.
 
 The mean fidelity of one noisy m x m block has a closed form (see
-``_mean_block_fidelity``), so ``calibrate_sigma`` is a deterministic
-root-find; ``component_fidelity_estimate`` stays as its independent
+``_mean_block_fidelity``), which numpy evaluates as a sum of positive
+terms, so ``calibrate_sigma`` is a deterministic bracketed root-find with
+no scipy; ``component_fidelity_estimate`` stays as its independent
 Monte-Carlo cross-check.  The sweeps are Monte Carlo.
 
 All sampling is driven by ``numpy`` seed sequences derived from a single
@@ -215,13 +216,15 @@ def _perturbed_stack(layout, blocks, phases, sigmas, offsets, draws):
     # a one-slice set repeats its slice for every draw
     slices = first[:, np.newaxis] + np.minimum(np.arange(draws), counts[:, np.newaxis] - 1)
     flat = np.empty((len(owner), blocks.shape[-1]), dtype=np.complex128)
-    for ideal, sigma, noise, start in zip(blocks, sigmas, offsets, first.tolist()):
-        if sigma:
-            _perturb(ideal, sigma, noise, out=flat[start : start + draws])
-        else:
-            flat[start] = ideal
+    # huge noise may overflow; the fidelities then report a non-finite slice
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ideal, sigma, noise, start in zip(blocks, sigmas, offsets, first.tolist()):
+            if sigma:
+                _perturb(ideal, sigma, noise, out=flat[start : start + draws])
+            else:
+                flat[start] = ideal
+        rebuilt = _compose(layout, flat, phases[owner])
     block_fids = _segment_fidelities(blocks[owner], flat, layout.offsets[:-1], layout.sizes)
-    rebuilt = _compose(layout, flat, phases[owner])
     return rebuilt, block_fids, owner, slices
 
 
@@ -277,7 +280,9 @@ def component_fidelity_estimate(
     fids = []
     for start in range(0, trials, _ESTIMATE_CHUNK):
         q = _haar(haar_rng.standard_normal((min(_ESTIMATE_CHUNK, trials - start), m, m, 2)))
-        p = q if sigma == 0.0 else _perturb(q, sigma, _offsets(noise_rng, q.shape))
+        # an overflow leaves p non-finite, which _fidelities reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = q if sigma == 0.0 else _perturb(q, sigma, _offsets(noise_rng, q.shape))
         fids.append(_fidelities(q, p))
     return _stats(np.concatenate(fids))
 
@@ -294,37 +299,54 @@ def _mean_block_fidelity(m: int, sigma: float) -> float:
 
     which falls strictly from ``F(0) = 1`` toward ``1/m^2`` as ``sigma``
     grows, with ``F ~ 1 - 2(m^2 - 1) sigma^2 / m`` near zero.
+
+    With ``k = m^2`` and ``c = m / (2 sigma^2)``, DLMF 13.4.1 writes the
+    1F1 as a Poisson mixture, ``1F1(1; k+1; -c) = E[k / (k + J)]`` with
+    ``J ~ Poisson(c)``, so ``F = 1/k + (1 - 1/k) E[J / (k + J)]``: a sum of
+    positive terms, with no cancellation near 1 or near the floor.  For
+    ``c <= 2k + 40`` the sum runs over ``J`` within ``9 sqrt(c) + 40`` of
+    the mode ``floor(c)``: nine standard deviations, plus 40 terms for
+    small ``c``.  The Poisson mass outside that window is below ``e^-40``
+    times ``E[J / (k + J)]`` (checked for every m up to 40), under a
+    rounding of the sum.  The weights are built outward from the mode by
+    the ratios of consecutive Poisson terms, with the mode's weight 1, and
+    the sum is divided by the window's total weight; so no
+    ``e^-c c^J / J!`` is formed, and no exponent of size ``c ln c`` is
+    rounded.  Past ``2k + 40`` the window would need O(sqrt(c)) terms, and
+    ``c`` runs to 1e300, so there an asymptotic series of at most 60 terms
+    takes over.
     """
     if sigma == 0.0:
         return 1.0
     k = m * m
     c = m / (2.0 * sigma**2)
     if c > 2 * k + 40:
-        # Far out scipy's 1F1 loses accuracy (m = 5 gives NaN near c = 1e11).
-        # There 1F1(1; k+1; -c) = (k/c) sum_j (-1)^j (k-1)...(k-j) / c^j up to
-        # a relative e^-c, and each term is at most half the one before.
+        # 1F1(1; k+1; -c) = (k/c) sum_j (-1)^j (k-1)...(k-j) / c^j up to a
+        # relative e^-c, and each term is at most half the one before.
         s = 1.0
         for i in range(min(k - 1, 60), 0, -1):
             s = 1.0 - (k - i) / c * s
-        tail = k / c * s
-    else:
-        from scipy.special import hyp1f1  # late, so ``import multiport`` stays scipy-free
-
-        tail = float(hyp1f1(1.0, k + 1.0, -c))
-    return 1.0 - (1.0 - 1.0 / k) * tail
+        return 1.0 - (1.0 - 1.0 / k) * (k / c * s)
+    mode = math.floor(c)
+    width = math.ceil(9.0 * math.sqrt(c)) + 40
+    above = np.cumprod(c / np.arange(mode + 1, mode + width + 1))
+    below = np.cumprod(np.arange(mode, max(mode - width, 0), -1) / c)[::-1]
+    weights = np.concatenate([below, [1.0], above])
+    j = np.arange(mode - len(below), mode + width + 1)
+    rise = float(weights @ (j / (k + j)) / weights.sum())
+    return 1.0 / k + (1.0 - 1.0 / k) * rise
 
 
 def calibrate_sigma(m: int, target_fq: float, tolerance: float) -> CalibrationResult:
     """Find the noise strength whose mean block fidelity is ``target_fq``.
 
     ``F(sigma) = _mean_block_fidelity(m, sigma)`` takes every value in
-    ``(1/m^2, 1]`` exactly once, so a target in that range has one root,
-    which ``brentq`` finds inside a closed-form bracket.  The result
-    satisfies ``|F(sigma) - target_fq| <= tolerance``.  Targets at or below
-    the ``1/m^2`` floor can never be reached and raise ``ValueError``.
+    ``(1/m^2, 1]`` exactly once, so a target in that range has one root.
+    An Anderson-Bjorck regula falsi finds it inside a closed-form bracket,
+    which it shrinks until it is 4 eps wide relative to ``sigma``.  The
+    result satisfies ``|F(sigma) - target_fq| <= tolerance``.  Targets at or
+    below the ``1/m^2`` floor can never be reached and raise ``ValueError``.
     """
-    from scipy.optimize import brentq
-
     m = operator.index(m)
     if m < 2:
         raise ValueError(f"block size must be at least 2, got {m}")
@@ -335,10 +357,9 @@ def calibrate_sigma(m: int, target_fq: float, tolerance: float) -> CalibrationRe
             f"target fidelity must be in (1/m^2, 1] = ({floor:.6g}, 1] for m={m}, "
             f"got {target_fq}"
         )
-    # F(sigma) is evaluated as 1 - (1 - 1/m^2) 1F1 and carries an absolute
-    # rounding error of a few eps.  Near the floor F sits under the target by
-    # about (target - floor) / 2 at the bracket's upper end below, so within
-    # 16 eps of the floor the computed sign there is rounding noise.
+    # Measured fidelities carry absolute rounding errors of a few eps, so a
+    # target within 16 eps of the floor cannot be told apart from the
+    # unreachable floor; its root would lie past sigma = 1e7 / sqrt(m).
     if target_fq - floor <= 16 * math.ulp(1.0):
         raise ValueError(
             f"target fidelity {target_fq!r} is within float resolution of the "
@@ -359,20 +380,33 @@ def calibrate_sigma(m: int, target_fq: float, tolerance: float) -> CalibrationRe
     log_inv_h = math.log1p((target_fq - floor) / (1.0 - target_fq))
     lo = 0.5 * math.sqrt(h / m)
     hi = math.sqrt(m / ((m * m + 1.0) * log_inv_h))
-    # a negligible xtol leaves brentq's relative tolerance (4 eps) in charge
-    sigma, info = brentq(
-        lambda s: _mean_block_fidelity(m, s) - target_fq, lo, hi,
-        xtol=1e-300, full_output=True,
-    )
+    # F - target falls through zero on [lo, hi].  ``b`` is the latest probe
+    # and ``a`` the end that keeps the root bracketed; when ``b`` does not
+    # cross, ``a``'s value is scaled down (Anderson-Bjorck) so that the
+    # next secant step moves toward it.
+    a, fa = lo, _mean_block_fidelity(m, lo) - target_fq
+    b, fb = hi, _mean_block_fidelity(m, hi) - target_fq
+    probes = 2
+    while fb != 0.0 and abs(b - a) > 4 * math.ulp(1.0) * max(a, b):
+        s = b - fb * (b - a) / (fb - fa)
+        if not min(a, b) < s < max(a, b):
+            s = 0.5 * (a + b)
+        fs = _mean_block_fidelity(m, s) - target_fq
+        probes += 1
+        if (fs < 0.0) != (fb < 0.0):
+            a, fa = b, fb
+        else:
+            scale = 1.0 - fs / fb
+            fa *= scale if scale > 0.0 else 0.5
+        b, fb = s, fs
+    sigma = b
     achieved = _mean_block_fidelity(m, sigma)
     if not abs(achieved - target_fq) <= tolerance:
         raise ValueError(
             f"tolerance {tolerance} is finer than the closed form resolves: "
             f"sigma={sigma:.17g} gives {achieved!r} for target {target_fq}"
         )
-    return CalibrationResult(
-        sigma=sigma, achieved=achieved, target=target_fq, probes=info.function_calls + 1
-    )
+    return CalibrationResult(sigma=sigma, achieved=achieved, target=target_fq, probes=probes + 1)
 
 
 def _check_counts(n_matrices: int, n_perturbations: int) -> tuple[int, int]:

@@ -1,18 +1,15 @@
-"""Minimal self-contained SVG line charts.
+"""Minimal self-contained SVG line charts of sweep results.
 
-Renders one or more (x, y) series with error bars into a single SVG
-string: axes, 1-2-5 tick grids, round markers, and a legend.  No
-plotting dependency; output text is deterministic for identical input.
-The CSV files remain the quantitative record -- these charts are for
-eyeballing sweeps.
+Renders the matrix fidelity of sweep cells, one line with error bars per
+block size, into a single SVG string: axes, 1-2-5 tick grids, round
+markers, and a legend.  No plotting dependency; output text is
+deterministic for identical input.  The CSV files remain the quantitative
+record -- these charts are for eyeballing sweeps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = ["save_chart", "sweep_chart"]
 
@@ -20,37 +17,6 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _WIDTH = 720
 _HEIGHT = 480
 _TICKS = 5  # ticks per axis to aim for
-
-
-@dataclass(frozen=True)
-class Series:
-    """One plotted line: ``label``, x/y points and symmetric y errors.
-
-    A zero error draws no bar.
-    """
-
-    label: str
-    x: tuple[float, ...]
-    y: tuple[float, ...]
-    y_err: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        x = tuple(float(v) for v in self.x)
-        y = tuple(float(v) for v in self.y)
-        err = tuple(float(e) for e in self.y_err)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "y_err", err)
-        if len(x) != len(y):
-            raise ValueError(f"x and y lengths differ: {len(x)} vs {len(y)}")
-        if not x:
-            raise ValueError("series must contain at least one point")
-        if not all(math.isfinite(v) for v in x + y):
-            raise ValueError("series contains non-finite values")
-        if len(err) != len(y):
-            raise ValueError("y_err length does not match y")
-        if not all(math.isfinite(e) and e >= 0 for e in err):
-            raise ValueError("y_err must be finite and non-negative")
 
 
 def _widened(lo: float, hi: float) -> tuple[float, float]:
@@ -101,33 +67,26 @@ def _fmt_px(v: float) -> str:
     return format(v, ".2f")
 
 
-def line_chart(
-    series,
-    x_label: str,
-    y_label: str,
-    title: str,
-) -> str:
-    """Render the series into an SVG document string.
+def sweep_chart(results, x, x_label: str, title: str) -> str:
+    """Chart sweep cells' matrix fidelity, one line per block size ``m``.
 
-    The title, axis labels and series labels are plain text; characters
-    that XML reserves (``<``, ``&``, ``>``) are escaped.
+    ``x`` maps a cell to its abscissa, which must be finite; each line's
+    points are sorted by it and plot ``fu.mean`` with ``fu.std_error`` as
+    the error bar (none where it is zero).  The title, axis labels and
+    line labels are plain text; characters that XML reserves (``<``,
+    ``&``, ``>``) are escaped.
     """
-    series = list(series)
-    if not series:
-        raise ValueError("at least one series is required")
-    for s in series:
-        if not isinstance(s, Series):
-            raise TypeError(f"expected Series, got {type(s).__name__}")
-
-    xs = np.concatenate([np.asarray(s.x) for s in series])
-    lo_y, hi_y = [], []
-    for s in series:
-        y = np.asarray(s.y)
-        err = np.asarray(s.y_err)
-        lo_y.append((y - err).min())
-        hi_y.append((y + err).max())
-    x_lo, x_hi = _widened(float(xs.min()), float(xs.max()))
-    y_lo, y_hi = _widened(float(min(lo_y)), float(max(hi_y)))
+    lines = []
+    for m in sorted({r.m for r in results}):
+        cells = sorted((r for r in results if r.m == m), key=x)
+        lines.append((f"m = {m}", [(float(x(r)), r.fu.mean, r.fu.std_error) for r in cells]))
+    points = [point for _, line in lines for point in line]
+    if not points:
+        raise ValueError("at least one sweep result is required")
+    if not all(math.isfinite(u) for u, _, _ in points):
+        raise ValueError("chart abscissas must be finite")
+    x_lo, x_hi = _widened(min(u for u, _, _ in points), max(u for u, _, _ in points))
+    y_lo, y_hi = _widened(min(v - e for _, v, e in points), max(v + e for _, v, e in points))
     pad_x = 0.05 * (x_hi - x_lo)
     pad_y = 0.05 * (y_hi - y_lo)
     x_lo, x_hi = x_lo - pad_x, x_hi + pad_x
@@ -137,11 +96,11 @@ def line_chart(
     plot_w = _WIDTH - left - right
     plot_h = _HEIGHT - top - bottom
 
-    def px(x: float) -> float:
-        return left + (x - x_lo) / (x_hi - x_lo) * plot_w
+    def px(u: float) -> float:
+        return left + (u - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
-        return top + (y_hi - y) / (y_hi - y_lo) * plot_h
+    def py(v: float) -> float:
+        return top + (y_hi - v) / (y_hi - y_lo) * plot_h
 
     out = []
     out.append(
@@ -155,23 +114,23 @@ def line_chart(
     )
 
     for t in _nice_ticks(x_lo + pad_x, x_hi - pad_x):
-        x = px(t)
+        at = px(t)
         out.append(
-            f'<line x1="{_fmt_px(x)}" y1="{top}" x2="{_fmt_px(x)}" '
+            f'<line x1="{_fmt_px(at)}" y1="{top}" x2="{_fmt_px(at)}" '
             f'y2="{top + plot_h}" stroke="#dddddd" stroke-width="1"/>'
         )
         out.append(
-            f'<text x="{_fmt_px(x)}" y="{top + plot_h + 18}" text-anchor="middle" '
+            f'<text x="{_fmt_px(at)}" y="{top + plot_h + 18}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{_fmt_tick(t)}</text>'
         )
     for t in _nice_ticks(y_lo + pad_y, y_hi - pad_y):
-        y = py(t)
+        at = py(t)
         out.append(
-            f'<line x1="{left}" y1="{_fmt_px(y)}" x2="{left + plot_w}" '
-            f'y2="{_fmt_px(y)}" stroke="#dddddd" stroke-width="1"/>'
+            f'<line x1="{left}" y1="{_fmt_px(at)}" x2="{left + plot_w}" '
+            f'y2="{_fmt_px(at)}" stroke="#dddddd" stroke-width="1"/>'
         )
         out.append(
-            f'<text x="{left - 8}" y="{_fmt_px(y + 4)}" text-anchor="end" '
+            f'<text x="{left - 8}" y="{_fmt_px(at + 4)}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{_fmt_tick(t)}</text>'
         )
 
@@ -187,18 +146,16 @@ def line_chart(
     out.append(
         f'<text x="16" y="{top + plot_h / 2:.0f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 16 {top + plot_h / 2:.0f})">{_escape(y_label)}</text>'
+        f'transform="rotate(-90 16 {top + plot_h / 2:.0f})">mean matrix fidelity</text>'
     )
 
-    for idx, s in enumerate(series):
+    for idx, (_, line) in enumerate(lines):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(
-            f"{_fmt_px(px(x))},{_fmt_px(py(y))}" for x, y in zip(s.x, s.y)
-        )
-        for x, y, e in zip(s.x, s.y, s.y_err):
+        pts = " ".join(f"{_fmt_px(px(u))},{_fmt_px(py(v))}" for u, v, _ in line)
+        for u, v, e in line:
             if e == 0:
                 continue
-            cx, y0, y1 = px(x), py(y - e), py(y + e)
+            cx, y0, y1 = px(u), py(v - e), py(v + e)
             out.append(
                 f'<line x1="{_fmt_px(cx)}" y1="{_fmt_px(y0)}" '
                 f'x2="{_fmt_px(cx)}" y2="{_fmt_px(y1)}" '
@@ -214,15 +171,15 @@ def line_chart(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{pts}"/>'
         )
-        for x, y in zip(s.x, s.y):
+        for u, v, _ in line:
             out.append(
-                f'<circle cx="{_fmt_px(px(x))}" cy="{_fmt_px(py(y))}" r="2.5" '
+                f'<circle cx="{_fmt_px(px(u))}" cy="{_fmt_px(py(v))}" r="2.5" '
                 f'fill="{color}"/>'
             )
 
     legend_x = left + plot_w - 150
     legend_y = top + 10
-    for idx, s in enumerate(series):
+    for idx, (label, _) in enumerate(lines):
         color = _PALETTE[idx % len(_PALETTE)]
         y = legend_y + 16 * idx
         out.append(
@@ -231,33 +188,11 @@ def line_chart(
         )
         out.append(
             f'<text x="{legend_x + 28}" y="{y + 4}" font-family="sans-serif" '
-            f'font-size="12">{_escape(s.label)}</text>'
+            f'font-size="12">{_escape(label)}</text>'
         )
 
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def sweep_chart(
-    results, x, x_label: str, title: str, y_label: str = "mean matrix fidelity"
-) -> str:
-    """Chart sweep cells' matrix fidelity, one line per block size ``m``.
-
-    ``x`` maps a cell to its abscissa; each line's points are sorted by it
-    and plot ``fu.mean`` with ``fu.std_error`` as the error bar.
-    """
-    series = []
-    for m in sorted({r.m for r in results}):
-        cells = sorted((r for r in results if r.m == m), key=x)
-        series.append(
-            Series(
-                label=f"m = {m}",
-                x=tuple(map(x, cells)),
-                y=tuple(r.fu.mean for r in cells),
-                y_err=tuple(r.fu.std_error for r in cells),
-            )
-        )
-    return line_chart(series, x_label=x_label, y_label=y_label, title=title)
 
 
 def save_chart(path, svg_text: str) -> None:

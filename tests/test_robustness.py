@@ -476,6 +476,10 @@ class TestComponentFidelityEstimate:
         assert stats.samples == 1
         assert stats.std_error == 0.0
 
+    def test_overflowing_block_is_reported_as_not_finite(self):
+        with pytest.raises(ValueError, match="perturbed matrix is not finite"):
+            component_fidelity_estimate(2, 1e308, 10, 1)
+
     def test_rejects_bad_trials(self):
         with pytest.raises(ValueError):
             component_fidelity_estimate(2, 0.1, 0, 0)
@@ -508,14 +512,25 @@ class TestMeanBlockFidelity:
 
     @pytest.mark.parametrize("m", [2, 3, 5, 7, 10])
     def test_tail_sum_matches_hyp1f1(self, m):
-        # small sigma takes the finite tail sum instead of scipy's 1F1; up to
-        # c = 1e6 they agree to scipy's accuracy (the sum is the closer one to
-        # a 40-digit reference there)
+        # small sigma takes the finite tail sum instead of the Poisson
+        # mixture; up to c = 1e6 it agrees with scipy's 1F1 to scipy's
+        # accuracy (the sum is the closer one to a 40-digit reference there)
         k = m * m
         for c in np.geomspace(2 * k + 41, 1e6, 25):
             sigma = np.sqrt(m / (2 * c))
             expected = 1.0 - (1.0 - 1.0 / k) * hyp1f1(1.0, k + 1.0, -c)
             assert _mean_block_fidelity(m, sigma) == pytest.approx(expected, abs=1e-14)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 7, 10, 20, 40])
+    def test_poisson_mixture_matches_hyp1f1(self, m):
+        # c <= 2k + 40 takes the Poisson mixture; scipy's 1F1 is the reference
+        k = m * m
+        bound = 1e-13 if m <= 10 else 2e-12
+        for c in np.geomspace(1e-9, 2 * k + 40, 200):
+            sigma = np.sqrt(m / (2 * c))
+            c = m / (2.0 * sigma**2)  # the c the closed form sees
+            expected = 1.0 - (1.0 - 1.0 / k) * hyp1f1(1.0, k + 1.0, -c)
+            assert abs(_mean_block_fidelity(m, sigma) - expected) <= bound
 
     def test_finite_where_hyp1f1_fails(self):
         # scipy's 1F1(1; 26; -c) is NaN near c = 1e11
@@ -551,6 +566,7 @@ class TestCalibrateSigma:
         result = calibrate_sigma(m, target, 1e-12)
         assert abs(result.achieved - target) <= 1e-12
         assert result.achieved == _mean_block_fidelity(m, result.sigma)
+        assert result.probes <= 60
 
     def test_sigma_monotone_in_target(self):
         hard = calibrate_sigma(3, 0.90, 0.003)
@@ -598,10 +614,26 @@ class TestCalibrateSigma:
             calibrate_sigma(1, 0.95, 0.001)
 
 
-def test_import_leaves_scipy_out():
-    # scipy is imported only when a calibration first runs
+def test_import_leaves_scipy_out(tmp_path):
     code = "import sys, multiport; assert 'scipy' not in sys.modules, sorted(sys.modules)"
     subprocess.run([sys.executable, "-c", code], check=True)
+    # calibrated sweeps need no scipy either: with it blocked, every import
+    # of it raises ImportError
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+from multiport import calibrate_sigma, cli, sweep_size
+for m in (2, 3, 5, 10, 40):
+    assert abs(calibrate_sigma(m, 0.95, 1e-9).achieved - 0.95) <= 1e-9
+assert len(sweep_size([2, 3], [3, 4], 0.9, 1e-3, 2, 2, 1)) == 4
+assert cli.main([
+    "sweep-size", "--m-list", "2,3", "--n-list", "3,5", "--target-fq", "0.95",
+    "--fq-tol", "0.01", "--matrices", "2", "--perturbations", "2", "--seed", "1",
+    "--out", {str(tmp_path / "size.csv")!r}, "--svg", {str(tmp_path / "size.svg")!r},
+]) == 0
+"""
+    subprocess.run([sys.executable, "-c", code], check=True)
+    assert (tmp_path / "size.svg").read_text().startswith("<svg")
 
 
 class TestSweepNoise:
@@ -655,12 +687,13 @@ class TestSweepNoise:
         with pytest.raises(ValueError):
             sweep_noise(4, [2], [0.1], 0, 1, seed=0)
 
-    def test_overflowing_mesh_is_reported_as_not_finite(self):
-        # at sigma = 1e100 the composed products overflow; the sweep names
-        # that, rather than failing later on non-finite statistics
-        with pytest.warns(RuntimeWarning):
-            with pytest.raises(ValueError, match="perturbed matrix is not finite"):
-                sweep_noise(5, [2], [1e100], 2, 2, 1)
+    @pytest.mark.parametrize("sigma", [1e100, 1e308])
+    def test_overflowing_mesh_is_reported_as_not_finite(self, sigma):
+        # at sigma = 1e100 the composed products overflow, at 1e308 the
+        # perturbed blocks already do; the sweep names that, with no numpy
+        # overflow warning and no failure later on non-finite statistics
+        with pytest.raises(ValueError, match="perturbed matrix is not finite"):
+            sweep_noise(5, [2], [sigma], 2, 2, 1)
 
 
 class TestSweepSize:

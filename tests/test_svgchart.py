@@ -4,72 +4,67 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from multiport.robustness import FidelityStats, SweepResult
-from multiport.svgchart import _TICKS, Series, _nice_ticks, line_chart, save_chart, sweep_chart
+from multiport.svgchart import _TICKS, _nice_ticks, save_chart, sweep_chart
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
-def two_series():
+def cell(n, m, fu, se=0.0, sigma=0.1):
+    fq = FidelityStats(mean=0.9, std_error=0.0, samples=1)
+    return SweepResult(n=n, m=m, sigma=sigma, fq=fq, fu=FidelityStats(fu, se, 4))
+
+
+def two_lines():
+    """Three cells per block size; m = 2 has error bars, m = 3 has none."""
     return [
-        Series(label="m = 2", x=(0.0, 1.0, 2.0), y=(1.0, 0.8, 0.5), y_err=(0.01, 0.02, 0.03)),
-        Series(label="m = 3", x=(0.0, 1.0, 2.0), y=(1.0, 0.9, 0.7), y_err=(0.0, 0.0, 0.0)),
+        cell(2, 2, 1.0, 0.01), cell(4, 2, 0.8, 0.02), cell(6, 2, 0.5, 0.03),
+        cell(2, 3, 1.0), cell(4, 3, 0.9), cell(6, 3, 0.7),
     ]
 
 
-class TestSeries:
-    def test_tuple_coercion(self):
-        s = Series(label="a", x=[1, 2], y=[3, 4], y_err=[0, 1])
-        assert s.x == (1.0, 2.0)
-        assert s.y == (3.0, 4.0)
-        assert s.y_err == (0.0, 1.0)
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            Series(label="a", x=(1.0,), y=(1.0, 2.0), y_err=(0.0, 0.0))
-        with pytest.raises(ValueError):
-            Series(label="a", x=(1.0,), y=(1.0,), y_err=(0.1, 0.1))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Series(label="a", x=(), y=(), y_err=())
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            Series(label="a", x=(float("nan"),), y=(1.0,), y_err=(0.0,))
-
-    def test_rejects_negative_error(self):
-        with pytest.raises(ValueError):
-            Series(label="a", x=(1.0,), y=(1.0,), y_err=(-0.1,))
+def by_n(r):
+    return r.n
 
 
-class TestLineChart:
+def polyline_points(svg):
+    root = ET.fromstring(svg)
+    return [
+        [tuple(map(float, pt.split(","))) for pt in line.attrib["points"].split()]
+        for line in root.findall(f"{SVG_NS}polyline")
+    ]
+
+
+class TestSweepChart:
     def test_parses_as_xml(self):
-        root = ET.fromstring(line_chart(two_series(), "x", "y", title="t"))
+        root = ET.fromstring(sweep_chart(two_lines(), by_n, "n", "t"))
         assert root.tag == f"{SVG_NS}svg"
 
-    def test_one_polyline_per_series(self):
-        root = ET.fromstring(line_chart(two_series(), "x", "y", title="t"))
-        polylines = root.findall(f"{SVG_NS}polyline")
-        assert len(polylines) == 2
-        # three points each
-        for p in polylines:
-            assert len(p.attrib["points"].split()) == 3
+    def test_one_sorted_line_per_block_size(self):
+        # cells out of order in both m and n
+        results = [cell(8, 3, 0.7, 0.02), cell(4, 3, 0.9, 0.01), cell(4, 2, 0.8, 0.03)]
+        svg = sweep_chart(results, by_n, "n", "t")
+        m2, m3 = polyline_points(svg)
+        assert len(m2) == 1 and len(m3) == 2
+        # m = 3: n = 4 left of n = 8, and its higher fidelity drawn higher up
+        (x4, y4), (x8, y8) = m3
+        assert x4 < x8 and y4 < y8
+        assert m2[0][0] == x4
+        assert svg.index("m = 2") < svg.index("m = 3")
 
     def test_labels_present(self):
-        text = line_chart(two_series(), "noise strength", "fidelity", title="sweep")
-        assert "noise strength" in text
-        assert "fidelity" in text
+        text = sweep_chart(two_lines(), by_n, "matrix size n", title="sweep")
+        assert "matrix size n" in text
+        assert "mean matrix fidelity" in text
         assert "sweep" in text
         assert "m = 2" in text and "m = 3" in text
 
     def test_reserved_characters_in_text_are_escaped(self):
-        series = [Series("m < 3 & more", (0.0, 1.0), (0.5, 0.6), (0.0, 0.0))]
-        root = ET.fromstring(line_chart(series, "x < 1", "y & z", title="a > b"))
+        root = ET.fromstring(sweep_chart(two_lines(), by_n, "x < 1 & y", title="a > b"))
         texts = {t.text for t in root.iter(f"{SVG_NS}text")}
-        assert {"m < 3 & more", "x < 1", "y & z", "a > b"} <= texts
+        assert {"x < 1 & y", "a > b"} <= texts
 
-    def test_error_bars_drawn_only_when_given(self):
-        root = ET.fromstring(line_chart(two_series(), "x", "y", title="t"))
+    def test_error_bars_drawn_only_when_nonzero(self):
+        root = ET.fromstring(sweep_chart(two_lines(), by_n, "n", "t"))
 
         def bars(color):
             # stroke-width 1 distinguishes error bars from legend swatches
@@ -80,42 +75,43 @@ class TestLineChart:
                 and el.attrib.get("stroke-width") == "1"
             ]
 
-        # first series: 3 error bars, each a stem plus two caps
+        # m = 2: 3 error bars, each a stem plus two caps
         assert len(bars("#1f77b4")) == 9
-        # second series has zero errors, so no bars
+        # m = 3 has zero errors, so no bars
         assert len(bars("#d62728")) == 0
 
     def test_deterministic(self):
-        svg = line_chart(two_series(), "x", "y", title="t")
-        assert line_chart(two_series(), "x", "y", title="t") == svg
+        svg = sweep_chart(two_lines(), by_n, "n", "t")
+        assert sweep_chart(two_lines(), by_n, "n", "t") == svg
 
-    def test_single_point_series(self):
-        svg = line_chart([Series(label="only", x=(2.0,), y=(0.5,), y_err=(0.0,))], "x", "y", "t")
-        ET.fromstring(svg)
+    def test_single_point(self):
+        ET.fromstring(sweep_chart([cell(2, 2, 0.5)], by_n, "n", "t"))
 
-    def test_flat_series(self):
-        svg = line_chart(
-            [Series(label="flat", x=(1.0, 2.0), y=(1.0, 1.0), y_err=(0.0, 0.0))], "x", "y", "t"
-        )
-        ET.fromstring(svg)
+    def test_flat_line(self):
+        ET.fromstring(sweep_chart([cell(1, 2, 1.0), cell(2, 2, 1.0)], by_n, "n", "t"))
 
     def test_tick_labels_cover_range(self):
-        svg = line_chart(
-            [Series(label="s", x=(0.0, 1.0), y=(0.0, 100.0), y_err=(0.0, 0.0))], "x", "y", "t"
-        )
-        assert ">20<" in svg and ">80<" in svg
+        svg = sweep_chart([cell(2, 2, 0.0), cell(3, 2, 1.0)], by_n, "n", "t")
+        assert ">0.2<" in svg and ">0.8<" in svg
 
-    def test_rejects_empty_series_list(self):
+    def test_plots_any_abscissa(self):
+        # the noise sweep plots against pooled block fidelity
+        results = [cell(6, 2, 0.9, sigma=0.0), cell(6, 2, 0.4, sigma=0.2)]
+        (points,) = polyline_points(sweep_chart(results, lambda r: r.sigma, "sigma", "t"))
+        assert points[0][0] < points[1][0]
+
+    def test_rejects_empty_results(self):
         with pytest.raises(ValueError):
-            line_chart([], "x", "y", "t")
+            sweep_chart([], by_n, "n", "t")
 
-    def test_rejects_non_series(self):
-        with pytest.raises(TypeError):
-            line_chart([(1, 2)], "x", "y", "t")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_abscissa(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            sweep_chart(two_lines(), lambda r: bad if r.n == 4 else r.n, "n", "t")
 
     def test_save(self, tmp_path):
         path = tmp_path / "chart.svg"
-        save_chart(path, line_chart(two_series(), "x", "y", title="t"))
+        save_chart(path, sweep_chart(two_lines(), by_n, "n", "t"))
         assert path.read_text().startswith("<svg")
 
 
@@ -141,23 +137,3 @@ class TestNiceTicks:
 
     def test_span_below_float_resolution_is_widened(self):
         assert _nice_ticks(1 - 2.2e-16, 1.0) == [0.0, 0.5, 1.0, 1.5, 2.0]
-
-
-class TestSweepChart:
-    def test_one_sorted_line_per_block_size(self):
-        def cell(n, m, fu, se):
-            fq = FidelityStats(mean=0.9, std_error=0.0, samples=1)
-            return SweepResult(n=n, m=m, sigma=0.1, fq=fq, fu=FidelityStats(fu, se, 4))
-
-        # cells out of order in both m and n
-        results = [cell(8, 3, 0.7, 0.02), cell(4, 3, 0.9, 0.01), cell(4, 2, 0.8, 0.03)]
-        expected = line_chart(
-            [
-                Series(label="m = 2", x=(4.0,), y=(0.8,), y_err=(0.03,)),
-                Series(label="m = 3", x=(4.0, 8.0), y=(0.9, 0.7), y_err=(0.01, 0.02)),
-            ],
-            x_label="n",
-            y_label="mean matrix fidelity",
-            title="t",
-        )
-        assert sweep_chart(results, lambda r: r.n, "n", "t") == expected
