@@ -20,8 +20,8 @@ schedule of steps is simulated once on the input's exact zero pattern
 entries.  Dense inputs, including near-permutations with tiny entries, all
 share the one schedule of their ``(n, m)``; inputs with exact zeros (phase
 diagonals, permutations, block-diagonal matrices) get the shorter schedule
-their pattern allows, or the dense one if theirs would be longer than
-``factor_count_bound``.  Schedules are kept in a small bounded cache.
+their pattern allows; no schedule is longer than ``factor_count_bound``
+(see ``_schedule``).  Schedules are kept in a small bounded cache.
 
 Steps on disjoint columns commute, so a schedule splits into wavefront
 layers: a step's layer is its longest-path depth in the column-conflict
@@ -76,7 +76,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _fidelities, as_matrix, rq_decompose
+from .linalg import _fidelities, _to_float, as_matrix, rq_decompose
 
 __all__ = [
     "DecompositionError",
@@ -498,21 +498,13 @@ def _schedule(n: int, m: int, pattern: bytes) -> _Layout:
     """The steps of the sweep of a zero pattern, as a cached ``_Layout``.
 
     The steps come as the ``_Layout`` of the plan they produce, in order and
-    in wavefront layers (see ``_simulate``).  A pattern whose simulated
-    schedule has more than ``factor_count_bound(n, m)`` steps gets the
-    schedule of the dense pattern of ``(n, m)`` instead: it assumes no zeros
-    (the RQs are applied whatever the entries, and finished rows stay zero
-    by structure), so it serves any input, and the bound holds for every
-    pattern by construction.  Only then is the dense schedule simulated.
-    No zero counts are kept: a schedule with sizes ``s`` clears exactly
-    ``sum(s * (s - 1) // 2)`` below-diagonal entries, ``n(n-1)/2`` for a
-    dense pattern (see ``_simulate``).
+    in wavefront layers (see ``_simulate``).  No zero counts are kept: a
+    schedule with sizes ``s`` clears exactly ``sum(s * (s - 1) // 2)`` of
+    the ``n(n-1)/2`` below-diagonal entries, none twice (see ``_simulate``),
+    and each row ends with at most one step smaller than ``m``, the one
+    that takes the diagonal; so no schedule exceeds ``factor_count_bound``.
     """
     base_rows, columns = _simulate(n, m, pattern)
-    if len(base_rows) > factor_count_bound(n, m):
-        dense = _zero_pattern(np.ones((n, n), dtype=bool))
-        if pattern != dense:
-            return _schedule(n, m, dense)
     return _layout_of(
         n,
         m,
@@ -763,7 +755,7 @@ def verify(plan: DecompositionPlan, u, tol: float | None = None) -> Verification
         )
     if tol is None:
         tol = 1e-9 * plan.n
-    tol = float(tol)
+    tol = _to_float(tol)
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     rebuilt = reconstruct(plan)
@@ -804,8 +796,8 @@ def cost_compare(n: int, m: int, c_m: float, c_2: float) -> CostComparison:
     for an ``n`` whose factor counts or total costs exceed the float range.
     """
     n, m = _check_block_size(n, m)
-    c_m = float(c_m)
-    c_2 = float(c_2)
+    c_m = _to_float(c_m)
+    c_2 = _to_float(c_2)
     if not (0 < c_m < math.inf and 0 < c_2 < math.inf):
         raise ValueError(f"costs must be positive and finite, got c_m={c_m}, c_2={c_2}")
     count_m = factor_count_bound(n, m)

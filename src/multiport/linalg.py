@@ -1,12 +1,13 @@
 """Dense complex linear algebra helpers.
 
 Every matrix in this package is a plain numpy ``complex128`` array in
-row-major layout.  The helpers here never mutate their arguments, and all
-random sampling is a pure function of the seed that is passed in.
+row-major layout.  The helpers here never mutate their arguments, and
+every random stream of the package comes from one rule, ``_generator``.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -21,6 +22,23 @@ _U64_MASK = (1 << 64) - 1
 # A 0-d array: adding it costs less than converting a Python scalar per call.
 _ZERO = np.zeros((), dtype=np.complex128)
 _ZERO.setflags(write=False)
+
+
+def _generator(seed: int, *key: int) -> np.random.Generator:
+    """Stream ``key`` of ``seed``: the ``SeedSequence`` of ``seed mod 2**64``
+    with spawn key ``key``.  Seed and key sit in separate words, so seeds
+    that differ modulo ``2**64``, or keys of indices below ``2**32`` that
+    differ, never share a stream; the empty key is ``default_rng(seed mod 2**64)``."""
+    sequence = np.random.SeedSequence(operator.index(seed) & _U64_MASK, spawn_key=key)
+    return np.random.default_rng(sequence)
+
+
+def _to_float(obj) -> float:
+    """``float(obj)``, with a number too large for a float read as an infinity of its sign."""
+    try:
+        return float(obj)
+    except OverflowError:
+        return -math.inf if obj < 0 else math.inf
 
 
 def as_matrix(a, *, square: bool = False) -> np.ndarray:
@@ -106,20 +124,19 @@ def _haar(pairs: np.ndarray) -> np.ndarray:
 
 def haar_random_unitary(n: int, seed: int) -> np.ndarray:
     """Seeded Haar-random unitary; the same integers ``(n, seed)`` give identical output."""
-    return _haar_stack(n, [seed])[0]
+    return _haar_stack(n, [_generator(seed)])[0]
 
 
-def _haar_stack(n: int, seeds) -> np.ndarray:
-    """``haar_random_unitary(n, seed)`` for each seed, as one ``(len(seeds), n, n)`` stack.
+def _haar_stack(n: int, rngs) -> np.ndarray:
+    """One Haar unitary per generator, as one ``(len(rngs), n, n)`` stack.
 
-    Matrix ``t`` draws its ``(n, n, 2)`` Ginibre pairs from its own generator,
-    seeded by ``seeds[t]`` modulo ``2**64``, and the stack goes through one
-    stacked QR (``_haar``); each matrix depends only on its own seed.
+    Matrix ``t`` draws its ``(n, n, 2)`` Ginibre pairs from ``rngs[t]``, and
+    the stack goes through one stacked QR (``_haar``); each matrix depends
+    only on its own generator.
     """
     n = operator.index(n)
     if n < 1:
         raise ValueError(f"dimension must be at least 1, got {n}")
-    rngs = [np.random.default_rng(operator.index(seed) & _U64_MASK) for seed in seeds]
     return _haar(np.stack([rng.standard_normal((n, n, 2)) for rng in rngs]))
 
 

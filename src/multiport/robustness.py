@@ -15,10 +15,10 @@ terms, so ``calibrate_sigma`` is a deterministic bracketed root-find with
 no scipy; ``component_fidelity_estimate`` stays as its independent
 Monte-Carlo cross-check.  The sweeps are Monte Carlo.
 
-All sampling is driven by ``numpy`` seed sequences derived from a single
-master seed plus fixed stream tags, so every sweep is reproducible and
-distinct loops never share a stream.  A joint perturbation of a mesh draws
-the offsets of every block as one flat array of ``(re, im)`` pairs laid
+All sampling is drawn from ``linalg._generator`` of a single master seed,
+keyed by a fixed stream tag and the loop indices, so every sweep is
+reproducible and distinct loops never share a stream.  A joint perturbation
+of a mesh draws the offsets of every block as one flat array of ``(re, im)`` pairs laid
 out like the plan's own ``blocks`` array (factor order, each block
 row-major).  All the perturbations of one trial matrix of a sweep come
 from one generator, in one call: perturbation ``p`` is the ``p``-th
@@ -72,7 +72,7 @@ import numpy as np
 
 from .decomposition import _check_block_size, _compose, _decompose_stack
 from .linalg import (
-    _U64_MASK, _fidelities, _haar, _haar_stack, _segment_fidelities, as_matrix,
+    _fidelities, _generator, _haar, _haar_stack, _segment_fidelities, _to_float, as_matrix,
 )
 
 __all__ = [
@@ -92,28 +92,17 @@ _ESTIMATE_CHUNK = 32768
 # meshes ran slower and used several times the memory.
 _STACK_ENTRIES = 2**18
 
-# Stream tags keep the independent sampling loops (matrix draws, noise draws,
-# component estimates) on disjoint substreams of one seed.
+# Stream tags, the first word of every key, keep the independent sampling
+# loops (matrix draws, noise draws, component estimates) on disjoint streams.
 _MATRIX_STREAM = 1
 _NOISE_STREAM = 2
 _ESTIMATE_STREAM = 4
 
 
-def _child_seed(*parts: int) -> int:
-    """Collapse a tuple of integers, each taken modulo ``2**64``, into one
-    derived 64-bit seed."""
-    entropy = [operator.index(p) & _U64_MASK for p in parts]
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
-
-
-def _rng(*parts: int) -> np.random.Generator:
-    return np.random.default_rng(_child_seed(*parts))
-
-
 def _check_sigma(sigma) -> float:
     """``sigma`` as a float, ``-0.0`` as ``0.0``; raises ``ValueError`` unless
     it is finite and >= 0."""
-    sigma = float(sigma)
+    sigma = _to_float(sigma)
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     return sigma + 0.0  # -0.0 + 0.0 is +0.0
@@ -263,7 +252,9 @@ def component_fidelity_estimate(
 
     Each trial draws a fresh Haar unitary, perturbs it with entry noise of
     strength ``sigma``, and records the fidelity.  Fully vectorized in
-    chunks; deterministic for fixed ``(m, sigma, trials, seed)``.
+    chunks; deterministic for fixed ``(m, sigma, trials, seed)``.  The Haar
+    draws come from ``_generator(seed, _ESTIMATE_STREAM, 0)`` and the noise
+    from ``_generator(seed, _ESTIMATE_STREAM, 1)``.
     """
     m = operator.index(m)
     trials = operator.index(trials)
@@ -275,8 +266,7 @@ def component_fidelity_estimate(
     # Haar draws and noise draws ride separate substreams, so the result is
     # independent of the internal chunk size and two estimates at different
     # sigma share the exact same Haar samples (common random numbers).
-    root = np.random.SeedSequence(_child_seed(seed, _ESTIMATE_STREAM))
-    haar_rng, noise_rng = (np.random.default_rng(s) for s in root.spawn(2))
+    haar_rng, noise_rng = (_generator(seed, _ESTIMATE_STREAM, i) for i in range(2))
     fids = []
     for start in range(0, trials, _ESTIMATE_CHUNK):
         q = _haar(haar_rng.standard_normal((min(_ESTIMATE_CHUNK, trials - start), m, m, 2)))
@@ -350,7 +340,7 @@ def calibrate_sigma(m: int, target_fq: float, tolerance: float) -> CalibrationRe
     m = operator.index(m)
     if m < 2:
         raise ValueError(f"block size must be at least 2, got {m}")
-    target_fq = float(target_fq)
+    target_fq = _to_float(target_fq)
     floor = 1.0 / m**2
     if not floor < target_fq <= 1.0:
         raise ValueError(
@@ -365,7 +355,7 @@ def calibrate_sigma(m: int, target_fq: float, tolerance: float) -> CalibrationRe
             f"target fidelity {target_fq!r} is within float resolution of the "
             f"1/m^2 floor {floor!r} for m={m}"
         )
-    tolerance = float(tolerance)
+    tolerance = _to_float(tolerance)
     if not 0.0 < tolerance < 1.0:
         raise ValueError(f"tolerance must be in (0, 1), got {tolerance}")
     if target_fq == 1.0:
@@ -422,14 +412,14 @@ def _check_counts(n_matrices: int, n_perturbations: int) -> tuple[int, int]:
 def _prepare(n: int, m: int, n_matrices: int, seed: int, key):
     """Draw a sweep's trial matrices and decompose them once, as one stack.
 
-    Matrix ``t`` is the Haar unitary seeded by
-    ``_child_seed(seed, _MATRIX_STREAM, *key, t)``, drawn with the others
-    through one stacked QR (``linalg._haar_stack``).  Returns the
+    Matrix ``t`` is the Haar unitary drawn from
+    ``_generator(seed, _MATRIX_STREAM, *key, t)``, with the others through
+    one stacked QR (``linalg._haar_stack``).  Returns the
     ``(n_matrices, n, n)`` stack followed by what ``_decompose_stack``
     returns for it (the shared layout, the ``(n_matrices, entries)`` blocks
     and the ``(n_matrices, n)`` phases); no plan is built.
     """
-    us = _haar_stack(n, [_child_seed(seed, _MATRIX_STREAM, *key, t) for t in range(n_matrices)])
+    us = _haar_stack(n, [_generator(seed, _MATRIX_STREAM, *key, t) for t in range(n_matrices)])
     return (us, *_decompose_stack(us, m))
 
 
@@ -441,8 +431,8 @@ def _sweep_cells(
     The trial matrices are those of ``_prepare(n, m, n_matrices, seed,
     key)``, one cell per noise strength in ``sigmas``.  Matrix ``t`` has
     one set of noise for the whole list: the ``(draws, entries)`` offsets
-    of ``_rng(_child_seed(seed, _NOISE_STREAM, *key, t), _NOISE_STREAM)``
-    (see ``_offsets``), row ``p`` for perturbation ``p``, which every cell
+    drawn from ``_generator(seed, _NOISE_STREAM, *key, t)`` (see
+    ``_offsets``), row ``p`` for perturbation ``p``, which every cell
     scales by its own sigma (``_perturb``).  So the cells of one sweep
     share their draws, as they share their matrices.  The ``(matrix,
     cell)`` pairs are composed in that order, matrix outermost, in runs of
@@ -473,8 +463,7 @@ def _sweep_cells(
         held = {t: noise for t, noise in held.items() if t == ts[0]}
         for t, sigma in zip(ts.tolist(), chunk_sigmas):
             if sigma and t not in held:
-                rng = _rng(_child_seed(seed, _NOISE_STREAM, *key, t), _NOISE_STREAM)
-                held[t] = _offsets(rng, (draws, entries))
+                held[t] = _offsets(_generator(seed, _NOISE_STREAM, *key, t), (draws, entries))
         rebuilt, block_fids, owner, slices = _perturbed_stack(
             layout, blocks[ts], phases[ts], chunk_sigmas,
             [held.get(t) for t in ts.tolist()], draws,

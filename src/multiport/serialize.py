@@ -42,13 +42,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import operator
 
 import numpy as np
 
 from .decomposition import DecompositionPlan, _FactorError
-from .linalg import as_matrix
+from .linalg import _to_float, as_matrix
 from .robustness import SweepResult
 
 __all__ = [
@@ -111,14 +110,6 @@ def _as_int(obj, name: str) -> int:
     if not _is_int(obj):
         raise ValueError(f"{name} must be an integer")
     return obj
-
-
-def _to_float(obj) -> float:
-    """``float(obj)``, with an integer too large for a float read as infinite."""
-    try:
-        return float(obj)
-    except OverflowError:
-        return math.inf
 
 
 def _finite_floats(values: list, name) -> np.ndarray:

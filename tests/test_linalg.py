@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+import multiport as mp
+from multiport.decomposition import cost_compare
 from multiport.linalg import (
     _fidelities,
+    _generator,
     _haar,
     _haar_stack,
     _segment_fidelities,
+    _to_float,
     as_matrix,
     haar_random_unitary,
     rq_decompose,
@@ -17,6 +21,29 @@ SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 def unitarity_defect(a):
     """``max|A^dag A - I|`` of a square matrix."""
     return np.abs(a.conj().T @ a - np.eye(len(a))).max()
+
+
+class TestToFloat:
+    """A number past the float range reads as the infinity of its sign."""
+
+    @pytest.mark.parametrize("value, expected", [
+        (10**400, np.inf), (-10**400, -np.inf), (3, 3.0), (-0.0, -0.0), (np.int64(-2), -2.0),
+    ])
+    def test_values(self, value, expected):
+        assert repr(_to_float(value)) == repr(expected)
+
+    @pytest.mark.parametrize("big", [10**400, -10**400], ids=["huge", "-huge"])
+    @pytest.mark.parametrize("call", [
+        lambda x: mp.sweep_noise(4, [2], [x], 1, 1, seed=0),
+        lambda x: mp.component_fidelity_estimate(2, x, 4, 0),
+        lambda x: mp.calibrate_sigma(2, x, 1e-3),
+        lambda x: mp.calibrate_sigma(2, 0.9, x),
+        lambda x: mp.verify(mp.decompose(np.eye(2), 2), np.eye(2), tol=x),
+        lambda x: cost_compare(4, 3, x, 1.0),
+    ], ids=["sweep-sigma", "estimate-sigma", "target", "tolerance", "verify-tol", "cost"])
+    def test_range_checks_report_huge_integers(self, call, big):
+        with pytest.raises(ValueError):
+            call(big)
 
 
 class TestAsMatrix:
@@ -107,14 +134,42 @@ class TestHaarRandomUnitary:
         np.testing.assert_array_equal(haar_random_unitary(4, np.int64(1)), haar_random_unitary(4, 1))
 
 
+class TestGenerator:
+    """Every stream is numpy's spawn-key child of the seed modulo 2**64."""
+
+    SEEDS = [0, 1, 2**32 + 7, 2**64 + 5, -1]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_empty_key_is_the_plain_seeded_generator(self, seed):
+        expected = np.random.default_rng(seed % 2**64).standard_normal(16)
+        assert _generator(seed).standard_normal(16).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_key_is_the_spawn_key(self, seed):
+        expected = np.random.default_rng(np.random.SeedSequence(seed % 2**64, spawn_key=(4, 1)))
+        assert _generator(seed, 4, 1).random(8).tobytes() == expected.random(8).tobytes()
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # trailing zero words of a key still name another stream
+            ((7, 1, 0, 0), (7, 1)),
+            # a seed's high word does not spill into the key
+            ((2**32 + 7, 1, 0, 0), (7, 1, 1, 0, 0)),
+        ],
+    )
+    def test_distinct_keys_give_distinct_streams(self, a, b):
+        assert _generator(*a).random(4).tobytes() != _generator(*b).random(4).tobytes()
+
+
 class TestHaarStack:
-    """One stacked QR for seeded Haar draws, each matrix from its own generator."""
+    """One stacked QR for Haar draws, each matrix from its own generator."""
 
     def test_equals_one_matrix_at_a_time(self):
         for n in range(2, 65):
             for count in range(1, 6):
                 seeds = [n * 1000 + 7 * t - 3 for t in range(count)]
-                stack = _haar_stack(n, seeds)
+                stack = _haar_stack(n, [_generator(seed) for seed in seeds])
                 assert stack.shape == (count, n, n)
                 for matrix, seed in zip(stack, seeds):
                     # the construction ``_haar`` documents, one matrix at a time
@@ -124,13 +179,13 @@ class TestHaarStack:
                     assert matrix.tobytes() == haar_random_unitary(n, seed).tobytes()
 
     def test_seeds_wrap_like_haar_random_unitary(self):
-        stack = _haar_stack(3, [-1, 2**64 + 5, np.int64(4)])
+        stack = _haar_stack(3, [_generator(seed) for seed in [-1, 2**64 + 5, np.int64(4)]])
         for matrix, seed in zip(stack, [2**64 - 1, 5, 4]):
             np.testing.assert_array_equal(matrix, haar_random_unitary(3, seed))
 
     def test_rejects_zero_dimension(self):
         with pytest.raises(ValueError):
-            _haar_stack(0, [1])
+            _haar_stack(0, [_generator(1)])
 
 
 class TestFlatFidelities:

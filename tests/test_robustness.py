@@ -1,7 +1,4 @@
-import itertools
 import math
-import operator
-import random
 import statistics
 import subprocess
 import sys
@@ -16,14 +13,16 @@ from scipy.special import hyp1f1
 from multiport import robustness
 from multiport.decomposition import _compose, decompose, reconstruct
 from multiport.linalg import (
-    _U64_MASK,
     _fidelities,
+    _generator,
     _haar,
+    _haar_stack,
     _segment_fidelities,
     haar_random_unitary,
 )
 from multiport.robustness import (
     _ESTIMATE_STREAM,
+    _MATRIX_STREAM,
     _NOISE_STREAM,
     FidelityStats,
     _mean_block_fidelity,
@@ -220,9 +219,9 @@ def sample_plan():
     return u, decompose(u, 3)
 
 
-def _noise(seed, draws, size):
-    """The ``(draws, size)`` offsets a sweep draws for a matrix whose noise seed is ``seed``."""
-    return _offsets(robustness._rng(seed, _NOISE_STREAM), (draws, size))
+def _noise(seed, draws, size, key=()):
+    """The ``(draws, size)`` offsets that stream ``key`` of ``seed`` draws for one matrix."""
+    return _offsets(_generator(seed, *key), (draws, size))
 
 
 def _drawn(blocks, sigma, seed, draws):
@@ -230,12 +229,12 @@ def _drawn(blocks, sigma, seed, draws):
     return _perturb(blocks, sigma, _noise(seed, draws, blocks.size))
 
 
-def _plan_stack(plan, sigma, seed, draws):
+def _plan_stack(plan, sigma, seed, draws, key=()):
     """``_perturbed_stack`` on the arrays of one plan: one set of blocks, ``draws``
     draws, with its slices and block fidelities placed as ``(1, draws, ...)``."""
     rebuilt, block_fids, _, slices = _perturbed_stack(
         plan._layout, plan.blocks[np.newaxis], plan.phases[np.newaxis], [sigma],
-        [_noise(seed, draws, plan.blocks.size)], draws,
+        [_noise(seed, draws, plan.blocks.size, key)], draws,
     )
     return rebuilt[slices], block_fids[slices]
 
@@ -271,7 +270,7 @@ class TestPerturbBlocks:
         _, plan = sample_plan
         blocks = plan.blocks
         flat = _drawn(blocks, 0.2, 31, 4)
-        rng = robustness._rng(31, _NOISE_STREAM)
+        rng = _generator(31)
         for p in range(4):
             pairs = rng.standard_normal((blocks.size, 2))
             np.testing.assert_array_equal(flat[p], blocks + 0.2 * (pairs[:, 0] + 1j * pairs[:, 1]))
@@ -439,11 +438,12 @@ class TestComponentFidelityEstimate:
 
     @pytest.mark.parametrize("m,sigma", [(2, 0.1), (3, 0.05), (5, 1e-8), (10, 0.3)])
     def test_draws_through_the_one_noise_path(self, m, sigma):
-        # rebuilt from the documented streams: Haar draws on the first child
-        # of the estimate's seed sequence, noise through ``_perturb`` on the
-        # second, in one chunk for this many trials
+        # rebuilt from the documented streams, the two children numpy spawns
+        # from the seed keyed by the estimate's stream tag: Haar draws on the
+        # first, noise through ``_perturb`` on the second, in one chunk for
+        # this many trials
         trials, seed = 1000, 23
-        root = np.random.SeedSequence(robustness._child_seed(seed, _ESTIMATE_STREAM))
+        root = np.random.SeedSequence(seed, spawn_key=(_ESTIMATE_STREAM,))
         haar_rng, noise_rng = (np.random.default_rng(s) for s in root.spawn(2))
         q = _haar(haar_rng.standard_normal((trials, m, m, 2)))
         p = _perturb(q, sigma, _offsets(noise_rng, (trials, m, m)))
@@ -663,13 +663,11 @@ class TestSweepNoise:
         assert a != b
 
     def test_fq_pools_every_factor_draw(self):
-        from multiport.robustness import _MATRIX_STREAM, _child_seed
-
         res = sweep_noise(5, [3], [0.1], 2, 3, seed=8)
         (row,) = res
         # every perturbation draw contributes one fidelity sample per factor
         expected = sum(
-            3 * len(decompose(haar_random_unitary(5, _child_seed(8, _MATRIX_STREAM, 0, t)), 3).factors)
+            3 * len(decompose(_haar_stack(5, [_generator(8, _MATRIX_STREAM, 0, t)])[0], 3).sizes)
             for t in range(2)
         )
         assert row.fq.samples == expected
@@ -741,26 +739,25 @@ def _pooled(values):
     return values.mean(), values.std(ddof=1) / np.sqrt(values.size), values.size
 
 
-def _documented_cell(n, m, sigma, n_matrices, n_perturbations, seed, matrix_key, noise_key):
-    """One sweep cell rebuilt from public per-matrix pieces and its documented seeds.
+def _spawned(seed, *key):
+    """numpy's generator for the seed sequence of ``seed`` with spawn key ``key``."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
-    Matrix ``t`` is ``haar_random_unitary(n, _child_seed(seed, _MATRIX_STREAM,
-    *matrix_key, t))``.  Its draws all come from the one generator seeded by
-    ``_child_seed(_child_seed(seed, _NOISE_STREAM, *noise_key, t), _NOISE_STREAM)``,
-    which draws ``(re, im)`` offsets for ``plan.blocks`` in order, one
-    perturbation after another; the first is the one-draw stack of the
-    plan with seed ``_child_seed(seed, _NOISE_STREAM, *noise_key, t)``.
+
+def _documented_cell(n, m, sigma, n_matrices, n_perturbations, seed, key):
+    """One sweep cell rebuilt from public per-matrix pieces and its documented streams.
+
+    Matrix ``t`` is the Haar unitary ``_haar`` makes of the first draw of
+    ``_spawned(seed, _MATRIX_STREAM, *key, t)``.  Its noise all comes from
+    ``_spawned(seed, _NOISE_STREAM, *key, t)``, which draws ``(re, im)``
+    offsets for ``plan.blocks`` in order, one perturbation after another;
+    the first is the one-draw stack of the plan on that stream.
     """
-    from multiport.robustness import _MATRIX_STREAM, _child_seed
-
     fq, fu = [], []
     for t in range(n_matrices):
-        u = haar_random_unitary(n, _child_seed(seed, _MATRIX_STREAM, *matrix_key, t))
+        u = _haar(_spawned(seed, _MATRIX_STREAM, *key, t).standard_normal((n, n, 2)))
         plan = decompose(u, m)
-        noise_seed = _child_seed(seed, _NOISE_STREAM, *noise_key, t)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(_child_seed(noise_seed, _NOISE_STREAM))
-        )
+        rng = _spawned(seed, _NOISE_STREAM, *key, t)
         for p in range(n_perturbations):
             offsets = rng.standard_normal((plan.blocks.size, 2))
             perturbed = plan.blocks + sigma * (offsets[:, 0] + 1j * offsets[:, 1])
@@ -771,7 +768,7 @@ def _documented_cell(n, m, sigma, n_matrices, n_perturbations, seed, matrix_key,
                 start = stop
             rebuilt = _compose(plan._layout, perturbed, plan.phases)
             if p == 0:
-                first, _ = _plan_stack(plan, sigma, noise_seed, 1)
+                first, _ = _plan_stack(plan, sigma, seed, 1, (_NOISE_STREAM, *key, t))
                 np.testing.assert_array_equal(rebuilt, first[0, 0])
             fu.append(fidelity(u, rebuilt))
     return _pooled(fq), _pooled(fu)
@@ -795,7 +792,7 @@ class TestSweepSeeding:
         for result, (mi, m, sigma) in zip(results, cells):
             assert (result.m, result.sigma) == (m, sigma)
             # every sigma of one m perturbs with the same draws
-            self._check(result, _documented_cell(6, m, sigma, 2, 3, 5, (mi,), (mi,)))
+            self._check(result, _documented_cell(6, m, sigma, 2, 3, 5, (mi,)))
 
     def test_sweep_size(self):
         results = sweep_size([2], [3, 5], 0.95, 0.005, 2, 3, seed=4)
@@ -803,41 +800,18 @@ class TestSweepSeeding:
         assert [r.n for r in results] == [3, 5]
         for ni, result in enumerate(results):
             assert result.sigma == sigma
-            self._check(result, _documented_cell(result.n, 2, sigma, 2, 3, 4, (0, ni), (0, ni)))
+            self._check(result, _documented_cell(result.n, 2, sigma, 2, 3, 4, (0, ni)))
 
 
-def _reference_child_seed(*parts):
-    """``_child_seed`` by its definition: numpy's hash of the parts modulo 2**64."""
-    entropy = tuple(operator.index(p) & _U64_MASK for p in parts)
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+class TestStreams:
+    """Distinct loops of the sweeps never share a stream, whatever the seed."""
 
-
-class TestChildSeed:
-    """The seeds and generators of the streams, pinned to numpy's own coercion of the parts."""
-
-    PARTS = [
-        0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, 2**70 + 3,
-        np.int64(-5), np.uint64(2**63 + 7), np.int32(7), np.uint8(0),
-    ]
-
-    @classmethod
-    def _tuples(cls):
-        pick = random.Random(0)
-        for k in range(1, 8):
-            yield from itertools.product(cls.PARTS, repeat=k) if k <= 2 else (
-                tuple(pick.choice(cls.PARTS) for _ in range(k)) for _ in range(150)
-            )
-
-    def test_matches_the_definition(self):
-        for parts in self._tuples():
-            assert robustness._child_seed(*parts) == _reference_child_seed(*parts), parts
-
-    def test_generators_match_the_definition(self):
-        for parts in [(7, 2, 0, 1, 3), (2**64 - 1, 2), (0,), (-1, 2**32)]:
-            expected = np.random.default_rng(np.random.SeedSequence(_reference_child_seed(*parts)))
-            np.testing.assert_array_equal(
-                robustness._rng(*parts).standard_normal(5), expected.standard_normal(5)
-            )
+    def test_a_high_seed_word_does_not_alias_a_key(self):
+        # A noise sweep at seed 2**32 + 7 and a size sweep at seed 7: the
+        # seed's high word must not read as the first index of a key.
+        noise_first = robustness._prepare(5, 2, 1, 7 + 2**32, (0,))[0][0]
+        size_first = robustness._prepare(5, 3, 1, 7, (1, 0))[0][0]
+        assert not np.array_equal(noise_first, size_first)
 
 
 class TestSweepStacks:
@@ -891,17 +865,15 @@ class TestSweepStacks:
         """``sweep_noise`` with every draw composed and scored alone, the P
         equal draws of a sigma = 0 pair included, pooled in the sweep's
         order; each matrix's noise is drawn once and serves every sigma."""
-        from multiport.robustness import _MATRIX_STREAM, _child_seed
-
         results = []
         for mi, m in enumerate(m_list):
             us = [
-                haar_random_unitary(n, _child_seed(seed, _MATRIX_STREAM, mi, t))
+                _haar_stack(n, [_generator(seed, _MATRIX_STREAM, mi, t)])[0]
                 for t in range(n_matrices)
             ]
             plans = [decompose(u, m) for u in us]
             noises = [
-                _noise(_child_seed(seed, _NOISE_STREAM, mi, t), draws, plan.blocks.size)
+                _noise(seed, draws, plan.blocks.size, (_NOISE_STREAM, mi, t))
                 for t, plan in enumerate(plans)
             ]
             for sigma in sigmas:
