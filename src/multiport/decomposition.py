@@ -59,12 +59,13 @@ rows, ``(n, 2, n)`` floats per matrix, and each block into its real
 ones at these shapes.  The sweep stays complex: its RQs need complex
 blocks, so split rows would pay a conversion per group, and they measured
 no faster there.
-A ``DecompositionPlan`` stores its factors as flat arrays in factor order
-(sizes, base rows, padded columns and one array of row-major blocks) and
-validates them once, when it is built; ``plan.factors`` returns records
-whose blocks are read-only views of those arrays.  One validator,
-``_validated``, serves both: it checks a plan's fields, or a sweep's whole
-stack of blocks and phases at once, with the same checks and messages.
+A ``DecompositionPlan`` stores its factors as flat arrays in factor order,
+the arrays of its JSON file (sizes, base rows, 1-based columns and one
+array of row-major blocks), and validates them once, when it is built;
+``plan.factors`` returns records whose blocks are read-only views of
+those arrays.  One validator, ``_validated``, serves both: it checks a
+plan's fields, or a sweep's whole stack of blocks and phases at once, with
+the same checks and messages.
 """
 
 from __future__ import annotations
@@ -107,13 +108,6 @@ def _check_block_size(n, m) -> tuple[int, int]:
     return n, m
 
 
-@functools.lru_cache(maxsize=32)
-def _identity(k: int) -> np.ndarray:
-    eye = np.eye(k, dtype=np.complex128)
-    eye.setflags(write=False)
-    return eye
-
-
 def _first(bad: np.ndarray) -> int | None:
     """Index of the first true entry of ``bad``, or ``None``."""
     return int(np.argmax(bad)) if bad.any() else None
@@ -122,24 +116,28 @@ def _first(bad: np.ndarray) -> int | None:
 def _factor_fault(sizes, base_rows, columns) -> tuple[int, str] | None:
     """The first factor of a plan with a malformed size, columns or base row.
 
-    ``columns`` holds each factor's 0-based columns padded with -1 to a
-    width that fits every factor; returns ``(k, message)`` for the first
+    ``columns`` holds each factor's 1-based columns, concatenated in factor
+    order, ``sum(sizes)`` of them; returns ``(k, message)`` for the first
     factor ``k`` failing a check, or ``None``.
     """
-    def named(k):
-        return tuple(int(c) + 1 for c in columns[k, : sizes[k]])
-
     k = _first(sizes < 2)
     if k is not None:
         return k, f"block size must be at least 2, got {sizes[k]}"
-    k = _first(columns[:, 0] < 0)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+
+    def named(k):
+        return tuple(columns[starts[k] : ends[k]].tolist())
+
+    k = _first(columns[starts] < 1)
     if k is not None:
         return k, f"column indices are 1-based, got {named(k)}"
-    inside = np.arange(1, columns.shape[1]) < sizes[:, np.newaxis]
-    k = _first(((columns[:, 1:] <= columns[:, :-1]) & inside).any(axis=1))
-    if k is not None:
+    owner = np.repeat(np.arange(len(sizes)), sizes)  # the factor of each column
+    j = _first((columns[1:] <= columns[:-1]) & (owner[1:] == owner[:-1]))
+    if j is not None:
+        k = int(owner[j])
         return k, f"columns must be strictly ascending, got {named(k)}"
-    last = columns[np.arange(len(sizes)), sizes - 1] + 1
+    last = columns[ends - 1]
     k = _first(base_rows < last)
     if k is not None:
         return k, f"base row {base_rows[k]} lies above the last column {last[k]}"
@@ -150,7 +148,7 @@ def _unitarity_defects(blocks: np.ndarray) -> np.ndarray:
     """``max|B^dag B - I|`` of every ``s x s`` block of a ``(..., s, s)`` stack."""
     # einsum: 2.2 ms for 4950 2x2 blocks against 4.4 ms for a stacked ``@`` (2 cores).
     gram = np.einsum("...ji,...jk->...ik", np.conj(blocks), blocks)
-    return np.abs(gram - _identity(blocks.shape[-1])).max(axis=(-2, -1))
+    return np.abs(gram - np.eye(blocks.shape[-1])).max(axis=(-2, -1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,8 +184,8 @@ def _frozen(values, dtype) -> np.ndarray:
 class _Layout:
     """Where each factor of a sequence sits, and its wavefront layers.
 
-    ``sizes``, ``base_rows`` (1-based) and ``columns`` (0-based, padded with
-    -1 to width m) list the factors in order, and block ``k`` fills
+    ``sizes``, ``base_rows`` (1-based) and ``columns`` (each factor's 1-based
+    columns, concatenated) list the factors in order, and block ``k`` fills
     ``offsets[k]:offsets[k + 1]`` of a flat block array.  ``applied`` holds
     one ``(size, factors, entries)`` triple per block size, the sizes
     ascending: ``factors`` are the indices of that size's factors in the
@@ -218,7 +216,7 @@ class _Layout:
 
 
 @functools.lru_cache(maxsize=_SCHEDULE_CACHE_SIZE)
-def _layout_of(n: int, m: int, base_rows: bytes, columns: bytes) -> _Layout:
+def _layout_of(n: int, m: int, sizes: bytes, base_rows: bytes, columns: bytes) -> _Layout:
     """Lay out a valid factor sequence given by the bytes of its intp arrays.
 
     Steps on disjoint columns commute, so a factor's layer is its
@@ -230,21 +228,27 @@ def _layout_of(n: int, m: int, base_rows: bytes, columns: bytes) -> _Layout:
     columns and its span of ``entries`` places each block.  The layers
     depend only on ``n`` and the columns, so a plan read back from its
     JSON gets the layers of the plan it was written from; layouts are kept
-    in a small bounded cache.
+    in a small bounded cache.  Only here do columns turn 0-based: the
+    groups' ``cols``, ``index`` and ``run`` address rows of the working
+    matrices.
     """
+    sizes = np.frombuffer(sizes, dtype=np.intp)
     base = np.frombuffer(base_rows, dtype=np.intp)
-    cols = np.frombuffer(columns, dtype=np.intp).reshape(-1, m)
-    sizes = _frozen(np.count_nonzero(cols >= 0, axis=1), np.intp)
+    flat = np.frombuffer(columns, dtype=np.intp)
+    zero_based = flat - 1
+    starts = np.cumsum(sizes) - sizes  # each factor's first entry in ``flat``
     offsets = _frozen(np.concatenate(([0], np.cumsum(sizes * sizes))), np.intp)
     depth = [0] * n  # per column, one past the deepest layer that used it
     layer = []
-    for s, row in zip(sizes.tolist(), cols.tolist()):
-        row = row[:s]
+    listed = zero_based.tolist()
+    for s, start in zip(sizes.tolist(), starts.tolist()):
+        row = listed[start : start + s]
         d = max(map(depth.__getitem__, row))
         layer.append(d)
         for c in row:
             depth[c] = d + 1
-    order = np.lexsort((cols[:, 0], sizes, layer))
+    first = zero_based[starts]
+    order = np.lexsort((first, sizes, layer))
     key = (np.asarray(layer, dtype=np.intp) * (m + 1) + sizes)[order]
     bounds = np.flatnonzero(np.diff(key, prepend=-1, append=-1)).tolist()
     # Each size's factors are listed in the order the composition applies
@@ -255,7 +259,7 @@ def _layout_of(n: int, m: int, base_rows: bytes, columns: bytes) -> _Layout:
         group = order[start:stop]
         s = int(sizes[group[0]])
         left[s] -= len(group)
-        group_cols = cols[group, :s]
+        group_cols = zero_based[starts[group, np.newaxis] + np.arange(s)]
         c0 = int(group_cols[0, 0])
         run = slice(c0, c0 + group_cols.size)
         tiled = np.array_equal(group_cols.ravel(), np.arange(run.start, run.stop))
@@ -267,13 +271,13 @@ def _layout_of(n: int, m: int, base_rows: bytes, columns: bytes) -> _Layout:
             slice(left[s], left[s] + len(group)),
             run if tiled else None,
         ))
-    backwards = np.lexsort((cols[:, 0], np.negative(layer)))  # that listing order
+    backwards = np.lexsort((first, np.negative(layer)))  # that listing order
     applied = []
     for s in np.flatnonzero(np.bincount(sizes)).tolist():
         factors = backwards[sizes[backwards] == s]
         entries = offsets[factors, np.newaxis] + np.arange(s * s)
         applied.append((s, _frozen(factors, np.intp), _frozen(entries, np.intp)))
-    return _Layout(sizes, base, cols, offsets, tuple(layers), tuple(applied))
+    return _Layout(sizes, base, flat, offsets, tuple(layers), tuple(applied))
 
 
 _PLAN_FIELDS = ("n", "m", "sizes", "base_rows", "columns", "blocks", "phases", "_layout")
@@ -318,15 +322,14 @@ def _validated(n, m, sizes, base_rows, columns, blocks, phases, stack=()):
     if k is not None:
         raise ValueError(f"factors[{k}] has size {sizes[k]} > m = {m}")
     columns = _frozen(columns, np.intp)
-    if columns.shape != (len(sizes), m):
+    count = int(sizes.sum())
+    if columns.shape != (count,):
         raise ValueError(
-            f"columns must be a ({len(sizes)}, {m}) array, got shape {columns.shape}"
+            f"columns must be 1-D of length sum(sizes) = {count}, got shape {columns.shape}"
         )
     fault = _factor_fault(sizes, base_rows, columns)
     if fault is not None:
         raise _FactorError("factors[%d]: %s" % fault)
-    if (columns[np.arange(m) >= sizes[:, np.newaxis]] != -1).any():
-        raise ValueError("columns must be padded with -1 past each factor's size")
     k = _first(base_rows > n)
     if k is not None:
         raise ValueError(f"factors[{k}] base row {base_rows[k]} exceeds n = {n}")
@@ -335,7 +338,7 @@ def _validated(n, m, sizes, base_rows, columns, blocks, phases, stack=()):
     if blocks.shape != stack + (entries,):
         raise ValueError(f"expected {entries} block entries, got shape {blocks.shape}")
 
-    layout = _layout_of(n, m, base_rows.tobytes(), columns.tobytes())
+    layout = _layout_of(n, m, sizes.tobytes(), base_rows.tobytes(), columns.tobytes())
     defects = np.empty(stack + (len(sizes),))
     for s, factors, entries in layout.applied:
         defects[..., factors] = _unitarity_defects(blocks[..., entries].reshape(stack + (-1, s, s)))
@@ -354,16 +357,16 @@ class DecompositionPlan:
 
     The factors, in the order they were applied to the working matrix, are
     stored as flat arrays: ``sizes`` and 1-based ``base_rows`` (one entry
-    per factor), ``columns`` (each factor's 0-based modes, padded with -1 to
-    width ``m``) and ``blocks`` (every block row-major, one after the
-    other).  ``phases`` holds the n output phase angles, each in
-    ``(-pi, pi]``, defining ``D = diag(exp(1j * phases))``.  Construction
-    copies the arrays read-only, validates every factor (size, columns,
-    base row, and the unitarity of the blocks as one stacked check per
-    block size) and splits the factors into wavefront layers, all through
-    ``_validated``, the one factor validator, which also checks the block
-    stacks of the sweeps.  ``factors`` lists them as ``Factor`` records
-    over read-only views of ``blocks``.
+    per factor), ``columns`` (each factor's 1-based modes, concatenated)
+    and ``blocks`` (every block row-major, one after the other), the
+    arrays of the plan's JSON file.  ``phases`` holds the n output phase
+    angles, each in ``(-pi, pi]``, defining ``D = diag(exp(1j * phases))``.
+    Construction copies the arrays read-only, validates every factor (size,
+    columns, base row, and the unitarity of the blocks as one stacked check
+    per block size) and splits the factors into wavefront layers, all
+    through ``_validated``, the one factor validator, which also checks the
+    block stacks of the sweeps.  ``factors`` lists them as ``Factor``
+    records over read-only views of ``blocks``.
     """
 
     n: int
@@ -384,13 +387,13 @@ class DecompositionPlan:
     @property
     def factors(self) -> tuple[Factor, ...]:
         """The factors in the order they were applied; blocks are views of ``blocks``."""
-        blocks = self.blocks
+        blocks, columns = self.blocks, self.columns.tolist()
         return tuple(
-            Factor(s, row, tuple(cols[:s]), blocks[start : start + s * s].reshape(s, s))
-            for s, row, cols, start in zip(
+            Factor(s, row, tuple(columns[end - s : end]), blocks[b : b + s * s].reshape(s, s))
+            for s, row, end, b in zip(
                 self.sizes.tolist(),
                 self.base_rows.tolist(),
-                (self.columns + 1).tolist(),
+                np.cumsum(self.sizes).tolist(),
                 self._layout.offsets.tolist(),
             )
         )
@@ -504,24 +507,20 @@ def _schedule(n: int, m: int, pattern: bytes) -> _Layout:
     and each row ends with at most one step smaller than ``m``, the one
     that takes the diagonal; so no schedule exceeds ``factor_count_bound``.
     """
-    base_rows, columns = _simulate(n, m, pattern)
-    return _layout_of(
-        n,
-        m,
-        np.array(base_rows, dtype=np.intp).tobytes(),
-        np.array(columns, dtype=np.intp).reshape(-1, m).tobytes(),
-    )
+    steps = _simulate(n, m, pattern)
+    return _layout_of(n, m, *(np.array(a, dtype=np.intp).tobytes() for a in steps))
 
 
 def _simulate(n: int, m: int, pattern: bytes):
     """Simulate the sweep on a zero pattern; return its steps.
 
-    The steps come in order as their base rows and their columns, each
-    padded with -1 to ``m``: a step of size ``s`` with base row ``b`` covers
-    the rows ``b - s:b`` (``b - 1`` is the active row) and its columns.  A
-    step's RQ sets the block's lower triangle to exact
-    zeros; any other row with a nonzero in the block's columns may then hold
-    nonzeros in all of them, and a row with none keeps exact zeros there.
+    The steps come in order as three lists, the arrays of a plan: their
+    sizes, their base rows and their 1-based columns, concatenated.  A step
+    of size ``s`` with base row ``b`` covers the rows ``b - s:b`` (``b - 1``
+    is the active row) and its columns.  A step's RQ sets the block's lower
+    triangle to exact zeros; any other row with a nonzero in the block's
+    columns may then hold nonzeros in all of them, and a row with none
+    keeps exact zeros there.
     The one exception is a 2-column step whose bottom row is ``(x, 0)``:
     its rotation is an exact swap with phases, so the columns trade entries.
     Rows below the active row are finished and never touched.
@@ -542,7 +541,7 @@ def _simulate(n: int, m: int, pattern: bytes):
     for r, mask in enumerate(rows):
         for c in _bits(mask):
             col_rows[c] |= 1 << r
-    base_rows, columns = [], []
+    sizes, base_rows, columns = [], [], []
     for row in range(n - 1, 0, -1):
         diag = 1 << row
         while True:
@@ -587,9 +586,10 @@ def _simulate(n: int, m: int, pattern: bytes):
                         rows[r] = (rows[r] & ~block) | kept
                         for c in cols[k:]:
                             col_rows[c] |= 1 << r
+            sizes.append(size)
             base_rows.append(row + 1)
-            columns.append(cols + [-1] * (m - size))
-    return base_rows, columns
+            columns.extend(c + 1 for c in cols)
+    return sizes, base_rows, columns
 
 
 def _sweep(w: np.ndarray, layout: _Layout) -> np.ndarray:

@@ -198,10 +198,9 @@ def plan_to_json(plan: DecompositionPlan) -> str:
         '  "phases": [' + ", ".join(["%.17g"] * plan.n) + "]\n"
         "}\n"
     )
-    columns = (plan.columns[plan.columns >= 0] + 1).tolist()  # row-major: factor order
     parts = (plan.blocks.view(np.float64) + 0.0).tolist()  # negative zeros become 0
     phases = (plan.phases + 0.0).tolist()
-    return template % tuple(columns + parts + phases)
+    return template % tuple(plan.columns.tolist() + parts + phases)
 
 
 def _list_of(obj: dict, key: str, types, what: str) -> list:
@@ -245,11 +244,6 @@ def json_to_plan(text: str) -> DecompositionPlan:
         len(blocks) == count,
         f"blocks must hold 2 * sum(sizes**2) = {count} numbers, got {len(blocks)}",
     )
-    try:
-        base_rows = np.array(base_rows, dtype=np.intp)
-        columns = np.array(columns, dtype=np.intp) - 1
-    except OverflowError:
-        raise ValueError("invalid plan: a base row or column is out of range") from None
     sizes = np.array(sizes, dtype=np.intp)
     ends = np.cumsum(sizes * sizes)
 
@@ -260,19 +254,13 @@ def json_to_plan(text: str) -> DecompositionPlan:
 
     blocks = _finite_floats(blocks, entry_name).view(np.complex128)
     phases = _finite_floats(phases, lambda k: f"phases[{k}]")
-    # The plan takes the columns padded with -1 to width m.  Before it reads
-    # the columns it rejects an m outside 2..n, phases of a length other
-    # than n, and then a size below 2 or above m.  So the clamp only keeps
-    # a bad m from sizing the array, and a bad size never places columns.
-    width = max(min(m, len(phases)), 0)
-    padded = np.full((len(sizes), width), -1, dtype=np.intp)
-    if ((sizes >= 0) & (sizes <= width)).all():
-        padded[np.arange(width) < sizes[:, np.newaxis]] = columns
     try:
         return DecompositionPlan(
-            n=n, m=m, sizes=sizes, base_rows=base_rows, columns=padded,
+            n=n, m=m, sizes=sizes, base_rows=base_rows, columns=columns,
             blocks=blocks, phases=phases,
         )
+    except OverflowError:
+        raise ValueError("invalid plan: a base row or column is out of range") from None
     except _FactorError:
         raise
     except ValueError as exc:

@@ -113,7 +113,9 @@ def test_structural_zero_postconditions_hold(case_suite):
     for c in cases:
         stamps = np.zeros((c.n, c.n), dtype=int)
         plan = c.plan
-        for s, b, cols in zip(plan.sizes.tolist(), plan.base_rows.tolist(), plan.columns):
+        ends = np.cumsum(plan.sizes).tolist()
+        for s, b, end in zip(plan.sizes.tolist(), plan.base_rows.tolist(), ends):
+            cols = plan.columns[end - s : end] - 1
             i, j = np.tril_indices(s, -1)
             stamps[b - s + i, cols[j]] += 1  # a factor's own stamps are distinct
         assert stamps.max(initial=0) <= 1, (c.kind, c.n, c.m)

@@ -28,16 +28,12 @@ SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 def plan_from_factors(n, m, factors, phases):
     """The plan holding ``factors``, in order, and ``phases``."""
-    width = max([m] + [f.size for f in factors])
-    columns = np.full((len(factors), width), -1)
-    for k, f in enumerate(factors):
-        columns[k, : f.size] = np.array(f.columns) - 1
     return DecompositionPlan(
         n=n,
         m=m,
         sizes=[f.size for f in factors],
         base_rows=[f.base_row for f in factors],
-        columns=columns,
+        columns=[c for f in factors for c in f.columns],
         blocks=np.concatenate([np.zeros(0, complex)] + [f.block.ravel() for f in factors]),
         phases=phases,
     )
@@ -56,6 +52,13 @@ def embed(factor, n):
     return out
 
 
+def zero_based_columns(steps, k, s):
+    """The 0-based columns of the factors ``k`` of a plan or layout, all of
+    size ``s``, as a ``(len(k), s)`` array."""
+    starts = np.cumsum(steps.sizes) - steps.sizes
+    return steps.columns[starts[k, np.newaxis] + np.arange(s)] - 1
+
+
 def stamp_counts(n, steps):
     """How many factors of a plan or layout stamp each entry of an n x n matrix.
 
@@ -67,7 +70,8 @@ def stamp_counts(n, steps):
     for s in set(steps.sizes.tolist()):
         k = steps.sizes == s
         i, j = np.tril_indices(s, -1)
-        np.add.at(counts, (steps.base_rows[k, np.newaxis] - s + i, steps.columns[k][:, j]), 1)
+        cols = zero_based_columns(steps, k, s)
+        np.add.at(counts, (steps.base_rows[k, np.newaxis] - s + i, cols[:, j]), 1)
     return counts
 
 
@@ -140,7 +144,7 @@ class TestFactor:
     def test_block_is_write_protected_copy(self):
         blocks = np.concatenate([SWAP.ravel(), haar_random_unitary(2, 4).ravel()])
         sizes, base_rows = np.array([2, 2]), np.array([3, 3])
-        columns = np.array([[0, 2], [1, 2]])
+        columns = np.array([1, 3, 2, 3])
         plan = DecompositionPlan(
             n=3, m=2, sizes=sizes, base_rows=base_rows, columns=columns,
             blocks=blocks, phases=np.zeros(3),
@@ -559,9 +563,9 @@ class TestSchedule:
         simulate = decomposition._simulate
 
         def overlong(n, m, pattern):
-            base_rows, columns = simulate(n, m, pattern)
+            sizes, base_rows, columns = simulate(n, m, pattern)
             extra = bound + 1 - len(base_rows)
-            return base_rows + [2] * extra, columns + [[0, 1, -1]] * extra
+            return sizes + [2] * extra, base_rows + [2] * extra, columns + [1, 2] * extra
 
         us = np.stack([haar_random_unitary(n, seed) for seed in (1, 2)])
         _schedule.cache_clear()
@@ -630,11 +634,12 @@ class TestLayers:
         """``diag(exp(1j*phases))`` times the daggered full-size embeddings of
         a layout's factors, holding ``blocks``, one complex product at a time."""
         expected = np.diag(np.exp(1j * phases))
-        for s, row, cols, start in reversed(list(zip(
+        for s, row, end, start in reversed(list(zip(
             layout.sizes.tolist(), layout.base_rows.tolist(),
-            (layout.columns + 1).tolist(), layout.offsets.tolist(),
+            np.cumsum(layout.sizes).tolist(), layout.offsets.tolist(),
         ))):
-            factor = Factor(s, row, tuple(cols[:s]), blocks[start : start + s * s].reshape(s, s))
+            cols = tuple(layout.columns[end - s : end].tolist())
+            factor = Factor(s, row, cols, blocks[start : start + s * s].reshape(s, s))
             expected = expected @ embed(factor, n).conj().T
         return expected
 
@@ -717,7 +722,7 @@ class TestLayers:
             k, entries = (listing[span] for listing in listed[s])  # the group's factors
             np.testing.assert_array_equal(entries, layout.offsets[k, np.newaxis] + np.arange(s * s))
             np.testing.assert_array_equal(layout.sizes[k], s)
-            np.testing.assert_array_equal(cols, layout.columns[k, :s])
+            np.testing.assert_array_equal(cols, zero_based_columns(layout, k, s))
             assert index.shape == (len(k), s, s)
             tops = layout.base_rows[k] - s
             np.testing.assert_array_equal(
@@ -775,9 +780,11 @@ class TestLayers:
         if m > 2:
             # some layers hold blocks of two sizes, so they run as two groups
             depth = [0] * n
-            for s, cols in zip(layout.sizes.tolist(), layout.columns.tolist()):
-                d = 1 + max(depth[c] for c in cols[:s])
-                depth = [d if c in cols[:s] else x for c, x in enumerate(depth)]
+            ends = np.cumsum(layout.sizes).tolist()
+            for s, end in zip(layout.sizes.tolist(), ends):
+                cols = (layout.columns[end - s : end] - 1).tolist()
+                d = 1 + max(depth[c] for c in cols)
+                depth = [d if c in cols else x for c, x in enumerate(depth)]
             assert len(layout.layers) > max(depth)
         assert reconstruct(plans[0]).flags.c_contiguous
         rng = np.random.default_rng(m)
@@ -902,18 +909,18 @@ class TestPlanValidation:
             plan_from_factors(n=2, m=3, factors=(), phases=np.zeros(2))
 
     @pytest.mark.parametrize(
-        "columns,message",
-        [
-            ([[0, 1]], r"columns must be a \(1, 3\) array"),
-            ([[0, 1, 2]], "padded with -1"),
-        ],
+        "columns,shape",
+        [([1], "(1,)"), ([1, 2, 3], "(3,)"), ([[1, 2]], "(1, 2)"), ([[1], [2]], "(2, 1)")],
     )
-    def test_rejects_columns_not_padded_to_m(self, columns, message):
-        with pytest.raises(ValueError, match=message):
+    def test_rejects_columns_not_of_length_sum_of_sizes(self, columns, shape):
+        with pytest.raises(ValueError) as excinfo:
             DecompositionPlan(
                 n=3, m=3, sizes=[2], base_rows=[2], columns=columns,
                 blocks=SWAP.ravel(), phases=np.zeros(3),
             )
+        assert str(excinfo.value) == (
+            f"columns must be 1-D of length sum(sizes) = 2, got shape {shape}"
+        )
 
 
 class TestVerify:

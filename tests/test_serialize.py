@@ -157,7 +157,7 @@ _FORMAT_1 = (
 class TestPlanJson:
     def test_canonical_single_factor(self):
         plan = DecompositionPlan(
-            n=2, m=2, sizes=[2], base_rows=[2], columns=[[0, 1]],
+            n=2, m=2, sizes=[2], base_rows=[2], columns=[1, 2],
             blocks=[0, 1, 1j, 0], phases=[0, 0.5],
         )
         assert plan_to_json(plan) == (
@@ -225,9 +225,34 @@ class TestPlanJson:
         assert _bits(again) == _bits(plan)
         assert plan_to_json(again) == text
 
+    @pytest.mark.parametrize("kind", ["haar", "permutation", "permuted block-diagonal", "phase-only"])
+    def test_plan_holds_the_arrays_of_its_file(self, kind):
+        for n in (2, 3, 7, 16, 40):
+            rng = np.random.default_rng(n)
+            if kind == "haar":
+                u = haar_random_unitary(n, n)
+            elif kind == "permutation":
+                u = np.eye(n, dtype=complex)[:, rng.permutation(n)]
+            elif kind == "phase-only":
+                u = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, n)))
+            else:
+                cuts = np.sort(rng.choice(np.arange(1, n), n // 3, replace=False))
+                sizes = np.diff(cuts, prepend=0, append=n)
+                u = scipy.linalg.block_diag(*(haar_random_unitary(k, n + k) for k in sizes))
+                u = u[:, rng.permutation(n)]
+            for m in range(2, min(n, 6) + 1):
+                plan = decompose(u, m)
+                obj = json.loads(plan_to_json(plan))
+                for name in ("sizes", "base_rows", "columns", "phases"):
+                    assert obj[name] == getattr(plan, name).tolist(), (kind, n, m, name)
+                assert obj["blocks"] == (plan.blocks.view(np.float64) + 0.0).tolist()
+                ends = np.cumsum(plan.sizes).tolist()
+                for f, s, end in zip(plan.factors, plan.sizes.tolist(), ends):
+                    assert f.columns == tuple(plan.columns[end - s : end].tolist())
+
     def test_negative_zero_written_as_zero(self):
         plan = DecompositionPlan(
-            n=2, m=2, sizes=[2], base_rows=[2], columns=[[0, 1]],
+            n=2, m=2, sizes=[2], base_rows=[2], columns=[1, 2],
             blocks=[complex(-0.0, -0.0), 1, 1, complex(-0.0, 0)], phases=[-0.0, 0],
         )
         text = plan_to_json(plan)
@@ -321,7 +346,7 @@ class TestPlanJson:
              "factors[0]: block size must be at least 2, got 1"),
             (dict(sizes=[0], columns=[], blocks=[]),
              "factors[0]: block size must be at least 2, got 0"),
-            # sizes that must not place the columns: the plan rejects them first
+            # sizes that must not split the columns: the plan rejects them first
             (dict(n=3, sizes=[3, 0], base_rows=[3, 3], columns=[1, 2, 3], blocks=[0] * 18,
                   phases=[0, 0, 0]),
              "invalid plan: factors[0] has size 3 > m = 2"),
@@ -362,7 +387,7 @@ class TestPlanJson:
         ],
     )
     def test_rejects_bad_lengths_and_types_with_value_error(self, changes):
-        # never an IndexError or TypeError from placing the columns
+        # never an IndexError or TypeError from splitting the columns
         with pytest.raises(ValueError):
             json_to_plan(_plan_text(**changes))
 
