@@ -41,7 +41,7 @@ are runs.  The sweep reads a group's blocks for its RQ out of the working
 matrices, and writes their triangular factors back, through one flat
 index per group into each matrix read as a row of ``n*n`` entries.
 Blocks have one order everywhere, the factor order: the layout lists each
-block size's blocks once, in the order the composition applies them, and
+block size's blocks once, group by group in the order of the layers, and
 a layer group holds its slice of that listing, where the sweep writes its
 blocks and the composition reads them.
 A stack holds one zero pattern, so its inputs share one schedule and cross
@@ -63,9 +63,9 @@ A ``DecompositionPlan`` stores its factors as flat arrays in factor order,
 the arrays of its JSON file (sizes, base rows, 1-based columns and one
 array of row-major blocks), and validates them once, when it is built;
 ``plan.factors`` returns records whose blocks are read-only views of
-those arrays.  One validator, ``_validated``, serves both: it checks a
+those arrays.  One checker, ``_validated``, serves both: it checks a
 plan's fields, or a sweep's whole stack of blocks and phases at once, with
-the same checks and messages.
+the same checks and messages, and raises every fault as a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -113,37 +113,6 @@ def _first(bad: np.ndarray) -> int | None:
     return int(np.argmax(bad)) if bad.any() else None
 
 
-def _factor_fault(sizes, base_rows, columns) -> tuple[int, str] | None:
-    """The first factor of a plan with a malformed size, columns or base row.
-
-    ``columns`` holds each factor's 1-based columns, concatenated in factor
-    order, ``sum(sizes)`` of them; returns ``(k, message)`` for the first
-    factor ``k`` failing a check, or ``None``.
-    """
-    k = _first(sizes < 2)
-    if k is not None:
-        return k, f"block size must be at least 2, got {sizes[k]}"
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-
-    def named(k):
-        return tuple(columns[starts[k] : ends[k]].tolist())
-
-    k = _first(columns[starts] < 1)
-    if k is not None:
-        return k, f"column indices are 1-based, got {named(k)}"
-    owner = np.repeat(np.arange(len(sizes)), sizes)  # the factor of each column
-    j = _first((columns[1:] <= columns[:-1]) & (owner[1:] == owner[:-1]))
-    if j is not None:
-        k = int(owner[j])
-        return k, f"columns must be strictly ascending, got {named(k)}"
-    last = columns[ends - 1]
-    k = _first(base_rows < last)
-    if k is not None:
-        return k, f"base row {base_rows[k]} lies above the last column {last[k]}"
-    return None
-
-
 def _unitarity_defects(blocks: np.ndarray) -> np.ndarray:
     """``max|B^dag B - I|`` of every ``s x s`` block of a ``(..., s, s)`` stack."""
     # einsum: 2.2 ms for 4950 2x2 blocks against 4.4 ms for a stacked ``@`` (2 cores).
@@ -169,15 +138,20 @@ class Factor:
     block: np.ndarray
 
 
-class _FactorError(ValueError):
-    """Factor ``k`` of a plan is malformed; the message starts ``factors[k]: ``."""
-
-
 def _frozen(values, dtype) -> np.ndarray:
     """A read-only copy of ``values`` as an array of ``dtype``."""
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _field(name: str, values, dtype) -> np.ndarray:
+    """Plan field ``name`` as a read-only ``dtype`` array; ``ValueError`` if
+    a value lies outside the range of ``dtype``."""
+    try:
+        return _frozen(values, dtype)
+    except OverflowError:
+        raise ValueError(f"{name}: a value is out of range for {np.dtype(dtype)}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,14 +162,14 @@ class _Layout:
     columns, concatenated) list the factors in order, and block ``k`` fills
     ``offsets[k]:offsets[k + 1]`` of a flat block array.  ``applied`` holds
     one ``(size, factors, entries)`` triple per block size, the sizes
-    ascending: ``factors`` are the indices of that size's factors in the
-    order the composition applies them, the groups last first, and
-    ``entries`` the ``(K_s, s*s)`` indices of their blocks in the flat
-    block array.  ``layers`` holds one ``(size, index, cols, span, run)``
-    group per layer and block size, the layers in order.  A group's ``k``
-    factors are sorted by first column; ``cols`` holds their 0-based
-    columns as ``(k, s)``, ``index`` the ``(k, s, s)`` flat index of their
-    blocks in a transposed ``n x n`` matrix read as one row of ``n*n``
+    ascending: ``factors`` are the indices of that size's factors group by
+    group, in the order of ``layers``, and ``entries`` the ``(K_s, s*s)``
+    indices of their blocks in the flat block array.  ``layers`` holds one
+    ``(size, index, cols, span, run)`` group per layer and block size, the
+    layers in order.  A group's ``k`` factors are sorted by first column;
+    ``cols`` holds their 0-based columns as ``(k, s)``, ``index`` the
+    ``(k, s, s)`` flat index of their blocks in a transposed ``n x n``
+    matrix read as one row of ``n*n``
     (entry ``(i, j)`` of factor ``f``'s block, from row ``base_row - s + i``
     and column ``cols[f, j]``, sits at ``cols[f, j] * n + base_row - s +
     i``), and ``span`` the slice of its size's ``factors`` and ``entries``
@@ -251,14 +225,11 @@ def _layout_of(n: int, m: int, sizes: bytes, base_rows: bytes, columns: bytes) -
     order = np.lexsort((first, sizes, layer))
     key = (np.asarray(layer, dtype=np.intp) * (m + 1) + sizes)[order]
     bounds = np.flatnonzero(np.diff(key, prepend=-1, append=-1)).tolist()
-    # Each size's factors are listed in the order the composition applies
-    # them, the groups last first, so a size's first group is its last slice.
-    left = np.bincount(sizes).tolist()  # per size, its factors not yet grouped
+    grouped = [0] * (m + 1)  # per size, its factors in the groups so far
     layers = []
     for start, stop in zip(bounds[:-1], bounds[1:]):
         group = order[start:stop]
         s = int(sizes[group[0]])
-        left[s] -= len(group)
         group_cols = zero_based[starts[group, np.newaxis] + np.arange(s)]
         c0 = int(group_cols[0, 0])
         run = slice(c0, c0 + group_cols.size)
@@ -268,13 +239,13 @@ def _layout_of(n: int, m: int, sizes: bytes, base_rows: bytes, columns: bytes) -
             s,
             _frozen(group_cols[:, np.newaxis, :] * n + rows, np.intp),
             _frozen(group_cols, np.intp),
-            slice(left[s], left[s] + len(group)),
+            slice(grouped[s], grouped[s] + len(group)),
             run if tiled else None,
         ))
-    backwards = np.lexsort((first, np.negative(layer)))  # that listing order
+        grouped[s] += len(group)
     applied = []
     for s in np.flatnonzero(np.bincount(sizes)).tolist():
-        factors = backwards[sizes[backwards] == s]
+        factors = order[sizes[order] == s]
         entries = offsets[factors, np.newaxis] + np.arange(s * s)
         applied.append((s, _frozen(factors, np.intp), _frozen(entries, np.intp)))
     return _Layout(sizes, base, flat, offsets, tuple(layers), tuple(applied))
@@ -291,14 +262,16 @@ def _validated(n, m, sizes, base_rows, columns, blocks, phases, stack=()):
     blocks and phases per plan (none for a single plan).  Every check runs
     once over the whole stack: the phases, the factors' sizes, columns and
     base rows, and the unitarity of every block, as one stacked check per
-    block size.  Raises ``ValueError`` (``_FactorError`` for a fault of
-    factor ``k``, in any plan of the stack) at the first fault; returns the
-    fields of ``_PLAN_FIELDS`` in order, the arrays as read-only copies and
-    the factors' ``_Layout`` last.  ``DecompositionPlan`` and the stack
-    decomposition both check through here.
+    block size.  Raises a plain ``ValueError`` at the first fault, a value
+    out of range for its field's array included; the message of a fault of
+    factor ``k``, in any plan of the stack, starts ``factors[k]: ``.
+    Returns the fields of ``_PLAN_FIELDS`` in order, the arrays as
+    read-only copies and the factors' ``_Layout`` last.  This is the one
+    checker of a plan: ``DecompositionPlan`` and the stack decomposition
+    both check through here.
     """
     n, m = _check_block_size(n, m)
-    phases = _frozen(phases, np.float64)
+    phases = _field("phases", phases, np.float64)
     if phases.shape != stack + (n,):
         raise ValueError(f"expected {n} phases, got shape {phases.shape}")
     if not np.isfinite(phases).all():
@@ -306,8 +279,8 @@ def _validated(n, m, sizes, base_rows, columns, blocks, phases, stack=()):
     if ((phases <= -np.pi) | (phases > np.pi)).any():
         raise ValueError("phases must lie in (-pi, pi]")
 
-    sizes = _frozen(sizes, np.intp)
-    base_rows = _frozen(base_rows, np.intp)
+    sizes = _field("sizes", sizes, np.intp)
+    base_rows = _field("base_rows", base_rows, np.intp)
     if sizes.ndim != 1 or base_rows.shape != sizes.shape:
         raise ValueError(
             f"sizes and base_rows must be 1-D of one length, got shapes "
@@ -320,20 +293,40 @@ def _validated(n, m, sizes, base_rows, columns, blocks, phases, stack=()):
         )
     k = _first(sizes > m)
     if k is not None:
-        raise ValueError(f"factors[{k}] has size {sizes[k]} > m = {m}")
-    columns = _frozen(columns, np.intp)
+        raise ValueError(f"factors[{k}]: block size {sizes[k]} exceeds m = {m}")
+    columns = _field("columns", columns, np.intp)
     count = int(sizes.sum())
     if columns.shape != (count,):
         raise ValueError(
             f"columns must be 1-D of length sum(sizes) = {count}, got shape {columns.shape}"
         )
-    fault = _factor_fault(sizes, base_rows, columns)
-    if fault is not None:
-        raise _FactorError("factors[%d]: %s" % fault)
+    k = _first(sizes < 2)
+    if k is not None:
+        raise ValueError(f"factors[{k}]: block size must be at least 2, got {sizes[k]}")
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+
+    def named(k):  # factor k's columns, as a message shows them
+        return tuple(columns[starts[k] : ends[k]].tolist())
+
+    k = _first(columns[starts] < 1)
+    if k is not None:
+        raise ValueError(f"factors[{k}]: column indices are 1-based, got {named(k)}")
+    owner = np.repeat(np.arange(len(sizes)), sizes)  # the factor of each column
+    j = _first((columns[1:] <= columns[:-1]) & (owner[1:] == owner[:-1]))
+    if j is not None:
+        k = int(owner[j])
+        raise ValueError(f"factors[{k}]: columns must be strictly ascending, got {named(k)}")
+    last = columns[ends - 1]
+    k = _first(base_rows < last)
+    if k is not None:
+        raise ValueError(
+            f"factors[{k}]: base row {base_rows[k]} lies above the last column {last[k]}"
+        )
     k = _first(base_rows > n)
     if k is not None:
-        raise ValueError(f"factors[{k}] base row {base_rows[k]} exceeds n = {n}")
-    blocks = _frozen(blocks, np.complex128)
+        raise ValueError(f"factors[{k}]: base row {base_rows[k]} exceeds n = {n}")
+    blocks = _field("blocks", blocks, np.complex128)
     entries = int(sizes @ sizes)
     if blocks.shape != stack + (entries,):
         raise ValueError(f"expected {entries} block entries, got shape {blocks.shape}")
@@ -344,7 +337,7 @@ def _validated(n, m, sizes, base_rows, columns, blocks, phases, stack=()):
         defects[..., factors] = _unitarity_defects(blocks[..., entries].reshape(stack + (-1, s, s)))
     bad = _first(~(defects <= _BLOCK_UNITARY_TOL))  # also rejects NaN
     if bad is not None:
-        raise _FactorError(
+        raise ValueError(
             f"factors[{bad % len(sizes)}]: factor block is not unitary "
             f"(defect {defects.flat[bad]:.3e})"
         )
@@ -364,9 +357,11 @@ class DecompositionPlan:
     Construction copies the arrays read-only, validates every factor (size,
     columns, base row, and the unitarity of the blocks as one stacked check
     per block size) and splits the factors into wavefront layers, all
-    through ``_validated``, the one factor validator, which also checks the
-    block stacks of the sweeps.  ``factors`` lists them as ``Factor``
-    records over read-only views of ``blocks``.
+    through ``_validated``, the one plan checker, which also checks the
+    block stacks of the sweeps.  Every fault raises ``ValueError``, a value
+    out of range for its field included; a fault of factor ``k`` reads
+    ``factors[k]: ...``.  ``factors`` lists them as ``Factor`` records over
+    read-only views of ``blocks``.
     """
 
     n: int
@@ -433,13 +428,12 @@ def _compose(layout: _Layout, blocks: np.ndarray, phases: np.ndarray) -> np.ndar
     ``conj(b)``, so a block becomes one ``(2s, 2s)`` matrix; a real
     ``(2s, 2s) @ (2s, n)`` product costs a fraction of a complex
     ``(s, s) @ (s, n)`` one at these shapes.  The embeddings are built
-    once per call, one pass per block size with its factors in the order
-    they are applied (``_Layout.applied``), so each group reads its
-    contiguous ``span`` of them.  The layers are applied last first, each
-    block size of a layer with one stacked product of whole rows, as the
-    factors of a layer act on disjoint columns: in place on the slice of
-    a group's run, or through a gather and scatter of its rows where it
-    has none.  Shared by the exact and perturbed reconstruction paths, so
+    once per call, one pass per block size with its factors listed group
+    by group (``_Layout.applied``), so each group reads its contiguous
+    ``span`` of them.  The layers are applied last first, each block size
+    of a layer with one stacked product of whole rows, as the factors of a
+    layer act on disjoint columns: in place on the slice of a group's run,
+    or through a gather and scatter of its rows where it has none.  Shared by the exact and perturbed reconstruction paths, so
     zero perturbation reproduces the exact result bit for bit and each
     slice of a stack equals the same slice composed alone.  The sweep
     stays complex: its RQs need complex blocks, so split rows would pay a
@@ -744,7 +738,8 @@ def verify(plan: DecompositionPlan, u, tol: float | None = None) -> Verification
     """Rebuild the plan and compare against ``u`` entry by entry.
 
     ``passed`` requires the maximum absolute entry error to stay within
-    ``tol`` (default ``1e-9 * n``) and the factor count to respect the bound.
+    ``tol`` (default ``1e-9 * n``); the report also gives the factor count
+    and its bound, which every plan respects, as its constructor checks.
     Raises ``ValueError`` unless ``tol`` is positive and finite: an infinite
     tolerance would pass the plan of any matrix.
     """
@@ -760,15 +755,13 @@ def verify(plan: DecompositionPlan, u, tol: float | None = None) -> Verification
         raise ValueError(f"tol must be positive and finite, got {tol}")
     rebuilt = reconstruct(plan)
     max_error = float(np.abs(rebuilt - mat).max())
-    bound = factor_count_bound(plan.n, plan.m)
-    count = len(plan.sizes)
     return VerificationReport(
         max_error=max_error,
         fidelity=float(_fidelities(mat, rebuilt)),
-        factor_count=count,
-        factor_bound=bound,
+        factor_count=len(plan.sizes),
+        factor_bound=factor_count_bound(plan.n, plan.m),
         tol=tol,
-        passed=bool(max_error <= tol and count <= bound),
+        passed=max_error <= tol,
     )
 
 

@@ -41,7 +41,7 @@ composed in runs of as many whole pairs as fit in ``_STACK_ENTRIES``
 (``2**18``) entries of matrices plus blocks, at least one: 4 MB as complex
 numbers, and more while they are composed, as the real embeddings of the
 blocks take twice the bytes of the blocks.  Only the offsets of the
-matrices in the stack being composed are held: ``8 P entries`` bytes per
+matrices in the stack being composed are held: ``16 P entries`` bytes per
 matrix, 1.6 MB at ``n = 100``, ``m = 2`` and ``P = 5``.  Each slice
 depends only on its own blocks and offsets, so it equals the same
 perturbation composed alone.  At ``sigma = 0`` all the perturbations of

@@ -34,8 +34,10 @@ byte-identical output.  Negative zeros are written as ``0``, the value
 ``json.loads`` reads back, so reading a file and writing it again
 reproduces it byte for byte.  Loaders check the types and shapes of the
 top-level values, each over its whole list, and raise ``ValueError`` on
-malformed input; every factor of a plan is checked by the
-``DecompositionPlan`` constructor.
+malformed input.  A plan file's JSON faults (its types, the length of
+``blocks``, a non-finite block entry or phase) are reported as they are;
+every value is then checked by the ``DecompositionPlan`` constructor, and
+each fault it finds is reported as ``invalid plan: <its message>``.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import operator
 
 import numpy as np
 
-from .decomposition import DecompositionPlan, _FactorError
+from .decomposition import DecompositionPlan
 from .linalg import _to_float, as_matrix
 from .robustness import SweepResult
 
@@ -214,8 +216,11 @@ def _list_of(obj: dict, key: str, types, what: str) -> list:
 def json_to_plan(text: str) -> DecompositionPlan:
     """Parse canonical (format 2) plan JSON back into a validated plan.
 
-    The top-level values are checked here, each over its whole list; the
-    ``DecompositionPlan`` constructor checks every factor.
+    The JSON types are checked here, each over its whole list, with the
+    length of ``blocks`` and the finiteness of block entries and phases;
+    their faults are reported as they are.  The ``DecompositionPlan``
+    constructor checks every value, and each fault it finds is reported as
+    ``invalid plan: <its message>``.
     """
     obj = json.loads(text)
     _require(isinstance(obj, dict), "plan JSON must be an object")
@@ -231,14 +236,8 @@ def json_to_plan(text: str) -> DecompositionPlan:
     blocks, phases = (
         _list_of(obj, key, _JSON_NUMBERS, "numbers") for key in ("blocks", "phases")
     )
-    # Both sums are exact Python ints.  Once they match the lengths of the
-    # lists, every size fits a machine integer and every block entry lies
-    # in some factor.
-    count = sum(sizes)
-    _require(
-        len(columns) == count,
-        f"columns must hold sum(sizes) = {count} integers, got {len(columns)}",
-    )
+    # An exact Python int.  Once it matches the length of ``blocks``, every
+    # size fits a machine integer and every block entry lies in some factor.
     count = 2 * sum(map(operator.mul, sizes, sizes))
     _require(
         len(blocks) == count,
@@ -259,10 +258,6 @@ def json_to_plan(text: str) -> DecompositionPlan:
             n=n, m=m, sizes=sizes, base_rows=base_rows, columns=columns,
             blocks=blocks, phases=phases,
         )
-    except OverflowError:
-        raise ValueError("invalid plan: a base row or column is out of range") from None
-    except _FactorError:
-        raise
     except ValueError as exc:
         raise ValueError(f"invalid plan: {exc}") from None
 

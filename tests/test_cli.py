@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -153,6 +154,24 @@ class TestDecomposeReconstructVerify:
         )
         assert code == 1
         assert "unitary" in err
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("base_rows", [10**30], f"base_rows: a value is out of range for {np.dtype(np.intp)}"),
+            ("columns", [2, 1], "factors[0]: columns must be strictly ascending, got (2, 1)"),
+        ],
+    )
+    def test_invalid_plan_fails_with_one_wording(self, tmp_path, capsys, key, value, message):
+        plan = tmp_path / "plan.json"
+        obj = {"format": 2, "n": 2, "m": 2, "sizes": [2], "base_rows": [2], "columns": [1, 2],
+               "blocks": [0, 0, 1, 0, 1, 0, 0, 0], "phases": [0, 0], key: value}
+        plan.write_text(json.dumps(obj))
+        code, _, err = run(
+            ["reconstruct", "--in", str(plan), "--out", str(tmp_path / "o.json")], capsys
+        )
+        assert code == 1
+        assert err == f"error: invalid plan: {message}\n"
 
     def test_format_1_plan_fails_with_advice(self, tmp_path, capsys):
         plan = tmp_path / "old.json"

@@ -708,8 +708,8 @@ class TestLayers:
     @staticmethod
     def assert_groups_index_factor_blocks(layout, n):
         """Each group's ``span`` slices its factors out of its size's
-        ``applied`` listing, which lists the groups of that size last first,
-        and the rows of the listing's ``entries`` are those factors' blocks
+        ``applied`` listing, which lists the groups of that size in the
+        order of the layers, and the rows of the listing's ``entries`` are those factors' blocks
         in the flat factor-order block array; the groups cover every factor
         once.  ``index`` is the ``(k, s, s)`` flat index of the blocks in a
         transposed ``n x n`` matrix read as ``n*n`` entries, the factors
@@ -743,7 +743,7 @@ class TestLayers:
         np.testing.assert_array_equal(np.sort(np.concatenate(flat)), np.arange(layout.offsets[-1]))
         np.testing.assert_array_equal(np.sort(np.concatenate(factors)), np.arange(len(layout)))
         for s, applied, entries in layout.applied:
-            spans = [span for size, _, _, span, _ in reversed(layout.layers) if size == s]
+            spans = [span for size, _, _, span, _ in layout.layers if size == s]
             assert [span.start for span in spans] == [0] + [span.stop for span in spans[:-1]]
             assert spans[-1].stop == len(applied) == np.count_nonzero(layout.sizes == s)
             assert entries.shape == (len(applied), s * s)

@@ -325,8 +325,9 @@ class TestPlanJson:
             (_plan_text(blocks=[0, 0, 1, 0, 1, 0, 0, True]), "blocks must be a list of numbers"),
             (_plan_text(blocks=[0, 0, 1, 0, 1, 0, [0], 0]), "blocks must be a list of numbers"),
             (_plan_text(phases=[0, None]), "phases must be a list of numbers"),
-            (_plan_text(columns=[1]), "columns must hold sum(sizes) = 2 integers, got 1"),
-            (_plan_text(sizes=[3]), "columns must hold sum(sizes) = 3 integers, got 2"),
+            (_plan_text(columns=[1]),
+             "invalid plan: columns must be 1-D of length sum(sizes) = 2, got shape (1,)"),
+            (_plan_text(sizes=[3]), "blocks must hold 2 * sum(sizes**2) = 18 numbers, got 8"),
             (_plan_text(blocks=[0, 0, 1, 0, 1, 0, 0]),
              "blocks must hold 2 * sum(sizes**2) = 8 numbers, got 7"),
             (_plan_text(blocks="[0, 0, 1, 0, 1, 0, NaN, 0]"),
@@ -349,22 +350,55 @@ class TestPlanJson:
             # sizes that must not split the columns: the plan rejects them first
             (dict(n=3, sizes=[3, 0], base_rows=[3, 3], columns=[1, 2, 3], blocks=[0] * 18,
                   phases=[0, 0, 0]),
-             "invalid plan: factors[0] has size 3 > m = 2"),
+             "factors[0]: block size 3 exceeds m = 2"),
             (dict(n=3, sizes=[1, -1, 2], base_rows=[1, 1, 2],
                   blocks=[1, 0, 0, 0, *_SWAP["blocks"]], phases=[0, 0, 0]),
              "factors[0]: block size must be at least 2, got 1"),
             (dict(columns=[2, 1]), "factors[0]: columns must be strictly ascending, got (2, 1)"),
+            (dict(n=3, sizes=[2, 2], base_rows=[3, 2], columns=[2, 3, 2, 1],
+                  blocks=_SWAP["blocks"] * 2, phases=[0, 0, 0]),
+             "factors[1]: columns must be strictly ascending, got (2, 1)"),
             (dict(columns=[0, 1]), "factors[0]: column indices are 1-based, got (0, 1)"),
             (dict(base_rows=[1]), "factors[0]: base row 1 lies above the last column 2"),
-            (dict(base_rows=[3]), "invalid plan: factors[0] base row 3 exceeds n = 2"),
+            (dict(base_rows=[3]), "factors[0]: base row 3 exceeds n = 2"),
             (dict(blocks=[0, 0, 1, 0, 1, 0, 2, 0]),
              "factors[0]: factor block is not unitary (defect 4.000e+00)"),
+            (dict(columns=[1, 2, 3]),
+             "columns must be 1-D of length sum(sizes) = 2, got shape (3,)"),
+            (dict(base_rows=[10**30]), f"base_rows: a value is out of range for {np.dtype(np.intp)}"),
+            (dict(columns=[1, 10**22]), f"columns: a value is out of range for {np.dtype(np.intp)}"),
         ],
     )
-    def test_factor_messages(self, changes, message):
-        with pytest.raises(ValueError) as exc:
+    def test_constructor_faults_read_alike_both_ways_in(self, changes, message):
+        fields = {key: value for key, value in {**_SWAP, **changes}.items() if key != "format"}
+        fields["blocks"] = np.array(fields["blocks"], dtype=np.float64).view(np.complex128)
+        with pytest.raises(ValueError) as direct:
+            DecompositionPlan(**fields)
+        assert type(direct.value) is ValueError
+        assert str(direct.value) == message
+        with pytest.raises(ValueError) as read:
             json_to_plan(_plan_text(**changes))
-        assert str(exc.value) == message
+        assert type(read.value) is ValueError
+        assert str(read.value) == f"invalid plan: {message}"
+
+    @pytest.mark.parametrize(
+        "changes,field,dtype",
+        [
+            (dict(phases=[0, 10**400]), "phases", np.float64),
+            (dict(blocks=[0, 1, 10**400, 0]), "blocks", np.complex128),
+            (dict(base_rows=[1e30]), "base_rows", np.intp),
+            (dict(columns=[1, float("inf")]), "columns", np.intp),
+        ],
+    )
+    def test_constructor_names_a_value_out_of_range(self, changes, field, dtype):
+        # Called directly only: a file's non-finite block entry or phase is
+        # named by its index first (see the ``must be finite`` tests).
+        fields = dict(n=2, m=2, sizes=[2], base_rows=[2], columns=[1, 2],
+                      blocks=[0, 1, 1, 0], phases=[0, 0])
+        with pytest.raises(ValueError) as exc:
+            DecompositionPlan(**{**fields, **changes})
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"{field}: a value is out of range for {np.dtype(dtype)}"
 
     @pytest.mark.parametrize(
         "changes",
@@ -389,13 +423,6 @@ class TestPlanJson:
     def test_rejects_bad_lengths_and_types_with_value_error(self, changes):
         # never an IndexError or TypeError from splitting the columns
         with pytest.raises(ValueError):
-            json_to_plan(_plan_text(**changes))
-
-    @pytest.mark.parametrize(
-        "changes", [dict(base_rows=[10**30]), dict(columns=[1, 10**22])]
-    )
-    def test_rejects_index_beyond_machine_integers(self, changes):
-        with pytest.raises(ValueError, match="invalid plan"):
             json_to_plan(_plan_text(**changes))
 
     @pytest.mark.parametrize("n,m", [(2, 10**12), (10**12, 10**12), (2, -(10**12))])
