@@ -38,8 +38,10 @@ concatenated, are one run ``c0 .. c1 - 1`` (every group of a dense
 scatters them back.  Both give the same bits.  At ``m >= 3`` the factors
 of a layer take interleaved columns, so there only single-factor groups
 are runs.  The sweep reads a group's blocks for its RQ out of the working
-matrices, and writes their triangular factors back, through one flat
-index per group into each matrix read as a row of ``n*n`` entries.
+matrices through one flat index per group into each matrix read as a row
+of ``n*n`` entries.  It takes only each RQ's ``q``: the group's product
+already leaves each block upper triangular, and the sweep stamps exact
+zeros below each block's diagonal through the same index.
 Blocks have one order everywhere, the factor order: the layout lists each
 block size's blocks once, group by group in the order of the layers, and
 a layer group holds its slice of that listing, where the sweep writes its
@@ -77,7 +79,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _fidelities, _to_float, as_matrix, rq_decompose
+from .linalg import _fidelities, _rq_unitaries, _to_float, as_matrix
 
 __all__ = [
     "DecompositionError",
@@ -146,12 +148,27 @@ def _frozen(values, dtype) -> np.ndarray:
 
 
 def _field(name: str, values, dtype) -> np.ndarray:
-    """Plan field ``name`` as a read-only ``dtype`` array; ``ValueError`` if
-    a value lies outside the range of ``dtype``."""
+    """Plan field ``name`` as a read-only ``dtype`` array; a ``ValueError``
+    that names the field if a value lies outside the range of ``dtype``, if
+    the cast fails, or, for an integer field, if the cast would change a
+    value (``2.5``, or a ``uint64`` that wraps)."""
     try:
-        return _frozen(values, dtype)
+        with np.errstate(invalid="ignore"):  # a value the cast changes is named below
+            out = _frozen(values, dtype)
     except OverflowError:
         raise ValueError(f"{name}: a value is out of range for {np.dtype(dtype)}") from None
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    if out.dtype.kind == "i":
+        given = np.asarray(values)
+        if given.dtype != out.dtype:
+            k = _first((out != given).ravel())
+            if k is not None:
+                raise ValueError(
+                    f"{name}: {given.ravel().tolist()[k]!r} is not an integer "
+                    f"in the range of {out.dtype}"
+                )
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -554,7 +571,7 @@ def _simulate(n: int, m: int, pattern: bytes):
                 touching |= col_rows[c]
                 in_all &= col_rows[c]
             if size == 2 and not rows[row] >> cols[1] & 1:
-                # The bottom row is (x, 0), so rq_decompose returns an exact
+                # The bottom row is (x, 0), so the RQ kernel returns an exact
                 # swap with phases: the two columns trade entries, no fill.
                 for r in _bits(touching & ~in_all):
                     rows[r] ^= block
@@ -598,18 +615,24 @@ def _sweep(w: np.ndarray, layout: _Layout) -> np.ndarray:
     of its blocks, gathered from the ``(T, n*n)`` view of ``w`` through its
     flat index, and one product of whole rows for the whole stack, in place
     on the slice of its run or through a gather and scatter of rows where
-    it has none (see ``_Layout``); ``r`` goes back through the flat index.
+    it has none (see ``_Layout``).  The RQ yields only ``q``: the product
+    leaves each block upper triangular, and exact zeros are then stamped
+    at each block's strictly lower entries, through the flat index, as
+    the schedule counts on (see ``_simulate``).
     The arithmetic on each matrix is that of the matrix swept alone.  Each
-    group's ``q`` blocks go straight to the returned ``(T, entries)``
-    blocks, through its ``span`` of ``_Layout.applied``, in the layout of
-    ``DecompositionPlan.blocks``; ``w`` ends as the swept matrices, transposed.
+    group's ``q`` blocks go to its ``span`` of its size's listing in
+    ``_Layout.applied``, and each listing goes, once, to the returned
+    ``(T, entries)`` blocks, in the layout of ``DecompositionPlan.blocks``;
+    ``w`` ends as the swept matrices, transposed.
     """
     t, n = w.shape[:2]
-    blocks = np.empty((t, layout.offsets[-1]), dtype=np.complex128)
     cells = w.reshape(t, n * n)  # a view, as ``w`` is C-contiguous
-    entries = {s: listed for s, _, listed in layout.applied}
+    # per block size, its blocks as listed, and the flat positions of a
+    # block's strictly lower triangle
+    listed = {s: np.empty((t, len(k), s, s), dtype=np.complex128) for s, k, _ in layout.applied}
+    lower = {s: np.flatnonzero(np.tri(s, k=-1, dtype=bool)) for s in listed}
     for s, index, cols, span, run in layout.layers:
-        r, q = rq_decompose(np.take(cells, index, axis=1))
+        q = _rq_unitaries(cells.take(index, axis=1))
         # The rows below each block are finished: they hold exact zeros
         # in its columns, and multiplying keeps them so.
         if run is None:
@@ -617,8 +640,11 @@ def _sweep(w: np.ndarray, layout: _Layout) -> np.ndarray:
         else:
             tile = w[:, run, :].reshape(t, -1, s, n)
             np.matmul(q.swapaxes(-1, -2), tile, out=tile)
-        blocks[:, entries[s][span]] = q.reshape(t, -1, s * s)
-        cells[:, index] = r  # exact zeros below each block's diagonal
+        listed[s][:, span] = q
+        cells[:, index.reshape(-1, s * s).take(lower[s], axis=1)] = 0.0
+    blocks = np.empty((t, layout.offsets[-1]), dtype=np.complex128)
+    for s, _, entries in layout.applied:
+        blocks[:, entries] = listed[s].reshape(t, -1, s * s)
     return blocks
 
 

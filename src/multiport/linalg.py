@@ -23,6 +23,13 @@ _U64_MASK = (1 << 64) - 1
 _ZERO = np.zeros((), dtype=np.complex128)
 _ZERO.setflags(write=False)
 
+try:  # numpy's stacked LAPACK QR, the gufuncs behind ``np.linalg.qr``
+    from numpy.linalg._umath_linalg import qr_r_raw, qr_reduced
+
+    _QR_GUFUNCS = (qr_r_raw, qr_reduced)
+except ImportError:  # not under these names: ``np.linalg.qr`` it is
+    _QR_GUFUNCS = None
+
 
 def _generator(seed: int, *key: int) -> np.random.Generator:
     """Stream ``key`` of ``seed``: the ``SeedSequence`` of ``seed mod 2**64``
@@ -140,16 +147,8 @@ def _haar_stack(n: int, rngs) -> np.ndarray:
     return _haar(np.stack([rng.standard_normal((n, n, 2)) for rng in rngs]))
 
 
-def rq_decompose(a) -> tuple[np.ndarray, np.ndarray]:
-    """Factor square matrices so that ``a @ q`` is upper triangular.
-
-    ``a`` is one ``(s, s)`` matrix or a stack of them (any leading axes,
-    typically ``(k, s, s)``); every matrix of the stack is factored on its
-    own.  Returns ``(r, q)`` of the same shape with each ``q`` unitary and
-    ``r = a @ q`` upper triangular (``r`` carries exact structural zeros
-    below the diagonal).  This is the standard RQ decomposition ``a = r q'``
-    with ``q = q'^dag`` so the caller can use ``q`` directly as a
-    right-multiplier that triangularizes ``a``.
+def _rq_unitaries(a: np.ndarray) -> np.ndarray:
+    """The ``q`` of ``rq_decompose`` for a finite ``(..., s, s)`` complex128 stack, unchecked.
 
     A 2 x 2 matrix gets the closed-form rotation that maps its bottom row
     ``(x, y)`` to ``(0, rho)`` with ``rho = |(x, y)|``; a zero bottom row
@@ -158,25 +157,23 @@ def rq_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     ``q = [[y, conj(x)], [-x, conj(y)]]`` for the unit row ``(x, y)``, written
     into ``q`` by a handful of whole-stack ufuncs, since at the stack sizes
     of a decomposition layer their call overhead is the cost; ``q[0, 0]``
-    never holds a negative zero, and ``q[1, 1]`` is its conjugate.  Larger
-    matrices use a Householder QR of the reversed conjugate transpose:
-    ``(J a)^dag = Q R`` gives ``a (Q J) = J R^dag J``.
+    never holds a negative zero, and ``q[1, 1]`` is its conjugate.  Other
+    sizes use a Householder QR of the reversed conjugate transpose:
+    ``(J a)^dag = Q R`` gives ``a (Q J) = J R^dag J``.  It calls numpy's
+    LAPACK gufuncs directly where numpy has them under the names
+    ``np.linalg.qr`` calls, which skips that wrapper's per-call cost and
+    gives the same ``Q`` bit for bit; elsewhere it calls ``np.linalg.qr``.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
-        raise ValueError(f"expected square matrices, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix contains non-finite entries")
     if a.shape[-1] == 2:
         bottom = a[..., 1, :]
-        rho = norm = np.hypot(np.abs(bottom[..., 0]), np.abs(bottom[..., 1]))
+        norm = np.hypot(np.abs(bottom[..., 0]), np.abs(bottom[..., 1]))
         zero = _ZERO
-        if rho.min(initial=1.0) < 2.0**-1022:
+        if norm.min(initial=1.0) < 2.0**-1022:
             # Dividing by a subnormal norm overflows, so those rows, and
             # only those (another row's entries may overflow), are first
             # scaled by 2**600, which is exact.  A zero row is divided by 1
             # instead and gets y = 1, so q = I.
-            small = rho < 2.0**-1022
+            small = norm < 2.0**-1022
             bottom = bottom.copy()
             bottom[small] *= 2.0**600
             norm = np.hypot(np.abs(bottom[..., 0]), np.abs(bottom[..., 1]))
@@ -191,9 +188,33 @@ def rq_decompose(a) -> tuple[np.ndarray, np.ndarray]:
         np.conjugate(x, out=q[..., 0, 1])
         np.negative(x, out=q[..., 1, 0])
         np.conjugate(q[..., 0, 0], out=q[..., 1, 1])
-        r = np.zeros(a.shape, dtype=np.complex128)
-        r[..., 0, :] = a[..., 0, :1] * q[..., 0, :] + a[..., 0, 1:] * q[..., 1, :]
-        r[..., 1, 1] = rho
-        return r, q
-    q, r = np.linalg.qr(np.conj(a[..., ::-1, :]).swapaxes(-1, -2))
-    return np.conj(r).swapaxes(-1, -2)[..., ::-1, ::-1], q[..., ::-1]
+        return q
+    flipped = np.conj(a[..., ::-1, :]).swapaxes(-1, -2)  # a fresh array, so ours to overwrite
+    if _QR_GUFUNCS is None:
+        q = np.linalg.qr(flipped)[0]
+    else:
+        raw, reduced = _QR_GUFUNCS
+        tau = raw(flipped, signature="D->D")  # leaves the reflectors in ``flipped``
+        q = reduced(flipped, tau, signature="DD->D")
+    return q[..., ::-1]
+
+
+def rq_decompose(a) -> tuple[np.ndarray, np.ndarray]:
+    """Factor square matrices so that ``a @ q`` is upper triangular.
+
+    ``a`` is one ``(s, s)`` matrix or a stack of them (any leading axes,
+    typically ``(k, s, s)``); every matrix of the stack is factored on its
+    own.  Returns ``(r, q)`` of the same shape with each ``q`` unitary and
+    ``r`` the upper triangle of ``a @ q`` (exact zeros below the diagonal).
+    This is the standard RQ decomposition ``a = r q'`` with ``q = q'^dag``
+    so the caller can use ``q`` directly as a right-multiplier that
+    triangularizes ``a``.  ``q`` is that of ``_rq_unitaries``, the kernel
+    the decomposition sweep calls on its own.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix contains non-finite entries")
+    q = _rq_unitaries(a)
+    return np.triu(a @ q), q

@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
-from multiport import decomposition
+from multiport import decomposition, linalg
 from multiport.decomposition import (
     DecompositionPlan,
     Factor,
@@ -21,7 +21,7 @@ from multiport.decomposition import (
     reconstruct,
     verify,
 )
-from multiport.linalg import _fidelities, haar_random_unitary, rq_decompose
+from multiport.linalg import _fidelities, _rq_unitaries, haar_random_unitary
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -444,7 +444,7 @@ class TestNearDegenerate:
         # leaves row i two subnormal entries left of its diagonal.  At m = 2
         # the first step on that row takes just those two columns, so its
         # bottom row has a subnormal norm, where dividing by the norm
-        # overflows unless rq_decompose rescales; at m = 3 the Householder
+        # overflows unless the RQ kernel rescales; at m = 3 the Householder
         # RQ takes them.  A single rotation leaves every row a unit-size
         # entry in each of its steps' columns.
         n = 17
@@ -461,9 +461,9 @@ class TestNearDegenerate:
         def spy(a):
             if a.shape[-1] == 2:
                 norms.extend(np.hypot(np.abs(a[..., 1, 0]), np.abs(a[..., 1, 1])).ravel())
-            return rq_decompose(a)
+            return _rq_unitaries(a)
 
-        monkeypatch.setattr(decomposition, "rq_decompose", spy)
+        monkeypatch.setattr(decomposition, "_rq_unitaries", spy)
         plan = decompose(u, m)
         assert np.abs(reconstruct(plan) - u).max() <= 4 * n * np.finfo(float).eps
         if m == 2:
@@ -498,6 +498,20 @@ class TestNearDegenerate:
         expected = sequence(haar_random_unitary(n, 1))
         assert sequence(haar_random_unitary(n, 2)) == expected
         assert sequence(near_permutation(n, 1e-10, 3)) == expected
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_qr_fallback_gives_the_same_plans(self, monkeypatch, m):
+        # Without numpy's LAPACK gufuncs under their numpy 2 names the RQ
+        # kernel calls ``np.linalg.qr``; the plans keep every bit.
+        n = 13
+        inputs = [haar_random_unitary(n, 50 + m), near_permutation(n, 1e-8, m)]
+        plans = [decompose(u, m) for u in inputs]
+        monkeypatch.setattr(linalg, "_QR_GUFUNCS", None)
+        for u, plan in zip(inputs, plans):
+            fallback = decompose(u, m)
+            assert set(plan.sizes.tolist()) - {2}
+            assert fallback.blocks.tobytes() == plan.blocks.tobytes()
+            assert fallback.phases.tobytes() == plan.phases.tobytes()
 
 
 class TestSchedule:
@@ -847,12 +861,28 @@ class TestLayers:
         assert np.abs(_compose(layout, blocks, phases) - us).max() <= n * np.finfo(float).eps
 
     @pytest.mark.parametrize("t", [1, 3])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["dense", "permutation", "permuted block-diagonal"])
+    def test_stamped_entries_end_exactly_zero(self, kind, m, t):
+        # The sweep keeps only each RQ's q and stamps the zeros below each
+        # block's diagonal; every entry a factor stamps ends exactly 0.
+        n = 13
+        us = self.one_pattern_stack(kind, n, 80 + m, t)
+        layout = _schedule(n, m, _zero_pattern(us[0]))
+        stamped = stamp_counts(n, layout) > 0
+        assert stamped.any()
+        w = us.swapaxes(-1, -2).copy()
+        decomposition._sweep(w, layout)
+        swept = w.swapaxes(-1, -2)
+        assert (swept[:, stamped] == 0).all()
+
+    @pytest.mark.parametrize("t", [1, 3])
     @pytest.mark.parametrize(
         "kind", ["dense", "permutation", "phase-only", "permuted block-diagonal"]
     )
     def test_flat_index_moves_the_blocks_of_the_broadcast_index(self, kind, t):
-        # ``_sweep`` reads and writes each group's blocks through the flat
-        # index; the reference is the two broadcast index arrays of the
+        # ``_sweep`` reads each group's blocks, and stamps their zeros,
+        # through the flat index; the reference is the two broadcast index arrays of the
         # blocks' columns and rows.
         for n in range(2, 14):
             us = self.one_pattern_stack(kind, n, 90 + n, t)
@@ -907,6 +937,57 @@ class TestPlanValidation:
     def test_rejects_m_out_of_range(self):
         with pytest.raises(ValueError):
             plan_from_factors(n=2, m=3, factors=(), phases=np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            (dict(sizes=[2.5]), "sizes: 2.5 is not an integer"),
+            (dict(columns=[1.2, 2.7]), "columns: 1.2 is not an integer"),
+            (dict(columns=[1, 2.7]), "columns: 2.7 is not an integer"),
+            (dict(base_rows=[2.9]), "base_rows: 2.9 is not an integer"),
+            (dict(base_rows=np.array([2**64 - 1], dtype=np.uint64)),
+             "base_rows: 18446744073709551615 is not an integer"),
+            (dict(base_rows=np.array([np.nan])), "base_rows: nan is not an integer"),
+            (dict(sizes=["2"]), "sizes: '2' is not an integer"),
+        ],
+    )
+    def test_rejects_integer_field_values_the_cast_would_change(self, changes, message):
+        fields = dict(n=2, m=2, sizes=[2], base_rows=[2], columns=[1, 2],
+                      blocks=[0, 1, 1, 0], phases=[0, 0])
+        with pytest.raises(ValueError) as excinfo:
+            DecompositionPlan(**{**fields, **changes})
+        assert type(excinfo.value) is ValueError
+        assert str(excinfo.value) == f"{message} in the range of {np.dtype(np.intp)}"
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            (dict(base_rows=[float("nan")]), "base_rows: cannot convert float NaN to integer"),
+            (dict(phases=[0, "x"]), "phases: could not convert string to float: 'x'"),
+        ],
+    )
+    def test_names_the_field_of_a_failed_cast(self, changes, message):
+        fields = dict(n=2, m=2, sizes=[2], base_rows=[2], columns=[1, 2],
+                      blocks=[0, 1, 1, 0], phases=[0, 0])
+        with pytest.raises(ValueError) as excinfo:
+            DecompositionPlan(**{**fields, **changes})
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            dict(sizes=[2.0], base_rows=[2.0], columns=[1.0, 2.0]),
+            dict(base_rows=np.array([2], dtype=np.uint64), columns=np.array([1, 2], dtype=np.int8)),
+            dict(sizes=np.array([2.0]), columns=[np.int32(1), 2]),
+        ],
+    )
+    def test_accepts_integral_values_of_other_types(self, changes):
+        fields = dict(n=2, m=2, sizes=[2], base_rows=[2], columns=[1, 2],
+                      blocks=[0, 1, 1, 0], phases=[0, 0])
+        plan = DecompositionPlan(**{**fields, **changes})
+        for name, expected in [("sizes", [2]), ("base_rows", [2]), ("columns", [1, 2])]:
+            value = getattr(plan, name)
+            assert value.dtype == np.intp and value.tolist() == expected
 
     @pytest.mark.parametrize(
         "columns,shape",

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 import multiport as mp
+from multiport import linalg
 from multiport.decomposition import cost_compare
 from multiport.linalg import (
     _fidelities,
     _generator,
     _haar,
     _haar_stack,
+    _rq_unitaries,
     _segment_fidelities,
     _to_float,
     as_matrix,
@@ -342,6 +344,24 @@ class TestRQDecompose:
         parts = np.array([q[0, 0].real, q[0, 0].imag, q[1, 1].real])
         assert not np.signbit(parts[parts == 0.0]).any()
         assert q[1, 1].tobytes() == np.conj(q[0, 0]).tobytes()
+
+    @pytest.mark.parametrize("s", [1, 3, 4, 5, 8])
+    def test_qr_fallback_gives_the_same_q(self, monkeypatch, s):
+        # Without numpy's LAPACK gufuncs under their numpy 2 names, the
+        # kernel calls ``np.linalg.qr``, which runs the same LAPACK calls.
+        rng = np.random.default_rng(s)
+        stacks = [rng.standard_normal((k, s, s, 2)).view(complex)[..., 0] for k in (1, 7, 40)]
+        stacks.append(haar_random_unitary(s, s))
+        direct = [_rq_unitaries(a) for a in stacks]
+        monkeypatch.setattr(linalg, "_QR_GUFUNCS", None)
+        for a, q in zip(stacks, direct):
+            assert _rq_unitaries(a).tobytes() == q.tobytes()
+
+    def test_kernel_leaves_its_input_alone(self):
+        a = haar_random_unitary(4, 3)[np.newaxis]
+        kept = a.copy()
+        _rq_unitaries(a)
+        assert a.tobytes() == kept.tobytes()
 
     def test_real_input_promoted_to_complex(self):
         _, q = rq_decompose(np.eye(3))
