@@ -153,21 +153,22 @@ def _field(name: str, values, dtype) -> np.ndarray:
     the cast fails, or, for an integer field, if the cast would change a
     value (``2.5``, or a ``uint64`` that wraps)."""
     try:
+        given = np.asarray(values)
         with np.errstate(invalid="ignore"):  # a value the cast changes is named below
-            out = _frozen(values, dtype)
+            # A list converts once; values of another dtype are cast from
+            # ``values`` itself, which keeps Python's errors for NaN and range.
+            out = _frozen(given if given.dtype == dtype else values, dtype)
     except OverflowError:
         raise ValueError(f"{name}: a value is out of range for {np.dtype(dtype)}") from None
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
-    if out.dtype.kind == "i":
-        given = np.asarray(values)
-        if given.dtype != out.dtype:
-            k = _first((out != given).ravel())
-            if k is not None:
-                raise ValueError(
-                    f"{name}: {given.ravel().tolist()[k]!r} is not an integer "
-                    f"in the range of {out.dtype}"
-                )
+    if out.dtype.kind == "i" and given.dtype != out.dtype:
+        k = _first((out != given).ravel())
+        if k is not None:
+            raise ValueError(
+                f"{name}: {given.ravel().tolist()[k]!r} is not an integer "
+                f"in the range of {out.dtype}"
+            )
     return out
 
 

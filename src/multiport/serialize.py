@@ -28,6 +28,12 @@ each block's entries, row-major, one factor per line.  Format-1 plans, which
 held a list of ``factors`` objects, are not read: decompose the matrix again
 to rewrite them.  Floats are rendered with 17 significant digits, which
 round-trips IEEE doubles exactly; sweep CSVs use 12 significant digits.
+Matrix and plan files share one float writer, and every float's text is
+exactly ``'%.17g' % value``.  Most block entries, those with
+1e-4 <= |v| < 1, get that text from their exact 17-digit integer, computed
+in numpy and written with ``%d``; the other values are written with
+``%.17g`` itself.  The files are byte for byte what a ``%.17g`` writer
+produces.
 
 Writers emit deterministic text: serializing the same object twice yields
 byte-identical output.  Negative zeros are written as ``0``, the value
@@ -76,26 +82,108 @@ def _f12(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _matrix_template(rows: int, cols: int) -> str:
-    """The ``%`` template of a ``rows x cols`` matrix object.
+# Every float of a matrix or plan file is written as ``'%.17g' % v`` renders
+# it, through pieces of one ``%`` template.  A value with 1e-4 <= |v| < 1,
+# most of a plan's block entries, is written as ``%d`` of its exact
+# 17-significant-digit integer D = round-half-even(|v| * 10**(16 - k)),
+# k = floor(log10|v|), trailing zeros stripped, behind its sign, ``0.`` and
+# -k - 1 zeros: ``%d`` costs a fifth of the 17-digit dtoa of ``%.17g``.
+# 10**p is exact in binary64 for p <= 22, and Dekker's product (Numer. Math.
+# 18, 1971), with Veltkamp's split in place of a fused multiply-add, gives
+# |v| * 10**p = hi + lo exactly.  In [1e16, 1e17) hi is an even integer, so
+# D = hi + rint(lo).  Zeros are written as ``%d`` of 0 (``-%d`` for -0.0),
+# and every other value keeps its own ``%.17g``.
+_SPLIT = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
+_POW10 = np.array([float(10**p) for p in range(16, 21)])  # 10**(16 - k) at index -k
 
-    It takes the ``2 * rows * cols`` real and imaginary parts of the
-    entries, row-major, and renders each with 17 significant digits.
+
+def _halves(a):
+    """Veltkamp's split: ``hi + lo == a`` exactly, each with at most 26 bits."""
+    c = a * _SPLIT
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _halves(_POW10)
+
+
+def _scaled(a: np.ndarray, k: np.ndarray):
+    """``hi, lo`` with ``hi + lo == a * 10**(16 - k)`` exactly (Dekker)."""
+    hi = a * _POW10[-k]
+    ah, al = _halves(a)
+    bh, bl = _POW10_HI[-k], _POW10_LO[-k]
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _inside(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Whether the exact ``hi + lo`` lies in [1e16, 1e17)."""
+    from_1e16 = (hi > 1e16) | ((hi == 1e16) & (lo >= 0))
+    below_1e17 = (hi < 1e17) | ((hi == 1e17) & (lo < 0))
+    return from_1e16 & below_1e17
+
+
+# The separators a float of a file can be followed by: within a list, at the
+# end of a plan's block line, at the end of a list, and after the imaginary
+# part of a matrix entry pair (within a row, at its end, at the last pair).
+_COMMA, _LINE, _END, _PAIR, _PAIR_LINE, _PAIR_END = range(6)
+_SEPARATORS = (", ", ",\n    ", "", "], [", "],\n    [", "]")
+# Heads: ``%.17g``; ``%d`` of 0 and of -0.0; then ``%d`` of the digits of
+# 1e-4 <= |v| < 1 behind their ``0.`` and -k - 1 zeros, positive then negative.
+_HEADS = ("%.17g", "%d", "-%d") + tuple(
+    sign + "0." + "0" * zeros + "%d" for sign in ("", "-") for zeros in range(4)
+)
+_PIECES = np.array([head + sep for head in _HEADS for sep in _SEPARATORS], dtype=object)
+
+
+def _floats(values: np.ndarray, seps: np.ndarray) -> tuple[str, list]:
+    """The ``%`` template and arguments that render float64 ``values``.
+
+    Value ``i`` is rendered as ``'%.17g' % values[i]`` renders it, followed by
+    ``_SEPARATORS[seps[i]]``.
     """
-    row = "    " + ", ".join(["[%.17g, %.17g]"] * cols)
-    return (
-        "{\n"
-        f'  "rows": {rows},\n'
-        f'  "cols": {cols},\n'
-        '  "entries": [\n' + ",\n".join([row] * rows) + "\n  ]\n"
-        "}"
-    )
+    a = np.abs(values)
+    near = (a >= 1e-4) & (a < 1.0)
+    a = np.where(near, a, 0.5)  # the other values take no part
+    k = np.clip(np.floor(np.log10(a)), -4, -1).astype(np.intp)
+    hi, lo = _scaled(a, k)
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # Where log10 rounds across a power of ten, k is off by one and hi + lo
+    # falls outside [1e16, 1e17); where it rounds up to 1e17, the 17 digits
+    # carry into an 18th.  Those values keep their ``%.17g``.
+    near &= _inside(hi, lo) & (digits < 10**17)
+    digits[~near] = 0
+    # strip trailing zeros: D can end in 16 of them (0.5 is 5 * 10**16)
+    tens = np.flatnonzero(digits % 10 == 0)
+    if tens.size:
+        d = digits[tens]
+        for step in (16, 8, 4, 2, 1):
+            q, r = np.divmod(d, 10**step)
+            d = np.where(r == 0, q, d)
+        digits[tens] = d
+    sign = np.signbit(values)
+    heads = np.where(near, 2 - k + 4 * sign, np.where(values == 0, 1 + sign, 0))
+    args = digits.astype(object)
+    slow = np.flatnonzero(heads == 0)
+    args[slow] = values[slow]
+    return "".join(_PIECES[heads * len(_SEPARATORS) + seps].tolist()), args.tolist()
 
 
 def matrix_to_json(a) -> str:
     """Serialize a matrix to its canonical JSON text."""
     mat = as_matrix(a) + 0.0  # negative zeros become 0
-    return _matrix_template(*mat.shape) % tuple(mat.ravel().view(np.float64).tolist()) + "\n"
+    rows, cols = mat.shape
+    seps = np.tile(np.array([_COMMA, _PAIR]), rows * cols)
+    seps[2 * cols - 1 :: 2 * cols] = _PAIR_LINE
+    seps[-1] = _PAIR_END
+    entries, args = _floats(mat.ravel().view(np.float64), seps)
+    template = (
+        "{\n"
+        f'  "rows": {rows},\n'
+        f'  "cols": {cols},\n'
+        '  "entries": [\n    [' + entries + "\n  ]\n"
+        "}\n"
+    )
+    return template % tuple(args)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -182,12 +270,23 @@ def _one_per_line(rows: list[str]) -> str:
     return "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
 
 
+def _separators(count: int, line_ends) -> np.ndarray:
+    """The separator codes of a list of ``count`` floats, with a line break
+    after each index of ``line_ends``."""
+    seps = np.full(count, _COMMA)
+    seps[line_ends] = _LINE
+    seps[-1:] = _END
+    return seps
+
+
 def plan_to_json(plan: DecompositionPlan) -> str:
     """Serialize a decomposition plan to its canonical (format 2) JSON text."""
     sizes = plan.sizes.tolist()
-    pieces = {
-        s: (", ".join(["%d"] * s), ", ".join(["%.17g"] * (2 * s * s))) for s in set(sizes)
-    }
+    column_pieces = {s: ", ".join(["%d"] * s) for s in set(sizes)}
+    parts = plan.blocks.view(np.float64) + 0.0  # negative zeros become 0
+    line_ends = np.cumsum(2 * plan.sizes**2)[:-1] - 1
+    blocks, block_args = _floats(parts, _separators(len(parts), line_ends))
+    phases, phase_args = _floats(plan.phases + 0.0, _separators(plan.n, []))
     template = (
         "{\n"
         '  "format": 2,\n'
@@ -195,14 +294,12 @@ def plan_to_json(plan: DecompositionPlan) -> str:
         f'  "m": {plan.m},\n'
         f'  "sizes": {sizes},\n'
         f'  "base_rows": {plan.base_rows.tolist()},\n'
-        '  "columns": ' + _one_per_line([pieces[s][0] for s in sizes]) + ",\n"
-        '  "blocks": ' + _one_per_line([pieces[s][1] for s in sizes]) + ",\n"
-        '  "phases": [' + ", ".join(["%.17g"] * plan.n) + "]\n"
+        '  "columns": ' + _one_per_line([column_pieces[s] for s in sizes]) + ",\n"
+        '  "blocks": ' + ("[\n    " + blocks + "\n  ]" if sizes else "[]") + ",\n"
+        '  "phases": [' + phases + "]\n"
         "}\n"
     )
-    parts = (plan.blocks.view(np.float64) + 0.0).tolist()  # negative zeros become 0
-    phases = (plan.phases + 0.0).tolist()
-    return template % tuple(plan.columns.tolist() + parts + phases)
+    return template % tuple(plan.columns.tolist() + block_args + phase_args)
 
 
 def _list_of(obj: dict, key: str, types, what: str) -> list:

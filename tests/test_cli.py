@@ -8,7 +8,14 @@ import pytest
 
 from multiport.cli import main
 from multiport.linalg import haar_random_unitary
-from multiport.serialize import CSV_HEADER, load_matrix, save_matrix
+from multiport.serialize import (
+    CSV_HEADER,
+    json_to_plan,
+    load_matrix,
+    load_plan,
+    plan_to_json,
+    save_matrix,
+)
 
 
 def run(args, capsys):
@@ -71,6 +78,23 @@ class TestDecomposeReconstructVerify:
         assert code == 0
         u = load_matrix(matrix_file)
         assert np.abs(load_matrix(rebuilt) - u).max() <= 1e-9 * 8
+
+    def test_plan_files_read_and_written_again_are_fixed_points(self, tmp_path, capsys):
+        # A plan holds its file's arrays: reading a plan and writing it again
+        # gives its text, and plan.columns is the file's columns list.  At
+        # m = 2 every layer group is a run of adjacent columns, at m = 3 most
+        # are gathered.
+        u = tmp_path / "u.json"
+        assert run(["random", "--n", "6", "--seed", "1", "--out", str(u)], capsys)[0] == 0
+        for m, name in ((3, "plan.json"), (2, "plan-m2.json")):
+            path = tmp_path / name
+            code, _, _ = run(
+                ["decompose", "--in", str(u), "--m", str(m), "--out", str(path)], capsys
+            )
+            assert code == 0
+            text = path.read_text()
+            assert plan_to_json(json_to_plan(text)) == text
+            assert json.loads(text)["columns"] == load_plan(path).columns.tolist()
 
     def test_identity_reports_zero_factors(self, tmp_path, capsys):
         ufile = tmp_path / "eye.json"

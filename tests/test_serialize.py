@@ -4,12 +4,16 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from multiport.decomposition import DecompositionPlan, decompose, reconstruct
 from multiport.linalg import haar_random_unitary
 from multiport.robustness import FidelityStats, SweepResult, sweep_noise
 from multiport.serialize import (
+    _COMMA,
     CSV_HEADER,
+    _floats,
     json_to_matrix,
     json_to_plan,
     load_matrix,
@@ -450,6 +454,166 @@ class TestPlanJson:
     def test_swap_plan_is_valid(self):
         plan = json_to_plan(_plan_text())
         np.testing.assert_array_equal(plan.factors[0].block, [[0, 1], [1, 0]])
+
+
+def _rendered(values) -> list[str]:
+    """Each of ``values`` as the writers' float pieces render it."""
+    values = np.asarray(values, dtype=np.float64)
+    template, args = _floats(values, np.full(values.shape, _COMMA))
+    return (template % tuple(args)).split(", ")[:-1]
+
+
+# Any finite double, drawn by value and as a raw 64-bit pattern.
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_BIT_PATTERNS = (
+    st.integers(0, 2**64 - 1)
+    .map(lambda bits: float(np.uint64(bits).view(np.float64)))
+    .filter(np.isfinite)
+)
+
+
+class TestFloatPieces:
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(_FINITE)
+    @example(1.0)
+    @example(0.9999999999999999)
+    @example(0.1)
+    @example(0.09999999999999999)
+    @example(0.01)
+    @example(0.009999999999999998)
+    @example(0.001)
+    @example(0.0009999999999999998)
+    @example(0.0001)
+    @example(9.999999999999999e-05)
+    @example(0.00010000000000000002)
+    @example(1e-05)
+    @example(9.999999999999999e-06)
+    @example(0.5)
+    @example(-0.5)
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(1.0000000000000002)
+    def test_renders_every_finite_double_as_percent_17g(self, v):
+        assert _rendered([v]) == ["%.17g" % v]
+
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(_BIT_PATTERNS)
+    def test_renders_every_bit_pattern_as_percent_17g(self, v):
+        assert _rendered([v]) == ["%.17g" % v]
+
+    def test_renders_a_mixed_array_in_one_call(self):
+        rng = np.random.default_rng(5)
+        bits = rng.integers(0, 2**64, size=20_000, dtype=np.uint64).view(np.float64)
+        # Every power of ten near the %d range, and 40 doubles either side.
+        near = []
+        for k in range(7):
+            for direction in (0.0, 1.0):
+                x = 10.0**-k
+                for _ in range(41):
+                    near.append(x)
+                    x = np.nextafter(x, direction)
+        # Exact ties at the 18th digit (m / 2**18, m odd), and one-digit values.
+        ties = np.arange(26215, 2**18, 2) / 2**18
+        short = [d * 10.0**-k for d in range(1, 100) for k in range(1, 6)]
+        values = np.concatenate(
+            [
+                bits,
+                rng.uniform(-1, 1, 20_000),
+                10 ** rng.uniform(-6, 1, 20_000) * rng.choice([-1, 1], 20_000),
+                near,
+                ties[::8],
+                short,
+                [np.inf, -np.inf, np.nan, -0.0, 0.0],
+            ]
+        )
+        assert _rendered(values) == ["%.17g" % v for v in values.tolist()]
+
+
+def _matrix_text_17g(a) -> str:
+    """A matrix file as one template of ``%.17g`` slots writes it: the oracle
+    the float pieces must match byte for byte."""
+    mat = np.asarray(a, dtype=np.complex128) + 0.0
+    rows, cols = mat.shape
+    row = "    " + ", ".join(["[%.17g, %.17g]"] * cols)
+    template = (
+        "{\n"
+        f'  "rows": {rows},\n'
+        f'  "cols": {cols},\n'
+        '  "entries": [\n' + ",\n".join([row] * rows) + "\n  ]\n"
+        "}"
+    )
+    return template % tuple(mat.ravel().view(np.float64).tolist()) + "\n"
+
+
+def _plan_text_17g(plan) -> str:
+    """A plan file as one template of ``%.17g`` slots writes it: the oracle
+    the float pieces must match byte for byte."""
+
+    def one_per_line(rows):
+        return "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+
+    sizes = plan.sizes.tolist()
+    pieces = {
+        s: (", ".join(["%d"] * s), ", ".join(["%.17g"] * (2 * s * s))) for s in set(sizes)
+    }
+    template = (
+        "{\n"
+        '  "format": 2,\n'
+        f'  "n": {plan.n},\n'
+        f'  "m": {plan.m},\n'
+        f'  "sizes": {sizes},\n'
+        f'  "base_rows": {plan.base_rows.tolist()},\n'
+        '  "columns": ' + one_per_line([pieces[s][0] for s in sizes]) + ",\n"
+        '  "blocks": ' + one_per_line([pieces[s][1] for s in sizes]) + ",\n"
+        '  "phases": [' + ", ".join(["%.17g"] * plan.n) + "]\n"
+        "}\n"
+    )
+    parts = (plan.blocks.view(np.float64) + 0.0).tolist()
+    phases = (plan.phases + 0.0).tolist()
+    return template % tuple(plan.columns.tolist() + parts + phases)
+
+
+def _family(kind: str, n: int, eps: float) -> np.ndarray:
+    rng = np.random.default_rng(n)
+    if kind == "haar":
+        return haar_random_unitary(n, n)
+    if kind == "phase-only":
+        return np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, n)))
+    u = np.eye(n, dtype=complex)[:, rng.permutation(n)]
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return u @ scipy.linalg.expm(0.5j * eps * (h + h.conj().T))
+
+
+class TestFilesMatchThePercent17gWriter:
+    @pytest.mark.parametrize(
+        "kind,n,eps",
+        [
+            ("haar", 12, None),
+            ("haar", 100, None),
+            ("permutation", 12, 0.0),
+            ("near-permutation", 12, 1e-10),
+            ("near-permutation", 12, 1e-300),
+            ("phase-only", 12, None),
+        ],
+    )
+    def test_plan_and_matrix_text(self, kind, n, eps):
+        u = _family(kind, n, eps)
+        assert matrix_to_json(u) == _matrix_text_17g(u)
+        for m in (2, 3, 4):
+            plan = decompose(u, m)
+            assert (len(plan.sizes) == 0) == (kind == "phase-only")
+            assert plan_to_json(plan) == _plan_text_17g(plan), m
+            rebuilt = reconstruct(plan)
+            assert matrix_to_json(rebuilt) == _matrix_text_17g(rebuilt), m
+
+    def test_negative_zeros_and_tiny_entries(self):
+        plan = DecompositionPlan(
+            n=2, m=2, sizes=[2], base_rows=[2], columns=[1, 2],
+            blocks=[complex(-0.0, 5e-324), 1, 1, complex(-0.0, -1e-300)], phases=[-0.0, 1e-5],
+        )
+        assert plan_to_json(plan) == _plan_text_17g(plan)
+        assert matrix_to_json(AWKWARD) == _matrix_text_17g(AWKWARD)
 
 
 class TestSweepCsv:
