@@ -2,7 +2,8 @@
 
 Draws a Haar-random n x n unitary, factors it into embedded m x m unitary
 blocks plus final per-mode phases, prints the factor schedule, then checks
-the reconstruction two independent ways: the fast column-slice composition
+the reconstruction two independent ways: ``reconstruct``, which applies the
+factors layer by layer in real arithmetic (the "fast composition" below),
 and the literal product of full-size embeddings.
 
 Usage:

@@ -150,8 +150,9 @@ def _frozen(values, dtype) -> np.ndarray:
 def _field(name: str, values, dtype) -> np.ndarray:
     """Plan field ``name`` as a read-only ``dtype`` array; a ``ValueError``
     that names the field if a value lies outside the range of ``dtype``, if
-    the cast fails, or, for an integer field, if the cast would change a
-    value (``2.5``, or a ``uint64`` that wraps)."""
+    the cast fails (a complex phase, a ``None`` column), or, for an integer
+    field, if the cast would change a value (``2.5``, or a ``uint64`` that
+    wraps)."""
     try:
         given = np.asarray(values)
         with np.errstate(invalid="ignore"):  # a value the cast changes is named below
@@ -160,7 +161,7 @@ def _field(name: str, values, dtype) -> np.ndarray:
             out = _frozen(given if given.dtype == dtype else values, dtype)
     except OverflowError:
         raise ValueError(f"{name}: a value is out of range for {np.dtype(dtype)}") from None
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{name}: {exc}") from None
     if out.dtype.kind == "i" and given.dtype != out.dtype:
         k = _first((out != given).ravel())

@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "as_matrix",
     "haar_random_unitary",
-    "rq_decompose",
 ]
 
 _U64_MASK = (1 << 64) - 1
@@ -148,7 +147,10 @@ def _haar_stack(n: int, rngs) -> np.ndarray:
 
 
 def _rq_unitaries(a: np.ndarray) -> np.ndarray:
-    """The ``q`` of ``rq_decompose`` for a finite ``(..., s, s)`` complex128 stack, unchecked.
+    """A unitary ``q`` per matrix of a finite ``(..., s, s)`` complex128 stack
+    ``a``, unchecked, such that ``a @ q`` is upper triangular: the ``q`` of
+    the RQ decomposition ``a = r q^dag``, for the decomposition sweep to
+    use as a right-multiplier.
 
     A 2 x 2 matrix gets the closed-form rotation that maps its bottom row
     ``(x, y)`` to ``(0, rho)`` with ``rho = |(x, y)|``; a zero bottom row
@@ -198,23 +200,3 @@ def _rq_unitaries(a: np.ndarray) -> np.ndarray:
         q = reduced(flipped, tau, signature="DD->D")
     return q[..., ::-1]
 
-
-def rq_decompose(a) -> tuple[np.ndarray, np.ndarray]:
-    """Factor square matrices so that ``a @ q`` is upper triangular.
-
-    ``a`` is one ``(s, s)`` matrix or a stack of them (any leading axes,
-    typically ``(k, s, s)``); every matrix of the stack is factored on its
-    own.  Returns ``(r, q)`` of the same shape with each ``q`` unitary and
-    ``r`` the upper triangle of ``a @ q`` (exact zeros below the diagonal).
-    This is the standard RQ decomposition ``a = r q'`` with ``q = q'^dag``
-    so the caller can use ``q`` directly as a right-multiplier that
-    triangularizes ``a``.  ``q`` is that of ``_rq_unitaries``, the kernel
-    the decomposition sweep calls on its own.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
-        raise ValueError(f"expected square matrices, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix contains non-finite entries")
-    q = _rq_unitaries(a)
-    return np.triu(a @ q), q

@@ -1,7 +1,10 @@
+import csv
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,9 @@ from multiport.serialize import (
     plan_to_json,
     save_matrix,
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(args, capsys):
@@ -409,3 +415,79 @@ class TestParsing:
         )
         assert proc.returncode == 0
         assert "advantageous" in proc.stdout
+
+
+# Runs each command of argv[2] (a JSON list of argument lists) through
+# cli.main in the working directory, after a "$ command" line, and exits
+# non-zero at the first command that fails.  With argv[1] == "no-scipy"
+# every import of scipy raises ImportError.
+DRIVER = """
+import json, sys
+if sys.argv[1] == "no-scipy":
+    sys.modules["scipy"] = None
+from multiport.cli import main
+for args in json.loads(sys.argv[2]):
+    print("$", *args, flush=True)
+    code = main(args)
+    if code:
+        sys.exit(f"{args}: exit {code}")
+"""
+SWEEP = ["--m-list", "2,3", "--matrices", "2", "--perturbations", "2"]
+NOISE = ["sweep-noise", "--n", "6", "--sigmas", "0.0,0.1", *SWEEP]
+COMMANDS = [
+    ["random", "--n", "6", "--seed", "1", "--out", "u.json"],
+    # 1 + 2**64: seeds wrap modulo 2**64
+    ["random", "--n", "6", "--seed", str(1 + 2**64), "--out", "u-wrapped.json"],
+    # at m = 2 every layer group is a run of adjacent columns, at m = 3 most are gathered
+    ["decompose", "--in", "u.json", "--m", "3", "--out", "plan.json"],
+    ["decompose", "--in", "u.json", "--m", "2", "--out", "plan-m2.json"],
+    ["reconstruct", "--in", "plan.json", "--out", "rebuilt.json"],
+    ["reconstruct", "--in", "plan-m2.json", "--out", "rebuilt-m2.json"],
+    ["verify", "--plan", "plan.json", "--matrix", "u.json"],
+    ["verify", "--plan", "plan-m2.json", "--matrix", "u.json"],
+    [*NOISE, "--seed", "1", "--out", "noise.csv", "--svg", "noise.svg"],
+    ["sweep-size", "--n-list", "3,5", "--target-fq", "0.95", "--fq-tol", "0.01", *SWEEP,
+     "--seed", "1", "--out", "size.csv", "--svg", "size.svg"],
+    # 7 + 2**32: a seed past 32 bits
+    [*NOISE, "--seed", str(7 + 2**32), "--out", "high.csv"],
+]
+
+
+def test_files_are_identical_across_fresh_interpreters(tmp_path):
+    # What only a new process shows: a stream or a cache that depends on the
+    # hash seed or on what an earlier call left behind, or a path that
+    # changes when scipy is missing, writes different bytes in the second
+    # interpreter.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    files = {}
+    for mode, hash_seed in (("default", "1"), ("no-scipy", "2")):
+        cwd = tmp_path / mode
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", DRIVER, mode, json.dumps(COMMANDS)],
+            cwd=cwd,
+            env={**env, "PYTHONHASHSEED": hash_seed},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # a dense 6 x 6 input: n(n-1)/2 = 15 below-diagonal zeros
+        decompose_m3 = proc.stdout.split("$ ")[3]
+        assert decompose_m3.startswith("decompose --in u.json --m 3 ")
+        assert "zeros_cleared = 15" in decompose_m3.splitlines()
+        files[mode] = {path.name: path.read_bytes() for path in cwd.iterdir()}
+    first, second = files["default"], files["no-scipy"]
+    assert first.keys() == second.keys()
+    for name in first:
+        assert first[name] == second[name], name
+    assert first["u-wrapped.json"] == first["u.json"]
+    # every row pools 2 matrices x 2 perturbations; the sigma = 0 rows, one
+    # per m, are exact
+    lines = first["noise.csv"].decode().splitlines()
+    rows = list(csv.DictReader(line for line in lines if not line.startswith("#")))
+    assert len(rows) == 4 and all(row["samples"] == "4" for row in rows)
+    exact = [row for row in rows if row["sigma"] == "0"]
+    assert len(exact) == 2
+    assert all(row["fq_mean"] == "1" and row["fu_mean"] == "1" for row in exact)

@@ -974,6 +974,23 @@ class TestPlanValidation:
         assert str(excinfo.value) == message
 
     @pytest.mark.parametrize(
+        "changes,name",
+        [
+            (dict(phases=[1j, 0]), "phases"),
+            (dict(columns=[None, 2]), "columns"),
+            (dict(blocks=[object(), 1, 1, 0]), "blocks"),
+        ],
+    )
+    def test_a_value_of_the_wrong_type_is_a_value_error_naming_the_field(self, changes, name):
+        # The cast raises TypeError here; its wording varies across CPython
+        # versions, so only the field prefix is pinned.
+        fields = dict(n=2, m=2, sizes=[2], base_rows=[2], columns=[1, 2],
+                      blocks=[0, 1, 1, 0], phases=[0, 0])
+        with pytest.raises(ValueError, match=f"^{name}: ") as excinfo:
+            DecompositionPlan(**{**fields, **changes})
+        assert type(excinfo.value) is ValueError
+
+    @pytest.mark.parametrize(
         "changes",
         [
             dict(sizes=[2.0], base_rows=[2.0], columns=[1.0, 2.0]),

@@ -14,7 +14,6 @@ from multiport.linalg import (
     _to_float,
     as_matrix,
     haar_random_unitary,
-    rq_decompose,
 )
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -258,21 +257,23 @@ class TestFlatFidelities:
 
 
 class TestRQDecompose:
+    """``_rq_unitaries(a)`` is a unitary ``q`` with ``a @ q`` upper triangular."""
+
     def test_identity(self):
-        r, q = rq_decompose(np.eye(4))
+        a = np.eye(4, dtype=complex)
+        q = _rq_unitaries(a)
         assert unitarity_defect(q) <= 1e-12
-        np.testing.assert_allclose(np.eye(4) @ q, r, atol=1e-14)
-        assert np.all(np.abs(np.tril(r, -1)) == 0.0)
+        assert np.abs(np.tril(a @ q, -1)).max() <= 1e-14
 
     def test_already_upper_triangular(self):
-        a = np.array([[1.0, 2.0, 3.0], [0.0, 4.0, 5.0], [0.0, 0.0, 6.0]])
-        r, q = rq_decompose(a)
-        assert np.all(np.abs(np.tril(r, -1)) == 0.0)
-        np.testing.assert_allclose(a @ q, r, atol=1e-12)
+        a = np.array([[1.0, 2.0, 3.0], [0.0, 4.0, 5.0], [0.0, 0.0, 6.0]], dtype=complex)
+        q = _rq_unitaries(a)
+        assert unitarity_defect(q) <= 1e-12
+        assert np.abs(np.tril(a @ q, -1)).max() <= 1e-12
 
     def test_random_unitary(self):
         a = haar_random_unitary(3, 17)
-        r, q = rq_decompose(a)
+        q = _rq_unitaries(a)
         prod = a @ q
         assert np.abs(np.tril(prod, -1)).max() < 1e-12
         assert unitarity_defect(q) <= 1e-12
@@ -281,55 +282,53 @@ class TestRQDecompose:
     def test_contract_on_general_matrices(self, n):
         rng = np.random.default_rng(n)
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        r, q = rq_decompose(a)
+        q = _rq_unitaries(a)
         scale = np.abs(a).max()
         assert unitarity_defect(q) <= 1e-12 * max(n, 1)
-        np.testing.assert_allclose(a @ q, r, atol=1e-12 * scale)
-        assert np.all(np.tril(r, -1) == 0.0)
+        assert np.abs(np.tril(a @ q, -1)).max(initial=0.0) <= 1e-12 * scale
 
     def test_two_by_two_maps_bottom_row_onto_diagonal(self):
         # the closed-form rotation sends (x, y) to (0, |(x, y)|)
         a = np.array([[0.5, 2.0 - 1j], [3.0 + 4.0j, 0.0]])
-        r, q = rq_decompose(a)
-        assert r[1, 0] == 0.0
-        assert r[1, 1] == pytest.approx(5.0, abs=1e-15)
-        np.testing.assert_allclose(a @ q, r, atol=1e-15)
+        prod = a @ _rq_unitaries(a)
+        assert abs(prod[1, 0]) <= 1e-15
+        assert prod[1, 1] == pytest.approx(5.0, abs=1e-15)
 
     def test_two_by_two_single_entry_bottom_row_gives_exact_swap(self):
-        r, q = rq_decompose(np.array([[0.3, 0.0], [0.6 - 0.8j, 0.0]]))
+        a = np.array([[0.3, 0.0], [0.6 - 0.8j, 0.0]])
+        q = _rq_unitaries(a)
         assert q[0, 0] == 0.0 and q[1, 1] == 0.0
         assert abs(q[0, 1]) == pytest.approx(1.0, abs=1e-15)
-        assert r[0, 1] != 0.0 and r[0, 0] == 0.0
+        prod = a @ q
+        assert prod[0, 1] != 0.0 and prod[0, 0] == 0.0
 
     @pytest.mark.parametrize("top", [[0.0, 0.0], [1.0, -2.0j]])
     def test_two_by_two_zero_bottom_row_gives_identity(self, top):
         a = np.array([top, [0.0, 0.0]], dtype=complex)
-        r, q = rq_decompose(a)
+        q = _rq_unitaries(a)
         np.testing.assert_array_equal(q, np.eye(2))
-        np.testing.assert_array_equal(r, a)
+        np.testing.assert_array_equal(a @ q, a)
 
     @pytest.mark.parametrize("bottom", [[3e-310, 4e-310j], [5e-324, 0.0], [0.0, -1e-320]])
     def test_two_by_two_subnormal_bottom_row(self, bottom):
         # 1/rho overflows for a subnormal rho; the row is rescaled instead
         a = np.array([[1.0, 2.0 - 1j], bottom], dtype=complex)
-        r, q = rq_decompose(np.stack([a, SWAP]))
+        q = _rq_unitaries(np.stack([a, SWAP]))
         assert unitarity_defect(q[0]) <= 1e-15
-        assert r[0, 1, 0] == 0.0 and abs(r[0, 1, 1]) == np.hypot(*np.abs(bottom))
-        np.testing.assert_allclose(a @ q[0], r[0], rtol=0, atol=1e-15)
+        prod = a @ q[0]
+        assert abs(prod[1, 0]) <= 1e-15 and abs(prod[1, 1]) == np.hypot(*np.abs(bottom))
         # a normal row of the same stack gets the rotation it gets alone
-        np.testing.assert_array_equal(q[1], rq_decompose(SWAP)[1])
+        np.testing.assert_array_equal(q[1], _rq_unitaries(SWAP))
 
     def test_two_by_two_subnormal_row_beside_a_huge_one(self):
         # Only the subnormal row is rescaled, so the other row's 1e300 entry
         # is never scaled by 2**600 (an overflow warning, an error here).
         a = np.array([[[1, 2], [1e-320, 0]], [[1, 2], [1e300, 3]]], dtype=complex)
-        r, q = rq_decompose(a)
+        q = _rq_unitaries(a)
         for k in range(2):
-            r1, q1 = rq_decompose(a[k])
-            assert r[k].tobytes() == r1.tobytes() and q[k].tobytes() == q1.tobytes()
+            assert q[k].tobytes() == _rq_unitaries(a[k]).tobytes()
             assert unitarity_defect(q[k]) <= 1e-15
-            assert r[k, 1, 0] == 0.0
-        assert r[1, 1, 1] == np.hypot(1e300, 3)
+        assert (a[1] @ q[1])[1, 1] == np.hypot(1e300, 3)
 
     @pytest.mark.parametrize(
         "bottom",
@@ -340,7 +339,7 @@ class TestRQDecompose:
         # q[0, 0] = y never holds a -0 part, and q[1, 1] is exactly its
         # conjugate, so only its imaginary part can be -0.
         a = np.array([[1.0, 2.0], bottom], dtype=complex)
-        _, q = rq_decompose(a)
+        q = _rq_unitaries(a)
         parts = np.array([q[0, 0].real, q[0, 0].imag, q[1, 1].real])
         assert not np.signbit(parts[parts == 0.0]).any()
         assert q[1, 1].tobytes() == np.conj(q[0, 0]).tobytes()
@@ -362,11 +361,3 @@ class TestRQDecompose:
         kept = a.copy()
         _rq_unitaries(a)
         assert a.tobytes() == kept.tobytes()
-
-    def test_real_input_promoted_to_complex(self):
-        _, q = rq_decompose(np.eye(3))
-        assert q.dtype == np.complex128
-
-    def test_nonsquare_rejected(self):
-        with pytest.raises(ValueError):
-            rq_decompose(np.zeros((2, 3)))
