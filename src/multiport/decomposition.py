@@ -282,13 +282,19 @@ def _validated(n, m, sizes, base_rows, columns, blocks, phases, stack=()):
     once over the whole stack: the phases, the factors' sizes, columns and
     base rows, and the unitarity of every block, as one stacked check per
     block size.  Raises a plain ``ValueError`` at the first fault, a value
-    out of range for its field's array included; the message of a fault of
-    factor ``k``, in any plan of the stack, starts ``factors[k]: ``.
+    out of range for its field's array and a non-integer ``n`` or ``m``
+    (``n: ...``) included; the message of a fault of factor ``k``, in any
+    plan of the stack, starts ``factors[k]: ``.
     Returns the fields of ``_PLAN_FIELDS`` in order, the arrays as
     read-only copies and the factors' ``_Layout`` last.  This is the one
     checker of a plan: ``DecompositionPlan`` and the stack decomposition
     both check through here.
     """
+    for name, value in (("n", n), ("m", m)):
+        try:
+            operator.index(value)
+        except TypeError as exc:
+            raise ValueError(f"{name}: {exc}") from None
     n, m = _check_block_size(n, m)
     phases = _field("phases", phases, np.float64)
     if phases.shape != stack + (n,):

@@ -409,46 +409,36 @@ def _check_counts(n_matrices: int, n_perturbations: int) -> tuple[int, int]:
     return n_matrices, n_perturbations
 
 
-def _prepare(n: int, m: int, n_matrices: int, seed: int, key):
-    """Draw a sweep's trial matrices and decompose them once, as one stack.
-
-    Matrix ``t`` is the Haar unitary drawn from
-    ``_generator(seed, _MATRIX_STREAM, *key, t)``, with the others through
-    one stacked QR (``linalg._haar_stack``).  Returns the
-    ``(n_matrices, n, n)`` stack followed by what ``_decompose_stack``
-    returns for it (the shared layout, the ``(n_matrices, entries)`` blocks
-    and the ``(n_matrices, n)`` phases); no plan is built.
-    """
-    us = _haar_stack(n, [_generator(seed, _MATRIX_STREAM, *key, t) for t in range(n_matrices)])
-    return (us, *_decompose_stack(us, m))
-
-
 def _sweep_cells(
     n: int, m: int, sigmas, key, n_matrices: int, n_perturbations: int, seed: int
 ) -> list[SweepResult]:
     """Pool block and matrix fidelities over every perturbation of every matrix.
 
-    The trial matrices are those of ``_prepare(n, m, n_matrices, seed,
-    key)``, one cell per noise strength in ``sigmas``.  Matrix ``t`` has
-    one set of noise for the whole list: the ``(draws, entries)`` offsets
-    drawn from ``_generator(seed, _NOISE_STREAM, *key, t)`` (see
-    ``_offsets``), row ``p`` for perturbation ``p``, which every cell
-    scales by its own sigma (``_perturb``).  So the cells of one sweep
-    share their draws, as they share their matrices.  The ``(matrix,
-    cell)`` pairs are composed in that order, matrix outermost, in runs of
-    whole pairs (see the module docstring); a matrix's offsets are drawn
-    when its first ``sigma > 0`` pair enters a stack and held only while
-    its pairs are being composed.  The fidelities fill one ``(cells,
-    matrices, draws, K)`` array of block fidelities and one ``(cells,
-    matrices, draws)`` array of matrix fidelities, and every cell is
-    reduced in one pass, by ``_row_stats``, when all are composed.  So the
-    results do not depend on how the pairs are stacked.  A pair at
-    ``sigma == 0`` is composed once, as one slice (see
-    ``_perturbed_stack``), and its fidelities fill all ``draws`` places of
-    its row, so it still counts ``draws`` samples; the stack ceiling counts
-    it as ``draws`` slices all the same.
+    Trial matrix ``t`` is the Haar unitary drawn from
+    ``_generator(seed, _MATRIX_STREAM, *key, t)``, all of them through one
+    stacked QR (``linalg._haar_stack``), and they are decomposed once, as
+    one stack (``_decompose_stack``: one layout, ``(n_matrices, entries)``
+    blocks and ``(n_matrices, n)`` phases; no plan is built).  There is one
+    cell per noise strength in ``sigmas``.  Matrix ``t`` has one set of
+    noise for the whole list: the ``(draws, entries)`` offsets drawn from
+    ``_generator(seed, _NOISE_STREAM, *key, t)`` (see ``_offsets``), row
+    ``p`` for perturbation ``p``, which every cell scales by its own sigma
+    (``_perturb``).  So the cells of one sweep share their draws, as they
+    share their matrices.  The ``(matrix, cell)`` pairs are composed in
+    that order, matrix outermost, in runs of whole pairs (see the module
+    docstring); a matrix's offsets are drawn when its first ``sigma > 0``
+    pair enters a stack and held only while its pairs are being composed.
+    The fidelities fill one ``(cells, matrices, draws, K)`` array of block
+    fidelities and one ``(cells, matrices, draws)`` array of matrix
+    fidelities, and every cell is reduced in one pass, by ``_row_stats``,
+    when all are composed.  So the results do not depend on how the pairs
+    are stacked.  A pair at ``sigma == 0`` is composed once, as one slice
+    (see ``_perturbed_stack``), and its fidelities fill all ``draws``
+    places of its row, so it still counts ``draws`` samples; the stack
+    ceiling counts it as ``draws`` slices all the same.
     """
-    us, layout, blocks, phases = _prepare(n, m, n_matrices, seed, key)
+    us = _haar_stack(n, [_generator(seed, _MATRIX_STREAM, *key, t) for t in range(n_matrices)])
+    layout, blocks, phases = _decompose_stack(us, m)
     draws, entries = n_perturbations, blocks.shape[-1]
     fq = np.empty((len(sigmas), n_matrices, draws, len(layout)))
     fu = np.empty((len(sigmas), n_matrices, draws))

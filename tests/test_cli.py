@@ -384,7 +384,7 @@ class TestSweepSizeCommand:
         assert any(line.startswith("# calibrated_sigma_m2 = ") for line in text.splitlines())
         assert "calibrated sigma for m=2" in out
         assert len([l for l in text.splitlines() if not l.startswith("#")]) == 3
-        assert svg.read_text().startswith("<svg")
+        assert ET.parse(svg).getroot().tag == "{http://www.w3.org/2000/svg}svg"
 
     def test_m_above_every_n_fails_up_front(self, tmp_path, capsys):
         csv = tmp_path / "size.csv"

@@ -979,6 +979,8 @@ class TestPlanValidation:
             (dict(phases=[1j, 0]), "phases"),
             (dict(columns=[None, 2]), "columns"),
             (dict(blocks=[object(), 1, 1, 0]), "blocks"),
+            (dict(n=2.0), "n"),
+            (dict(m="2"), "m"),
         ],
     )
     def test_a_value_of_the_wrong_type_is_a_value_error_naming_the_field(self, changes, name):

@@ -4,13 +4,11 @@ import os
 import re
 import subprocess
 import sys
-import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SMALL = ["--matrices", "2", "--perturbations", "2"]
 
 
 def run_demo(name, *args):
@@ -27,15 +25,6 @@ def run_demo(name, *args):
     return proc.stdout
 
 
-@pytest.mark.parametrize("name", ["noise_sweep.py", "size_scaling.py"])
-def test_sweep_demos_write_charts_that_parse(name, tmp_path):
-    run_demo(name, *SMALL, "--out", str(tmp_path))
-    charts = list(tmp_path.glob("*.svg"))
-    assert charts
-    for chart in charts:
-        assert ET.parse(chart).getroot().tag == "{http://www.w3.org/2000/svg}svg"
-
-
 def test_cost_threshold_demo():
     assert "verdicts at n =" in run_demo("cost_threshold.py")
 
@@ -46,3 +35,11 @@ def test_walkthrough_explicit_product_matches(args):
     out = run_demo("decompose_walkthrough.py", *args)
     error = float(re.search(r"explicit embedding error:\s+(\S+)", out).group(1))
     assert error <= 1e-13
+
+
+def test_every_demo_is_run_here():
+    # a demo without a test here drifts from the library unnoticed
+    assert sorted(p.name for p in (ROOT / "demos").glob("*.py")) == [
+        "cost_threshold.py",
+        "decompose_walkthrough.py",
+    ]

@@ -807,10 +807,11 @@ class TestStreams:
     """Distinct loops of the sweeps never share a stream, whatever the seed."""
 
     def test_a_high_seed_word_does_not_alias_a_key(self):
-        # A noise sweep at seed 2**32 + 7 and a size sweep at seed 7: the
-        # seed's high word must not read as the first index of a key.
-        noise_first = robustness._prepare(5, 2, 1, 7 + 2**32, (0,))[0][0]
-        size_first = robustness._prepare(5, 3, 1, 7, (1, 0))[0][0]
+        # The first trial matrix of a noise sweep at seed 2**32 + 7 (key
+        # (0,)) and of a size sweep at seed 7 (key (1, 0)): the seed's high
+        # word must not read as the first index of a key.
+        noise_first = _haar(_spawned(7 + 2**32, _MATRIX_STREAM, 0, 0).standard_normal((5, 5, 2)))
+        size_first = _haar(_spawned(7, _MATRIX_STREAM, 1, 0, 0).standard_normal((5, 5, 2)))
         assert not np.array_equal(noise_first, size_first)
 
 
