@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from multiport.decomposition import (
     verify,
 )
 from multiport.linalg import _fidelities, _rq_unitaries, haar_random_unitary
+from multiport.serialize import json_to_plan, plan_to_json
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -1021,6 +1023,82 @@ class TestPlanValidation:
         assert str(excinfo.value) == (
             f"columns must be 1-D of length sum(sizes) = 2, got shape {shape}"
         )
+
+
+class TestUnitarityCheck:
+    """Blocks of up to 4 modes are checked by elementwise products over the
+    factor axis, larger ones by a stacked BLAS product; both give each
+    block's ``max|B^dag B - I|``, and a plan names its first faulty factor."""
+
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    @pytest.mark.parametrize("s", range(2, 9))
+    def test_matches_a_per_block_reference(self, s, stack):
+        count = int(np.prod(stack, dtype=int))
+        draws = [haar_random_unitary(s, 100 * s + j) for j in range(5 * count)]
+        blocks = np.array(draws).reshape(stack + (5, s, s))
+        blocks[..., 1, :, :] *= 1.5
+        blocks[..., 3, 1, 0] = np.nan
+        reference = np.array(
+            [unitarity_defect(b) for b in blocks.reshape(-1, s, s)]
+        ).reshape(stack + (5,))
+        got = decomposition._unitarity_defects(np.moveaxis(blocks, -3, -1))
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(got, reference, rtol=4 * eps, atol=4 * s * eps)
+        assert np.isnan(got[..., 3]).all()
+        assert (got[..., [0, 2, 4]] <= decomposition._BLOCK_UNITARY_TOL).all()
+        assert not (got[..., [1, 3]] <= decomposition._BLOCK_UNITARY_TOL).any()
+
+    @pytest.mark.parametrize("s", [2, 5])
+    def test_rejects_a_nan_entry(self, s):
+        block = haar_random_unitary(s, 8)
+        block[0, 1] = np.nan
+        with pytest.raises(ValueError) as excinfo:
+            one_factor_plan(n=s, m=s, size=s, base_row=s, columns=tuple(range(1, s + 1)),
+                            block=block)
+        assert str(excinfo.value) == "factors[0]: factor block is not unitary (defect nan)"
+
+    @pytest.mark.parametrize("order", ["large first", "small first"])
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    def test_names_the_lower_of_faults_in_two_size_groups(self, order, stack):
+        # n = 13, m = 6 mixes both kernels: factors of 6 and 5 modes around
+        # remainder blocks of 2 to 4.
+        plan = decompose(haar_random_unitary(13, 21), 6)
+        big = np.flatnonzero(plan.sizes >= 5)
+        small = np.flatnonzero(plan.sizes <= 4)
+        assert big[0] < small[0] < big[-1]
+        lower, upper = (big[0], small[0]) if order == "large first" else (small[0], big[-1])
+        assert (plan.sizes[lower] <= 4) != (plan.sizes[upper] <= 4)
+        blocks = np.array(np.broadcast_to(plan.blocks, stack + plan.blocks.shape))
+        member = blocks if not stack else blocks[1]
+        # The upper factor gets the larger defect, so the first fault in plan
+        # order is named, not the worst.
+        member[plan._layout.offsets[lower] : plan._layout.offsets[lower + 1]] *= 1.5
+        member[plan._layout.offsets[upper] : plan._layout.offsets[upper + 1]] *= 2.0
+        phases = np.broadcast_to(plan.phases, stack + plan.phases.shape)
+        with pytest.raises(ValueError) as excinfo:
+            decomposition._validated(plan.n, plan.m, plan.sizes, plan.base_rows, plan.columns,
+                                     blocks, phases, stack)
+        assert str(excinfo.value) == (
+            f"factors[{lower}]: factor block is not unitary (defect 1.250e+00)"
+        )
+
+    def test_a_large_block_passes_and_its_scaled_copy_fails(self):
+        n = 64
+        fields = dict(n=n, m=n, sizes=[n], base_rows=[n], columns=np.arange(1, n + 1),
+                      blocks=haar_random_unitary(n, 5).ravel(), phases=np.zeros(n))
+        plan = DecompositionPlan(**fields)
+        loaded = json_to_plan(plan_to_json(plan))
+        np.testing.assert_array_equal(loaded.blocks, plan.blocks)
+        message = "factors[0]: factor block is not unitary (defect 1.250e+00)"
+        scaled = dict(fields, blocks=1.5 * fields["blocks"])
+        with pytest.raises(ValueError) as excinfo:
+            DecompositionPlan(**scaled)
+        assert str(excinfo.value) == message
+        obj = json.loads(plan_to_json(plan))
+        obj["blocks"] = [1.5 * v for v in obj["blocks"]]
+        with pytest.raises(ValueError) as excinfo:
+            json_to_plan(json.dumps(obj))
+        assert str(excinfo.value) == f"invalid plan: {message}"
 
 
 class TestVerify:
