@@ -119,18 +119,19 @@ def _unitarity_defects(blocks: np.ndarray) -> np.ndarray:
     """``max|B^dag B - I|`` of every ``s x s`` block of a ``(..., s, s, K)``
     stack, the factor axis last, as ``(..., K)``."""
     # Measured on 2 cores: s products over contiguous K-long rows win up to
-    # s = 4 (4950 2x2 blocks: 0.7 against 3.2 ms for a stacked ``@``), the two
-    # are even at s = 5, and ``@`` wins from s = 6 (400 8x8 blocks: 0.45
-    # against 1.0 ms).
+    # s = 5 (4950 2x2 blocks: 0.7 against 3.2 ms for a stacked ``@``; 400 5x5
+    # blocks: 0.16 against 0.24 ms), the two are even at s = 6, and ``@``
+    # wins from s = 7 (400 10x10 blocks: 0.65 against 1.2 ms; one 300x300
+    # block: 3 against 75 ms).
     s = blocks.shape[-2]
-    if s <= 4:
+    if s <= 5:
         conj = np.conj(blocks)
         gram = conj[..., 0, :, None, :] * blocks[..., 0, None, :, :]
         for j in range(1, s):
             gram += conj[..., j, :, None, :] * blocks[..., j, None, :, :]
     else:
         stacked = np.ascontiguousarray(np.moveaxis(blocks, -1, -3))
-        gram = np.moveaxis(np.conj(stacked).mT @ stacked, -3, -1)
+        gram = np.moveaxis(np.conj(stacked).swapaxes(-1, -2) @ stacked, -3, -1)
     gram = gram.reshape(gram.shape[:-3] + (s * s, -1))
     gram[..., :: s + 1, :] -= 1
     return np.abs(gram).max(axis=-2)
@@ -294,14 +295,13 @@ def _validated(n, m, sizes, base_rows, columns, blocks, phases, stack=()):
     ``blocks`` and ``phases`` carry the leading ``stack`` axes, one set of
     blocks and phases per plan (none for a single plan).  Every check runs
     once over the whole stack: the phases, the factors' sizes, columns and
-    base rows, and the unitarity of every block.  Each block size's blocks
-    are gathered with the factor axis last, and ``max|B^dag B - I|`` is
-    taken per factor: from elementwise products over the factors for
-    blocks of up to 4 modes, from one stacked BLAS product for larger ones
-    (see ``_unitarity_defects``).  Raises a plain ``ValueError`` at the
-    first fault, a value out of range for its field's array and a
-    non-integer ``n`` or ``m`` (``n: ...``) included; the message of a
-    fault of factor ``k``, in any plan of the stack, starts ``factors[k]: ``.
+    base rows, and the unitarity of every block, as ``max|B^dag B - I|``
+    per factor over each block size's blocks gathered with the factor axis
+    last (``_unitarity_defects`` picks the kernel by block size).  Raises a
+    plain ``ValueError`` at the first fault, a value out of range for its
+    field's array and a non-integer ``n`` or ``m`` (``n: ...``) included;
+    the message of a fault of factor ``k``, in any plan of the stack,
+    starts ``factors[k]: ``.
     Returns the fields of ``_PLAN_FIELDS`` in order, the arrays as
     read-only copies and the factors' ``_Layout`` last.  This is the one
     checker of a plan: ``DecompositionPlan`` and the stack decomposition
@@ -398,11 +398,10 @@ class DecompositionPlan:
     arrays of the plan's JSON file.  ``phases`` holds the n output phase
     angles, each in ``(-pi, pi]``, defining ``D = diag(exp(1j * phases))``.
     Construction copies the arrays read-only, validates every factor (size,
-    columns, base row, and the unitarity of the blocks: by elementwise
-    products over the factors for blocks of up to 4 modes, by one stacked
-    BLAS product for larger ones) and splits the factors into wavefront
-    layers, all through ``_validated``, the one plan checker, which also
-    checks the block stacks of the sweeps.  Every fault raises ``ValueError``, a value
+    columns, base row, and the unitarity of the blocks, checked per block
+    size) and splits the factors into wavefront layers, all through
+    ``_validated``, the one plan checker, which also checks the block
+    stacks of the sweeps.  Every fault raises ``ValueError``, a value
     out of range for its field included; a fault of factor ``k`` reads
     ``factors[k]: ...``.  ``factors`` lists them as ``Factor`` records over
     read-only views of ``blocks``.

@@ -1026,9 +1026,8 @@ class TestPlanValidation:
 
 
 class TestUnitarityCheck:
-    """Blocks of up to 4 modes are checked by elementwise products over the
-    factor axis, larger ones by a stacked BLAS product; both give each
-    block's ``max|B^dag B - I|``, and a plan names its first faulty factor."""
+    """Both kernels of ``_unitarity_defects`` give each block's
+    ``max|B^dag B - I|``, and a plan names its first faulty factor."""
 
     @pytest.mark.parametrize("stack", [(), (3,)])
     @pytest.mark.parametrize("s", range(2, 9))
@@ -1048,7 +1047,7 @@ class TestUnitarityCheck:
         assert (got[..., [0, 2, 4]] <= decomposition._BLOCK_UNITARY_TOL).all()
         assert not (got[..., [1, 3]] <= decomposition._BLOCK_UNITARY_TOL).any()
 
-    @pytest.mark.parametrize("s", [2, 5])
+    @pytest.mark.parametrize("s", [2, 6])
     def test_rejects_a_nan_entry(self, s):
         block = haar_random_unitary(s, 8)
         block[0, 1] = np.nan
@@ -1060,14 +1059,14 @@ class TestUnitarityCheck:
     @pytest.mark.parametrize("order", ["large first", "small first"])
     @pytest.mark.parametrize("stack", [(), (3,)])
     def test_names_the_lower_of_faults_in_two_size_groups(self, order, stack):
-        # n = 13, m = 6 mixes both kernels: factors of 6 and 5 modes around
-        # remainder blocks of 2 to 4.
-        plan = decompose(haar_random_unitary(13, 21), 6)
-        big = np.flatnonzero(plan.sizes >= 5)
-        small = np.flatnonzero(plan.sizes <= 4)
+        # n = 16, m = 6 mixes both kernels: factors of 6 modes (stacked
+        # product) around remainder blocks of 2 to 5 (elementwise).
+        plan = decompose(haar_random_unitary(16, 21), 6)
+        big = np.flatnonzero(plan.sizes >= 6)
+        small = np.flatnonzero(plan.sizes <= 5)
         assert big[0] < small[0] < big[-1]
         lower, upper = (big[0], small[0]) if order == "large first" else (small[0], big[-1])
-        assert (plan.sizes[lower] <= 4) != (plan.sizes[upper] <= 4)
+        assert (plan.sizes[lower] <= 5) != (plan.sizes[upper] <= 5)
         blocks = np.array(np.broadcast_to(plan.blocks, stack + plan.blocks.shape))
         member = blocks if not stack else blocks[1]
         # The upper factor gets the larger defect, so the first fault in plan
