@@ -13,6 +13,12 @@ Subcommands:
 Results go to the requested output files; a short summary is printed to
 stdout.  Exit status is 0 only when the command's checks pass; errors are
 reported on stderr with a non-zero status.
+
+The commands are registered from one table, ``_COMMANDS``: name, help,
+argument adder and handler.  ``main`` builds only the subparser of the
+command its first argument names, since the sweeps call it once per job
+and all seven cost about a millisecond to build; help, usage and error
+texts read the same as with all seven (see ``_build_parser``).
 """
 
 from __future__ import annotations
@@ -196,71 +202,106 @@ def _cmd_cost(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="multiport",
-        description="Block decomposition of unitaries and noise-robustness sweeps.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decompose", help="factor a matrix file into a plan file")
+def _decompose_args(p) -> None:
     p.add_argument("--in", dest="infile", required=True, metavar="MATRIX_JSON")
     p.add_argument("--m", type=int, required=True, help="maximum block size")
     p.add_argument("--out", required=True, metavar="PLAN_JSON")
-    p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("reconstruct", help="multiply a plan file back into a matrix")
+
+def _reconstruct_args(p) -> None:
     p.add_argument("--in", dest="infile", required=True, metavar="PLAN_JSON")
     p.add_argument("--out", required=True, metavar="MATRIX_JSON")
-    p.set_defaults(func=_cmd_reconstruct)
 
-    p = sub.add_parser("verify", help="check a plan file against a matrix file")
+
+def _verify_args(p) -> None:
     p.add_argument("--plan", required=True, metavar="PLAN_JSON")
     p.add_argument("--matrix", required=True, metavar="MATRIX_JSON")
     p.add_argument("--tol", type=float, default=None, help="max-error tolerance")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("random", help="write a seeded Haar-random unitary")
+
+def _random_args(p) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, metavar="MATRIX_JSON")
-    p.set_defaults(func=_cmd_random)
 
-    p = sub.add_parser("sweep-noise", help="fidelity vs noise strength (CSV/SVG)")
+
+def _sweep_noise_args(p) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m-list", type=_list_of(int, "integers"), required=True)
     p.add_argument("--sigmas", type=_list_of(float, "numbers"), required=True)
-    p.add_argument("--matrices", type=int, required=True)
-    p.add_argument("--perturbations", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True, metavar="CSV")
-    p.add_argument("--svg", default=None, metavar="SVG")
-    p.set_defaults(func=_cmd_sweep_noise)
+    _sweep_tail_args(p)
 
-    p = sub.add_parser("sweep-size", help="fidelity vs size at calibrated noise")
+
+def _sweep_size_args(p) -> None:
     p.add_argument("--m-list", type=_list_of(int, "integers"), required=True)
     p.add_argument("--n-list", type=_list_of(int, "integers"), required=True)
     p.add_argument("--target-fq", type=float, required=True)
     p.add_argument("--fq-tol", type=float, required=True)
+    _sweep_tail_args(p)
+
+
+def _sweep_tail_args(p) -> None:
+    """The arguments both sweeps end with, in the order their help lists them."""
     p.add_argument("--matrices", type=int, required=True)
     p.add_argument("--perturbations", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, metavar="CSV")
     p.add_argument("--svg", default=None, metavar="SVG")
-    p.set_defaults(func=_cmd_sweep_size)
 
-    p = sub.add_parser("cost", help="mesh cost vs the all-2x2 baseline")
+
+def _cost_args(p) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--cm", type=float, required=True, help="cost of one m-block")
     p.add_argument("--c2", type=float, required=True, help="cost of one 2x2 block")
-    p.set_defaults(func=_cmd_cost)
 
+
+# name -> (help, argument adder, handler), in the order help lists them
+_COMMANDS = {
+    "decompose": ("factor a matrix file into a plan file", _decompose_args, _cmd_decompose),
+    "reconstruct": ("multiply a plan file back into a matrix", _reconstruct_args, _cmd_reconstruct),
+    "verify": ("check a plan file against a matrix file", _verify_args, _cmd_verify),
+    "random": ("write a seeded Haar-random unitary", _random_args, _cmd_random),
+    "sweep-noise": ("fidelity vs noise strength (CSV/SVG)", _sweep_noise_args, _cmd_sweep_noise),
+    "sweep-size": ("fidelity vs size at calibrated noise", _sweep_size_args, _cmd_sweep_size),
+    "cost": ("mesh cost vs the all-2x2 baseline", _cost_args, _cmd_cost),
+}
+
+
+def _build_parser(names=_COMMANDS) -> argparse.ArgumentParser:
+    """The parser with the subparsers of ``names``, all commands by default.
+
+    A parser with fewer subparsers gets the full ``{decompose,...,cost}``
+    as its metavar, so its usage line, which its "unrecognized arguments"
+    error prints, reads as the full parser's.  The full parser keeps
+    argparse's own, as its errors name the subparsers ``command``.
+    """
+    parser = argparse.ArgumentParser(
+        prog="multiport",
+        description="Block decomposition of unitaries and noise-robustness sweeps.",
+    )
+    every = len(names) == len(_COMMANDS)
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar=None if every else "{" + ",".join(_COMMANDS) + "}"
+    )
+    for name in names:
+        help_text, add_arguments, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run the command ``argv`` names (``sys.argv[1:]`` by default).
+
+    Only that command's subparser is built, as building all seven costs
+    about a millisecond a call; with no command, ``-h`` or an unknown name
+    the parser has all seven, so help and errors list them.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    named = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    args = _build_parser(named).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, TypeError, OSError, DecompositionError) as exc:

@@ -41,7 +41,11 @@ are runs.  The sweep reads a group's blocks for its RQ out of the working
 matrices through one flat index per group into each matrix read as a row
 of ``n*n`` entries.  It takes only each RQ's ``q``: the group's product
 already leaves each block upper triangular, and the sweep stamps exact
-zeros below each block's diagonal through the same index.
+zeros below each block's diagonal through the same index.  A 2 x 2
+group reads only its blocks' bottom rows, which alone decide each
+closed-form rotation, and the rotation is written straight into the
+group's slice of the block listing; larger groups copy their RQ's ``q``
+there, and every group's product reads its blocks from there.
 Blocks have one order everywhere, the factor order: the layout lists each
 block size's blocks once, group by group in the order of the layers, and
 a layer group holds its slice of that listing, where the sweep writes its
@@ -58,7 +62,9 @@ real arithmetic: each working row is split into its real and imaginary
 rows, ``(n, 2, n)`` floats per matrix, and each block into its real
 ``(2s, 2s)`` embedding, so a group's product is a stack of real
 ``(2s, 2s) @ (2s, n)`` products, several times cheaper than the complex
-ones at these shapes.  The sweep stays complex: its RQs need complex
+ones at these shapes; the order in which an embedding reads a block's
+entries, and the ``[1, 1j]`` factors it multiplies them by, depend only
+on the block size and are built once per size.  The sweep stays complex: its RQs need complex
 blocks, so split rows would pay a conversion per group, and they measured
 no faster there.
 A ``DecompositionPlan`` stores its factors as flat arrays in factor order,
@@ -79,7 +85,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _fidelities, _rq_unitaries, _to_float, as_matrix
+from .linalg import _fidelities, _rotations, _rq_unitaries, _to_float, as_matrix
 
 __all__ = [
     "DecompositionError",
@@ -451,6 +457,20 @@ def factor_count_bound(n: int, m: int) -> int:
     return (n * (n - 1)) // (m * (m - 1)) + n - 1
 
 
+@functools.lru_cache(maxsize=None)
+def _embedding_pattern(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """How ``_compose`` turns a row-major ``s x s`` block into its real
+    ``(2s, 2s)`` embedding: the order in which to read its ``s*s`` entries
+    and the ``[1, 1j]`` factors to multiply them by, both of length
+    ``2*s*s``.  Entry ``(i, p, j)`` of the block's ``(s, 2, s)`` complex
+    rows is ``b_ij``; as float64 pairs, row ``(i, 0)`` holds ``[Re b, Im b]``
+    for each ``j``, and row ``(i, 1)``, multiplied by ``1j`` exactly, holds
+    ``[-Im b, Re b]``.  They depend only on ``s``, so they are built once
+    per block size, read-only."""
+    order = np.arange(s * s).reshape(s, 1, s).repeat(2, axis=1).ravel()
+    return _frozen(order, np.intp), _frozen(np.tile(np.repeat([1, 1j], s), s), np.complex128)
+
+
 def _compose(layout: _Layout, blocks: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """Build ``diag(exp(1j*phases))`` times the daggered blocks of a layout.
 
@@ -473,12 +493,17 @@ def _compose(layout: _Layout, blocks: np.ndarray, phases: np.ndarray) -> np.ndar
     ``(s, s) @ (s, n)`` one at these shapes.  The embeddings are built
     once per call, one pass per block size with its factors listed group
     by group (``_Layout.applied``), so each group reads its contiguous
-    ``span`` of them.  The layers are applied last first, each block size
-    of a layer with one stacked product of whole rows, as the factors of a
-    layer act on disjoint columns: in place on the slice of a group's run,
-    or through a gather and scatter of its rows where it has none.  Shared by the exact and perturbed reconstruction paths, so
-    zero perturbation reproduces the exact result bit for bit and each
-    slice of a stack equals the same slice composed alone.  The sweep
+    ``span`` of them.  Per size, one ``np.take`` gathers the blocks, a
+    second spreads each block's entries into embedding order, and one
+    in-place product applies the ``[1, 1j]`` factors; order and factors
+    come from ``_embedding_pattern``, built once per block size.  The
+    layers are applied last first, each block size of a layer with one
+    stacked product of whole rows, as the factors of a layer act on
+    disjoint columns: in place on the slice of a group's run, or through a
+    gather and scatter of its rows where it has none.  Shared by the exact
+    and perturbed reconstruction paths, so zero perturbation reproduces the
+    exact result bit for bit and each slice of a stack equals the same
+    slice composed alone.  The sweep
     stays complex: its RQs need complex blocks, so split rows would pay a
     conversion per group there.
     """
@@ -486,12 +511,9 @@ def _compose(layout: _Layout, blocks: np.ndarray, phases: np.ndarray) -> np.ndar
     n = phases.shape[-1]
     embeddings = {}
     for s, _, entries in layout.applied:
-        # Entry (i, p, j) of a factor's (s, 2, s) complex rows is b_ij; as
-        # float64 pairs, row (i, 0) holds [Re b, Im b] for each j.  Row
-        # (i, 1) is multiplied by 1j, exactly, into [-Im b, Re b].
-        local = np.arange(s * s).reshape(s, 1, s).repeat(2, axis=1).ravel()
-        embedding = np.take(blocks, entries[:, local], axis=-1)
-        embedding *= np.tile(np.repeat([1, 1j], s), s)
+        order, signs = _embedding_pattern(s)
+        embedding = np.take(np.take(blocks, entries, axis=-1), order, axis=-1)
+        embedding *= signs
         embeddings[s] = embedding.view(np.float64).reshape(stack + (-1, 2 * s, 2 * s))
     out = np.zeros(stack + (n, 2, n))
     diagonal = np.exp(1j * phases)
@@ -645,11 +667,17 @@ def _sweep(w: np.ndarray, layout: _Layout) -> np.ndarray:
     leaves each block upper triangular, and exact zeros are then stamped
     at each block's strictly lower entries, through the flat index, as
     the schedule counts on (see ``_simulate``).
-    The arithmetic on each matrix is that of the matrix swept alone.  Each
-    group's ``q`` blocks go to its ``span`` of its size's listing in
-    ``_Layout.applied``, and each listing goes, once, to the returned
-    ``(T, entries)`` blocks, in the layout of ``DecompositionPlan.blocks``;
-    ``w`` ends as the swept matrices, transposed.
+    A group's ``q`` blocks live in its ``span`` of its size's listing in
+    ``_Layout.applied``.  A 2 x 2 group gathers only its blocks' bottom
+    rows (``index[:, -1, :]``), ``_rotations`` writes the rotations
+    straight into that span, and its one stamp per block, entry
+    ``(1, 0)``, goes through the same bottom-row index; a larger group's
+    ``_rq_unitaries`` result is copied into its span.  Either way the
+    product reads ``q`` from the listing.  The arithmetic on each matrix
+    is that of the matrix swept alone.  Each listing goes, once, to the
+    returned ``(T, entries)`` blocks, in the layout of
+    ``DecompositionPlan.blocks``; ``w`` ends as the swept matrices,
+    transposed.
     """
     t, n = w.shape[:2]
     cells = w.reshape(t, n * n)  # a view, as ``w`` is C-contiguous
@@ -658,7 +686,14 @@ def _sweep(w: np.ndarray, layout: _Layout) -> np.ndarray:
     listed = {s: np.empty((t, len(k), s, s), dtype=np.complex128) for s, k, _ in layout.applied}
     lower = {s: np.flatnonzero(np.tri(s, k=-1, dtype=bool)) for s in listed}
     for s, index, cols, span, run in layout.layers:
-        q = _rq_unitaries(cells.take(index, axis=1))
+        q = listed[s][:, span]  # a view: the group's blocks are written in place
+        if s == 2:
+            bottom = index[:, -1, :]  # the bottom rows alone decide a rotation
+            _rotations(cells.take(bottom, axis=1), q)
+            stamped = bottom[:, 0]
+        else:
+            q[...] = _rq_unitaries(cells.take(index, axis=1))
+            stamped = index.reshape(-1, s * s).take(lower[s], axis=1)
         # The rows below each block are finished: they hold exact zeros
         # in its columns, and multiplying keeps them so.
         if run is None:
@@ -666,8 +701,7 @@ def _sweep(w: np.ndarray, layout: _Layout) -> np.ndarray:
         else:
             tile = w[:, run, :].reshape(t, -1, s, n)
             np.matmul(q.swapaxes(-1, -2), tile, out=tile)
-        listed[s][:, span] = q
-        cells[:, index.reshape(-1, s * s).take(lower[s], axis=1)] = 0.0
+        cells[:, stamped] = 0.0
     blocks = np.empty((t, layout.offsets[-1]), dtype=np.complex128)
     for s, _, entries in layout.applied:
         blocks[:, entries] = listed[s].reshape(t, -1, s * s)

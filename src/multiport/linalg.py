@@ -146,50 +146,63 @@ def _haar_stack(n: int, rngs) -> np.ndarray:
     return _haar(np.stack([rng.standard_normal((n, n, 2)) for rng in rngs]))
 
 
+def _rotations(bottom: np.ndarray, q: np.ndarray) -> None:
+    """Write into ``q``, a writable ``(..., 2, 2)`` complex128 array or
+    view, the closed-form unitary that maps each bottom row ``(x, y)`` of
+    the finite ``(..., 2)`` stack ``bottom`` to ``(0, rho)``, with
+    ``rho = |(x, y)|``: so ``a @ q`` is upper triangular for every 2 x 2
+    ``a`` whose bottom row is ``bottom``.  ``bottom`` is left unchanged.
+
+    For the unit row ``(x, y)`` the rotation is
+    ``q = [[y, conj(x)], [-x, conj(y)]]``, written straight into ``q`` by a
+    handful of whole-stack ufuncs, since at the stack sizes of a
+    decomposition layer their call overhead is the cost.  A zero bottom row
+    gives ``q = I``, and a bottom row ``(x, 0)`` an exact swap with phases
+    (the decomposition schedule relies on that); ``q[0, 0]`` never holds a
+    negative zero, and ``q[1, 1]`` is its conjugate.  This is the one 2 x 2
+    rotation of the package: the decomposition sweep writes each layer
+    group's rotations into its block listing through here, and
+    ``_rq_unitaries`` calls it for 2 x 2 stacks.
+    """
+    norm = np.hypot(np.abs(bottom[..., 0]), np.abs(bottom[..., 1]))
+    zero = _ZERO
+    if norm.min(initial=1.0) < 2.0**-1022:
+        # Dividing by a subnormal norm overflows, so those rows, and only
+        # those (another row's entries may overflow), are first scaled by
+        # 2**600, which is exact.  A zero row is divided by 1 instead and
+        # gets y = 1, so q = I.
+        small = norm < 2.0**-1022
+        bottom = bottom.copy()
+        bottom[small] *= 2.0**600
+        norm = np.hypot(np.abs(bottom[..., 0]), np.abs(bottom[..., 1]))
+        zero = norm == 0.0
+        norm = np.where(zero, 1.0, norm)
+    unit = bottom / norm[..., np.newaxis]
+    x = unit[..., 0]
+    # Adding ``zero`` (0, or 1 on zero rows) also turns a -0 part of y into +0.
+    np.add(unit[..., 1], zero, out=q[..., 0, 0])
+    np.conjugate(x, out=q[..., 0, 1])
+    np.negative(x, out=q[..., 1, 0])
+    np.conjugate(q[..., 0, 0], out=q[..., 1, 1])
+
+
 def _rq_unitaries(a: np.ndarray) -> np.ndarray:
     """A unitary ``q`` per matrix of a finite ``(..., s, s)`` complex128 stack
     ``a``, unchecked, such that ``a @ q`` is upper triangular: the ``q`` of
     the RQ decomposition ``a = r q^dag``, for the decomposition sweep to
     use as a right-multiplier.
 
-    A 2 x 2 matrix gets the closed-form rotation that maps its bottom row
-    ``(x, y)`` to ``(0, rho)`` with ``rho = |(x, y)|``; a zero bottom row
-    gives ``q = I``, and a bottom row ``(x, 0)`` an exact swap with phases
-    (the decomposition schedule relies on that).  The rotation is
-    ``q = [[y, conj(x)], [-x, conj(y)]]`` for the unit row ``(x, y)``, written
-    into ``q`` by a handful of whole-stack ufuncs, since at the stack sizes
-    of a decomposition layer their call overhead is the cost; ``q[0, 0]``
-    never holds a negative zero, and ``q[1, 1]`` is its conjugate.  Other
-    sizes use a Householder QR of the reversed conjugate transpose:
-    ``(J a)^dag = Q R`` gives ``a (Q J) = J R^dag J``.  It calls numpy's
-    LAPACK gufuncs directly where numpy has them under the names
-    ``np.linalg.qr`` calls, which skips that wrapper's per-call cost and
-    gives the same ``Q`` bit for bit; elsewhere it calls ``np.linalg.qr``.
+    A 2 x 2 matrix gets the closed-form rotation of its bottom row from
+    ``_rotations``.  Other sizes use a Householder QR of the reversed
+    conjugate transpose: ``(J a)^dag = Q R`` gives ``a (Q J) = J R^dag J``.
+    It calls numpy's LAPACK gufuncs directly where numpy has them under the
+    names ``np.linalg.qr`` calls, which skips that wrapper's per-call cost
+    and gives the same ``Q`` bit for bit; elsewhere it calls
+    ``np.linalg.qr``.
     """
     if a.shape[-1] == 2:
-        bottom = a[..., 1, :]
-        norm = np.hypot(np.abs(bottom[..., 0]), np.abs(bottom[..., 1]))
-        zero = _ZERO
-        if norm.min(initial=1.0) < 2.0**-1022:
-            # Dividing by a subnormal norm overflows, so those rows, and
-            # only those (another row's entries may overflow), are first
-            # scaled by 2**600, which is exact.  A zero row is divided by 1
-            # instead and gets y = 1, so q = I.
-            small = norm < 2.0**-1022
-            bottom = bottom.copy()
-            bottom[small] *= 2.0**600
-            norm = np.hypot(np.abs(bottom[..., 0]), np.abs(bottom[..., 1]))
-            zero = norm == 0.0
-            norm = np.where(zero, 1.0, norm)
-        unit = bottom / norm[..., np.newaxis]
-        x = unit[..., 0]
         q = np.empty(a.shape, dtype=np.complex128)
-        # Adding ``zero`` (0, or 1 on zero rows) also turns a -0 part of y
-        # into +0.
-        np.add(unit[..., 1], zero, out=q[..., 0, 0])
-        np.conjugate(x, out=q[..., 0, 1])
-        np.negative(x, out=q[..., 1, 0])
-        np.conjugate(q[..., 0, 0], out=q[..., 1, 1])
+        _rotations(a[..., 1, :], q)
         return q
     flipped = np.conj(a[..., ::-1, :]).swapaxes(-1, -2)  # a fresh array, so ours to overwrite
     if _QR_GUFUNCS is None:
@@ -199,4 +212,3 @@ def _rq_unitaries(a: np.ndarray) -> np.ndarray:
         tau = raw(flipped, signature="D->D")  # leaves the reflectors in ``flipped``
         q = reduced(flipped, tau, signature="DD->D")
     return q[..., ::-1]
-

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from multiport import cli
 from multiport.cli import main
 from multiport.linalg import haar_random_unitary
 from multiport.serialize import (
@@ -400,11 +401,83 @@ class TestSweepSizeCommand:
         assert not csv.exists()
 
 
+# One valid argument list per command, and the value each bad-value case
+# gives its flag (a flag given no value, where no argument is typed).
+VALID = {
+    "decompose": ["--in", "u.json", "--m", "2", "--out", "p.json"],
+    "reconstruct": ["--in", "p.json", "--out", "r.json"],
+    "verify": ["--plan", "p.json", "--matrix", "u.json", "--tol", "1e-9"],
+    "random": ["--n", "4", "--seed", "1", "--out", "u.json"],
+    "sweep-noise": ["--n", "4", "--m-list", "2", "--sigmas", "0.1", "--matrices", "1",
+                    "--perturbations", "1", "--seed", "1", "--out", "s.csv", "--svg", "s.svg"],
+    "sweep-size": ["--m-list", "2", "--n-list", "3", "--target-fq", "0.9", "--fq-tol", "0.01",
+                   "--matrices", "1", "--perturbations", "1", "--seed", "1", "--out", "s.csv"],
+    "cost": ["--n", "4", "--m", "2", "--cm", "1", "--c2", "1"],
+}
+BAD = {
+    "decompose": ("--m", "two"),
+    "reconstruct": ("--out", None),
+    "verify": ("--tol", "tight"),
+    "random": ("--n", "4.5"),
+    "sweep-noise": ("--sigmas", "0.1,x"),
+    "sweep-size": ("--n-list", "3;5"),
+    "cost": ("--cm", "cheap"),
+}
+
+
+def _with_bad_value(name):
+    flag, value = BAD[name]
+    args = list(VALID[name])
+    at = args.index(flag)
+    if value is None:
+        return args[:at] + args[at + 2:] + [flag]
+    args[at + 1] = value
+    return args
+
+
+def _exit(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
 class TestParsing:
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_every_command_has_parity_cases(self):
+        assert set(VALID) == set(BAD) == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("name", list(VALID))
+    @pytest.mark.parametrize("case", ["help", "missing", "bad-value", "extra"])
+    def test_one_command_parser_matches_the_full_one(self, capsys, name, case):
+        # ``main`` builds only the named command's subparser; what it prints
+        # and how it exits must be what the parser of all seven gives.
+        argv = [name] + {
+            "help": ["--help"],
+            "missing": VALID[name][2:],
+            "bad-value": _with_bad_value(name),
+            "extra": VALID[name] + ["extra"],
+        }[case]
+        full = _exit(cli._build_parser().parse_args, argv, capsys)
+        assert _exit(main, argv, capsys) == full
+        assert full[0] == (0 if case == "help" else 2)
+        if case == "extra":
+            assert "unrecognized arguments: extra" in full[2]
+            assert "{" + ",".join(VALID) + "}" in full[2].replace("\n", "").replace(" ", "")
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["-h"], ["bogus"]])
+    def test_without_a_command_every_command_is_named(self, capsys, argv):
+        code, out, err = _exit(main, argv, capsys)
+        assert code == (0 if argv and argv[0].startswith("-") else 2)
+        listed = "{" + ",".join(VALID) + "}"
+        assert listed in (out + err).replace("\n", "").replace(" ", "")
+        if argv == ["--help"]:
+            for name, (help_text, _, _) in cli._COMMANDS.items():
+                assert help_text in out
 
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -425,6 +498,7 @@ DRIVER = """
 import json, sys
 if sys.argv[1] == "no-scipy":
     sys.modules["scipy"] = None
+from multiport import cli
 from multiport.cli import main
 for args in json.loads(sys.argv[2]):
     print("$", *args, flush=True)

@@ -22,7 +22,7 @@ from multiport.decomposition import (
     reconstruct,
     verify,
 )
-from multiport.linalg import _fidelities, _rq_unitaries, haar_random_unitary
+from multiport.linalg import _fidelities, _rotations, haar_random_unitary
 from multiport.serialize import json_to_plan, plan_to_json
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -460,12 +460,11 @@ class TestNearDegenerate:
         assert 0 < np.abs(u[u != 0]).min() < np.finfo(float).tiny
         norms = []
 
-        def spy(a):
-            if a.shape[-1] == 2:
-                norms.extend(np.hypot(np.abs(a[..., 1, 0]), np.abs(a[..., 1, 1])).ravel())
-            return _rq_unitaries(a)
+        def spy(bottom, q):  # the sweep's 2 x 2 kernel, given bottom rows only
+            norms.extend(np.hypot(np.abs(bottom[..., 0]), np.abs(bottom[..., 1])).ravel())
+            return _rotations(bottom, q)
 
-        monkeypatch.setattr(decomposition, "_rq_unitaries", spy)
+        monkeypatch.setattr(decomposition, "_rotations", spy)
         plan = decompose(u, m)
         assert np.abs(reconstruct(plan) - u).max() <= 4 * n * np.finfo(float).eps
         if m == 2:

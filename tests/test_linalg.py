@@ -9,6 +9,7 @@ from multiport.linalg import (
     _generator,
     _haar,
     _haar_stack,
+    _rotations,
     _rq_unitaries,
     _segment_fidelities,
     _to_float,
@@ -343,6 +344,36 @@ class TestRQDecompose:
         parts = np.array([q[0, 0].real, q[0, 0].imag, q[1, 1].real])
         assert not np.signbit(parts[parts == 0.0]).any()
         assert q[1, 1].tobytes() == np.conj(q[0, 0]).tobytes()
+
+    def test_rotations_written_in_place_match_the_returned_q(self):
+        # The sweep hands the kernel only the bottom rows of a layer group,
+        # taken from its working matrices, and a strided slice of its block
+        # listing to write into; that must hold the bytes ``_rq_unitaries``
+        # returns for the whole blocks, and nothing else may change.
+        nz = complex(-0.0, -0.0)
+        rows = [
+            [0.0, 0.0], [nz, nz], [nz, 0.0],  # zero rows: q = I
+            [3e-310, 4e-310j], [5e-324, 0.0], [0.0, -1e-320], [1e-320 - 2e-320j, 0.5],
+            [0.6 - 0.8j, 0.0], [-2.0, nz], [complex(0.0, -0.0), 1.0],  # (x, 0) and (0, y)
+            [1.0, -0.0], [-0.0, 1.0], [1 - 0j, nz], [0.6 - 0j, 0.8 - 0j], [1e300, 3.0],
+        ]
+        rng = np.random.default_rng(5)
+        bottoms = np.array(rows + list(rng.standard_normal((5, 2, 2)).view(complex)[..., 0]))
+        bottoms = bottoms.reshape(2, -1, 2)  # a stack of two matrices
+        a = np.empty(bottoms.shape[:2] + (2, 2), dtype=complex)
+        a[..., 0, :] = rng.standard_normal(a[..., 0, :].shape)
+        a[..., 1, :] = bottoms
+        expected = _rq_unitaries(a)
+        listing = np.full((2, a.shape[1] + 3, 2, 2), np.nan, dtype=complex)
+        kept = bottoms.copy()
+        _rotations(bottoms, listing[:, 1:-2])
+        assert listing[:, 1:-2].tobytes() == expected.tobytes()
+        assert np.isnan(listing[:, [0, -2, -1]]).all()
+        assert bottoms.tobytes() == kept.tobytes()
+        for k in range(a.shape[1]):  # each matrix as it would be alone
+            alone = np.empty((2, 2), dtype=complex)
+            _rotations(bottoms[1, k], alone)
+            assert alone.tobytes() == expected[1, k].tobytes()
 
     @pytest.mark.parametrize("s", [1, 3, 4, 5, 8])
     def test_qr_fallback_gives_the_same_q(self, monkeypatch, s):
