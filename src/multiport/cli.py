@@ -225,6 +225,15 @@ def _random_args(p) -> None:
     p.add_argument("--out", required=True, metavar="MATRIX_JSON")
 
 
+def _sweep_tail_args(p) -> None:
+    """The arguments both sweeps end with, in the order their help lists them."""
+    p.add_argument("--matrices", type=int, required=True)
+    p.add_argument("--perturbations", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--out", required=True, metavar="CSV")
+    p.add_argument("--svg", default=None, metavar="SVG")
+
+
 def _sweep_noise_args(p) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m-list", type=_list_of(int, "integers"), required=True)
@@ -238,15 +247,6 @@ def _sweep_size_args(p) -> None:
     p.add_argument("--target-fq", type=float, required=True)
     p.add_argument("--fq-tol", type=float, required=True)
     _sweep_tail_args(p)
-
-
-def _sweep_tail_args(p) -> None:
-    """The arguments both sweeps end with, in the order their help lists them."""
-    p.add_argument("--matrices", type=int, required=True)
-    p.add_argument("--perturbations", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True, metavar="CSV")
-    p.add_argument("--svg", default=None, metavar="SVG")
 
 
 def _cost_args(p) -> None:
@@ -295,9 +295,8 @@ def _build_parser(names=_COMMANDS) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run the command ``argv`` names (``sys.argv[1:]`` by default).
 
-    Only that command's subparser is built, as building all seven costs
-    about a millisecond a call; with no command, ``-h`` or an unknown name
-    the parser has all seven, so help and errors list them.
+    Only that command's subparser is built; with no command, ``-h`` or an
+    unknown name the parser has all seven, so help and errors list them.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     named = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS

@@ -64,9 +64,9 @@ rows, ``(n, 2, n)`` floats per matrix, and each block into its real
 ``(2s, 2s) @ (2s, n)`` products, several times cheaper than the complex
 ones at these shapes; the order in which an embedding reads a block's
 entries, and the ``[1, 1j]`` factors it multiplies them by, depend only
-on the block size and are built once per size.  The sweep stays complex: its RQs need complex
-blocks, so split rows would pay a conversion per group, and they measured
-no faster there.
+on the block size and are built once per size.  The sweep stays complex:
+its RQs need complex blocks, so split rows would pay a conversion per
+group, and they measured no faster there.
 A ``DecompositionPlan`` stores its factors as flat arrays in factor order,
 the arrays of its JSON file (sizes, base rows, 1-based columns and one
 array of row-major blocks), and validates them once, when it is built;
@@ -503,9 +503,8 @@ def _compose(layout: _Layout, blocks: np.ndarray, phases: np.ndarray) -> np.ndar
     gather and scatter of its rows where it has none.  Shared by the exact
     and perturbed reconstruction paths, so zero perturbation reproduces the
     exact result bit for bit and each slice of a stack equals the same
-    slice composed alone.  The sweep
-    stays complex: its RQs need complex blocks, so split rows would pay a
-    conversion per group there.
+    slice composed alone.  The sweep stays complex: its RQs need complex
+    blocks, so split rows would pay a conversion per group there.
     """
     stack = blocks.shape[:-1]
     n = phases.shape[-1]
