@@ -57,6 +57,22 @@ def _list_of(kind, name):
     return parse
 
 
+def _echo(args) -> dict:
+    """A sweep's CSV header: its parsed arguments in the parser's order,
+    without the output paths, then how block fidelities are pooled.  A
+    float prints as ``.12g`` of ``v + 0.0``, so -0 echoes as 0, as the rows
+    print it; a list prints comma-joined."""
+    config = {}
+    for key, value in vars(args).items():
+        if key not in ("out", "svg", "func"):
+            items = value if isinstance(value, list) else [value]
+            config[key] = ",".join(
+                format(v + 0.0, ".12g") if isinstance(v, float) else str(v) for v in items
+            )
+    config["fq_pooling"] = "all factor blocks per draw"
+    return config
+
+
 def _save_sweep(args, results, config, x_of, x_label, title) -> int:
     """Write a sweep's CSV and, if asked, its chart; print where they went."""
     save_sweep_results(args.out, results, config)
@@ -138,19 +154,8 @@ def _cmd_sweep_noise(args) -> int:
         n_perturbations=args.perturbations,
         seed=args.seed,
     )
-    config = {
-        "command": "sweep-noise",
-        "n": args.n,
-        "m_list": ",".join(str(m) for m in args.m_list),
-        # ``+ 0.0`` echoes -0 as 0, as the rows print it
-        "sigmas": ",".join(format(s + 0.0, ".12g") for s in args.sigmas),
-        "matrices": args.matrices,
-        "perturbations": args.perturbations,
-        "seed": args.seed,
-        "fq_pooling": "all factor blocks per draw",
-    }
     return _save_sweep(
-        args, results, config, lambda r: r.fq.mean, "mean block fidelity",
+        args, results, _echo(args), lambda r: r.fq.mean, "mean block fidelity",
         "Matrix fidelity vs block fidelity",
     )
 
@@ -165,17 +170,7 @@ def _cmd_sweep_size(args) -> int:
         n_perturbations=args.perturbations,
         seed=args.seed,
     )
-    config = {
-        "command": "sweep-size",
-        "m_list": ",".join(str(m) for m in args.m_list),
-        "n_list": ",".join(str(n) for n in args.n_list),
-        "target_fq": format(args.target_fq, ".12g"),
-        "fq_tol": format(args.fq_tol, ".12g"),
-        "matrices": args.matrices,
-        "perturbations": args.perturbations,
-        "seed": args.seed,
-        "fq_pooling": "all factor blocks per draw",
-    }
+    config = _echo(args)
     calibrated = {}
     for r in results:
         calibrated.setdefault(r.m, r.sigma)

@@ -670,7 +670,8 @@ def _sweep(w: np.ndarray, layout: _Layout) -> np.ndarray:
     ``_Layout.applied``.  A 2 x 2 group gathers only its blocks' bottom
     rows (``index[:, -1, :]``), ``_rotations`` writes the rotations
     straight into that span, and its one stamp per block, entry
-    ``(1, 0)``, goes through the same bottom-row index; a larger group's
+    ``(1, 0)``, goes through the same bottom-row index; this is the one
+    place a 2 x 2 group goes to ``_rotations``.  A larger group's
     ``_rq_unitaries`` result is copied into its span.  Either way the
     product reads ``q`` from the listing.  The arithmetic on each matrix
     is that of the matrix swept alone.  Each listing goes, once, to the

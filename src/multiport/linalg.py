@@ -26,7 +26,7 @@ try:  # numpy's stacked LAPACK QR, the gufuncs behind ``np.linalg.qr``
     from numpy.linalg._umath_linalg import qr_r_raw, qr_reduced
 
     _QR_GUFUNCS = (qr_r_raw, qr_reduced)
-except ImportError:  # not under these names: ``np.linalg.qr`` it is
+except ImportError:  # a private module that a later numpy may rename: ``np.linalg.qr`` it is
     _QR_GUFUNCS = None
 
 
@@ -160,9 +160,9 @@ def _rotations(bottom: np.ndarray, q: np.ndarray) -> None:
     gives ``q = I``, and a bottom row ``(x, 0)`` an exact swap with phases
     (the decomposition schedule relies on that); ``q[0, 0]`` never holds a
     negative zero, and ``q[1, 1]`` is its conjugate.  This is the one 2 x 2
-    rotation of the package: the decomposition sweep writes each layer
-    group's rotations into its block listing through here, and
-    ``_rq_unitaries`` calls it for 2 x 2 stacks.
+    rotation of the package, and ``decomposition._sweep`` its one caller:
+    every 2 x 2 layer group's rotations are written into its block listing
+    there.
     """
     norm = np.hypot(np.abs(bottom[..., 0]), np.abs(bottom[..., 1]))
     zero = _ZERO
@@ -192,18 +192,13 @@ def _rq_unitaries(a: np.ndarray) -> np.ndarray:
     the RQ decomposition ``a = r q^dag``, for the decomposition sweep to
     use as a right-multiplier.
 
-    A 2 x 2 matrix gets the closed-form rotation of its bottom row from
-    ``_rotations``.  Other sizes use a Householder QR of the reversed
-    conjugate transpose: ``(J a)^dag = Q R`` gives ``a (Q J) = J R^dag J``.
-    It calls numpy's LAPACK gufuncs directly where numpy has them under the
-    names ``np.linalg.qr`` calls, which skips that wrapper's per-call cost
-    and gives the same ``Q`` bit for bit; elsewhere it calls
-    ``np.linalg.qr``.
+    It is a Householder QR of the reversed conjugate transpose:
+    ``(J a)^dag = Q R`` gives ``a (Q J) = J R^dag J``.  It calls numpy's
+    LAPACK gufuncs directly, which skips ``np.linalg.qr``'s per-call cost
+    and gives the same ``Q`` bit for bit, or ``np.linalg.qr`` if a numpy
+    has renamed them.  The sweep calls it for groups of 3 or more modes
+    only: ``_sweep`` sends every 2 x 2 group to ``_rotations`` instead.
     """
-    if a.shape[-1] == 2:
-        q = np.empty(a.shape, dtype=np.complex128)
-        _rotations(a[..., 1, :], q)
-        return q
     flipped = np.conj(a[..., ::-1, :]).swapaxes(-1, -2)  # a fresh array, so ours to overwrite
     if _QR_GUFUNCS is None:
         q = np.linalg.qr(flipped)[0]

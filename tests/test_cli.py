@@ -307,8 +307,16 @@ class TestSweepNoiseCommand:
         assert code == 0
         lines = csv.read_text().splitlines()
         header_at = lines.index(CSV_HEADER)
-        assert all(line.startswith("# ") for line in lines[:header_at])
-        assert "# seed = 9" in lines
+        assert lines[:header_at] == [
+            "# command = sweep-noise",
+            "# n = 6",
+            "# m_list = 2,3",
+            "# sigmas = 0,0.05",
+            "# matrices = 2",
+            "# perturbations = 2",
+            "# seed = 9",
+            "# fq_pooling = all factor blocks per draw",
+        ]
         assert len(lines) == header_at + 1 + 4
         assert svg.read_text().startswith("<svg")
 
@@ -381,10 +389,22 @@ class TestSweepSizeCommand:
             capsys,
         )
         assert code == 0
-        text = csv.read_text()
-        assert any(line.startswith("# calibrated_sigma_m2 = ") for line in text.splitlines())
-        assert "calibrated sigma for m=2" in out
-        assert len([l for l in text.splitlines() if not l.startswith("#")]) == 3
+        lines = csv.read_text().splitlines()
+        header_at = lines.index(CSV_HEADER)
+        assert lines[:header_at] == [
+            "# command = sweep-size",
+            "# m_list = 2",
+            "# n_list = 3,5",
+            "# target_fq = 0.97",
+            "# fq_tol = 0.005",
+            "# matrices = 2",
+            "# perturbations = 2",
+            "# seed = 12",
+            "# fq_pooling = all factor blocks per draw",
+            "# calibrated_sigma_m2 = 0.101550640161",
+        ]
+        assert "calibrated sigma for m=2: 0.101551" in out
+        assert len(lines) == header_at + 1 + 2
         assert ET.parse(svg).getroot().tag == "{http://www.w3.org/2000/svg}svg"
 
     def test_m_above_every_n_fails_up_front(self, tmp_path, capsys):

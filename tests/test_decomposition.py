@@ -502,8 +502,8 @@ class TestNearDegenerate:
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_qr_fallback_gives_the_same_plans(self, monkeypatch, m):
-        # Without numpy's LAPACK gufuncs under their numpy 2 names the RQ
-        # kernel calls ``np.linalg.qr``; the plans keep every bit.
+        # Should a numpy rename its private LAPACK gufuncs, the RQ kernel
+        # calls ``np.linalg.qr``; the plans keep every bit.
         n = 13
         inputs = [haar_random_unitary(n, 50 + m), near_permutation(n, 1e-8, m)]
         plans = [decompose(u, m) for u in inputs]

@@ -20,6 +20,13 @@ from multiport.linalg import (
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
+def rotation(a):
+    """The sweep's 2 x 2 kernel on a ``(..., 2, 2)`` stack: ``_rotations`` of its bottom rows."""
+    q = np.empty(a.shape, dtype=complex)
+    _rotations(a[..., 1, :], q)
+    return q
+
+
 def unitarity_defect(a):
     """``max|A^dag A - I|`` of a square matrix."""
     return np.abs(a.conj().T @ a - np.eye(len(a))).max()
@@ -258,7 +265,8 @@ class TestFlatFidelities:
 
 
 class TestRQDecompose:
-    """``_rq_unitaries(a)`` is a unitary ``q`` with ``a @ q`` upper triangular."""
+    """``_rq_unitaries(a)`` is a unitary ``q`` with ``a @ q`` upper triangular,
+    and so is ``rotation(a)`` for the 2 x 2 blocks the sweep hands to ``_rotations``."""
 
     def test_identity(self):
         a = np.eye(4, dtype=complex)
@@ -283,7 +291,7 @@ class TestRQDecompose:
     def test_contract_on_general_matrices(self, n):
         rng = np.random.default_rng(n)
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        q = _rq_unitaries(a)
+        q = (rotation if n == 2 else _rq_unitaries)(a)
         scale = np.abs(a).max()
         assert unitarity_defect(q) <= 1e-12 * max(n, 1)
         assert np.abs(np.tril(a @ q, -1)).max(initial=0.0) <= 1e-12 * scale
@@ -291,13 +299,13 @@ class TestRQDecompose:
     def test_two_by_two_maps_bottom_row_onto_diagonal(self):
         # the closed-form rotation sends (x, y) to (0, |(x, y)|)
         a = np.array([[0.5, 2.0 - 1j], [3.0 + 4.0j, 0.0]])
-        prod = a @ _rq_unitaries(a)
+        prod = a @ rotation(a)
         assert abs(prod[1, 0]) <= 1e-15
         assert prod[1, 1] == pytest.approx(5.0, abs=1e-15)
 
     def test_two_by_two_single_entry_bottom_row_gives_exact_swap(self):
         a = np.array([[0.3, 0.0], [0.6 - 0.8j, 0.0]])
-        q = _rq_unitaries(a)
+        q = rotation(a)
         assert q[0, 0] == 0.0 and q[1, 1] == 0.0
         assert abs(q[0, 1]) == pytest.approx(1.0, abs=1e-15)
         prod = a @ q
@@ -306,7 +314,7 @@ class TestRQDecompose:
     @pytest.mark.parametrize("top", [[0.0, 0.0], [1.0, -2.0j]])
     def test_two_by_two_zero_bottom_row_gives_identity(self, top):
         a = np.array([top, [0.0, 0.0]], dtype=complex)
-        q = _rq_unitaries(a)
+        q = rotation(a)
         np.testing.assert_array_equal(q, np.eye(2))
         np.testing.assert_array_equal(a @ q, a)
 
@@ -314,20 +322,20 @@ class TestRQDecompose:
     def test_two_by_two_subnormal_bottom_row(self, bottom):
         # 1/rho overflows for a subnormal rho; the row is rescaled instead
         a = np.array([[1.0, 2.0 - 1j], bottom], dtype=complex)
-        q = _rq_unitaries(np.stack([a, SWAP]))
+        q = rotation(np.stack([a, SWAP]))
         assert unitarity_defect(q[0]) <= 1e-15
         prod = a @ q[0]
         assert abs(prod[1, 0]) <= 1e-15 and abs(prod[1, 1]) == np.hypot(*np.abs(bottom))
         # a normal row of the same stack gets the rotation it gets alone
-        np.testing.assert_array_equal(q[1], _rq_unitaries(SWAP))
+        np.testing.assert_array_equal(q[1], rotation(SWAP))
 
     def test_two_by_two_subnormal_row_beside_a_huge_one(self):
         # Only the subnormal row is rescaled, so the other row's 1e300 entry
         # is never scaled by 2**600 (an overflow warning, an error here).
         a = np.array([[[1, 2], [1e-320, 0]], [[1, 2], [1e300, 3]]], dtype=complex)
-        q = _rq_unitaries(a)
+        q = rotation(a)
         for k in range(2):
-            assert q[k].tobytes() == _rq_unitaries(a[k]).tobytes()
+            assert q[k].tobytes() == rotation(a[k]).tobytes()
             assert unitarity_defect(q[k]) <= 1e-15
         assert (a[1] @ q[1])[1, 1] == np.hypot(1e300, 3)
 
@@ -340,7 +348,7 @@ class TestRQDecompose:
         # q[0, 0] = y never holds a -0 part, and q[1, 1] is exactly its
         # conjugate, so only its imaginary part can be -0.
         a = np.array([[1.0, 2.0], bottom], dtype=complex)
-        q = _rq_unitaries(a)
+        q = rotation(a)
         parts = np.array([q[0, 0].real, q[0, 0].imag, q[1, 1].real])
         assert not np.signbit(parts[parts == 0.0]).any()
         assert q[1, 1].tobytes() == np.conj(q[0, 0]).tobytes()
@@ -348,8 +356,8 @@ class TestRQDecompose:
     def test_rotations_written_in_place_match_the_returned_q(self):
         # The sweep hands the kernel only the bottom rows of a layer group,
         # taken from its working matrices, and a strided slice of its block
-        # listing to write into; that must hold the bytes ``_rq_unitaries``
-        # returns for the whole blocks, and nothing else may change.
+        # listing to write into; that must hold the bytes a fresh array gets
+        # for the whole blocks, and nothing else may change.
         nz = complex(-0.0, -0.0)
         rows = [
             [0.0, 0.0], [nz, nz], [nz, 0.0],  # zero rows: q = I
@@ -359,26 +367,25 @@ class TestRQDecompose:
         ]
         rng = np.random.default_rng(5)
         bottoms = np.array(rows + list(rng.standard_normal((5, 2, 2)).view(complex)[..., 0]))
-        bottoms = bottoms.reshape(2, -1, 2)  # a stack of two matrices
-        a = np.empty(bottoms.shape[:2] + (2, 2), dtype=complex)
-        a[..., 0, :] = rng.standard_normal(a[..., 0, :].shape)
-        a[..., 1, :] = bottoms
-        expected = _rq_unitaries(a)
-        listing = np.full((2, a.shape[1] + 3, 2, 2), np.nan, dtype=complex)
+        bottoms = bottoms.reshape(2, -1, 2)  # two stacks of bottom rows
+        k_max = bottoms.shape[1]
+        expected = np.empty((2, k_max, 2, 2), dtype=complex)
+        _rotations(bottoms, expected)
+        listing = np.full((2, k_max + 3, 2, 2), np.nan, dtype=complex)
         kept = bottoms.copy()
         _rotations(bottoms, listing[:, 1:-2])
         assert listing[:, 1:-2].tobytes() == expected.tobytes()
         assert np.isnan(listing[:, [0, -2, -1]]).all()
         assert bottoms.tobytes() == kept.tobytes()
-        for k in range(a.shape[1]):  # each matrix as it would be alone
+        for k in range(k_max):  # each matrix as it would be alone
             alone = np.empty((2, 2), dtype=complex)
             _rotations(bottoms[1, k], alone)
             assert alone.tobytes() == expected[1, k].tobytes()
 
     @pytest.mark.parametrize("s", [1, 3, 4, 5, 8])
     def test_qr_fallback_gives_the_same_q(self, monkeypatch, s):
-        # Without numpy's LAPACK gufuncs under their numpy 2 names, the
-        # kernel calls ``np.linalg.qr``, which runs the same LAPACK calls.
+        # Should a numpy rename its private LAPACK gufuncs, the kernel
+        # calls ``np.linalg.qr``, which runs the same LAPACK calls.
         rng = np.random.default_rng(s)
         stacks = [rng.standard_normal((k, s, s, 2)).view(complex)[..., 0] for k in (1, 7, 40)]
         stacks.append(haar_random_unitary(s, s))

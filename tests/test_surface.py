@@ -4,6 +4,7 @@ import importlib
 import pkgutil
 import re
 import shlex
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,8 @@ import pytest
 import multiport
 from multiport.cli import main
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 MODULES = ["multiport"] + [
     f"multiport.{info.name}" for info in pkgutil.iter_modules(multiport.__path__)
@@ -69,3 +71,16 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
     assert len(commands) == 7 and all(argv[0] == "multiport" for argv in commands)
     for argv in commands:
         assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+
+
+def test_readme_states_the_floors_of_pyproject():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    stated = re.search(
+        r"Requires\s+Python\s+>=\s+(\S+)\s+and\s+numpy\s+>=\s+(\S+?),.*?scipy\s+>=\s+(\S+)\s",
+        README.read_text(),
+        re.S,
+    )
+    python, numpy, scipy = stated.groups()
+    assert project["requires-python"] == f">={python}"
+    assert f"numpy>={numpy}" in project["dependencies"]
+    assert f"scipy>={scipy}" in project["optional-dependencies"]["test"]
