@@ -15,15 +15,14 @@ stdout.  Exit status is 0 only when the command's checks pass; errors are
 reported on stderr with a non-zero status.
 
 The commands are registered from one table, ``_COMMANDS``: name, help,
-argument adder and handler.  ``main`` builds only the subparser of the
-command its first argument names, since the sweeps call it once per job
-and all seven cost about a millisecond to build; help, usage and error
-texts read the same as with all seven (see ``_build_parser``).
+argument adder and handler.  The parser of all seven is built on the
+first call of ``main`` and serves every later call in the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .decomposition import (
@@ -263,24 +262,15 @@ _COMMANDS = {
 }
 
 
-def _build_parser(names=_COMMANDS) -> argparse.ArgumentParser:
-    """The parser with the subparsers of ``names``, all commands by default.
-
-    A parser with fewer subparsers gets the full ``{decompose,...,cost}``
-    as its metavar, so its usage line, which its "unrecognized arguments"
-    error prints, reads as the full parser's.  The full parser keeps
-    argparse's own, as its errors name the subparsers ``command``.
-    """
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of all seven commands, built on first use."""
     parser = argparse.ArgumentParser(
         prog="multiport",
         description="Block decomposition of unitaries and noise-robustness sweeps.",
     )
-    every = len(names) == len(_COMMANDS)
-    sub = parser.add_subparsers(
-        dest="command", required=True, metavar=None if every else "{" + ",".join(_COMMANDS) + "}"
-    )
-    for name in names:
-        help_text, add_arguments, handler = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         add_arguments(p)
         p.set_defaults(func=handler)
@@ -290,12 +280,11 @@ def _build_parser(names=_COMMANDS) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run the command ``argv`` names (``sys.argv[1:]`` by default).
 
-    Only that command's subparser is built; with no command, ``-h`` or an
-    unknown name the parser has all seven, so help and errors list them.
+    Returns the command's exit status, or 1 after printing an error it
+    raised on stderr; ``--help`` and parse errors exit through argparse's
+    ``SystemExit``, with status 0 and 2.
     """
-    argv = sys.argv[1:] if argv is None else list(argv)
-    named = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
-    args = _build_parser(named).parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, TypeError, OSError, DecompositionError) as exc:

@@ -205,9 +205,9 @@ class _Layout:
     ascending: ``factors`` are the indices of that size's factors group by
     group, in the order of ``layers``, and ``entries`` the ``(K_s, s*s)``
     indices of their blocks in the flat block array.  ``layers`` holds one
-    ``(size, index, cols, span, run)`` group per layer and block size, the
-    layers in order.  A group's ``k`` factors are sorted by first column;
-    ``cols`` holds their 0-based columns as ``(k, s)``, ``index`` the
+    ``(size, index, cols, span, run, lower)`` group per layer and block
+    size, the layers in order.  A group's ``k`` factors are sorted by first
+    column; ``cols`` holds their 0-based columns as ``(k, s)``, ``index`` the
     ``(k, s, s)`` flat index of their blocks in a transposed ``n x n``
     matrix read as one row of ``n*n``
     (entry ``(i, j)`` of factor ``f``'s block, from row ``base_row - s + i``
@@ -215,7 +215,9 @@ class _Layout:
     i``), and ``span`` the slice of its size's ``factors`` and ``entries``
     that holds them.  ``run`` is ``slice(c0, c0 + k*s)`` when the group's
     columns, concatenated, are exactly ``c0 .. c0 + k*s - 1``, so the
-    kernels can move its rows as one slice; else ``None``.
+    kernels can move its rows as one slice; else ``None``.  ``lower`` holds
+    the ``(k, s*(s-1)/2)`` flat positions of the blocks' strictly lower
+    entries, ``index[:, i, j]`` for ``j < i``, where the sweep stamps zeros.
     """
 
     sizes: np.ndarray
@@ -275,12 +277,15 @@ def _layout_of(n: int, m: int, sizes: bytes, base_rows: bytes, columns: bytes) -
         run = slice(c0, c0 + group_cols.size)
         tiled = np.array_equal(group_cols.ravel(), np.arange(run.start, run.stop))
         rows = base[group, np.newaxis, np.newaxis] - s + np.arange(s)[:, np.newaxis]
+        index = group_cols[:, np.newaxis, :] * n + rows
+        below = np.tril_indices(s, -1)
         layers.append((
             s,
-            _frozen(group_cols[:, np.newaxis, :] * n + rows, np.intp),
+            _frozen(index, np.intp),
             _frozen(group_cols, np.intp),
             slice(grouped[s], grouped[s] + len(group)),
             run if tiled else None,
+            _frozen(index[:, below[0], below[1]], np.intp),
         ))
         grouped[s] += len(group)
     applied = []
@@ -519,7 +524,7 @@ def _compose(layout: _Layout, blocks: np.ndarray, phases: np.ndarray) -> np.ndar
     d = np.arange(n)
     out[..., d, 0, d] = diagonal.real
     out[..., d, 1, d] = diagonal.imag
-    for s, _, cols, span, run in reversed(layout.layers):
+    for s, _, cols, span, run, _ in reversed(layout.layers):
         block = embeddings[s][..., span, :, :]
         if run is None:
             rows = out[..., cols, :, :]
@@ -664,36 +669,30 @@ def _sweep(w: np.ndarray, layout: _Layout) -> np.ndarray:
     on the slice of its run or through a gather and scatter of rows where
     it has none (see ``_Layout``).  The RQ yields only ``q``: the product
     leaves each block upper triangular, and exact zeros are then stamped
-    at each block's strictly lower entries, through the flat index, as
-    the schedule counts on (see ``_simulate``).
+    at each block's strictly lower entries, through the group's ``lower``
+    positions, as the schedule counts on (see ``_simulate``).
     A group's ``q`` blocks live in its ``span`` of its size's listing in
     ``_Layout.applied``.  A 2 x 2 group gathers only its blocks' bottom
-    rows (``index[:, -1, :]``), ``_rotations`` writes the rotations
-    straight into that span, and its one stamp per block, entry
-    ``(1, 0)``, goes through the same bottom-row index; this is the one
-    place a 2 x 2 group goes to ``_rotations``.  A larger group's
-    ``_rq_unitaries`` result is copied into its span.  Either way the
-    product reads ``q`` from the listing.  The arithmetic on each matrix
-    is that of the matrix swept alone.  Each listing goes, once, to the
+    rows (``index[:, -1, :]``) and ``_rotations`` writes the rotations
+    straight into that span; this is the one place a 2 x 2 group goes to
+    ``_rotations``.  A larger group's ``_rq_unitaries`` result is copied
+    into its span.  Either way the product reads ``q`` from the listing.
+    The arithmetic on each matrix is that of the matrix swept alone.  Each listing goes, once, to the
     returned ``(T, entries)`` blocks, in the layout of
     ``DecompositionPlan.blocks``; ``w`` ends as the swept matrices,
     transposed.
     """
     t, n = w.shape[:2]
     cells = w.reshape(t, n * n)  # a view, as ``w`` is C-contiguous
-    # per block size, its blocks as listed, and the flat positions of a
-    # block's strictly lower triangle
+    # per block size, its blocks as listed
     listed = {s: np.empty((t, len(k), s, s), dtype=np.complex128) for s, k, _ in layout.applied}
-    lower = {s: np.flatnonzero(np.tri(s, k=-1, dtype=bool)) for s in listed}
-    for s, index, cols, span, run in layout.layers:
+    for s, index, cols, span, run, lower in layout.layers:
         q = listed[s][:, span]  # a view: the group's blocks are written in place
         if s == 2:
-            bottom = index[:, -1, :]  # the bottom rows alone decide a rotation
-            _rotations(cells.take(bottom, axis=1), q)
-            stamped = bottom[:, 0]
+            # the bottom rows alone decide a rotation
+            _rotations(cells.take(index[:, -1, :], axis=1), q)
         else:
             q[...] = _rq_unitaries(cells.take(index, axis=1))
-            stamped = index.reshape(-1, s * s).take(lower[s], axis=1)
         # The rows below each block are finished: they hold exact zeros
         # in its columns, and multiplying keeps them so.
         if run is None:
@@ -701,7 +700,7 @@ def _sweep(w: np.ndarray, layout: _Layout) -> np.ndarray:
         else:
             tile = w[:, run, :].reshape(t, -1, s, n)
             np.matmul(q.swapaxes(-1, -2), tile, out=tile)
-        cells[:, stamped] = 0.0
+        cells[:, lower] = 0.0
     blocks = np.empty((t, layout.offsets[-1]), dtype=np.complex128)
     for s, _, entries in layout.applied:
         blocks[:, entries] = listed[s].reshape(t, -1, s * s)

@@ -11,6 +11,7 @@ import pytest
 
 from multiport import cli
 from multiport.cli import main
+from multiport.decomposition import DecompositionError
 from multiport.linalg import haar_random_unitary
 from multiport.serialize import (
     CSV_HEADER,
@@ -247,6 +248,18 @@ class TestDecomposeReconstructVerify:
         assert code == 1
         assert "error" in err
 
+    def test_failed_sweep_is_reported(self, tmp_path, capsys, matrix_file, monkeypatch):
+        def fail(u, m):
+            raise DecompositionError("the swept matrix is not diagonal")
+
+        monkeypatch.setattr(cli, "decompose", fail)
+        plan = tmp_path / "plan.json"
+        code, out, err = run(
+            ["decompose", "--in", str(matrix_file), "--m", "2", "--out", str(plan)], capsys
+        )
+        assert (code, out, err) == (1, "", "error: the swept matrix is not diagonal\n")
+        assert not plan.exists()
+
 
 class TestCost:
     def test_worked_example(self, capsys):
@@ -422,7 +435,8 @@ class TestSweepSizeCommand:
 
 
 # One valid argument list per command, and the value each bad-value case
-# gives its flag (a flag given no value, where no argument is typed).
+# gives its flag (a flag given no value, where no argument is typed) with
+# the message argparse prints for it.
 VALID = {
     "decompose": ["--in", "u.json", "--m", "2", "--out", "p.json"],
     "reconstruct": ["--in", "p.json", "--out", "r.json"],
@@ -435,18 +449,18 @@ VALID = {
     "cost": ["--n", "4", "--m", "2", "--cm", "1", "--c2", "1"],
 }
 BAD = {
-    "decompose": ("--m", "two"),
-    "reconstruct": ("--out", None),
-    "verify": ("--tol", "tight"),
-    "random": ("--n", "4.5"),
-    "sweep-noise": ("--sigmas", "0.1,x"),
-    "sweep-size": ("--n-list", "3;5"),
-    "cost": ("--cm", "cheap"),
+    "decompose": ("--m", "two", "invalid int value: 'two'"),
+    "reconstruct": ("--out", None, "expected one argument"),
+    "verify": ("--tol", "tight", "invalid float value: 'tight'"),
+    "random": ("--n", "4.5", "invalid int value: '4.5'"),
+    "sweep-noise": ("--sigmas", "0.1,x", "expected comma-separated numbers, got '0.1,x'"),
+    "sweep-size": ("--n-list", "3;5", "expected comma-separated integers, got '3;5'"),
+    "cost": ("--cm", "cheap", "invalid float value: 'cheap'"),
 }
 
 
 def _with_bad_value(name):
-    flag, value = BAD[name]
+    flag, value, _ = BAD[name]
     args = list(VALID[name])
     at = args.index(flag)
     if value is None:
@@ -473,21 +487,57 @@ class TestParsing:
 
     @pytest.mark.parametrize("name", list(VALID))
     @pytest.mark.parametrize("case", ["help", "missing", "bad-value", "extra"])
-    def test_one_command_parser_matches_the_full_one(self, capsys, name, case):
-        # ``main`` builds only the named command's subparser; what it prints
-        # and how it exits must be what the parser of all seven gives.
+    def test_help_and_parse_errors_of_every_command(self, capsys, name, case):
         argv = [name] + {
             "help": ["--help"],
             "missing": VALID[name][2:],
             "bad-value": _with_bad_value(name),
             "extra": VALID[name] + ["extra"],
         }[case]
-        full = _exit(cli._build_parser().parse_args, argv, capsys)
-        assert _exit(main, argv, capsys) == full
-        assert full[0] == (0 if case == "help" else 2)
+        code, out, err = _exit(main, argv, capsys)
+        if case == "help":
+            assert (code, err) == (0, "")
+            assert out.startswith(f"usage: multiport {name} [-h] ")
+            return
+        assert code == 2
+        assert out == ""
         if case == "extra":
-            assert "unrecognized arguments: extra" in full[2]
-            assert "{" + ",".join(VALID) + "}" in full[2].replace("\n", "").replace(" ", "")
+            # the top-level parser rejects it, with its usage line
+            assert err.endswith("multiport: error: unrecognized arguments: extra\n")
+            assert "{" + ",".join(VALID) + "}" in err.replace("\n", "").replace(" ", "")
+            return
+        assert err.startswith(f"usage: multiport {name} [-h] ")
+        if case == "missing":
+            message = f"the following arguments are required: {VALID[name][0]}"
+        else:
+            flag, _, invalid = BAD[name]
+            message = f"argument {flag}: {invalid}"
+        assert err.endswith(f"multiport {name}: error: {message}\n")
+
+    def test_the_parser_is_built_once_and_keeps_no_state(self, tmp_path, capsys):
+        # One parser serves every call of a process, so no parse may leave
+        # anything behind for the next: each call gives its own result.
+        assert cli._build_parser() is cli._build_parser()
+        cost = ["cost", "--n", "10", "--m", "2", "--cm", "1", "--c2", "1"]
+        first = run(cost, capsys)
+        assert first[0] == 0
+        assert "2x2 count = 45\n" in first[1]
+        code, out, err = _exit(main, ["cost", "--n", "10", "--m", "2", "--cm", "x"], capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith("multiport cost: error: argument --cm: invalid float value: 'x'\n")
+        expected = tmp_path / "expected.json"
+        save_matrix(expected, haar_random_unitary(4, 1))
+        u = tmp_path / "u.json"
+        code, out, err = run(["random", "--n", "4", "--seed", "1", "--out", str(u)], capsys)
+        assert (code, out, err) == (0, f"n = 4\nseed = 1\nmatrix written to {u}\n", "")
+        assert u.read_bytes() == expected.read_bytes()
+        plan = tmp_path / "p.json"
+        assert run(["decompose", "--in", str(u), "--m", "2", "--out", str(plan)], capsys)[0] == 0
+        code, out, err = run(["verify", "--plan", str(plan), "--matrix", str(u)], capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("n = 4\nm = 2\nfactors = 6\n")
+        assert out.endswith("passed = True\n")
+        assert run(cost, capsys) == first
 
     @pytest.mark.parametrize("argv", [[], ["--help"], ["-h"], ["bogus"]])
     def test_without_a_command_every_command_is_named(self, capsys, argv):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from multiport import decomposition, linalg
 from multiport.decomposition import (
+    DecompositionError,
     DecompositionPlan,
     Factor,
     _compose,
@@ -312,6 +314,30 @@ class TestDecompose:
         a, b = decompose(u, np.int64(3)), decompose(u, 3)
         assert a.m == 3 and type(a.m) is int
         np.testing.assert_array_equal(a.blocks, b.blocks)
+
+    def test_swept_matrix_off_the_diagonal_is_an_error(self):
+        # A swept matrix must be diagonal to within 2 n times the input
+        # tolerance; an entry at that bound passes, one above it does not.
+        n = 4
+        tol = 2 * n * decomposition._INPUT_UNITARY_TOL
+        w = np.eye(n, dtype=complex)[np.newaxis]
+        w[0, 3, 1] = tol
+        np.testing.assert_array_equal(decomposition._phases(w), np.zeros((1, n)))
+        w[0, 3, 1] = 1.5 * tol
+        message = (
+            "residual off-diagonal entry 1.200e-07 exceeds 8.000e-08; "
+            "the swept matrix is not diagonal"
+        )
+        with pytest.raises(DecompositionError, match=f"^{re.escape(message)}$"):
+            decomposition._phases(w)
+
+    def test_swept_diagonal_off_the_unit_circle_is_an_error(self):
+        w = np.eye(3, dtype=complex)[np.newaxis]
+        w[0, 2, 2] = 2.0
+        with pytest.raises(
+            DecompositionError, match="^diagonal of the swept matrix is not unit modulus$"
+        ):
+            decomposition._phases(w)
 
 
 def _same_as_one_at_a_time(us, m):
@@ -715,7 +741,7 @@ class TestLayers:
         layout = _schedule(n, 2, _zero_pattern(np.ones((n, n))))
         assert len(layout.layers) == 2 * n - 3
         # the steps of one layer act on disjoint columns
-        for _, _, cols, _, run in layout.layers:
+        for _, _, cols, _, run, _ in layout.layers:
             assert len(set(cols.ravel().tolist())) == cols.size
             # the Reck anti-diagonals: adjacent pairs stepping by 2, one run
             assert run is not None
@@ -728,12 +754,13 @@ class TestLayers:
         in the flat factor-order block array; the groups cover every factor
         once.  ``index`` is the ``(k, s, s)`` flat index of the blocks in a
         transposed ``n x n`` matrix read as ``n*n`` entries, the factors
-        sorted by first column, and ``run`` is the slice of exactly the
-        group's columns when they tile one, else ``None``."""
+        sorted by first column, ``run`` is the slice of exactly the
+        group's columns when they tile one, else ``None``, and ``lower``
+        holds the flat index of the blocks' strictly lower entries."""
         listed = {s: (factors, entries) for s, factors, entries in layout.applied}
         assert list(listed) == sorted(set(layout.sizes.tolist()))
         flat, factors = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-        for s, index, cols, span, run in layout.layers:
+        for s, index, cols, span, run, lower in layout.layers:
             k, entries = (listing[span] for listing in listed[s])  # the group's factors
             np.testing.assert_array_equal(entries, layout.offsets[k, np.newaxis] + np.arange(s * s))
             np.testing.assert_array_equal(layout.sizes[k], s)
@@ -745,6 +772,8 @@ class TestLayers:
                 cols[:, np.newaxis, :] * n + tops[:, np.newaxis, np.newaxis]
                 + np.arange(s)[:, np.newaxis],
             )
+            below = np.flatnonzero(np.tri(s, k=-1, dtype=bool))
+            np.testing.assert_array_equal(lower, index.reshape(len(k), s * s)[:, below])
             assert (np.diff(cols[:, 0]) > 0).all()
             c0 = cols[0, 0]
             tiled = np.array_equal(cols.ravel(), np.arange(c0, c0 + cols.size))
@@ -758,7 +787,7 @@ class TestLayers:
         np.testing.assert_array_equal(np.sort(np.concatenate(flat)), np.arange(layout.offsets[-1]))
         np.testing.assert_array_equal(np.sort(np.concatenate(factors)), np.arange(len(layout)))
         for s, applied, entries in layout.applied:
-            spans = [span for size, _, _, span, _ in layout.layers if size == s]
+            spans = [span for size, _, _, span, _, _ in layout.layers if size == s]
             assert [span.start for span in spans] == [0] + [span.stop for span in spans[:-1]]
             assert spans[-1].stop == len(applied) == np.count_nonzero(layout.sizes == s)
             assert entries.shape == (len(applied), s * s)
@@ -844,7 +873,7 @@ class TestLayers:
         layout = _schedule(n, m, _zero_pattern(us[0]))
         # the same layout with every group gathered and scattered by index
         gathered = dataclasses.replace(
-            layout, layers=tuple(group[:4] + (None,) for group in layout.layers)
+            layout, layers=tuple(group[:4] + (None,) + group[5:] for group in layout.layers)
         )
         if kind == "dense":
             runs = [group[4] is not None for group in layout.layers]
@@ -892,7 +921,7 @@ class TestLayers:
                 w = us.swapaxes(-1, -2).copy()
                 cells = w.reshape(t, n * n)
                 listed = {s: factors for s, factors, _ in layout.applied}
-                for s, index, cols, span, _ in layout.layers:
+                for s, index, cols, span, _, _ in layout.layers:
                     tops = layout.base_rows[listed[s][span]] - s
                     rows = tops[:, np.newaxis, np.newaxis] + np.arange(s)[:, np.newaxis]
                     block = (slice(None), cols[:, np.newaxis, :], rows)
