@@ -56,24 +56,13 @@ def _list_of(kind, name):
     return parse
 
 
-def _echo(args) -> dict:
-    """A sweep's CSV header: its parsed arguments in the parser's order,
-    without the output paths, then how block fidelities are pooled.  A
-    float prints as ``.12g`` of ``v + 0.0``, so -0 echoes as 0, as the rows
-    print it; a list prints comma-joined."""
-    config = {}
-    for key, value in vars(args).items():
-        if key not in ("out", "svg", "func"):
-            items = value if isinstance(value, list) else [value]
-            config[key] = ",".join(
-                format(v + 0.0, ".12g") if isinstance(v, float) else str(v) for v in items
-            )
+def _save_sweep(args, results, x_of, x_label, title, **extra) -> int:
+    """Write a sweep's CSV and, if asked, its chart; print where they went.
+    The CSV header holds the parsed arguments except the output paths, in
+    the parser's order, then how block fidelities are pooled, then ``extra``."""
+    config = {k: v for k, v in vars(args).items() if k not in ("out", "svg", "func")}
     config["fq_pooling"] = "all factor blocks per draw"
-    return config
-
-
-def _save_sweep(args, results, config, x_of, x_label, title) -> int:
-    """Write a sweep's CSV and, if asked, its chart; print where they went."""
+    config.update(extra)
     save_sweep_results(args.out, results, config)
     print(f"rows = {len(results)}")
     print(f"csv written to {args.out}")
@@ -154,7 +143,7 @@ def _cmd_sweep_noise(args) -> int:
         seed=args.seed,
     )
     return _save_sweep(
-        args, results, _echo(args), lambda r: r.fq.mean, "mean block fidelity",
+        args, results, lambda r: r.fq.mean, "mean block fidelity",
         "Matrix fidelity vs block fidelity",
     )
 
@@ -169,16 +158,15 @@ def _cmd_sweep_size(args) -> int:
         n_perturbations=args.perturbations,
         seed=args.seed,
     )
-    config = _echo(args)
     calibrated = {}
     for r in results:
         calibrated.setdefault(r.m, r.sigma)
     for m in sorted(calibrated):
-        config[f"calibrated_sigma_m{m}"] = format(calibrated[m], ".12g")
         print(f"calibrated sigma for m={m}: {calibrated[m]:.6g}")
     return _save_sweep(
-        args, results, config, lambda r: r.n, "matrix dimension n",
+        args, results, lambda r: r.n, "matrix dimension n",
         "Matrix fidelity vs size at calibrated block fidelity",
+        **{f"calibrated_sigma_m{m}": calibrated[m] for m in sorted(calibrated)},
     )
 
 

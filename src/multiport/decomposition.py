@@ -123,7 +123,8 @@ def _first(bad: np.ndarray) -> int | None:
 
 def _unitarity_defects(blocks: np.ndarray) -> np.ndarray:
     """``max|B^dag B - I|`` of every ``s x s`` block of a ``(..., s, s, K)``
-    stack, the factor axis last, as ``(..., K)``."""
+    stack, the factor axis last, as ``(..., K)``: the one unitarity measure,
+    of a plan's blocks and of ``_sweep_stack``'s input matrices."""
     # Measured on 2 cores: s products over contiguous K-long rows win up to
     # s = 5 (4950 2x2 blocks: 0.7 against 3.2 ms for a stacked ``@``; 400 5x5
     # blocks: 0.16 against 0.24 ms), the two are even at s = 6, and ``@``
@@ -135,10 +136,11 @@ def _unitarity_defects(blocks: np.ndarray) -> np.ndarray:
         gram = conj[..., 0, :, None, :] * blocks[..., 0, None, :, :]
         for j in range(1, s):
             gram += conj[..., j, :, None, :] * blocks[..., j, None, :, :]
+        gram = gram.reshape(gram.shape[:-3] + (s * s, -1))
     else:
         stacked = np.ascontiguousarray(np.moveaxis(blocks, -1, -3))
-        gram = np.moveaxis(np.conj(stacked).swapaxes(-1, -2) @ stacked, -3, -1)
-    gram = gram.reshape(gram.shape[:-3] + (s * s, -1))
+        gram = np.conj(stacked).swapaxes(-1, -2) @ stacked
+        gram = gram.reshape(gram.shape[:-2] + (s * s,)).swapaxes(-1, -2)  # a view
     gram[..., :: s + 1, :] -= 1
     return np.abs(gram).max(axis=-2)
 
@@ -743,14 +745,13 @@ def _sweep_stack(us: np.ndarray, m: int):
     ``_sweep``) and each member gets bit for bit the blocks and phases it
     gets when swept alone.  Returns the schedule's ``_Layout``, the
     ``(T, entries)`` blocks and the ``(T, n)`` phases, none of them checked
-    by ``_validated``; raises ``ValueError`` for a
-    non-unitary member, an out-of-range ``m`` or members whose zero
-    patterns differ, and ``DecompositionError`` as ``_phases`` does.
+    by ``_validated``; raises ``ValueError`` for a member whose
+    ``_unitarity_defects`` exceeds ``_INPUT_UNITARY_TOL``, an out-of-range
+    ``m`` or members whose zero patterns differ, and ``DecompositionError``
+    as ``_phases`` does.
     """
     n, m = _check_block_size(us.shape[-1], m)
-    # ``@``, not einsum: 0.25 ms for one n=100 input against 4.2 ms (2 cores).
-    gram = np.conj(us).swapaxes(-1, -2) @ us
-    defects = np.abs(gram - np.eye(n)).max(axis=(-2, -1))
+    defects = _unitarity_defects(np.moveaxis(us, 0, -1))
     t = _first(~(defects <= _INPUT_UNITARY_TOL))  # also rejects NaN
     if t is not None:
         raise ValueError(

@@ -27,7 +27,8 @@ each factor's 1-based modes and ``blocks`` the real and imaginary parts of
 each block's entries, row-major, one factor per line.  Format-1 plans, which
 held a list of ``factors`` objects, are not read: decompose the matrix again
 to rewrite them.  Floats are rendered with 17 significant digits, which
-round-trips IEEE doubles exactly; sweep CSVs use 12 significant digits.
+round-trips IEEE doubles exactly; sweep CSVs use 12 significant digits, in
+their rows and in the ``# key = value`` header lines alike, -0 as 0.
 Matrix and plan files share one float writer, and every float's text is
 exactly ``'%.17g' % value``.  Most block entries, those with
 1e-4 <= |v| < 1, get that text from their exact 17-digit integer, computed
@@ -79,7 +80,7 @@ _FORMAT_1 = (
 
 
 def _f12(x: float) -> str:
-    return format(float(x), ".12g")
+    return format(float(x) + 0.0, ".12g")  # -0.0 + 0.0 is +0.0
 
 
 # Every float of a matrix or plan file is written as ``'%.17g' % v`` renders
@@ -374,9 +375,11 @@ def sweep_results_to_csv(results, config=None) -> str:
     """Render sweep results as CSV text.
 
     ``config`` is an optional mapping echoed as ``# key = value`` comment
-    lines above the header so a result file records the run that made it.
-    The text contains nothing run-dependent beyond ``results`` and
-    ``config``: rerunning an identical sweep yields byte-identical output.
+    lines above the header so a result file records the run that made it;
+    a float value prints as the rows' numbers do, a list comma-joined item
+    by item, anything else with ``str``.  The text contains nothing
+    run-dependent beyond ``results`` and ``config``: rerunning an identical
+    sweep yields byte-identical output.
     """
     results = list(results)
     if not results:
@@ -384,7 +387,9 @@ def sweep_results_to_csv(results, config=None) -> str:
     lines = []
     if config:
         for key, value in config.items():
-            lines.append(f"# {key} = {value}")
+            items = value if isinstance(value, list) else [value]
+            text = ",".join(_f12(v) if isinstance(v, float) else str(v) for v in items)
+            lines.append(f"# {key} = {text}")
     lines.append(CSV_HEADER)
     for r in results:
         if not isinstance(r, SweepResult):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -259,6 +260,27 @@ class TestDecomposeReconstructVerify:
         )
         assert (code, out, err) == (1, "", "error: the swept matrix is not diagonal\n")
         assert not plan.exists()
+
+    def test_failed_self_check_is_reported_after_the_summary(
+        self, tmp_path, capsys, matrix_file, monkeypatch
+    ):
+        real_verify = cli.verify
+
+        def failing(plan, u, tol=None):
+            report = real_verify(plan, u, tol)
+            return dataclasses.replace(report, max_error=3e-8, tol=8e-9, passed=False)
+
+        monkeypatch.setattr(cli, "verify", failing)
+        plan = tmp_path / "plan.json"
+        code, out, err = run(
+            ["decompose", "--in", str(matrix_file), "--m", "3", "--out", str(plan)], capsys
+        )
+        assert code == 1
+        assert err == "error: reconstruction error 3.000e-08 exceeds tolerance 8.000e-09\n"
+        lines = out.splitlines()
+        assert lines[0] == f"input = {matrix_file}"
+        assert "factors = 12" in lines and "max_error = 3.000e-08" in lines
+        assert lines[-1] == f"plan written to {plan}"
 
 
 class TestCost:

@@ -634,6 +634,27 @@ class TestSweepCsv:
             "4,2,0.05,0.998,0.0001,0.97,0.002,40\n"
         )
 
+    def test_config_values_print_like_row_numbers(self):
+        # A float prints to 12 significant digits, -0 as 0, as in the rows; a
+        # list is comma-joined item by item; anything else prints with str.
+        results = [
+            SweepResult(n=2, m=2, sigma=0.0, fq=FidelityStats(1.0, 0.0, 1),
+                        fu=FidelityStats(1.0, 0.0, 1))
+        ]
+        config = {"sigma": 0.1, "zero": -0.0, "sigmas": [-0.0, 0.05], "m_list": [2, 3],
+                  "seed": 7, "fq_pooling": "all factor blocks per draw",
+                  "third": 1.0 / 3.0}
+        header = sweep_results_to_csv(results, config).splitlines()[: len(config)]
+        assert header == [
+            "# sigma = 0.1",
+            "# zero = 0",
+            "# sigmas = 0,0.05",
+            "# m_list = 2,3",
+            "# seed = 7",
+            "# fq_pooling = all factor blocks per draw",
+            "# third = 0.333333333333",
+        ]
+
     def test_header_constant(self):
         assert CSV_HEADER == "n,m,sigma,fq_mean,fq_stderr,fu_mean,fu_stderr,samples"
 
