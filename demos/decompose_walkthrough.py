@@ -29,15 +29,16 @@ def main():
     plan = decompose(u, args.m)
     bound = factor_count_bound(args.n, args.m)
     print(f"Haar {args.n}x{args.n} unitary, block size m = {args.m}")
-    print(f"factors used: {len(plan.factors)} (constructive bound {bound})")
+    print(f"factors used: {len(plan.sizes)} (constructive bound {bound})")
     stamped = sum(s * (s - 1) // 2 for s in plan.sizes.tolist())
     print(f"below-diagonal zeros stamped: {stamped} of {args.n * (args.n - 1) // 2}")
 
+    # each factor's 1-based modes: its slice of the concatenated columns
+    modes = np.split(plan.columns, np.cumsum(plan.sizes)[:-1])
     print("\nschedule (rows swept bottom-up, columns are 1-based modes):")
-    for i, f in enumerate(plan.factors, start=1):
-        cols = ",".join(str(c) for c in f.columns)
-        tag = "" if f.size == args.m else "  <- remainder block"
-        print(f"  {i:3d}: size {f.size}  row {f.base_row:3d}  modes ({cols}){tag}")
+    for i, (size, row, cols) in enumerate(zip(plan.sizes, plan.base_rows, modes), start=1):
+        tag = "" if size == args.m else "  <- remainder block"
+        print(f"  {i:3d}: size {size}  row {row:3d}  modes ({','.join(map(str, cols))}){tag}")
 
     print("\nfinal per-mode phases (degrees):")
     print("  " + "  ".join(f"{d:8.2f}" for d in np.degrees(plan.phases)))
@@ -47,10 +48,9 @@ def main():
 
     # each factor acts as its block on its modes and as the identity elsewhere
     explicit = np.diag(np.exp(1j * plan.phases))
-    for f in reversed(plan.factors):
+    for cols, block in reversed(list(zip(modes, plan.factors))):
         embedded = np.eye(plan.n, dtype=complex)
-        modes = np.array(f.columns) - 1
-        embedded[np.ix_(modes, modes)] = f.block
+        embedded[np.ix_(cols - 1, cols - 1)] = block
         explicit = explicit @ embedded.conj().T
     print(f"explicit embedding error:   {np.max(np.abs(explicit - u)):.3e}")
 

@@ -29,6 +29,7 @@ from .decomposition import (
     DecompositionError,
     cost_compare,
     decompose,
+    factor_count_bound,
     reconstruct,
     verify,
 )
@@ -80,8 +81,8 @@ def _cmd_decompose(args) -> int:
     print(f"input = {args.infile}")
     print(f"n = {plan.n}")
     print(f"m = {plan.m}")
-    print(f"factors = {report.factor_count}")
-    print(f"bound = {report.factor_bound}")
+    print(f"factors = {len(plan.sizes)}")
+    print(f"bound = {factor_count_bound(plan.n, plan.m)}")
     print(f"max_error = {report.max_error:.3e}")
     print(f"fidelity = {report.fidelity:.12f}")
     print(f"zeros_cleared = {sum(s * (s - 1) // 2 for s in plan.sizes.tolist())}")
@@ -112,8 +113,8 @@ def _cmd_verify(args) -> int:
     report = verify(plan, u, args.tol)
     print(f"n = {plan.n}")
     print(f"m = {plan.m}")
-    print(f"factors = {report.factor_count}")
-    print(f"bound = {report.factor_bound}")
+    print(f"factors = {len(plan.sizes)}")
+    print(f"bound = {factor_count_bound(plan.n, plan.m)}")
     print(f"max_error = {report.max_error:.3e}")
     print(f"tolerance = {report.tol:.3e}")
     print(f"fidelity = {report.fidelity:.12f}")

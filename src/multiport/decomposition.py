@@ -70,10 +70,11 @@ group, and they measured no faster there.
 A ``DecompositionPlan`` stores its factors as flat arrays in factor order,
 the arrays of its JSON file (sizes, base rows, 1-based columns and one
 array of row-major blocks), and validates them once, when it is built;
-``plan.factors`` returns records whose blocks are read-only views of
-those arrays.  One checker, ``_validated``, serves both: it checks a
-plan's fields, or a sweep's whole stack of blocks and phases at once, with
-the same checks and messages, and raises every fault as a ``ValueError``.
+``plan.factors`` returns each factor's block, shaped ``size x size``, as
+a read-only view of ``blocks``.  One checker, ``_validated``, serves both:
+it checks a plan's fields, or a sweep's whole stack of blocks and phases
+at once, with the same checks and messages, and raises every fault as a
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -89,7 +90,6 @@ from .linalg import _fidelities, _rotations, _rq_unitaries, _to_float, as_matrix
 
 __all__ = [
     "DecompositionError",
-    "Factor",
     "DecompositionPlan",
     "factor_count_bound",
     "decompose",
@@ -143,24 +143,6 @@ def _unitarity_defects(blocks: np.ndarray) -> np.ndarray:
         gram = gram.reshape(gram.shape[:-2] + (s * s,)).swapaxes(-1, -2)  # a view
     gram[..., :: s + 1, :] -= 1
     return np.abs(gram).max(axis=-2)
-
-
-@dataclass(frozen=True, eq=False)
-class Factor:
-    """One block unitary of a plan, acting on a chosen subset of modes.
-
-    ``columns`` are 1-based mode indices in strictly ascending order;
-    ``base_row`` is the 1-based row whose left-of-diagonal entries the block
-    was chosen to clear.  ``block`` is the ``size x size`` unitary itself.
-    ``DecompositionPlan.factors`` builds these records from a plan that was
-    validated once, when it was built, and each ``block`` is a read-only
-    view of ``plan.blocks``; the record itself checks nothing.
-    """
-
-    size: int
-    base_row: int
-    columns: tuple[int, ...]
-    block: np.ndarray
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -349,15 +331,15 @@ def _validated(n, m, sizes, base_rows, columns, blocks, phases, stack=()):
     k = _first(sizes > m)
     if k is not None:
         raise ValueError(f"factors[{k}]: block size {sizes[k]} exceeds m = {m}")
+    k = _first(sizes < 2)
+    if k is not None:
+        raise ValueError(f"factors[{k}]: block size must be at least 2, got {sizes[k]}")
     columns = _field("columns", columns, np.intp)
     count = int(sizes.sum())
     if columns.shape != (count,):
         raise ValueError(
             f"columns must be 1-D of length sum(sizes) = {count}, got shape {columns.shape}"
         )
-    k = _first(sizes < 2)
-    if k is not None:
-        raise ValueError(f"factors[{k}]: block size must be at least 2, got {sizes[k]}")
     ends = np.cumsum(sizes)
     starts = ends - sizes
 
@@ -416,8 +398,8 @@ class DecompositionPlan:
     ``_validated``, the one plan checker, which also checks the block
     stacks of the sweeps.  Every fault raises ``ValueError``, a value
     out of range for its field included; a fault of factor ``k`` reads
-    ``factors[k]: ...``.  ``factors`` lists them as ``Factor`` records over
-    read-only views of ``blocks``.
+    ``factors[k]: ...``.  ``factors`` gives each factor's block, shaped
+    ``size x size``, as a read-only view of ``blocks``.
     """
 
     n: int
@@ -436,17 +418,13 @@ class DecompositionPlan:
             object.__setattr__(self, name, value)
 
     @property
-    def factors(self) -> tuple[Factor, ...]:
-        """The factors in the order they were applied; blocks are views of ``blocks``."""
-        blocks, columns = self.blocks, self.columns.tolist()
+    def factors(self) -> tuple[np.ndarray, ...]:
+        """Each factor's ``size x size`` block, in factor order, as a
+        read-only view of ``blocks``."""
+        blocks = self.blocks
         return tuple(
-            Factor(s, row, tuple(columns[end - s : end]), blocks[b : b + s * s].reshape(s, s))
-            for s, row, end, b in zip(
-                self.sizes.tolist(),
-                self.base_rows.tolist(),
-                np.cumsum(self.sizes).tolist(),
-                self._layout.offsets.tolist(),
-            )
+            blocks[b : b + s * s].reshape(s, s)
+            for s, b in zip(self.sizes.tolist(), self._layout.offsets.tolist())
         )
 
 
@@ -810,12 +788,11 @@ def decompose(u, m: int) -> DecompositionPlan:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of checking a plan against the matrix it should encode."""
+    """Outcome of checking a plan against the matrix it should encode: the
+    largest entry error, the fidelity, the tolerance and the verdict."""
 
     max_error: float
     fidelity: float
-    factor_count: int
-    factor_bound: int
     tol: float
     passed: bool
 
@@ -824,10 +801,10 @@ def verify(plan: DecompositionPlan, u, tol: float | None = None) -> Verification
     """Rebuild the plan and compare against ``u`` entry by entry.
 
     ``passed`` requires the maximum absolute entry error to stay within
-    ``tol`` (default ``1e-9 * n``); the report also gives the factor count
-    and its bound, which every plan respects, as its constructor checks.
-    Raises ``ValueError`` unless ``tol`` is positive and finite: an infinite
-    tolerance would pass the plan of any matrix.
+    ``tol`` (default ``1e-9 * n``).  Raises ``ValueError`` unless ``tol`` is
+    positive and finite: an infinite tolerance would pass the plan of any
+    matrix.  The factor count is ``len(plan.sizes)``, which the plan's
+    constructor holds within ``factor_count_bound(plan.n, plan.m)``.
     """
     mat = as_matrix(u, square=True)
     if mat.shape[0] != plan.n:
@@ -844,8 +821,6 @@ def verify(plan: DecompositionPlan, u, tol: float | None = None) -> Verification
     return VerificationReport(
         max_error=max_error,
         fidelity=float(_fidelities(mat, rebuilt)),
-        factor_count=len(plan.sizes),
-        factor_bound=factor_count_bound(plan.n, plan.m),
         tol=tol,
         passed=max_error <= tol,
     )

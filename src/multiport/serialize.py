@@ -41,10 +41,11 @@ byte-identical output.  Negative zeros are written as ``0``, the value
 ``json.loads`` reads back, so reading a file and writing it again
 reproduces it byte for byte.  Loaders check the types and shapes of the
 top-level values, each over its whole list, and raise ``ValueError`` on
-malformed input.  A plan file's JSON faults (its types, the length of
-``blocks``, a non-finite block entry or phase) are reported as they are;
-every value is then checked by the ``DecompositionPlan`` constructor, and
-each fault it finds is reported as ``invalid plan: <its message>``.
+malformed input, JSON nested deeper than the decoder recurses included.
+A plan file's JSON faults (its types, the length of ``blocks``, a
+non-finite block entry or phase) are reported as they are; every value is
+then checked by the ``DecompositionPlan`` constructor, and each fault it
+finds is reported as ``invalid plan: <its message>``.
 """
 
 from __future__ import annotations
@@ -228,13 +229,22 @@ def _is_pair(pair) -> bool:
     )
 
 
+def _loads(text: str):
+    """``json.loads(text)``, with JSON that nests deeper than the decoder
+    recurses reported as a ``ValueError``, like every other malformed input."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nests too deeply") from None
+
+
 def json_to_matrix(text: str) -> np.ndarray:
     """Parse canonical matrix JSON back into a complex128 array.
 
     Every entry must be a list of two finite JSON numbers (not booleans or
     strings); the types of all entries are checked at once.
     """
-    obj = json.loads(text)
+    obj = _loads(text)
     name = "matrix JSON"
     if not isinstance(obj, dict):
         raise ValueError(f"{name} must be an object")
@@ -320,7 +330,7 @@ def json_to_plan(text: str) -> DecompositionPlan:
     constructor checks every value, and each fault it finds is reported as
     ``invalid plan: <its message>``.
     """
-    obj = json.loads(text)
+    obj = _loads(text)
     _require(isinstance(obj, dict), "plan JSON must be an object")
     version = obj.get("format")
     _require("factors" not in obj and _is_int(version) and version == 2, _FORMAT_1)

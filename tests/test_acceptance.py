@@ -95,7 +95,7 @@ def test_factor_counts_within_bound(case_suite):
     cases, _ = case_suite
     exact = 0
     for c in cases:
-        count = len(c.plan.factors)
+        count = len(c.plan.sizes)
         assert count <= factor_count_bound(c.n, c.m), (c.kind, c.n, c.m, count)
         if c.kind == "haar" and c.m == 2:
             assert count == c.n * (c.n - 1) // 2, (c.n, count)

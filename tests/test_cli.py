@@ -206,6 +206,26 @@ class TestDecomposeReconstructVerify:
         assert code == 1
         assert err == f"error: invalid plan: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--in", "DEEP", "--m", "3", "--out", "OUT"],
+            ["reconstruct", "--in", "DEEP", "--out", "OUT"],
+            ["verify", "--plan", "DEEP", "--matrix", "MATRIX"],
+            ["verify", "--plan", "PLAN", "--matrix", "DEEP"],
+        ],
+        ids=["decompose", "reconstruct", "verify-plan", "verify-matrix"],
+    )
+    def test_deeply_nested_json_fails_cleanly(self, tmp_path, capsys, matrix_file, argv):
+        plan = tmp_path / "plan.json"
+        run(["decompose", "--in", str(matrix_file), "--m", "3", "--out", str(plan)], capsys)
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        paths = {"DEEP": deep, "OUT": tmp_path / "out.json", "MATRIX": matrix_file, "PLAN": plan}
+        code, out, err = run([str(paths.get(arg, arg)) for arg in argv], capsys)
+        assert (code, out, err) == (1, "", "error: JSON nests too deeply\n")
+        assert not paths["OUT"].exists()
+
     def test_format_1_plan_fails_with_advice(self, tmp_path, capsys):
         plan = tmp_path / "old.json"
         plan.write_text('{"n": 2, "m": 2, "factors": [], "phases": [0, 0]}')

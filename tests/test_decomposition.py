@@ -13,7 +13,6 @@ from multiport import decomposition, linalg
 from multiport.decomposition import (
     DecompositionError,
     DecompositionPlan,
-    Factor,
     _compose,
     _decompose_stack,
     _schedule,
@@ -31,16 +30,28 @@ SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def plan_from_factors(n, m, factors, phases):
-    """The plan holding ``factors``, in order, and ``phases``."""
+    """The plan holding ``factors``, ``(size, base_row, columns, block)``
+    tuples with 1-based columns, in order, and ``phases``."""
     return DecompositionPlan(
         n=n,
         m=m,
-        sizes=[f.size for f in factors],
-        base_rows=[f.base_row for f in factors],
-        columns=[c for f in factors for c in f.columns],
-        blocks=np.concatenate([np.zeros(0, complex)] + [f.block.ravel() for f in factors]),
+        sizes=[size for size, _, _, _ in factors],
+        base_rows=[row for _, row, _, _ in factors],
+        columns=[c for _, _, columns, _ in factors for c in columns],
+        blocks=np.concatenate([np.zeros(0, complex)] + [np.ravel(b) for *_, b in factors]),
         phases=phases,
     )
+
+
+def factors_of(plan):
+    """A plan's factors read back from its flat arrays, in order, as
+    ``(size, base_row, columns, block)`` tuples with 1-based columns."""
+    columns, ends = plan.columns.tolist(), np.cumsum(plan.sizes).tolist()
+    return [
+        (s, row, tuple(columns[end - s : end]), block)
+        for s, row, end, block in zip(plan.sizes.tolist(), plan.base_rows.tolist(), ends,
+                                      plan.factors)
+    ]
 
 
 def unitarity_defect(a):
@@ -48,11 +59,12 @@ def unitarity_defect(a):
     return np.abs(a.conj().T @ a - np.eye(len(a))).max()
 
 
-def embed(factor, n):
-    """A factor's full ``n x n`` action: its block on its modes, identity elsewhere."""
+def embed(columns, block, n):
+    """A factor's full ``n x n`` action: its block on its 1-based columns,
+    identity elsewhere."""
     out = np.eye(n, dtype=complex)
-    modes = np.asarray(factor.columns) - 1
-    out[np.ix_(modes, modes)] = factor.block
+    modes = np.asarray(columns) - 1
+    out[np.ix_(modes, modes)] = block
     return out
 
 
@@ -130,20 +142,22 @@ class TestFactorCountBound:
 
 
 def one_factor_plan(n, m, size, base_row, columns, block):
-    """The plan holding one hand-built ``Factor`` record, and zero phases."""
-    return plan_from_factors(n, m, (Factor(size, base_row, columns, block),), np.zeros(n))
+    """The plan holding one hand-built factor, and zero phases."""
+    return plan_from_factors(n, m, [(size, base_row, columns, block)], np.zeros(n))
 
 
 class TestFactor:
-    """The plan checks each factor once; ``plan.factors`` reads it back as views."""
+    """The plan checks each factor once; ``plan.factors`` reads its blocks
+    back as views."""
 
     def test_valid_factor(self):
         plan = one_factor_plan(n=3, m=2, size=2, base_row=3, columns=(1, 3), block=SWAP)
-        (f,) = plan.factors
-        assert (f.size, f.base_row, f.columns) == (2, 3, (1, 3))
-        assert type(f.size) is int and type(f.base_row) is int
-        assert all(type(c) is int for c in f.columns)
-        np.testing.assert_array_equal(f.block, SWAP)
+        assert (plan.sizes.tolist(), plan.base_rows.tolist(), plan.columns.tolist()) == (
+            [2], [3], [1, 3],
+        )
+        (block,) = plan.factors
+        assert type(block) is np.ndarray and block.shape == (2, 2)
+        np.testing.assert_array_equal(block, SWAP)
 
     def test_block_is_write_protected_copy(self):
         blocks = np.concatenate([SWAP.ravel(), haar_random_unitary(2, 4).ravel()])
@@ -155,20 +169,21 @@ class TestFactor:
         )
         expected = blocks.copy()
         factors = plan.factors
-        for k, f in enumerate(factors):
-            assert np.shares_memory(f.block, plan.blocks)
-            np.testing.assert_array_equal(f.block, expected[4 * k : 4 * k + 4].reshape(2, 2))
+        assert type(factors) is tuple and len(factors) == len(plan.sizes)
+        for k, block in enumerate(factors):
+            assert np.shares_memory(block, plan.blocks)
+            np.testing.assert_array_equal(block, expected[4 * k : 4 * k + 4].reshape(2, 2))
             with pytest.raises(ValueError, match="read-only"):
-                f.block[0, 0] = 9.0
+                block[0, 0] = 9.0
         blocks[:] = 9.0
         sizes[:], base_rows[:], columns[:] = 3, 1, 0
         np.testing.assert_array_equal(plan.blocks, expected)
+        assert [(s, row, cols) for s, row, cols, _ in factors_of(plan)] == [
+            (2, 3, (1, 3)), (2, 3, (2, 3)),
+        ]
         for listing in (factors, plan.factors):
-            assert [(f.size, f.base_row, f.columns) for f in listing] == [
-                (2, 3, (1, 3)), (2, 3, (2, 3)),
-            ]
             np.testing.assert_array_equal(
-                np.concatenate([f.block.ravel() for f in listing]), expected
+                np.concatenate([block.ravel() for block in listing]), expected
             )
 
     @staticmethod
@@ -235,28 +250,28 @@ class TestDecompose:
 
     def test_factor_count_within_bound(self, haar_cases):
         for n, m, _, plan in haar_cases:
-            assert len(plan.factors) <= factor_count_bound(n, m)
+            assert len(plan.sizes) <= factor_count_bound(n, m)
 
     def test_m2_count_exact_on_haar(self):
         for n in (2, 5, 9, 14):
             plan = decompose(haar_random_unitary(n, n), 2)
-            assert len(plan.factors) == n * (n - 1) // 2
+            assert len(plan.sizes) == n * (n - 1) // 2
 
     def test_single_block_when_m_equals_n(self):
         plan = decompose(haar_random_unitary(6, 4), 6)
-        assert len(plan.factors) == 1
-        assert plan.factors[0].columns == tuple(range(1, 7))
+        assert plan.sizes.tolist() == [6]
+        assert plan.columns.tolist() == list(range(1, 7))
 
     def test_identity_gives_empty_plan(self):
         for m in (2, 3, 4):
             plan = decompose(np.eye(4, dtype=complex), m)
-            assert len(plan.factors) == 0
+            assert len(plan.sizes) == 0
             np.testing.assert_array_equal(plan.phases, np.zeros(4))
 
     def test_diagonal_phase_matrix(self):
         angles = np.array([0.3, -1.2, np.pi, 0.0, 2.5])
         plan = decompose(np.diag(np.exp(1j * angles)), 3)
-        assert len(plan.factors) == 0
+        assert len(plan.sizes) == 0
         np.testing.assert_allclose(plan.phases, angles, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -266,8 +281,8 @@ class TestDecompose:
         plan = decompose(u, m)
         assert verify(plan, u).passed
         # at most one two-mode swap per row
-        assert len(plan.factors) <= 4
-        assert all(f.size == 2 for f in plan.factors)
+        assert len(plan.sizes) <= 4
+        assert (plan.sizes == 2).all()
 
     def test_swap_matrix(self):
         plan = decompose(SWAP, 2)
@@ -280,11 +295,11 @@ class TestDecompose:
 
     def test_factor_structure(self, haar_cases):
         for n, m, _, plan in haar_cases:
-            base_rows = [f.base_row for f in plan.factors]
+            base_rows = plan.base_rows.tolist()
             assert base_rows == sorted(base_rows, reverse=True)
-            for f in plan.factors:
-                assert 2 <= f.size <= m
-                assert f.columns[-1] <= f.base_row <= n
+            for size, base_row, columns, _ in factors_of(plan):
+                assert 2 <= size <= m
+                assert columns[-1] <= base_row <= n
 
     def test_total_zeros_accounting(self, haar_cases):
         # every sweep stamps exactly the n(n-1)/2 below-diagonal entries once
@@ -461,7 +476,7 @@ class TestNearDegenerate:
         err = np.abs(reconstruct(plan) - u).max()
         assert err <= 4 * n * np.finfo(float).eps, err
         assert verify(plan, u).passed
-        assert len(plan.factors) <= factor_count_bound(n, m)
+        assert len(plan.sizes) <= factor_count_bound(n, m)
         if kind == "phase-only":
             assert plan.factors == ()
 
@@ -501,9 +516,9 @@ class TestNearDegenerate:
         u, sizes = block_diagonal(32, 7)
         block_of = np.repeat(np.arange(len(sizes)), sizes)
         plan = decompose(u, m)
-        for f in plan.factors:
-            assert len({block_of[c - 1] for c in f.columns}) == 1
-        assert len(plan.factors) <= sum(k * (k - 1) // 2 for k in sizes)
+        for _, _, columns, _ in factors_of(plan):
+            assert len({block_of[c - 1] for c in columns}) == 1
+        assert len(plan.sizes) <= sum(k * (k - 1) // 2 for k in sizes)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_permuted_block_diagonal_keeps_short_pairwise_plan(self, seed):
@@ -514,13 +529,13 @@ class TestNearDegenerate:
         u = u[:, np.random.default_rng(seed).permutation(n)]
         plan = decompose(u, 2)
         assert np.abs(reconstruct(plan) - u).max() <= 4 * n * np.finfo(float).eps
-        assert len(plan.factors) <= sum(k * (k - 1) // 2 for k in sizes) + n - 1
+        assert len(plan.sizes) <= sum(k * (k - 1) // 2 for k in sizes) + n - 1
 
     def test_dense_inputs_share_one_schedule(self):
         n, m = 12, 3
 
         def sequence(u):
-            return [(f.base_row, f.columns) for f in decompose(u, m).factors]
+            return [(row, columns) for _, row, columns, _ in factors_of(decompose(u, m))]
 
         expected = sequence(haar_random_unitary(n, 1))
         assert sequence(haar_random_unitary(n, 2)) == expected
@@ -559,7 +574,7 @@ class TestSchedule:
     )
     def test_haar_sequence_pinned(self, n, m, expected):
         plan = decompose(haar_random_unitary(n, 1), m)
-        assert [(f.base_row, f.columns) for f in plan.factors] == expected
+        assert [(row, columns) for _, row, columns, _ in factors_of(plan)] == expected
 
     def test_dense_schedule_gates_for_every_size(self):
         for n in range(2, 65):
@@ -628,10 +643,9 @@ class TestReconstruct:
 
     def test_single_factor_definition(self):
         q = haar_random_unitary(2, 6)
-        f = Factor(size=2, base_row=3, columns=(1, 3), block=q)
-        plan = plan_from_factors(n=3, m=2, factors=(f,), phases=np.zeros(3))
+        plan = plan_from_factors(n=3, m=2, factors=[(2, 3, (1, 3), q)], phases=np.zeros(3))
         np.testing.assert_allclose(
-            reconstruct(plan), embed(f, 3).conj().T, atol=1e-15
+            reconstruct(plan), embed((1, 3), q, 3).conj().T, atol=1e-15
         )
 
     def test_matches_explicit_embedded_product(self):
@@ -639,8 +653,8 @@ class TestReconstruct:
         u = haar_random_unitary(6, 9)
         plan = decompose(u, 3)
         expected = np.diag(np.exp(1j * plan.phases))
-        for f in reversed(plan.factors):
-            expected = expected @ embed(f, plan.n).conj().T
+        for _, _, columns, block in reversed(factors_of(plan)):
+            expected = expected @ embed(columns, block, plan.n).conj().T
         np.testing.assert_allclose(reconstruct(plan), expected, atol=1e-13)
 
     def test_phases_only(self):
@@ -666,8 +680,8 @@ class TestLayers:
                 u = u[:, np.random.default_rng(m).permutation(n)]
         plan = decompose(u, m)
         expected = np.diag(np.exp(1j * plan.phases))
-        for f in reversed(plan.factors):
-            expected = expected @ embed(f, n).conj().T
+        for _, _, columns, block in reversed(factors_of(plan)):
+            expected = expected @ embed(columns, block, n).conj().T
         assert np.abs(reconstruct(plan) - expected).max() <= n * np.finfo(float).eps
 
     @staticmethod
@@ -675,13 +689,11 @@ class TestLayers:
         """``diag(exp(1j*phases))`` times the daggered full-size embeddings of
         a layout's factors, holding ``blocks``, one complex product at a time."""
         expected = np.diag(np.exp(1j * phases))
-        for s, row, end, start in reversed(list(zip(
-            layout.sizes.tolist(), layout.base_rows.tolist(),
-            np.cumsum(layout.sizes).tolist(), layout.offsets.tolist(),
+        for s, end, start in reversed(list(zip(
+            layout.sizes.tolist(), np.cumsum(layout.sizes).tolist(), layout.offsets.tolist(),
         ))):
-            cols = tuple(layout.columns[end - s : end].tolist())
-            factor = Factor(s, row, cols, blocks[start : start + s * s].reshape(s, s))
-            expected = expected @ embed(factor, n).conj().T
+            block = blocks[start : start + s * s].reshape(s, s)
+            expected = expected @ embed(layout.columns[end - s : end], block, n).conj().T
         return expected
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -729,7 +741,7 @@ class TestLayers:
                     s = int(rng.integers(2, m + 1))
                     cols = np.sort(rng.choice(n, s, replace=False)) + 1
                     block = np.eye(s, dtype=complex)[rng.permutation(s)]
-                    factors.append(Factor(s, n, tuple(cols.tolist()), block))
+                    factors.append((s, n, cols, block))
                 plan = plan_from_factors(n, m, factors, rng.uniform(-np.pi, np.pi, n))
             expected = self.explicit_product(plan._layout, plan.blocks, plan.phases, n)
             rebuilt = reconstruct(plan)
@@ -950,19 +962,19 @@ class TestPlanValidation:
             plan_from_factors(n=3, m=2, factors=(), phases=np.zeros(2))
 
     def test_rejects_oversized_factor(self):
-        f = Factor(size=3, base_row=3, columns=(1, 2, 3), block=haar_random_unitary(3, 1))
+        f = (3, 3, (1, 2, 3), haar_random_unitary(3, 1))
         with pytest.raises(ValueError, match="size"):
-            plan_from_factors(n=3, m=2, factors=(f,), phases=np.zeros(3))
+            plan_from_factors(n=3, m=2, factors=[f], phases=np.zeros(3))
 
     def test_rejects_base_row_beyond_n(self):
-        f = Factor(size=2, base_row=5, columns=(1, 5), block=SWAP)
+        f = (2, 5, (1, 5), SWAP)
         with pytest.raises(ValueError, match="base row"):
-            plan_from_factors(n=3, m=2, factors=(f,), phases=np.zeros(3))
+            plan_from_factors(n=3, m=2, factors=[f], phases=np.zeros(3))
 
     def test_rejects_count_beyond_bound(self):
-        f = Factor(size=2, base_row=2, columns=(1, 2), block=SWAP)
+        f = (2, 2, (1, 2), SWAP)
         with pytest.raises(ValueError, match="bound"):
-            plan_from_factors(n=2, m=2, factors=(f, f), phases=np.zeros(2))
+            plan_from_factors(n=2, m=2, factors=[f, f], phases=np.zeros(2))
 
     def test_rejects_m_out_of_range(self):
         with pytest.raises(ValueError):
@@ -1139,15 +1151,8 @@ class TestVerify:
     def test_detects_tampered_factor(self):
         u = haar_random_unitary(5, 13)
         plan = decompose(u, 3)
-        f0 = plan.factors[0]
-        tampered = (
-            Factor(
-                size=f0.size,
-                base_row=f0.base_row,
-                columns=f0.columns,
-                block=np.eye(f0.size),
-            ),
-        ) + plan.factors[1:]
+        (size, base_row, columns, _), *rest = factors_of(plan)
+        tampered = [(size, base_row, columns, np.eye(size)), *rest]
         bad = plan_from_factors(n=plan.n, m=plan.m, factors=tampered, phases=plan.phases)
         report = verify(bad, u)
         assert not report.passed

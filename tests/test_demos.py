@@ -31,7 +31,7 @@ def test_cost_threshold_demo():
 
 @pytest.mark.parametrize("args", [(), ("--n", "12", "--m", "4"), ("--n", "5", "--m", "2")])
 def test_walkthrough_explicit_product_matches(args):
-    # the demo embeds and multiplies out every Factor of plan.factors by hand
+    # the demo embeds and multiplies out every block of plan.factors by hand
     out = run_demo("decompose_walkthrough.py", *args)
     error = float(re.search(r"explicit embedding error:\s+(\S+)", out).group(1))
     assert error <= 1e-13

@@ -308,7 +308,7 @@ class TestPerturbBlocks:
         _, plan = sample_plan
         rebuilt, block_fids = _plan_stack(plan, 0.3, 1, 2)
         assert rebuilt.shape == (1, 2, 8, 8)
-        assert block_fids.shape == (1, 2, len(plan.factors))
+        assert block_fids.shape == (1, 2, len(plan.sizes))
         assert np.isfinite(block_fids).all() and (block_fids < 1).all()
 
     @pytest.mark.parametrize("sigma", [-0.1, float("inf"), float("nan")])
@@ -329,12 +329,12 @@ class TestPerturbBlocks:
         _, plan = sample_plan
         flat = _drawn(plan.blocks, 0.2, 3, 2)
         (block_fids,) = _plan_stack(plan, 0.2, 3, 2)[1]
-        starts = np.cumsum([0] + [f.size**2 for f in plan.factors])
+        starts = np.cumsum([0] + [s**2 for s in plan.sizes.tolist()])
         for p in range(2):
             # block fidelities come in factor order
             expected = [
-                fidelity(f.block, flat[p, start : start + f.size**2].reshape(f.size, f.size))
-                for start, f in zip(starts, plan.factors)
+                fidelity(block, flat[p, start : start + block.size].reshape(block.shape))
+                for start, block in zip(starts, plan.factors)
             ]
             np.testing.assert_allclose(block_fids[p], expected, rtol=0, atol=1e-14)
 
@@ -380,9 +380,9 @@ class TestBlockScores:
         assert block_fids.shape == (3, len(plan.sizes))
         offsets = plan._layout.offsets.tolist()
         for p in range(3):
-            for k, f in enumerate(plan.factors):
-                perturbed = flat[p, offsets[k] : offsets[k + 1]].reshape(f.size, f.size)
-                assert abs(block_fids[p, k] - fidelity(f.block, perturbed)) <= 1e-14
+            for k, block in enumerate(plan.factors):
+                perturbed = flat[p, offsets[k] : offsets[k + 1]].reshape(block.shape)
+                assert abs(block_fids[p, k] - fidelity(block, perturbed)) <= 1e-14
 
     def test_plan_without_factors(self):
         plan = decompose(np.diag(np.exp(1j * np.arange(5.0))), 3)
@@ -762,9 +762,9 @@ def _documented_cell(n, m, sigma, n_matrices, n_perturbations, seed, key):
             offsets = rng.standard_normal((plan.blocks.size, 2))
             perturbed = plan.blocks + sigma * (offsets[:, 0] + 1j * offsets[:, 1])
             start = 0
-            for f in plan.factors:
-                stop = start + f.size**2
-                fq.append(fidelity(f.block, perturbed[start:stop].reshape(f.size, f.size)))
+            for block in plan.factors:
+                stop = start + block.size
+                fq.append(fidelity(block, perturbed[start:stop].reshape(block.shape)))
                 start = stop
             rebuilt = _compose(plan._layout, perturbed, plan.phases)
             if p == 0:

@@ -89,6 +89,8 @@ class TestMatrixJson:
             '{"rows": 0, "cols": 1, "entries": []}',
             '{"rows": 1.5, "cols": 1, "entries": [[1,0]]}',
             "[1, 2]",
+            # deeper than the decoder recurses
+            pytest.param("[" * 100_000 + "]" * 100_000, id="deep-nesting"),
         ],
     )
     def test_rejects_malformed(self, bad):
@@ -184,11 +186,11 @@ class TestPlanJson:
     def test_round_trip_exact(self, plan):
         again = json_to_plan(plan_to_json(plan))
         assert (again.n, again.m) == (plan.n, plan.m)
+        for name in ("sizes", "base_rows", "columns", "blocks", "phases"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(plan, name))
         assert len(again.factors) == len(plan.factors)
-        np.testing.assert_array_equal(again.phases, plan.phases)
         for a, b in zip(again.factors, plan.factors):
-            assert (a.size, a.base_row, a.columns) == (b.size, b.base_row, b.columns)
-            np.testing.assert_array_equal(a.block, b.block)
+            np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(reconstruct(again), reconstruct(plan))
 
     def test_deterministic_text(self, plan):
@@ -250,9 +252,10 @@ class TestPlanJson:
                 for name in ("sizes", "base_rows", "columns", "phases"):
                     assert obj[name] == getattr(plan, name).tolist(), (kind, n, m, name)
                 assert obj["blocks"] == (plan.blocks.view(np.float64) + 0.0).tolist()
-                ends = np.cumsum(plan.sizes).tolist()
-                for f, s, end in zip(plan.factors, plan.sizes.tolist(), ends):
-                    assert f.columns == tuple(plan.columns[end - s : end].tolist())
+                # the factors' blocks, in order, are the file's blocks
+                assert [b.shape for b in plan.factors] == [(s, s) for s in obj["sizes"]]
+                flat = [np.zeros(0, complex), *(b.ravel() for b in plan.factors)]
+                np.testing.assert_array_equal(np.concatenate(flat), plan.blocks)
 
     def test_negative_zero_written_as_zero(self):
         plan = DecompositionPlan(
@@ -271,7 +274,7 @@ class TestPlanJson:
             '  "columns": [],\n  "blocks": [],\n  "phases": [0, 0, 0]\n}\n'
         )
         again = json_to_plan(text)
-        assert len(again.factors) == 0
+        assert len(again.sizes) == 0 and again.factors == ()
         np.testing.assert_array_equal(reconstruct(again), np.eye(3))
 
     def test_file_round_trip(self, tmp_path, plan):
@@ -283,7 +286,7 @@ class TestPlanJson:
     def test_rejects_non_unitary_block(self, plan):
         text = plan_to_json(plan)
         # corrupt one block entry hard enough to break unitarity
-        first = plan.factors[0].block[0, 0]
+        first = plan.factors[0][0, 0]
         needle = format(first.real, ".17g")
         corrupted = text.replace(needle, format(first.real + 0.5, ".17g"), 1)
         assert corrupted != text
@@ -317,6 +320,7 @@ class TestPlanJson:
         "text,message",
         [
             ("[1, 2]", "plan JSON must be an object"),
+            pytest.param("[" * 100_000, "JSON nests too deeply", id="deep-nesting"),
             (_plan_text(phases=None), "plan JSON is missing key 'phases'"),
             (_plan_text(columns=None), "plan JSON is missing key 'columns'"),
             (_plan_text(n=2.0), "n must be an integer"),
@@ -358,6 +362,11 @@ class TestPlanJson:
             (dict(n=3, sizes=[1, -1, 2], base_rows=[1, 1, 2],
                   blocks=[1, 0, 0, 0, *_SWAP["blocks"]], phases=[0, 0, 0]),
              "factors[0]: block size must be at least 2, got 1"),
+            # a negative size makes sum(sizes) no count of columns: the size is named
+            (dict(n=3, sizes=[-2], base_rows=[3], columns=[], phases=[0, 0, 0]),
+             "factors[0]: block size must be at least 2, got -2"),
+            (dict(n=3, sizes=[2, -3], base_rows=[3, 3], blocks=[0] * 26, phases=[0, 0, 0]),
+             "factors[1]: block size must be at least 2, got -3"),
             (dict(columns=[2, 1]), "factors[0]: columns must be strictly ascending, got (2, 1)"),
             (dict(n=3, sizes=[2, 2], base_rows=[3, 2], columns=[2, 3, 2, 1],
                   blocks=_SWAP["blocks"] * 2, phases=[0, 0, 0]),
@@ -453,7 +462,7 @@ class TestPlanJson:
 
     def test_swap_plan_is_valid(self):
         plan = json_to_plan(_plan_text())
-        np.testing.assert_array_equal(plan.factors[0].block, [[0, 1], [1, 0]])
+        np.testing.assert_array_equal(plan.factors[0], [[0, 1], [1, 0]])
 
 
 def _rendered(values) -> list[str]:
