@@ -25,14 +25,7 @@ import argparse
 import functools
 import sys
 
-from .decomposition import (
-    DecompositionError,
-    cost_compare,
-    decompose,
-    factor_count_bound,
-    reconstruct,
-    verify,
-)
+from .decomposition import cost_compare, decompose, factor_count_bound, reconstruct, verify
 from .linalg import haar_random_unitary
 from .robustness import sweep_noise, sweep_size
 from .serialize import (
@@ -276,7 +269,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TypeError, OSError, DecompositionError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

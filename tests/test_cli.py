@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -12,7 +13,6 @@ import pytest
 
 from multiport import cli
 from multiport.cli import main
-from multiport.decomposition import DecompositionError
 from multiport.linalg import haar_random_unitary
 from multiport.serialize import (
     CSV_HEADER,
@@ -163,6 +163,43 @@ class TestDecomposeReconstructVerify:
         assert code == 1
         assert "unitary" in err
 
+    @pytest.mark.parametrize(
+        "scale,n,message",
+        [
+            (1e300, 3, "entry modulus 7.707e+299 exceeds 2"),
+            (1.7e308, 8, "entry modulus"),
+            (1e-300, 3, "swept row residual 1.000e+00 exceeds 2.700e-09"),
+            (0.0, 8, "swept row residual 1.000e+00 exceeds 7.200e-09"),
+            (1 + 1e-8, 8, "swept row residual"),
+        ],
+    )
+    def test_rejected_input_writes_no_plan(self, tmp_path, capsys, scale, n, message):
+        ufile = tmp_path / "u.json"
+        save_matrix(ufile, scale * haar_random_unitary(n, 1))
+        plan = tmp_path / "plan.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                ["decompose", "--in", str(ufile), "--m", "3", "--out", str(plan)], capsys
+            )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: input is not unitary: {message}")
+        assert not plan.exists()
+
+    @pytest.mark.parametrize("scale", [2.0, 1e300])
+    def test_verify_fidelity_ignores_the_scale_of_the_matrix(self, tmp_path, capsys, scale):
+        u = haar_random_unitary(3, 1)
+        ufile, scaled, plan = (tmp_path / name for name in ("u.json", "s.json", "p.json"))
+        save_matrix(ufile, u)
+        save_matrix(scaled, scale * u)
+        run(["decompose", "--in", str(ufile), "--m", "2", "--out", str(plan)], capsys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(["verify", "--plan", str(plan), "--matrix", str(scaled)], capsys)
+        assert code == 1
+        assert "fidelity = 1.000000000000\n" in out
+        assert "passed = False" in out
+
     def test_parse_failure_fails(self, tmp_path, capsys):
         mangled = tmp_path / "mangled.json"
         mangled.write_text('{"rows": 2, "cols": 2, "entries": [[1,0]]}')
@@ -270,15 +307,17 @@ class TestDecomposeReconstructVerify:
         assert "error" in err
 
     def test_failed_sweep_is_reported(self, tmp_path, capsys, matrix_file, monkeypatch):
+        message = "input is not unitary: swept row residual 1.000e+00 exceeds 7.200e-09"
+
         def fail(u, m):
-            raise DecompositionError("the swept matrix is not diagonal")
+            raise ValueError(message)
 
         monkeypatch.setattr(cli, "decompose", fail)
         plan = tmp_path / "plan.json"
         code, out, err = run(
             ["decompose", "--in", str(matrix_file), "--m", "2", "--out", str(plan)], capsys
         )
-        assert (code, out, err) == (1, "", "error: the swept matrix is not diagonal\n")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
         assert not plan.exists()
 
     def test_failed_self_check_is_reported_after_the_summary(

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from multiport import decomposition, linalg
 from multiport.decomposition import (
-    DecompositionError,
     DecompositionPlan,
     _compose,
     _decompose_stack,
@@ -314,6 +314,18 @@ class TestDecompose:
         with pytest.raises(ValueError, match="unitary"):
             decompose(np.diag([1.0, 2.0]), 2)
 
+    @pytest.mark.parametrize("scale", [1e150, 1e300, 1.7e308, 1e-300, 0.0])
+    @pytest.mark.parametrize("n,m", [(3, 2), (3, 3), (8, 2), (8, 3)])
+    def test_huge_tiny_and_zero_inputs_raise_without_warnings(self, n, m, scale):
+        # a huge entry is refused before the sweep, whose arithmetic it
+        # could overflow; a tiny or zero input sweeps to a zero triangle
+        u = scale * haar_random_unitary(n, 1)
+        message = "entry modulus" if scale > 2 else "swept row residual 1.000e+00"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^input is not unitary: {re.escape(message)}"):
+                decompose(u, m)
+
     @pytest.mark.parametrize("m", [1, 7])
     def test_rejects_bad_block_size(self, m):
         with pytest.raises(ValueError, match="block size"):
@@ -331,27 +343,30 @@ class TestDecompose:
         np.testing.assert_array_equal(a.blocks, b.blocks)
 
     def test_swept_matrix_off_the_diagonal_is_an_error(self):
-        # A swept matrix must be diagonal to within 2 n times the input
-        # tolerance; an entry at that bound passes, one above it does not.
+        # Each row of the swept triangle R (a column of the transposed w)
+        # may lie within 0.9e-9 n of its phase in 2-norm.  A row at the
+        # bound passes; two entries of 0.8 times it pass in two rows but
+        # not in one.
         n = 4
-        tol = 2 * n * decomposition._INPUT_UNITARY_TOL
+        bound = 0.9 * decomposition._TOL_PER_MODE * n
         w = np.eye(n, dtype=complex)[np.newaxis]
-        w[0, 3, 1] = tol
+        w[0, 3, 1] = bound
         np.testing.assert_array_equal(decomposition._phases(w), np.zeros((1, n)))
-        w[0, 3, 1] = 1.5 * tol
-        message = (
-            "residual off-diagonal entry 1.200e-07 exceeds 8.000e-08; "
-            "the swept matrix is not diagonal"
-        )
-        with pytest.raises(DecompositionError, match=f"^{re.escape(message)}$"):
+        w[0, 3, 1] = w[0, 3, 2] = 0.8 * bound
+        np.testing.assert_array_equal(decomposition._phases(w), np.zeros((1, n)))
+        w[0, 3, 2] = 0.0
+        w[0, 2, 1] = 0.8 * bound
+        message = "input is not unitary: swept row residual 4.073e-09 exceeds 3.600e-09"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             decomposition._phases(w)
 
     def test_swept_diagonal_off_the_unit_circle_is_an_error(self):
         w = np.eye(3, dtype=complex)[np.newaxis]
+        w[0, 2, 2] = 1.0 - 2e-9
+        np.testing.assert_array_equal(decomposition._phases(w), np.zeros((1, 3)))
         w[0, 2, 2] = 2.0
-        with pytest.raises(
-            DecompositionError, match="^diagonal of the swept matrix is not unit modulus$"
-        ):
+        message = "input is not unitary: swept row residual 1.000e+00 exceeds 2.700e-09"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             decomposition._phases(w)
 
 
@@ -407,8 +422,9 @@ class TestDecomposeStack:
             _decompose_stack(us, 2)
 
     def test_rejects_a_non_unitary_member(self):
-        us = np.stack([haar_random_unitary(4, 1), np.diag([1.0, 2.0, 1.0, 1.0])]).astype(complex)
-        with pytest.raises(ValueError, match="not unitary"):
+        # both dense, so one zero pattern: the sweep judges the second
+        us = np.stack([haar_random_unitary(4, 1), (1 + 1e-8) * haar_random_unitary(4, 2)])
+        with pytest.raises(ValueError, match="^input is not unitary: swept row residual"):
             _decompose_stack(us, 2)
 
     @pytest.mark.parametrize("member", [0, 2])
@@ -957,6 +973,10 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="pi"):
             plan_from_factors(n=2, m=2, factors=(), phases=np.array([0.0, 4.0]))
 
+    def test_rejects_non_finite_phase(self):
+        with pytest.raises(ValueError, match="^phases contain non-finite values$"):
+            plan_from_factors(n=2, m=2, factors=(), phases=[np.nan, 0.0])
+
     def test_rejects_wrong_phase_count(self):
         with pytest.raises(ValueError):
             plan_from_factors(n=3, m=2, factors=(), phases=np.zeros(2))
@@ -1158,6 +1178,20 @@ class TestVerify:
         assert not report.passed
         assert report.fidelity < 1 - 1e-6
 
+    @pytest.mark.parametrize("scale", [2.0, 1e300, 1.7e308, 1e-300])
+    def test_fidelity_is_at_most_one_and_ignores_scale(self, scale):
+        # the rebuilt matrix is unitary, so it bounds the overlap
+        u = haar_random_unitary(3, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify(decompose(u, 2), scale * u)
+        assert report.fidelity == pytest.approx(1.0, abs=4 * np.finfo(float).eps)
+        assert not report.passed
+
+    def test_fidelity_against_a_zero_matrix_is_zero(self):
+        report = verify(decompose(haar_random_unitary(3, 1), 2), np.zeros((3, 3)))
+        assert (report.fidelity, report.passed) == (0.0, False)
+
     def test_dimension_mismatch(self):
         plan = decompose(np.eye(3, dtype=complex), 2)
         with pytest.raises(ValueError, match="dimension"):
@@ -1320,3 +1354,45 @@ class TestPhaseDiagonalProperties:
         plan = decompose(u, m)
         assert len(plan.sizes) == 0 and plan.factors == ()
         assert np.abs(reconstruct(plan) - u).max() <= 4 * n * np.finfo(float).eps
+
+
+@st.composite
+def noisy_unitaries(draw):
+    """A Haar, near-permutation or permuted block-diagonal unitary of n <= 16
+    plus complex noise whose largest row has 2-norm up to twice the
+    acceptance bound, spread over every entry or kept to the input's
+    nonzeros, and a block size m <= n."""
+    n = draw(st.integers(2, 16))
+    m = draw(st.integers(2, n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["haar", "near-permutation", "block-diagonal"]))
+    if kind == "haar":
+        u = haar_random_unitary(n, seed)
+    elif kind == "near-permutation":
+        u = near_permutation(n, 10.0 ** draw(st.floats(-12, -2)), seed)
+    else:
+        u = block_diagonal(n, seed)[0][:, np.random.default_rng(seed).permutation(n)]
+    rng = np.random.default_rng(seed + 1)
+    noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if draw(st.booleans()):
+        noise *= u != 0
+    bound = 0.9 * decomposition._TOL_PER_MODE * n
+    noise *= bound * 2.0 ** draw(st.floats(-12, 1)) / np.linalg.norm(noise, axis=1).max()
+    return u + noise, m
+
+
+class TestInputJudgeProperties:
+    """Every input ``decompose`` accepts passes ``verify`` at its default tolerance."""
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(noisy_unitaries())
+    def test_accepted_inputs_pass_verify(self, case):
+        u, m = case
+        try:
+            plan = decompose(u, m)
+        except ValueError as exc:
+            assert str(exc).startswith("input is not unitary: swept row residual")
+            return
+        report = verify(plan, u)
+        target(report.max_error / report.tol)  # steer the search toward the tolerance
+        assert report.passed

@@ -79,6 +79,10 @@ class TestAsMatrix:
         with pytest.raises(ValueError):
             as_matrix(np.zeros((2, 3)), square=True)
 
+    def test_rejects_an_empty_axis(self):
+        with pytest.raises(ValueError, match=r"^matrix axes must be non-empty, got shape \(0, 3\)$"):
+            as_matrix(np.zeros((0, 3)))
+
 
 class TestHaarRandomUnitary:
     def test_single_phase_for_n_one(self):

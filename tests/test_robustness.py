@@ -589,6 +589,10 @@ class TestCalibrateSigma:
         with pytest.raises(ValueError, match=r"float resolution of the 1/m\^2 floor"):
             calibrate_sigma(m, target, 1e-3)
 
+    def test_tolerance_below_float_resolution_raises(self):
+        with pytest.raises(ValueError, match="^tolerance 5e-324 is finer than the closed form"):
+            calibrate_sigma(2, 0.9, 5e-324)
+
     def test_tolerance_is_a_postcondition(self):
         # a tolerance finer than float resolution either holds exactly or raises
         for target in np.linspace(0.3, 0.99, 24):
@@ -684,6 +688,8 @@ class TestSweepNoise:
             sweep_noise(4, [2], [-0.1], 1, 1, seed=0)
         with pytest.raises(ValueError):
             sweep_noise(4, [2], [0.1], 0, 1, seed=0)
+        with pytest.raises(ValueError, match="^n_perturbations must be positive, got 0$"):
+            sweep_noise(4, [2], [0.1], 1, 0, seed=0)
 
     @pytest.mark.parametrize("sigma", [1e100, 1e308])
     def test_overflowing_mesh_is_reported_as_not_finite(self, sigma):
@@ -724,6 +730,8 @@ class TestSweepSize:
             sweep_size([2], [4], 0.95, 0.005, 0, 1, seed=0)
         with pytest.raises(ValueError, match="target fidelity"):
             sweep_size([2], [4], 0.2, 0.005, 1, 1, seed=0)
+        with pytest.raises(ValueError, match="^dimension must be at least 2, got 1$"):
+            sweep_size([2], [1, 3], 0.95, 0.005, 1, 1, seed=0)
 
     @pytest.mark.parametrize(
         "m_list,n_grid,bad", [([3], [2], 3), ([2, 5], [2, 4], 5), ([1], [2, 4], 1)]
