@@ -39,7 +39,21 @@ produces.
 Writers emit deterministic text: serializing the same object twice yields
 byte-identical output.  Negative zeros are written as ``0``, the value
 ``json.loads`` reads back, so reading a file and writing it again
-reproduces it byte for byte.  Loaders check the types and shapes of the
+reproduces it byte for byte.
+
+Every list of a matrix or plan file is written in pieces of at most
+``_CHUNK`` numbers, each formatted and dropped before the next starts, and
+the bytes do not depend on ``_CHUNK``.  ``save_matrix`` and ``save_plan``
+write each piece to the file as it comes, so they hold one piece at a time,
+never the whole text.  ``matrix_to_json`` and ``plan_to_json`` return one
+string, so they hold about twice their text: the pieces and their join.
+A loader needs the whole text, because ``json.loads`` does.  It converts
+each parsed list of floats in pieces of ``_CHUNK`` numbers from the list's
+end, deleting each piece once converted, so the parsed numbers and their
+array are not held at once, and ``json_to_plan`` drops the parsed JSON
+once its blocks and phases are arrays, before the plan's checks run.
+
+Loaders check the types and shapes of the
 top-level values, each over its whole list, and raise ``ValueError`` on
 malformed input, JSON nested deeper than the decoder recurses included.
 A plan file's JSON faults (its types, the length of ``blocks``, a
@@ -93,8 +107,9 @@ def _f12(x: float) -> str:
 # 10**p is exact in binary64 for p <= 22, and Dekker's product (Numer. Math.
 # 18, 1971), with Veltkamp's split in place of a fused multiply-add, gives
 # |v| * 10**p = hi + lo exactly.  In [1e16, 1e17) hi is an even integer, so
-# D = hi + rint(lo).  Zeros are written as ``%d`` of 0 (``-%d`` for -0.0),
-# and every other value keeps its own ``%.17g``.
+# D = hi + rint(lo).  Zeros of either sign are written as ``%d`` of 0, the
+# ``0`` that ``json.loads`` reads back, and every other value keeps its own
+# ``%.17g``.
 _SPLIT = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
 _POW10 = np.array([float(10**p) for p in range(16, 21)])  # 10**(16 - k) at index -k
 
@@ -124,24 +139,33 @@ def _inside(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return from_1e16 & below_1e17
 
 
-# The separators a float of a file can be followed by: within a list, at the
-# end of a plan's block line, at the end of a list, and after the imaginary
-# part of a matrix entry pair (within a row, at its end, at the last pair).
-_COMMA, _LINE, _END, _PAIR, _PAIR_LINE, _PAIR_END = range(6)
+# The separators a number of a file can be followed by: within a list, at the
+# end of a line of a list written one run per line, at the end of a list,
+# and after the imaginary part of a matrix entry pair (within a row, at its
+# end, at the last pair): each pair code is its plain code plus ``_PAIR``.
+_COMMA, _LINE, _END = range(3)
+_PAIR = 3
 _SEPARATORS = (", ", ",\n    ", "", "], [", "],\n    [", "]")
-# Heads: ``%.17g``; ``%d`` of 0 and of -0.0; then ``%d`` of the digits of
-# 1e-4 <= |v| < 1 behind their ``0.`` and -k - 1 zeros, positive then negative.
-_HEADS = ("%.17g", "%d", "-%d") + tuple(
+# Heads: ``%.17g``; ``%d`` of 0; then ``%d`` of the digits of 1e-4 <= |v| < 1
+# behind their ``0.`` and -k - 1 zeros, positive then negative.
+_HEADS = ("%.17g", "%d") + tuple(
     sign + "0." + "0" * zeros + "%d" for sign in ("", "-") for zeros in range(4)
 )
 _PIECES = np.array([head + sep for head in _HEADS for sep in _SEPARATORS], dtype=object)
+_INTS = np.array(["%d" + sep for sep in _SEPARATORS], dtype=object)
+
+# Every list of a matrix or plan file is rendered in pieces of at most
+# ``_CHUNK`` numbers, so a writer holds one piece's template, arguments and
+# text at a time; the text does not depend on it.  It is even, so each piece
+# of a matrix file starts at a real part.
+_CHUNK = 4096
 
 
-def _floats(values: np.ndarray, seps: np.ndarray) -> tuple[str, list]:
-    """The ``%`` template and arguments that render float64 ``values``.
+def _floats(values: np.ndarray, seps: np.ndarray) -> str:
+    """The text of float64 ``values``, as a file writes them.
 
-    Value ``i`` is rendered as ``'%.17g' % values[i]`` renders it, followed by
-    ``_SEPARATORS[seps[i]]``.
+    Value ``i`` is rendered as ``'%.17g' % (values[i] + 0.0)`` renders it
+    (negative zeros as ``0``), followed by ``_SEPARATORS[seps[i]]``.
     """
     a = np.abs(values)
     near = (a >= 1e-4) & (a < 1.0)
@@ -162,30 +186,70 @@ def _floats(values: np.ndarray, seps: np.ndarray) -> tuple[str, list]:
             q, r = np.divmod(d, 10**step)
             d = np.where(r == 0, q, d)
         digits[tens] = d
-    sign = np.signbit(values)
-    heads = np.where(near, 2 - k + 4 * sign, np.where(values == 0, 1 + sign, 0))
+    # -0.0 == 0, so negative zeros take the head of 0
+    heads = np.where(near, 1 - k + 4 * np.signbit(values), np.where(values == 0, 1, 0))
     args = digits.astype(object)
     slow = np.flatnonzero(heads == 0)
     args[slow] = values[slow]
-    return "".join(_PIECES[heads * len(_SEPARATORS) + seps].tolist()), args.tolist()
+    return "".join(_PIECES[heads * len(_SEPARATORS) + seps].tolist()) % tuple(args.tolist())
+
+
+def _ints(values: np.ndarray, seps: np.ndarray) -> str:
+    """The text of integer ``values``, each followed by its separator."""
+    return "".join(_INTS[seps].tolist()) % tuple(values.tolist())
+
+
+def _pairs(values: np.ndarray, seps: np.ndarray) -> str:
+    """The text of a matrix file's floats: each imaginary part closes its pair."""
+    seps[1::2] += _PAIR
+    return _floats(values, seps)
+
+
+def _pieces(render, values: np.ndarray, runs=None):
+    """Render a flat list in pieces of at most ``_CHUNK`` numbers.
+
+    Yields ``render(piece, seps)`` for each piece of ``values`` in turn,
+    ``seps`` holding the separator code that follows each number: ``_END``
+    after the last, ``_LINE`` after the last number of each run, ``_COMMA``
+    after the others.  ``runs(k, j)`` gives the lengths, each at least 1, of
+    runs ``k`` to ``j - 1`` (fewer at the end of the list); with no
+    ``runs`` the list is one line.  Only the runs that can end in a piece
+    are summed for it, so no array is longer than a piece.
+    """
+    total = len(values)
+    run = closed = 0  # the runs that ended in earlier pieces, and where the last ended
+    for a in range(0, total, _CHUNK):
+        b = min(a + _CHUNK, total)
+        seps = np.full(b - a, _COMMA)
+        if runs is not None:
+            ends = closed + np.cumsum(runs(run, run + b - a))
+            ends = ends[ends <= b]
+            if ends.size:
+                run, closed = run + ends.size, int(ends[-1])
+            seps[ends - a - 1] = _LINE
+        if b == total:
+            seps[-1] = _END
+        yield render(values[a:b], seps)
+
+
+def _matrix_pieces(mat: np.ndarray):
+    """The text of a checked matrix's file, in pieces."""
+    rows, cols = mat.shape
+    yield "{\n" f'  "rows": {rows},\n' f'  "cols": {cols},\n' '  "entries": [\n    ['
+    yield from _pieces(
+        _pairs, mat.ravel().view(np.float64), lambda k, j: np.full(min(j, rows) - k, 2 * cols)
+    )
+    yield "\n  ]\n}\n"
+
+
+def _write(path, pieces) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.writelines(pieces)
 
 
 def matrix_to_json(a) -> str:
     """Serialize a matrix to its canonical JSON text."""
-    mat = as_matrix(a) + 0.0  # negative zeros become 0
-    rows, cols = mat.shape
-    seps = np.tile(np.array([_COMMA, _PAIR]), rows * cols)
-    seps[2 * cols - 1 :: 2 * cols] = _PAIR_LINE
-    seps[-1] = _PAIR_END
-    entries, args = _floats(mat.ravel().view(np.float64), seps)
-    template = (
-        "{\n"
-        f'  "rows": {rows},\n'
-        f'  "cols": {cols},\n'
-        '  "entries": [\n    [' + entries + "\n  ]\n"
-        "}\n"
-    )
-    return template % tuple(args)
+    return "".join(_matrix_pieces(as_matrix(a)))
 
 
 def _require(cond: bool, message: str) -> None:
@@ -207,13 +271,21 @@ def _as_int(obj, name: str) -> int:
 def _finite_floats(values: list, name) -> np.ndarray:
     """Parsed JSON numbers as a float64 array, all of them finite.
 
-    An integer too large for a float counts as infinite.  The message of
-    the first non-finite value ``j`` starts with ``name(j)``.
+    ``values`` is emptied: it is converted in pieces of ``_CHUNK`` numbers
+    from its end, each deleted once converted, so the numbers of the list
+    and their array are not held at once.  An integer too large for a float
+    counts as infinite.  The message of the first non-finite value ``j``
+    starts with ``name(j)``.
     """
-    try:
-        out = np.array(values, dtype=np.float64)
-    except OverflowError:
-        out = np.array(list(map(_to_float, values)), dtype=np.float64)
+    pieces = [np.empty(0)]
+    while values:
+        piece = values[-_CHUNK:]
+        try:
+            pieces.append(np.array(piece, dtype=np.float64))
+        except OverflowError:
+            pieces.append(np.array(list(map(_to_float, piece)), dtype=np.float64))
+        del values[-_CHUNK:], piece
+    out = np.concatenate(pieces[::-1])
     finite = np.isfinite(out)
     if not finite.all():
         raise ValueError(f"{name(int(np.argmin(finite)))} must be finite")
@@ -259,6 +331,7 @@ def json_to_matrix(text: str) -> np.ndarray:
     if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}:
         parts = list(itertools.chain.from_iterable(entries))
         if set(map(type, parts)) <= _JSON_NUMBERS:
+            del obj, entries  # the parsed pairs: ``parts`` holds their numbers
             parts = _finite_floats(parts, lambda p: f"{name} entry {p // 2}")
             return parts.view(np.complex128).reshape(rows, cols)
     j = next(j for j, pair in enumerate(entries) if not _is_pair(pair))
@@ -266,9 +339,7 @@ def json_to_matrix(text: str) -> np.ndarray:
 
 
 def save_matrix(path, a) -> None:
-    text = matrix_to_json(a)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+    _write(path, _matrix_pieces(as_matrix(a)))
 
 
 def load_matrix(path) -> np.ndarray:
@@ -276,41 +347,27 @@ def load_matrix(path) -> np.ndarray:
         return json_to_matrix(fh.read())
 
 
-def _one_per_line(rows: list[str]) -> str:
-    """A JSON list laid out one row per line, two spaces deep, or ``[]``."""
-    return "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
-
-
-def _separators(count: int, line_ends) -> np.ndarray:
-    """The separator codes of a list of ``count`` floats, with a line break
-    after each index of ``line_ends``."""
-    seps = np.full(count, _COMMA)
-    seps[line_ends] = _LINE
-    seps[-1:] = _END
-    return seps
+def _plan_pieces(plan: DecompositionPlan):
+    """The text of a plan's file, in pieces."""
+    sizes = plan.sizes
+    # columns and blocks are written one factor per line, ``[]`` for no factors
+    opened, closed = ("[\n    ", "\n  ]") if len(sizes) else ("[", "]")
+    yield "{\n" '  "format": 2,\n' f'  "n": {plan.n},\n' f'  "m": {plan.m},\n' '  "sizes": ['
+    yield from _pieces(_ints, sizes)
+    yield '],\n  "base_rows": ['
+    yield from _pieces(_ints, plan.base_rows)
+    yield '],\n  "columns": ' + opened
+    yield from _pieces(_ints, plan.columns, lambda k, j: sizes[k:j])
+    yield closed + ',\n  "blocks": ' + opened
+    yield from _pieces(_floats, plan.blocks.view(np.float64), lambda k, j: 2 * sizes[k:j] ** 2)
+    yield closed + ',\n  "phases": ['
+    yield from _pieces(_floats, plan.phases)
+    yield "]\n}\n"
 
 
 def plan_to_json(plan: DecompositionPlan) -> str:
     """Serialize a decomposition plan to its canonical (format 2) JSON text."""
-    sizes = plan.sizes.tolist()
-    column_pieces = {s: ", ".join(["%d"] * s) for s in set(sizes)}
-    parts = plan.blocks.view(np.float64) + 0.0  # negative zeros become 0
-    line_ends = np.cumsum(2 * plan.sizes**2)[:-1] - 1
-    blocks, block_args = _floats(parts, _separators(len(parts), line_ends))
-    phases, phase_args = _floats(plan.phases + 0.0, _separators(plan.n, []))
-    template = (
-        "{\n"
-        '  "format": 2,\n'
-        f'  "n": {plan.n},\n'
-        f'  "m": {plan.m},\n'
-        f'  "sizes": {sizes},\n'
-        f'  "base_rows": {plan.base_rows.tolist()},\n'
-        '  "columns": ' + _one_per_line([column_pieces[s] for s in sizes]) + ",\n"
-        '  "blocks": ' + ("[\n    " + blocks + "\n  ]" if sizes else "[]") + ",\n"
-        '  "phases": [' + phases + "]\n"
-        "}\n"
-    )
-    return template % tuple(plan.columns.tolist() + block_args + phase_args)
+    return "".join(_plan_pieces(plan))
 
 
 def _list_of(obj: dict, key: str, types, what: str) -> list:
@@ -361,6 +418,7 @@ def json_to_plan(text: str) -> DecompositionPlan:
 
     blocks = _finite_floats(blocks, entry_name).view(np.complex128)
     phases = _finite_floats(phases, lambda k: f"phases[{k}]")
+    del obj  # the rest of the parsed JSON, before the plan's checks run
     try:
         return DecompositionPlan(
             n=n, m=m, sizes=sizes, base_rows=base_rows, columns=columns,
@@ -371,9 +429,7 @@ def json_to_plan(text: str) -> DecompositionPlan:
 
 
 def save_plan(path, plan: DecompositionPlan) -> None:
-    text = plan_to_json(plan)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+    _write(path, _plan_pieces(plan))
 
 
 def load_plan(path) -> DecompositionPlan:

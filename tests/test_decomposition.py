@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import itertools
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -1116,11 +1118,16 @@ class TestUnitarityCheck:
                             block=block)
         assert str(excinfo.value) == "factors[0]: factor block is not unitary (defect nan)"
 
+    @pytest.mark.parametrize("check_entries", [decomposition._CHECK_ENTRIES, 36])
     @pytest.mark.parametrize("order", ["large first", "small first"])
     @pytest.mark.parametrize("stack", [(), (3,)])
-    def test_names_the_lower_of_faults_in_two_size_groups(self, order, stack):
+    def test_names_the_lower_of_faults_in_two_size_groups(
+        self, monkeypatch, order, stack, check_entries
+    ):
         # n = 16, m = 6 mixes both kernels: factors of 6 modes (stacked
-        # product) around remainder blocks of 2 to 5 (elementwise).
+        # product) around remainder blocks of 2 to 5 (elementwise).  Pieces
+        # of 36 entries check one 6 x 6 block or a few smaller ones at a time.
+        monkeypatch.setattr(decomposition, "_CHECK_ENTRIES", check_entries)
         plan = decompose(haar_random_unitary(16, 21), 6)
         big = np.flatnonzero(plan.sizes >= 6)
         small = np.flatnonzero(plan.sizes <= 5)
@@ -1140,6 +1147,32 @@ class TestUnitarityCheck:
         assert str(excinfo.value) == (
             f"factors[{lower}]: factor block is not unitary (defect 1.250e+00)"
         )
+
+    def test_names_a_fault_past_the_first_piece(self):
+        plan = decompose(haar_random_unitary(100, 3), 2)  # 4950 2 x 2 blocks
+        k = 4321
+        assert 4 * k > decomposition._CHECK_ENTRIES
+        blocks = plan.blocks.copy()
+        blocks[plan._layout.offsets[k]] *= 1.5
+        with pytest.raises(ValueError, match=rf"^factors\[{k}\]: factor block is not unitary"):
+            DecompositionPlan(n=100, m=2, sizes=plan.sizes, base_rows=plan.base_rows,
+                              columns=plan.columns, blocks=blocks, phases=plan.phases)
+
+    def test_checks_blocks_in_bounded_pieces(self):
+        # Traced peak of the constructor at n = 200, m = 2 (19900 blocks of
+        # 64 bytes): 2.6x the blocks, most of it the read-only copies it
+        # keeps; checking every block at once took 6.3x.
+        plan = decompose(haar_random_unitary(200, 4), 2)
+        fields = dict(n=200, m=2, sizes=plan.sizes, base_rows=plan.base_rows,
+                      columns=plan.columns, blocks=plan.blocks, phases=plan.phases)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            DecompositionPlan(**fields)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * plan.blocks.nbytes
 
     def test_a_large_block_passes_and_its_scaled_copy_fails(self):
         n = 64

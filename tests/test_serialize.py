@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +12,12 @@ from hypothesis import strategies as st
 from multiport.decomposition import DecompositionPlan, decompose, reconstruct
 from multiport.linalg import haar_random_unitary
 from multiport.robustness import FidelityStats, SweepResult, sweep_noise
+from multiport import serialize
 from multiport.serialize import (
+    _CHUNK,
     _COMMA,
     CSV_HEADER,
+    _finite_floats,
     _floats,
     json_to_matrix,
     json_to_plan,
@@ -468,8 +473,7 @@ class TestPlanJson:
 def _rendered(values) -> list[str]:
     """Each of ``values`` as the writers' float pieces render it."""
     values = np.asarray(values, dtype=np.float64)
-    template, args = _floats(values, np.full(values.shape, _COMMA))
-    return (template % tuple(args)).split(", ")[:-1]
+    return _floats(values, np.full(values.shape, _COMMA)).split(", ")[:-1]
 
 
 # Any finite double, drawn by value and as a raw 64-bit pattern.
@@ -504,12 +508,12 @@ class TestFloatPieces:
     @example(5e-324)
     @example(1.0000000000000002)
     def test_renders_every_finite_double_as_percent_17g(self, v):
-        assert _rendered([v]) == ["%.17g" % v]
+        assert _rendered([v]) == ["%.17g" % (v + 0.0)]  # -0.0 as 0
 
     @settings(derandomize=True, database=None, max_examples=500, deadline=None)
     @given(_BIT_PATTERNS)
     def test_renders_every_bit_pattern_as_percent_17g(self, v):
-        assert _rendered([v]) == ["%.17g" % v]
+        assert _rendered([v]) == ["%.17g" % (v + 0.0)]
 
     def test_renders_a_mixed_array_in_one_call(self):
         rng = np.random.default_rng(5)
@@ -536,7 +540,7 @@ class TestFloatPieces:
                 [np.inf, -np.inf, np.nan, -0.0, 0.0],
             ]
         )
-        assert _rendered(values) == ["%.17g" % v for v in values.tolist()]
+        assert _rendered(values) == ["%.17g" % (v + 0.0) for v in values.tolist()]
 
 
 def _matrix_text_17g(a) -> str:
@@ -623,6 +627,173 @@ class TestFilesMatchThePercent17gWriter:
         )
         assert plan_to_json(plan) == _plan_text_17g(plan)
         assert matrix_to_json(AWKWARD) == _matrix_text_17g(AWKWARD)
+
+
+def _adjacent_pairs(n: int, count: int) -> DecompositionPlan:
+    """A plan of ``count`` 2 x 2 rotations on modes ``(c, c + 1)``, ``c`` odd.
+
+    Every third block is the identity, written with -0.0 parts, and every
+    fifth phase is -0.0.
+    """
+    rng = np.random.default_rng(count)
+    theta = np.where(np.arange(count) % 3 == 0, 0.0, rng.uniform(0, np.pi, count))
+    phase = np.exp(1j * rng.uniform(-np.pi, np.pi, count))
+    c, s = np.cos(theta), np.sin(theta)
+    blocks = np.stack([c, -s * phase.conj(), s * phase, c + 0j], axis=1)
+    first = 2 * np.arange(count) % (n - 1) + 1
+    phases = rng.uniform(-np.pi, np.pi, n)
+    phases[::5] = -0.0
+    return DecompositionPlan(
+        n=n, m=2, sizes=np.full(count, 2), base_rows=first + 1,
+        columns=np.stack([first, first + 1], axis=1).ravel(), blocks=blocks.ravel(),
+        phases=phases,
+    )
+
+
+def _awkward_matrix(rows: int, cols: int) -> np.ndarray:
+    """Random entries, with -0.0 parts, zeros and subnormals among them."""
+    rng = np.random.default_rng(rows * cols)
+    mat = rng.standard_normal((rows, cols)) + 1j * rng.uniform(-1, 1, (rows, cols))
+    mat.ravel()[::7] = complex(-0.0, 0.5)
+    mat.ravel()[3::11] = complex(1e-310, -0.0)
+    return mat
+
+
+def _assert_writers_match_the_oracle(tmp_path, plan=None, mat=None):
+    """Text and files equal the plain ``%.17g`` writer's text byte for byte."""
+    if plan is not None:
+        text = plan_to_json(plan)
+        assert text == _plan_text_17g(plan)
+        save_plan(tmp_path / "plan.json", plan)
+        assert (tmp_path / "plan.json").read_bytes() == text.encode("ascii")
+    if mat is not None:
+        text = matrix_to_json(mat)
+        assert text == _matrix_text_17g(mat)
+        save_matrix(tmp_path / "matrix.json", mat)
+        assert (tmp_path / "matrix.json").read_bytes() == text.encode("ascii")
+
+
+class TestPiecesNeverChangeAByte:
+    """Lists are written in pieces of ``_CHUNK`` numbers; the bytes are the
+    ``%.17g`` writer's at every list length around and across pieces."""
+
+    @pytest.mark.parametrize(
+        "n,count",
+        [
+            # sizes, base_rows and phases of _CHUNK - 1, _CHUNK and _CHUNK + 1
+            # numbers; columns and blocks of several pieces and a remainder
+            (_CHUNK - 1, _CHUNK - 1),
+            (_CHUNK, _CHUNK),
+            (_CHUNK + 1, _CHUNK + 1),
+            # blocks of _CHUNK - 8, _CHUNK and _CHUNK + 8 numbers (8 a factor)
+            (64, _CHUNK // 8 - 1),
+            (64, _CHUNK // 8),
+            (64, _CHUNK // 8 + 1),
+            (5, 0),  # the empty plan
+        ],
+    )
+    def test_plan_lists_around_a_piece(self, tmp_path, n, count):
+        _assert_writers_match_the_oracle(tmp_path, plan=_adjacent_pairs(n, count))
+
+    @pytest.mark.parametrize(
+        "rows,cols",
+        [
+            # one row of _CHUNK - 2, _CHUNK and _CHUNK + 2 numbers (2 an entry)
+            (1, _CHUNK // 2 - 1),
+            (1, _CHUNK // 2),
+            (1, _CHUNK // 2 + 1),
+            (7, 3),
+            # rows that cross the ends of several pieces, and a remainder
+            (100, 99),
+        ],
+    )
+    def test_matrix_entries_around_a_piece(self, tmp_path, rows, cols):
+        _assert_writers_match_the_oracle(tmp_path, mat=_awkward_matrix(rows, cols))
+
+    @pytest.mark.parametrize("chunk", [2, 4, 6, 10, 34])  # even: a piece starts at a real part
+    def test_any_piece_size_writes_the_same_bytes(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(serialize, "_CHUNK", chunk)
+        u = haar_random_unitary(12, 4)
+        for m in (2, 3, 5):  # block lines of 8, 18 and 50 numbers
+            _assert_writers_match_the_oracle(tmp_path, plan=decompose(u, m))
+        for n, count in ((2 * chunk + 1, 2 * chunk + 1), (4, 0)):
+            _assert_writers_match_the_oracle(tmp_path, plan=_adjacent_pairs(n, count))
+        for mat in (AWKWARD, _awkward_matrix(1, 1), _awkward_matrix(5, 7)):
+            _assert_writers_match_the_oracle(tmp_path, mat=mat)
+
+    def test_an_unwritable_matrix_makes_no_file(self, tmp_path):
+        path = tmp_path / "matrix.json"
+        with pytest.raises(ValueError):
+            save_matrix(path, np.array([[1.0, np.nan]]))
+        assert not path.exists()
+
+
+class TestReadersConvertInPieces:
+    """Parsed lists become arrays ``_CHUNK`` numbers at a time, from the end."""
+
+    @pytest.mark.parametrize("count", [0, 1, _CHUNK, 2 * _CHUNK + 3])
+    def test_a_converted_list_is_emptied(self, count):
+        values = np.random.default_rng(count).standard_normal(count).tolist()
+        expected = np.array(values, dtype=np.float64)
+        out = _finite_floats(values, str)
+        assert values == []
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, expected)
+
+    def test_faults_past_the_first_piece_are_named(self):
+        plan = _adjacent_pairs(_CHUNK + 1, _CHUNK + 1)  # 8 floats per factor
+        np.testing.assert_array_equal(json_to_plan(plan_to_json(plan)).blocks, plan.blocks)
+        k = _CHUNK - 2
+        obj = json.loads(plan_to_json(plan))
+        obj["blocks"][8 * k + 5] = 1e400  # float("inf"); factor k, entry 2
+        with pytest.raises(ValueError, match=rf"^factors\[{k}\]: block entry 2 must be finite$"):
+            json_to_plan(json.dumps(obj))
+        obj = json.loads(plan_to_json(plan))
+        obj["phases"][_CHUNK] = 10**400  # too large for a float, in the second piece
+        with pytest.raises(ValueError, match=rf"^phases\[{_CHUNK}\] must be finite$"):
+            json_to_plan(json.dumps(obj))
+
+
+@pytest.fixture(scope="module")
+def plan_200():
+    return decompose(haar_random_unitary(200, 200), 2)
+
+
+def _traced_peak(func, *args) -> int:
+    """The peak bytes ``tracemalloc`` sees while ``func(*args)`` runs."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWriterAndReaderMemory:
+    """Traced peaks at n = 200, m = 2, whose plan file is 3.5 MB of text.
+    Measured with numpy 2.4.6; whole-text writers peaked at 5.9x the plan
+    text, and the reader, which converted whole lists and checked every
+    block at once, at 4.2x."""
+
+    def test_save_plan_holds_one_piece_at_a_time(self, tmp_path, plan_200):
+        # 0.59 MB, as at n = 64 and n = 600; a whole-text writer took 20.6 MB
+        assert _traced_peak(save_plan, tmp_path / "plan.json", plan_200) < 2e6
+
+    def test_save_matrix_holds_one_piece_at_a_time(self, tmp_path):
+        u = haar_random_unitary(200, 200)
+        # 0.60 MB; a whole-text writer took 10.1 MB for this 1.9 MB file
+        assert _traced_peak(save_matrix, tmp_path / "u.json", u) < 2e6
+
+    def test_plan_to_json_holds_its_pieces_and_their_join(self, plan_200):
+        size = len(plan_to_json(plan_200))
+        assert _traced_peak(plan_to_json, plan_200) < 2.5 * size  # 2.0x
+
+    def test_json_to_plan_holds_little_beyond_the_parsed_json(self, plan_200):
+        text = plan_to_json(plan_200)
+        json_to_plan(text)  # the plan's layout is cached from here on
+        # 1.6x, of which json.loads alone takes 1.5x
+        assert _traced_peak(json_to_plan, text) < 2.4 * len(text)
 
 
 class TestSweepCsv:

@@ -73,6 +73,28 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
         assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
 
 
+def test_readme_decompose_summary_is_what_its_commands_print(tmp_path, monkeypatch, capsys):
+    """The README's ``random`` and ``decompose`` commands print its summary
+    block; ``max_error`` is matched as a rounding-level number only, since
+    its last digits depend on the numpy and BLAS build."""
+    intro = "`multiport decompose` checks the plan it writes and prints a summary"
+    after = README.read_text().split(intro, 1)[1]
+    documented = re.search(r"^```text\n(.*?)^```$", after, re.M | re.S)[1].splitlines()
+    monkeypatch.chdir(tmp_path)
+    random_argv, decompose_argv = readme_cli_commands()[:2]
+    assert main(random_argv[1:]) == 0
+    capsys.readouterr()
+    assert main(decompose_argv[1:]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(documented)
+    for line, expected in zip(printed, documented):
+        if expected.startswith("max_error = "):
+            assert re.fullmatch(r"max_error = \d\.\d{3}e-1[5-7]", line), line
+            assert re.fullmatch(r"max_error = \d\.\d{3}e-1[5-7]", expected), expected
+        else:
+            assert line == expected
+
+
 def test_readme_states_the_floors_of_pyproject():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     stated = re.search(
